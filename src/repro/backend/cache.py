@@ -119,17 +119,19 @@ def _rehydrate(design: Design, payload: Dict) -> CacheEntry:
 class InflightCompile:
     """One in-flight compilation in the single-flight registry.
 
-    The leader's worker future is bridged onto ``proxy`` (a bare
-    :class:`~concurrent.futures.Future` resolving to the worker's
-    ``(compiled, resources, error)`` tuple) so followers can attach
-    before the leader's real future even exists.  ``joiners`` counts
-    attached followers; a leader with joiners must not be cancelled —
-    its result is somebody else's compile.
+    The leader's result future is bridged onto ``proxy`` (a bare
+    :class:`~concurrent.futures.Future` resolving to the job's
+    ``(model, resources, error)`` tuple) so followers can attach
+    before the leader's real future even exists; ``codegen`` is the
+    leader's codegen-stage future itself, which followers share.
+    ``joiners`` counts attached followers; a leader with joiners must
+    not be cancelled — its result is somebody else's compile.
     """
 
     def __init__(self, key: str, races: Optional[Counter] = None):
         self.key = key
         self.proxy: Future = Future()
+        self.codegen: Future = Future()
         self.joiners = 0
         #: Counts already-resolved-proxy races swallowed by bridge()
         #: (normally the registering cache's ``cache.bridge_races``).
@@ -190,35 +192,6 @@ class BitstreamCache:
         self._c_joins = self.metrics.counter("cache.single_flight_joins")
         self._c_bridge_races = self.metrics.counter("cache.bridge_races")
 
-    # Historical counter attributes, now views over the registry.
-    @property
-    def hits(self) -> int:
-        return self._c_hits.value
-
-    @property
-    def misses(self) -> int:
-        return self._c_misses.value
-
-    @property
-    def disk_hits(self) -> int:
-        return self._c_disk_hits.value
-
-    @property
-    def disk_corrupt(self) -> int:
-        return self._c_disk_corrupt.value
-
-    @property
-    def evictions(self) -> int:
-        return self._c_evictions.value
-
-    @property
-    def single_flight_joins(self) -> int:
-        return self._c_joins.value
-
-    @property
-    def bridge_races(self) -> int:
-        return self._c_bridge_races.value
-
     # ------------------------------------------------------------------
     def get(self, key: str, design: Optional[Design] = None
             ) -> Optional[CacheEntry]:
@@ -260,13 +233,15 @@ class BitstreamCache:
 
     def stats(self) -> Dict[str, int]:
         with self._lock:
-            return {"entries": len(self._entries), "hits": self.hits,
-                    "misses": self.misses, "disk_hits": self.disk_hits,
-                    "disk_corrupt": self.disk_corrupt,
-                    "evictions": self.evictions,
+            return {"entries": len(self._entries),
+                    "hits": self._c_hits.value,
+                    "misses": self._c_misses.value,
+                    "disk_hits": self._c_disk_hits.value,
+                    "disk_corrupt": self._c_disk_corrupt.value,
+                    "evictions": self._c_evictions.value,
                     "in_flight": len(self._inflight),
-                    "single_flight_joins": self.single_flight_joins,
-                    "bridge_races": self.bridge_races}
+                    "single_flight_joins": self._c_joins.value,
+                    "bridge_races": self._c_bridge_races.value}
 
     # -- single-flight registry -----------------------------------------
     def inflight_begin(self, key: str
@@ -414,14 +389,6 @@ class PlacementCache:
         self._c_hits = self.metrics.counter("placement.hits")
         self._c_misses = self.metrics.counter("placement.misses")
 
-    @property
-    def hits(self) -> int:
-        return self._c_hits.value
-
-    @property
-    def misses(self) -> int:
-        return self._c_misses.value
-
     @staticmethod
     def signature(netlist: Netlist, device) -> str:
         h = hashlib.sha256()
@@ -457,5 +424,6 @@ class PlacementCache:
 
     def stats(self) -> Dict[str, int]:
         with self._lock:
-            return {"entries": len(self._entries), "hits": self.hits,
-                    "misses": self.misses}
+            return {"entries": len(self._entries),
+                    "hits": self._c_hits.value,
+                    "misses": self._c_misses.value}

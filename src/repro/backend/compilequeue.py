@@ -9,13 +9,13 @@ module provides the host-side half of the story: worker pools
 is O(1) host time and codegen / synth / place / route overlap with the
 simulation the user is watching.
 
-Three lanes exist, in order of weight:
+Two lanes exist:
 
-* :func:`shared_fast_queue` — a tiny *thread* pool for ms-budget jobs
-  (the software fast path's local pycompile).
-* :func:`shared_queue` — the *thread* pool compile jobs are submitted
-  to.  Front-end orchestration and codegen run here; the Python objects
-  they produce (exec'd model classes) cannot cross a process boundary.
+* :func:`shared_queue` — the *thread* pool every compile job's stages
+  run on: codegen (the exec'd model classes it produces cannot cross a
+  process boundary), then the flow stage's orchestration.  No stage
+  waits for another job's: flow stages are chained by continuation, so
+  codegen never queues behind a parked worker.
 * :func:`shared_flow_queue` — a *process* pool for the CPU-bound
   synth/place/route kernels.  Under the GIL, a thread lane can only
   hide I/O; the NP-hard placement loops would still steal host cycles
@@ -188,7 +188,6 @@ class CompileQueue:
 
 
 _shared: Optional[CompileQueue] = None
-_shared_fast: Optional[CompileQueue] = None
 _shared_flow: Optional[CompileQueue] = None
 _shared_lock = threading.Lock()
 
@@ -202,20 +201,9 @@ def shared_queue() -> CompileQueue:
         return _shared
 
 
-def shared_fast_queue() -> CompileQueue:
-    """The process-wide *fast lane*: a small dedicated pool for
-    millisecond-budget jobs (the software fast path's local pycompile).
-
-    Keeping these off :func:`shared_queue` matters because that pool is
-    routinely saturated for minutes by synth/place/route work; a fast
-    lane guarantees the second JIT tier lands in milliseconds even
-    while a heavyweight fabric compile is in flight."""
-    global _shared_fast
-    with _shared_lock:
-        if _shared_fast is None:
-            _shared_fast = CompileQueue(max_workers=2,
-                                        name="cascade-fastpath")
-        return _shared_fast
+#: The thread lane under a second name, which ``perfbench/workloads.py``
+#: warms it by.
+shared_fast_queue = shared_queue
 
 
 def shared_flow_queue() -> CompileQueue:
@@ -242,11 +230,10 @@ def shutdown_shared_pools(wait: bool = True) -> None:
     creates a fresh one — safe for in-process servers that start and
     stop several times in one test run.
     """
-    global _shared, _shared_fast, _shared_flow
+    global _shared, _shared_flow
     with _shared_lock:
-        pools = [p for p in (_shared, _shared_fast, _shared_flow)
-                 if p is not None]
-        _shared = _shared_fast = _shared_flow = None
+        pools = [p for p in (_shared, _shared_flow) if p is not None]
+        _shared = _shared_flow = None
     for pool in pools:
         pool.shutdown(wait=wait)
 

@@ -18,15 +18,17 @@ We model the toolchain with:
 
 The service is **asynchronous on the host**: ``submit()`` only runs the
 cheap front-end (elaboration, the synthesizability check and the
-resource estimate) on the caller's thread, then hands code generation
-and the real flow to a background worker pool
-(:mod:`repro.backend.compilequeue`).  It is also **memoized**: results
-are stored in a content-addressed :class:`~repro.backend.cache
-.BitstreamCache` keyed by the canonical printed source, so recompiling
-an identical subprogram is a cache hit that skips synthesis entirely
-and completes after a small constant *virtual* latency (reprogramming
-the device, not recompiling for it — what real Cascade's compilation
-cache buys).
+resource estimate) on the caller's thread.  The rest of a
+:class:`CompileJob` runs on the thread lane
+(:mod:`repro.backend.compilequeue`) in two stages: **codegen**, whose
+model the runtime installs as the software fast path as soon as it
+resolves, then — for designs small enough — the **flow**.  It is also
+**memoized**: results are stored in a content-addressed
+:class:`~repro.backend.cache.BitstreamCache` keyed by the canonical
+printed source, so recompiling an identical subprogram is a cache hit
+that skips codegen and synthesis entirely and completes after a small
+constant *virtual* latency (reprogramming the device, not recompiling
+for it — what real Cascade's compilation cache buys).
 
 Compile durations are charged in *virtual* time so whole JIT timelines
 (Figures 11/12) replay deterministically in milliseconds of host time:
@@ -38,10 +40,9 @@ finished, delivery waits for the worker — host speed can never change
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import CancelledError
-from typing import Dict, List, Optional, Set, Tuple
+from concurrent.futures import CancelledError, Future
+from typing import Dict, Iterable, List, Optional, Set
 
 from ..common.errors import SynthesisError
 from ..ir.build import Subprogram
@@ -79,13 +80,17 @@ class CompilerModel:
 
 
 class CompileJob:
-    """One background compilation.
+    """One background compilation: a codegen stage, then (for designs
+    the real flow covers) a flow stage.
 
     The *virtual* schedule (``submitted_s``, ``duration_s``,
-    ``ready_at_s``) is fixed at submission; the *host* work happens on a
-    worker future.  ``compiled`` / ``resources`` / ``error`` wait for
-    the worker when accessed before it finishes — the virtual clock,
-    not host progress, decides when the job is delivered.
+    ``ready_at_s``) is fixed at submission.  ``codegen`` is a future for
+    the generated model; it resolves as soon as the codegen stage does
+    and survives a failed flow, so a design that misses closure still
+    runs as compiled software.  ``compiled`` / ``resources`` / ``error``
+    are the whole job's result and wait for the worker when accessed
+    before it finishes — the virtual clock, not host progress, decides
+    when the job is delivered.
     """
 
     PENDING = "pending"
@@ -106,26 +111,29 @@ class CompileJob:
         self.cache_hit = cache_hit
         #: True when this job attached to another in-flight compile of
         #: the same key (single-flight dedup) instead of running its
-        #: own worker.  Its future is the *leader's* result proxy.
+        #: own worker.  Its futures are the leader's.
         self.single_flight = False
         self.delivered = False
+        #: The codegen stage's model (a cache hit already holds it).
+        self.codegen: Future = Future()
+        if compiled is not None:
+            self.codegen.set_result(compiled)
+        elif error is not None:
+            self.codegen.set_exception(SynthesisError(error))
+        self._model_taken = False
         self._resources = dict(resources)
-        self._compiled = compiled
+        self._model = compiled
         self._error = error
-        self._future = None
+        #: Resolves to ``(model, resources, error)`` once every stage
+        #: has run; None for a cache hit, which has nothing to run.
+        self._future: Optional[Future] = None
+        self._task: Optional[Future] = None  # the queued codegen stage
         self._resolved = cache_hit or compiled is not None \
             or error is not None
         self._cancel_requested = False
         self._service = service
         self._cache_key: Optional[str] = None
         self._inflight = None  # InflightCompile while leader/follower
-        #: Set once this job's flow stage has run (or been skipped /
-        #: cancelled).  Flow stages execute in submission order so
-        #: warm-start placement lookups are deterministic — a job only
-        #: ever sees placements produced by earlier submissions, never
-        #: a racy subset of them.
-        self._flow_done = threading.Event()
-        self._flow_prev: Optional[threading.Event] = None
 
     # -- host-side results ---------------------------------------------
     def _resolve(self) -> None:
@@ -141,17 +149,27 @@ class CompileJob:
             outcome = future.result()
         except CancelledError:
             outcome = (None, None, "compilation cancelled")
-        except Exception as exc:  # the worker itself crashed
+        except Exception as exc:  # a stage itself crashed
             outcome = (None, None, str(exc) or type(exc).__name__)
         if self._service is not None:
             self._service._charge_host("wait_s",
                                        time.perf_counter() - t0)
-        compiled, resources, error = outcome
-        self._compiled = compiled
+        model, resources, error = outcome
+        self._model = model
         if resources is not None:
             self._resources = dict(resources)
         self._error = error
         self._resolved = True
+
+    def take_model(self) -> Optional[CompiledDesign]:
+        """Hand the codegen stage's model to its one consumer (the
+        runtime's software fast path) without waiting: None while
+        codegen is still running and on every call after the first that
+        found it resolved.  A codegen error is raised, once."""
+        if self._model_taken or not self.codegen.done():
+            return None
+        self._model_taken = True
+        return self.codegen.result()
 
     @property
     def host_done(self) -> bool:
@@ -161,8 +179,9 @@ class CompileJob:
 
     @property
     def compiled(self) -> Optional[CompiledDesign]:
+        """The hardware artifact: the model, unless the job failed."""
         self._resolve()
-        return self._compiled
+        return self._model if self._error is None else None
 
     @property
     def resources(self) -> Dict[str, int]:
@@ -280,41 +299,9 @@ class CompileService:
         for phase in ("submit_s", "codegen_s", "flow_s", "wait_s"):
             m.counter("compile.host." + phase)
         self._session_keys: Set[str] = set()
-        self._lock = threading.Lock()
-        self._last_flow_done: Optional[threading.Event] = None
-
-    # Historical counter attributes, now views over the registry.
-    @property
-    def compiles_attempted(self) -> int:
-        return self._c_attempted.value
-
-    @property
-    def compiles_failed(self) -> int:
-        return self._c_failed.value
-
-    @property
-    def compiles_cancelled(self) -> int:
-        return self._c_cancelled.value
-
-    @property
-    def cache_hits(self) -> int:
-        return self._c_cache_hits.value
-
-    @property
-    def cache_misses(self) -> int:
-        return self._c_cache_misses.value
-
-    @property
-    def warm_starts(self) -> int:
-        return self._c_warm_starts.value
-
-    @property
-    def cross_tenant_hits(self) -> int:
-        return self._c_cross_tenant.value
-
-    @property
-    def single_flight_joins(self) -> int:
-        return self._c_joins.value
+        #: The result future of the last flow-eligible job: the next
+        #: one's flow stage is submitted when it resolves.
+        self._flow_tail: Optional[Future] = None
 
     # ------------------------------------------------------------------
     def _charge_host(self, phase: str, seconds: float) -> None:
@@ -421,14 +408,15 @@ class CompileService:
             job._cache_key = key
             leader, inflight = self.cache.inflight_begin(key)
             job._inflight = inflight
+            job.codegen = inflight.codegen
             if not leader:
                 # Single-flight join: an identical compile is already
                 # in flight (the cross-tenant hot path — but also a
                 # same-session resubmit racing an uncancellable
-                # worker).  Attach to the leader's result instead of
-                # running the flow twice; virtual duration stays the
-                # full modeled cost, so under isolation the timeline
-                # is exactly a solo cold compile's.
+                # worker).  Attach to the leader's futures instead of
+                # compiling twice; virtual duration stays the full
+                # modeled cost, so under isolation the timeline is
+                # exactly a solo cold compile's.
                 self._c_joins.inc()
                 if tr.enabled:
                     tr.emit("single_flight_join", "cache",
@@ -436,190 +424,200 @@ class CompileService:
                             args={"subprogram": subprogram.name,
                                   "key": key[:12]})
                 job.single_flight = True
-                job._flow_done.set()
                 job._future = inflight.proxy
             else:
+                job._future = Future()
+                inflight.bridge(job._future)
                 flow_eligible = bool(
                     self.full_flow_max_luts
                     and resources["luts"] <= self.full_flow_max_luts)
-                if flow_eligible:
-                    # Chain flow stages in submission order (worker
-                    # start order is FIFO, so the chain cannot
-                    # deadlock); codegen still runs fully in parallel.
-                    job._flow_prev = self._last_flow_done
-                    self._last_flow_done = job._flow_done
-                else:
-                    job._flow_done.set()
+                prev = self._flow_tail if flow_eligible else None
                 try:
-                    job._future = self.queue.submit(
-                        self._compile_job, job, key, resources,
-                        instrumented, flow_eligible)
+                    job._task = self.queue.submit(
+                        self._stage, job, self._codegen_stage,
+                        resources, flow_eligible, prev)
                 except BaseException:
                     self.cache.inflight_finish(key, inflight)
                     raise
-                inflight.bridge(job._future)
+                if flow_eligible:
+                    self._flow_tail = job._future
         self._session_keys.add(key)
         self.jobs.append(job)
         self._charge_host("submit_s", time.perf_counter() - t0)
         return job
 
-    # -- the worker ----------------------------------------------------
-    def _compile_job(self, job: CompileJob, key: str,
-                     resources: Dict[str, int], instrumented: bool,
-                     flow_eligible: bool
-                     ) -> Tuple[Optional[CompiledDesign],
-                                Dict[str, int], Optional[str]]:
-        """All real host-time work for one job (runs on the pool)."""
+    # -- the stages ----------------------------------------------------
+    def _stage(self, job: CompileJob, body, *args) -> None:
+        """Run one stage of ``job``.  A stage that crashes fails the
+        job — the error reaches the user at ``ready_at_s`` — instead of
+        leaving it, and every flow stage chained behind it, unresolved.
+        """
         try:
-            return self._compile_job_inner(job, key, resources,
-                                           flow_eligible)
-        finally:
-            job._flow_done.set()
-            # Leave the single-flight registry only after the cache is
-            # populated (the inner call's last step), so a concurrent
-            # submit either joins this worker or hits the cache — it
-            # can never fall between the two and recompile.
-            self.cache.inflight_finish(key, job._inflight)
+            body(job, *args)
+        except BaseException as exc:
+            self.cache.inflight_finish(job._cache_key, job._inflight)
+            for future in (job.codegen, job._future):
+                if not future.done():
+                    future.set_exception(exc)
 
-    def _compile_job_inner(self, job: CompileJob, key: str,
-                           resources: Dict[str, int],
-                           flow_eligible: bool
-                           ) -> Tuple[Optional[CompiledDesign],
-                                      Dict[str, int], Optional[str]]:
+    def _codegen_stage(self, job: CompileJob, resources: Dict[str, int],
+                       flow_eligible: bool,
+                       prev: Optional[Future]) -> None:
         if job._cancel_requested:
-            return None, resources, "compilation cancelled"
+            self._settle(job, None, resources, None)
+            return
         t0 = time.perf_counter()
         try:
-            compiled: Optional[CompiledDesign] = \
-                compile_design(job.design)
-            error: Optional[str] = None
+            model = compile_design(job.design)
+            failure: Optional[Exception] = None
         except Exception as exc:  # compilation itself failed
-            compiled = None
-            error = str(exc)
+            model, failure = None, exc
         codegen_s = time.perf_counter() - t0
         self._charge_host("codegen_s", codegen_s)
         self._trace_phase(job, "codegen", codegen_s)
+        if failure is not None:
+            job.codegen.set_exception(failure)
+            self._settle(job, None, resources, str(failure))
+            return
+        job.codegen.set_result(model)
+        if not flow_eligible:
+            self._settle(job, model, resources, None)
+            return
+
+        # Flow stages run in submission order, so warm-start placement
+        # lookups are deterministic: a job only ever sees placements
+        # produced by earlier submissions, never a racy subset of them.
+        # A continuation keeps the order; no worker waits for it.
+        if prev is None:
+            self._submit_flow(job, model, resources)
+        else:
+            prev.add_done_callback(lambda _prev: self._stage(
+                job, self._submit_flow, model, resources))
+
+    def _submit_flow(self, job: CompileJob, model: CompiledDesign,
+                     resources: Dict[str, int]) -> None:
+        self.queue.submit(self._stage, job, self._flow_stage, model,
+                          resources)
+
+    def _flow_stage(self, job: CompileJob, model: CompiledDesign,
+                    resources: Dict[str, int]) -> None:
+        if job._cancel_requested:
+            self._settle(job, None, resources, None)
+            return
+        from .flow import run_flow
         placement = None
         flow_summary = None
-        if compiled is not None and flow_eligible:
-            if job._flow_prev is not None:
-                job._flow_prev.wait()
-            t1 = time.perf_counter()
-            try:
-                from .flow import run_flow
-                report = run_flow(job.design, device=self.device,
-                                  placement_cache=self.placements,
-                                  warm_effort=self.warm_start_effort,
-                                  starts=self.place_starts,
-                                  pool=self.flow_queue)
-                if report.placement.warm_started:
-                    self._c_warm_starts.inc()
-                for phase, seconds in sorted(
-                        report.phase_seconds.items()):
-                    # synth_s -> "synth" etc.; durations measured in
-                    # the flow-lane worker that ran the phase.
-                    self._trace_phase(job, phase.rsplit("_", 1)[0],
-                                      seconds)
-                overhead = resources["luts"] - \
-                    estimate_resources(job.design,
-                                       metrics=self.metrics)["luts"]
-                resources = dict(resources)
-                resources["luts"] = report.luts + max(overhead, 0)
-                resources["fmax_mhz"] = report.fmax_mhz
-                placement = report.placement.locations
-                flow_summary = report.summary()
-                if not report.success:
-                    compiled = None
-                    error = ("design failed "
-                             + ("routing" if not report.routing.routed
-                                else "timing") + " closure")
-            except SynthesisError:
-                pass  # outside the gate-level subset: keep the estimate
-            finally:
-                self._charge_host("flow_s", time.perf_counter() - t1)
-        if error is not None:
-            self._c_failed.inc()
-        if not job._cancel_requested:
+        error: Optional[str] = None
+        t1 = time.perf_counter()
+        try:
+            report = run_flow(job.design, device=self.device,
+                              placement_cache=self.placements,
+                              warm_effort=self.warm_start_effort,
+                              starts=self.place_starts,
+                              pool=self.flow_queue)
+            if report.placement.warm_started:
+                self._c_warm_starts.inc()
+            for phase, seconds in sorted(report.phase_seconds.items()):
+                # synth_s -> "synth" etc.; durations measured in the
+                # flow-lane worker that ran the phase.
+                self._trace_phase(job, phase.rsplit("_", 1)[0], seconds)
+            overhead = resources["luts"] - \
+                estimate_resources(job.design,
+                                   metrics=self.metrics)["luts"]
+            resources = dict(resources)
+            resources["luts"] = report.luts + max(overhead, 0)
+            resources["fmax_mhz"] = report.fmax_mhz
+            placement = report.placement.locations
+            flow_summary = report.summary()
+            if not report.success:
+                error = ("design failed "
+                         + ("routing" if not report.routing.routed
+                            else "timing") + " closure")
+        except SynthesisError:
+            pass  # outside the gate-level subset: keep the estimate
+        finally:
+            self._charge_host("flow_s", time.perf_counter() - t1)
+        self._settle(job, model, resources, error, placement,
+                     flow_summary)
+
+    def _settle(self, job: CompileJob, model: Optional[CompiledDesign],
+                resources: Dict[str, int], error: Optional[str],
+                placement=None, flow_summary=None) -> None:
+        """Resolve ``job`` (a cancelled one as cancelled).  The model is
+        kept even when the flow failed: a cache hit on that entry still
+        runs on the software fast path."""
+        if job._cancel_requested:
+            job.codegen.cancel()
+            model, error = None, "compilation cancelled"
+        else:
+            if error is not None:
+                self._c_failed.inc()
             # Deterministic results are worth caching either way: a
             # failure recompiles to the same failure (§6.4).
-            self.cache.put(key, CacheEntry(
-                compiled, resources, error, placement, flow_summary))
-        return compiled, resources, error
+            self.cache.put(job._cache_key, CacheEntry(
+                model, resources, error, placement, flow_summary))
+        # Leave the single-flight registry only after the cache is
+        # populated, so a concurrent submit either joins this job or
+        # hits the cache — it can never fall between the two.
+        self.cache.inflight_finish(job._cache_key, job._inflight)
+        job._future.set_result((model, resources, error))
 
     # ------------------------------------------------------------------
-    def cancel_all(self) -> None:
-        """Abandon in-flight jobs (the program changed under them).
+    def cancel(self, jobs: Iterable[CompileJob]) -> None:
+        """Abandon ``jobs`` (the program changed under them); delivered
+        ones are left alone.
 
-        Futures still queued on the pool are cancelled outright;
-        running ones finish in the background (their result is
-        discarded, but still populates the cache).  Single-flight
-        discipline: a follower never cancels the *leader's* future (it
-        belongs to someone else's compile), and a leader whose result
-        other tenants have joined is left to finish — cancelling it
-        would fail their compiles too."""
-        for job in self.jobs:
-            if job.delivered:
-                continue
+        A codegen stage still queued on the pool is cancelled outright;
+        a running one finishes, but its job skips the flow stage and is
+        neither cached nor delivered.  Single-flight discipline: a
+        follower never cancels the *leader's* work (it belongs to
+        someone else's compile), and a leader whose result other
+        tenants have joined is left to finish — cancelling it would
+        fail their compiles too."""
+        dropped = [job for job in jobs if not job.delivered]
+        for job in dropped:
             self._c_cancelled.inc()
             if job.single_flight:
                 # Follower: just stop waiting; release our seat so the
                 # leader can become cancellable again.
                 job._cancel_requested = True
-                if job._inflight is not None:
-                    self.cache.inflight_leave(job._inflight)
-                continue
-            if job._future is not None and job._inflight is not None:
-                # Leader: only cancellable while nobody has joined
-                # (the check atomically unregisters the key, so no one
-                # can join a future that is about to be cancelled).
-                if self.cache.inflight_cancellable(job._cache_key,
-                                                   job._inflight):
-                    job._cancel_requested = True
-                    if self.queue.cancel(job._future):
-                        # The worker will never run; release anyone
-                        # chained behind this job's flow stage.
-                        job._flow_done.set()
-                continue
-            job._cancel_requested = True
-            if job._future is not None:
-                if self.queue.cancel(job._future):
-                    job._flow_done.set()
-        self.jobs = [j for j in self.jobs if j.delivered]
+                self.cache.inflight_leave(job._inflight)
+            elif job._inflight is None:
+                job._cancel_requested = True  # a cache hit: no work
+            elif self.cache.inflight_cancellable(job._cache_key,
+                                                 job._inflight):
+                # Leader: only cancellable while nobody has joined (the
+                # check atomically unregisters the key, so no one can
+                # join a job that is about to be cancelled).
+                job._cancel_requested = True
+                if self.queue.cancel(job._task):
+                    # The stage will never run; resolve what it would
+                    # have, releasing any flow stage chained behind.
+                    job.codegen.cancel()
+                    job._future.cancel()
+        self.jobs = [job for job in self.jobs if job not in dropped]
 
-    def completed(self, now_s: float) -> List[CompileJob]:
-        """Jobs — successful *and* failed — that have finished since
-        the last poll.  Failed jobs are returned so callers can surface
-        the error (§6.4); check ``job.error`` / ``job.compiled``."""
-        out = []
-        for job in self.jobs:
-            if job.delivered:
-                continue
-            if job.state(now_s) != CompileJob.PENDING:
-                job.delivered = True
-                out.append(job)
-        return out
-
-    def pending(self, now_s: float) -> List[CompileJob]:
-        return [j for j in self.jobs
-                if not j.delivered and j.state(now_s) == CompileJob.PENDING]
+    def cancel_all(self) -> None:
+        """Abandon every undelivered job of this service."""
+        self.cancel(self.jobs)
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
         """Counters and per-phase host times for introspection."""
-        host = {phase: self.metrics.value("compile.host." + phase)
+        value = self.metrics.value
+        host = {phase: value("compile.host." + phase)
                 for phase in ("submit_s", "codegen_s", "flow_s",
                               "wait_s")}
         return {
-            "attempted": self.compiles_attempted,
-            "failed": self.compiles_failed,
-            "cancelled": self.compiles_cancelled,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "warm_starts": self.warm_starts,
-            "cross_tenant_hits": self.cross_tenant_hits,
-            "single_flight_joins": self.single_flight_joins,
-            "estimate_fallbacks":
-                int(self.metrics.value("estimate.fallbacks")),
+            "attempted": value("compile.attempted"),
+            "failed": value("compile.failed"),
+            "cancelled": value("compile.cancelled"),
+            "cache_hits": value("compile.cache_hits"),
+            "cache_misses": value("compile.cache_misses"),
+            "warm_starts": value("compile.warm_starts"),
+            "cross_tenant_hits": value("compile.cross_tenant_hits"),
+            "single_flight_joins": value("compile.single_flight_joins"),
+            "estimate_fallbacks": int(value("estimate.fallbacks")),
             "in_flight": sum(1 for j in self.jobs
                              if not j.delivered and not j.host_done),
             "host_seconds": host,

@@ -175,10 +175,12 @@ class Repl:
                 f"tier events: {tiers['interpreted']} interpreted, "
                 f"{tiers['sw-fast']} sw-fast, "
                 f"{tiers['hardware']} hardware")
+            value = rt.metrics.value
             lines.append(
-                f"migrations: {rt.sw_migrations} sw-fast, "
-                f"{rt.hw_migrations} hardware; "
-                f"fast-path compile failures: {rt.fastpath_failures}")
+                f"migrations: {value('runtime.sw_migrations')} sw-fast, "
+                f"{value('runtime.hw_migrations')} hardware; "
+                f"fast-path compile failures: "
+                f"{value('runtime.fastpath_failures')}")
             # The merged-registry view: every registry in reach,
             # deduplicated by identity (DESIGN.md §4.7).
             merged = merge_registries(

@@ -20,18 +20,18 @@ which eval'ing new code cannot produce undefined behaviour (§3.4).
 from __future__ import annotations
 
 import time as _time
-from concurrent.futures import Future
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..backend.compilequeue import shared_fast_queue
-from ..backend.compiler import CompileService
+from ..backend.compiler import CompileJob, CompileService
 from ..backend.hardware import FastSoftwareEngine, HardwareEngine
-from ..backend.pycompile import compile_design
+# Not called here (every model comes from a CompileJob's codegen stage),
+# but still bound: perfbench/tracing.py instruments this name.
+from ..backend.pycompile import compile_design  # noqa: F401
 from ..common.bits import Bits
 from ..common.errors import CascadeError, SynthesisError
 from ..interp.engine import read_set_of
 from ..ir.build import IRProgram, Subprogram, build_ir
-from ..obs import tracer
+from ..obs import Counter, tracer
 from ..perf.timemodel import PerfTrace, TimeModel
 from ..stdlib.board import VirtualBoard
 from ..stdlib.components import (IMPLICIT_INSTANCES, STDLIB_MODULE_NAMES,
@@ -125,7 +125,11 @@ class Runtime:
         self._oloop_limit = _OLOOP_MIN
         self._oloop_exec_cap = _OLOOP_REAL_CAP
         self._open_loop_active = False
-        self._job_generation: Dict[int, int] = {}
+        #: The current compile job of each user subprogram.  A rebuild
+        #: replaces the whole map, so it is both the generation guard
+        #: (a stale job is simply no longer in it) and the only list of
+        #: jobs the runtime polls.
+        self._jobs: Dict[str, CompileJob] = {}
         #: Runtime counters live in the compile service's registry so
         #: one ``:stats`` snapshot covers the whole pipeline.
         self.metrics = self.compiler.metrics
@@ -140,29 +144,14 @@ class Runtime:
         #: Chrome trace view.
         self.obs_tid = "main"
         self.unsynthesizable: Dict[str, str] = {}
-        # The middle JIT tier: in-flight local pycompile jobs, keyed by
-        # subprogram name.  Values are (generation, future); the
-        # generation guard (the same discipline _job_generation applies
-        # to fabric jobs) makes a stale model impossible to swap in.
-        self._fast_jobs: Dict[str, Tuple[int, "Future"]] = {}
-        self._fast_queue = shared_fast_queue()
         self._engines_cache: Optional[List[Tuple[str, Engine]]] = None
 
-    # Historical counter attributes, now views over the registry.
-    @property
-    def hw_migrations(self) -> int:
-        return self._c_hw_migrations.value
-
-    @property
-    def sw_migrations(self) -> int:
-        return self._c_sw_migrations.value
-
-    @property
-    def fastpath_failures(self) -> int:
-        return self._c_fastpath_failures.value
-
-    def _trace_tier_swap(self, name: str, from_tier: str,
-                         to_tier: str, **extra) -> None:
+    def _install(self, name: str, engine: Engine, migrations: Counter,
+                 from_tier: str, to_tier: str, **extra) -> None:
+        """Put ``engine`` in ``name``'s place and record the tier swap."""
+        self.engines[name] = engine
+        self._engines_cache = None
+        migrations.inc()
         tr = tracer()
         if tr.enabled:
             args = {"engine": name, "from": from_tier, "to": to_tier}
@@ -272,12 +261,7 @@ class Runtime:
                     self.plane.values[net] = engine.read(port)
         # Seed every engine input from current net values.
         for sub in program.subprograms.values():
-            engine = engines[sub.name]
-            for port, (net, direction) in sub.bindings.items():
-                if direction == "in":
-                    value = self.plane.values.get(net)
-                    if value is not None and not value.has_xz:
-                        engine.write(port, value)
+            self._transfer(None, engines[sub.name], sub)
 
         # Drop one-shot initial items: initial processes run once, in
         # the program we just built, and must not re-run on the next
@@ -291,14 +275,10 @@ class Runtime:
 
         # Restart the JIT for every user subprogram (§4.4: engines move
         # back to software and the process starts anew on modification).
-        self.compiler.cancel_all()
-        # In-flight fast-path compiles target the *previous* generation
-        # of the program: cancel what is still queued and drop the rest
-        # — the generation guard in _poll_fastpath discards any result
-        # that slips through, so a stale model is never swapped in.
-        for _gen, future in self._fast_jobs.values():
-            self._fast_queue.cancel(future)
-        self._fast_jobs.clear()
+        # Only this runtime's jobs are cancelled: the service may be
+        # shared with other runtimes.
+        self.compiler.cancel(self._jobs.values())
+        self._jobs = {}
         self.unsynthesizable = {}
         tr = tracer()
         if self.enable_jit:
@@ -307,7 +287,7 @@ class Runtime:
                     job = self.compiler.submit(
                         sub, self.time_model.now_seconds,
                         self.engines[sub.name].design)  # type: ignore
-                    self._job_generation[id(job)] = self.generation
+                    self._jobs[sub.name] = job
                     if tr.enabled:
                         tr.emit("admission", "runtime",
                                 virtual_ns=self.time_model.now_ns,
@@ -325,8 +305,6 @@ class Runtime:
                                 args={"engine": sub.name,
                                       "tier": "interpreted",
                                       "unsynthesizable": str(exc)})
-            if self.enable_sw_fastpath:
-                self._submit_fastpath(program)
         if tr.enabled:
             tr.emit("eval", "runtime",
                     dur_us=(_time.perf_counter() - _t_rebuild) * 1e6,
@@ -337,19 +315,18 @@ class Runtime:
                           "transients": self._had_transients})
         self._needs_rebuild = False
 
-    def _submit_fastpath(self, program: IRProgram) -> None:
-        """Kick off the middle JIT tier: a local, milliseconds-budget
-        pycompile of each synthesizable user subprogram, on a dedicated
-        pool so it never queues behind synth/place/route."""
-        for sub in program.user_subprograms():
-            if sub.name in self.unsynthesizable:
-                continue
-            engine = self.engines[sub.name]
-            if not isinstance(engine, SoftwareEngineAdapter):
-                continue
-            future = self._fast_queue.submit(
-                compile_design, engine.design)
-            self._fast_jobs[sub.name] = (self.generation, future)
+    def _transfer(self, old: Optional[Engine], new: Engine,
+                  sub: Subprogram) -> None:
+        """Move ``old``'s state into ``new`` through the engine ABI
+        (§3.5), then seed ``new``'s inputs from the current net
+        values."""
+        if old is not None:
+            new.set_state(old.get_state())
+        for port, (net, direction) in sub.bindings.items():
+            if direction == "in":
+                value = self.plane.values.get(net)
+                if value is not None and not value.has_xz:
+                    new.write(port, value)
 
     # ------------------------------------------------------------------
     # The Figure 6 scheduler
@@ -410,9 +387,8 @@ class Runtime:
             self.time_model.charge_sw_events(
                 1, fast=isinstance(engine, FastSoftwareEngine))
 
-    def _window(self) -> None:
-        """Between time steps: service interrupts, apply evals, poll the
-        JIT, advance logical time."""
+    def _service_interrupts(self) -> None:
+        """Apply queued interrupts in arrival order (§3.4)."""
         while self.interrupts:
             interrupt = self.interrupts.pop()
             if interrupt.kind == Interrupt.DISPLAY:
@@ -423,6 +399,11 @@ class Runtime:
                     self.finished = interrupt.payload
             elif interrupt.kind == Interrupt.ACTION:
                 interrupt.payload()
+
+    def _window(self) -> None:
+        """Between time steps: service interrupts, apply evals, poll the
+        JIT, advance logical time."""
+        self._service_interrupts()
         self.iterations += 1
         self.time_model.charge_runtime()
         logical_time = self.iterations // 2
@@ -438,13 +419,6 @@ class Runtime:
             self._needs_rebuild = True
         if self.enable_jit:
             self._poll_jit()
-        if self._fast_jobs:
-            # After the phase loop every engine is quiescent, so this
-            # window is the safe point for the software-tier hot swap.
-            # Polled after _poll_jit so that when a bitstream and a
-            # fast-path compile land in the same window the fabric
-            # wins and the fast-path job is simply dropped.
-            self._poll_fastpath()
 
     def _iteration(self, fast_forward: bool = False) -> None:
         if self._needs_rebuild:
@@ -458,49 +432,49 @@ class Runtime:
     # ------------------------------------------------------------------
     # JIT: engine replacement, forwarding, open loop
     # ------------------------------------------------------------------
-    def _poll_fastpath(self) -> None:
-        """Install the software fast path for any subprogram whose local
-        pycompile has finished.  A failed compile degrades silently back
-        to the interpreter — this tier is a pure optimisation and must
-        never surface an error the interpreter would not have raised."""
-        for name in list(self._fast_jobs):
-            gen, future = self._fast_jobs[name]
-            if gen != self.generation:
-                del self._fast_jobs[name]
-                continue
-            if not future.done():
-                continue
-            engine = self.engines.get(name)
-            if not isinstance(engine, SoftwareEngineAdapter):
-                # Already migrated past this tier (e.g. straight to
-                # hardware); the model is no longer wanted.
-                del self._fast_jobs[name]
-                continue
-            if engine.there_are_evals() or engine.there_are_updates():
-                # Not quiescent: the handover must not consume or
-                # duplicate pending events.  Retry next window.
-                continue
-            del self._fast_jobs[name]
-            try:
-                compiled = future.result()
-            except Exception:
-                self._c_fastpath_failures.inc()
-                continue
-            try:
-                self._swap_to_fastpath(name, compiled)
-            except Exception:
-                self._c_fastpath_failures.inc()
+    def _poll_jit(self) -> None:
+        """Deliver each job that is due, then install the software fast
+        path for each job whose codegen stage has resolved.  Delivery
+        comes first, so when a bitstream and a model land in the same
+        window the fabric wins."""
+        now_s = self.time_model.now_seconds
+        for name, job in self._jobs.items():
+            if not job.delivered and job.state(now_s) != CompileJob.PENDING:
+                job.delivered = True
+                if job.compiled is None:
+                    # §6.4: a program that is correct in simulation can
+                    # still fail the later phases of JIT compilation;
+                    # the user must hear about it, not lose it silently.
+                    error = job.error or "compilation failed"
+                    self.unsynthesizable[name] = error
+                    self.view.info(f"[cascade] compilation of {name} "
+                                   f"failed: {error} (staying in "
+                                   f"software)")
+                else:
+                    self._swap_to_hardware(job)
+            engine = self.engines[name]
+            # The handover must not consume or duplicate pending events,
+            # so an engine this window's edge woke waits for the next.
+            if self.enable_sw_fastpath \
+                    and isinstance(engine, SoftwareEngineAdapter) \
+                    and job.codegen.done() \
+                    and not engine.there_are_evals() \
+                    and not engine.there_are_updates():
+                try:
+                    model = job.take_model()
+                    if model is not None:
+                        self._swap_to_fastpath(name, model)
+                except Exception:
+                    # This tier is a pure optimisation: a failed codegen
+                    # or handover degrades silently to the interpreter.
+                    self._c_fastpath_failures.inc()
+        self._maybe_enter_open_loop()
 
     def _swap_to_fastpath(self, name: str, compiled) -> None:
         old = self.engines[name]
         sub = self.program.subprograms[name]
         fast = FastSoftwareEngine(sub, compiled)
-        fast.set_state(old.get_state())
-        for port, (net, direction) in sub.bindings.items():
-            if direction == "in":
-                value = self.plane.values.get(net)
-                if value is not None and not value.has_xz:
-                    fast.write(port, value)
+        self._transfer(old, fast, sub)
         # The handover settle mirrors _swap_to_hardware, with one extra
         # precaution: combinational logic is settled *before* edge
         # samples are aligned, so a derived signal (e.g. an internal
@@ -515,56 +489,28 @@ class Runtime:
         fast.evaluate()
         fast.drain_tasks()
         fast.drain_output_changes()
-        self.engines[name] = fast
-        self._engines_cache = None
-        self._c_sw_migrations.inc()
-        self._trace_tier_swap(name, "interpreted", "sw-fast")
+        self._install(name, fast, self._c_sw_migrations, "interpreted",
+                      "sw-fast")
         self.view.info(f"[cascade] {name} switched to compiled "
                        f"software fast path")
 
-    def _poll_jit(self) -> None:
-        for job in self.compiler.completed(self.time_model.now_seconds):
-            if self._job_generation.get(id(job)) != self.generation:
-                continue
-            if job.compiled is None:
-                # §6.4: a program that is correct in simulation can
-                # still fail the later phases of JIT compilation; the
-                # user must hear about it, not lose it silently.
-                error = job.error or "compilation failed"
-                self.unsynthesizable[job.subprogram.name] = error
-                self.view.info(f"[cascade] compilation of "
-                               f"{job.subprogram.name} failed: {error} "
-                               f"(staying in software)")
-                continue
-            self._swap_to_hardware(job)
-        self._maybe_enter_open_loop()
-
-    def _swap_to_hardware(self, job) -> None:
+    def _swap_to_hardware(self, job: CompileJob) -> None:
         name = job.subprogram.name
         old = self.engines.get(name)
         if old is None or old.location == HARDWARE:
             return
         sub = self.program.subprograms[name]
         hw = HardwareEngine(sub, job.compiled)
-        hw.set_state(old.get_state())
-        for port, (net, direction) in sub.bindings.items():
-            if direction == "in":
-                value = self.plane.values.get(net)
-                if value is not None and not value.has_xz:
-                    hw.write(port, value)
+        self._transfer(old, hw, sub)
         # Settle combinational outputs before anyone observes them, so
         # the handover is glitch-free.
         hw.evaluate()
         hw.drain_tasks()
         old_tier = "sw-fast" \
             if isinstance(old, FastSoftwareEngine) else "interpreted"
-        self.engines[name] = hw
-        self._engines_cache = None
-        self._c_hw_migrations.inc()
-        self._trace_tier_swap(name, old_tier, "hardware",
-                              luts=job.resources["luts"],
-                              compile_s=job.duration_s,
-                              cache_hit=job.cache_hit)
+        self._install(name, hw, self._c_hw_migrations, old_tier,
+                      "hardware", luts=job.resources["luts"],
+                      compile_s=job.duration_s, cache_hit=job.cache_hit)
         self.view.info(f"[cascade] {name} migrated to hardware "
                        f"({job.resources['luts']} LUTs, "
                        f"{job.duration_s:.0f}s compile)")
@@ -688,14 +634,7 @@ class Runtime:
             target = int(0.5 * self.time_model.fabric_mhz * 1e6)
             self._oloop_limit = min(max(limit * 2, _OLOOP_MIN), target)
         # Service interrupts and let absorbed peripherals see the host.
-        while self.interrupts:
-            interrupt = self.interrupts.pop()
-            if interrupt.kind == Interrupt.DISPLAY:
-                text, newline = interrupt.payload
-                self.view.display(text, newline)
-            elif interrupt.kind == Interrupt.FINISH:
-                if self.finished is None:
-                    self.finished = interrupt.payload
+        self._service_interrupts()
         hw.end_step()
         hw.set_time(self.iterations // 2)
         if self.enable_jit:

@@ -5,9 +5,9 @@ counters — ``BitstreamCache.hits``, ``CompileService.cache_hits``,
 ``Runtime.sw_migrations``, the ``CascadeServer.stats()`` totals — each
 with its own locking discipline and no way to read them uniformly.  A
 :class:`MetricsRegistry` replaces that: components create named
-counters/gauges/histograms in a registry and the old attribute names
-become thin read-only views, so one ``snapshot()`` sees everything and
-``:stats`` renders from a single merged dictionary.
+counters/gauges/histograms in a registry and callers read them by name
+(``registry.value("cache.hits")``), so one ``snapshot()`` sees
+everything and ``:stats`` renders from a single merged dictionary.
 
 Conventions:
 

@@ -55,8 +55,8 @@ def measure_pow_timeline(target_zeros: int = 12,
     # --- Cascade arm -------------------------------------------------
     # The software fast path is pinned off so the sim-phase series
     # keeps the paper's interpreter-vs-iVerilog meaning (and stays
-    # independent of when the fast swap lands on this host).  The
-    # compiled software tier has its own benchmark, bench_swjit.
+    # independent of when the fast swap lands on the host).  The
+    # compiled software tier is measured by perfbench's pow workload.
     rt = Runtime(compile_service=CompileService(),
                  enable_sw_fastpath=False)
     rt.eval_source(program)

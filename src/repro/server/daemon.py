@@ -4,7 +4,7 @@
 hosts one sandboxed :class:`~repro.server.session.Session` per
 connection, and multiplexes all of them onto a single
 :class:`~repro.server.scheduler.SessionScheduler` plus the
-process-wide compile/flow/fast-path pools.  Identical programs
+process-wide compile and flow pools.  Identical programs
 submitted by different tenants dedup through one shared
 content-addressed :class:`~repro.backend.cache.BitstreamCache`
 (a cache hit or a single-flight join instead of a recompile), while
@@ -117,19 +117,6 @@ class CascadeServer:
                                "dropped_outputs": 0,
                                "cross_tenant_hits": 0,
                                "single_flight_joins": 0}
-
-    # Historical counter attributes, now views over the registry.
-    @property
-    def sessions_total(self) -> int:
-        return self._c_sessions_total.value
-
-    @property
-    def sessions_rejected(self) -> int:
-        return self._c_sessions_rejected.value
-
-    @property
-    def sessions_evicted(self) -> int:
-        return self._c_sessions_evicted.value
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -319,10 +306,11 @@ class CascadeServer:
             self._closed_totals["frames_out"] += session.frames_out
             self._closed_totals["dropped_outputs"] += \
                 session.dropped_outputs
+            value = session.service.metrics.value
             self._closed_totals["cross_tenant_hits"] += \
-                session.service.cross_tenant_hits
+                value("compile.cross_tenant_hits")
             self._closed_totals["single_flight_joins"] += \
-                session.service.single_flight_joins
+                value("compile.single_flight_joins")
         session.closed.set()
 
     # ------------------------------------------------------------------
@@ -356,9 +344,9 @@ class CascadeServer:
         sessions = self.live_sessions()
         with self._lock:
             totals = dict(self._closed_totals)
-            rejected = self.sessions_rejected
-            evicted = self.sessions_evicted
-            total = self.sessions_total
+            rejected = self._c_sessions_rejected.value
+            evicted = self._c_sessions_evicted.value
+            total = self._c_sessions_total.value
         per_session = [s.stats() for s in sessions]
         frames_in = totals["frames_in"] + \
             sum(s["frames_in"] for s in per_session)

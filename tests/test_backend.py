@@ -3,7 +3,8 @@ resource estimation and the compile service."""
 
 import pytest
 
-from repro.backend.compiler import CompilerModel, CompileService
+from repro.backend.compiler import CompileJob, CompilerModel, \
+    CompileService
 from repro.backend.estimate import (estimate_resources,
                                     instrumentation_overhead)
 from repro.backend.fabric import CYCLONE_V, Device, device_for
@@ -223,9 +224,8 @@ class TestCompileService:
         sub = Subprogram("t", module, False, "counter", {})
         service = CompileService()
         job = service.submit(sub, now_s=0.0)
-        assert service.completed(job.duration_s - 1.0) == []
-        done = service.completed(job.duration_s + 1.0)
-        assert done == [job]
+        assert job.state(job.duration_s - 1.0) == CompileJob.PENDING
+        assert job.state(job.duration_s + 1.0) == CompileJob.DONE
         assert job.compiled is not None
 
     def test_cancel_all(self):
@@ -235,7 +235,8 @@ class TestCompileService:
         service = CompileService()
         service.submit(sub, now_s=0.0)
         service.cancel_all()
-        assert service.completed(1e9) == []
+        assert service.jobs == []
+        assert service.metrics.value("compile.cancelled") == 1
 
     def test_full_flow_mode_reports_exact_area(self):
         from repro.ir.build import Subprogram

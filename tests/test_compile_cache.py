@@ -110,8 +110,7 @@ class TestAsyncSubmission:
         service.cancel_all()
         gate.set()
         assert service.jobs == []
-        assert service.compiles_cancelled == 1
-        assert service.completed(1e9) == []
+        assert service.metrics.value("compile.cancelled") == 1
         assert job.compiled is None
         assert "cancelled" in job.error
 
@@ -131,10 +130,34 @@ assign led.val = n;
                          enable_open_loop=False)
             rt.eval_source(source)
             rt.run(iterations=3000)
-            return (rt.time_model.now_ns, rt.hw_migrations,
+            return (rt.time_model.now_ns,
+                    rt.metrics.value("runtime.hw_migrations"),
                     rt.board.leds.value)
 
         assert run_once() == run_once()
+
+
+class TestSharedService:
+    def test_rebuild_cancels_only_its_own_jobs(self):
+        """Two runtimes on one service: an eval in one must not cancel
+        the other's compile, which would strand it on sw-fast."""
+        service = CompileService()
+        service.model.base_s = 0.002
+        service.model.per_lut = 0.0
+        source = ("reg [7:0] n = 0;\n"
+                  "always @(posedge clk.val) n <= n + {step};\n"
+                  "assign led.val = n;\n")
+        a = Runtime(compile_service=service, enable_open_loop=False)
+        a.eval_source(source.format(step=1))
+        a.run(iterations=2)
+        b = Runtime(compile_service=service, enable_open_loop=False)
+        b.eval_source(source.format(step=2))
+        b.run(iterations=2)
+        a.run(iterations=3000)
+        b.run(iterations=3000)
+        assert a.engine_tiers()["main"] == "hardware"
+        assert b.engine_tiers()["main"] == "hardware"
+        assert service.metrics.value("compile.cancelled") == 0
 
 
 class TestBitstreamCache:
@@ -143,8 +166,8 @@ class TestBitstreamCache:
         job1 = service.submit(sub_of(COUNTER), now_s=0.0)
         assert job1.compiled is not None
         job2 = service.submit(sub_of(COUNTER), now_s=100.0)
-        assert service.cache_hits == 1
-        assert service.cache_misses == 1
+        assert service.metrics.value("compile.cache_hits") == 1
+        assert service.metrics.value("compile.cache_misses") == 1
         assert job2.cache_hit
         assert job2.compiled is job1.compiled
         # Cache hits cost only the constant reprogramming latency.
@@ -155,12 +178,13 @@ class TestBitstreamCache:
         service = CompileService()
         j_inst = service.submit(sub_of(COUNTER), 0.0, instrumented=True)
         j_nat = service.submit(sub_of(COUNTER), 0.0, instrumented=False)
-        assert service.cache_misses == 2 and service.cache_hits == 0
+        assert service.metrics.value("compile.cache_misses") == 2
+        assert service.metrics.value("compile.cache_hits") == 0
         assert j_inst.resources["luts"] > j_nat.resources["luts"]
         # Each mode hits its own entry on resubmission.
         service.submit(sub_of(COUNTER), 0.0, instrumented=True)
         service.submit(sub_of(COUNTER), 0.0, instrumented=False)
-        assert service.cache_hits == 2
+        assert service.metrics.value("compile.cache_hits") == 2
 
     def test_hit_skips_host_work(self):
         service = CompileService(full_flow_max_luts=10_000)
@@ -200,8 +224,8 @@ class TestBitstreamCache:
         warm = CompileService(
             cache=BitstreamCache(disk_dir=str(tmp_path)))
         job2 = warm.submit(sub_of(COUNTER), 0.0)
-        assert warm.cache_hits == 1
-        assert warm.cache.disk_hits == 1
+        assert warm.metrics.value("compile.cache_hits") == 1
+        assert warm.cache.metrics.value("cache.disk_hits") == 1
         assert job2.resources == job1.resources
         model = job2.compiled.instantiate()
         model.v_clk = 0
@@ -221,10 +245,10 @@ class TestBitstreamCache:
         service.submit(
             sub_of(COUNTER.replace("counter", "c3")), 0.0).compiled
         assert len(cache) == 2
-        assert cache.evictions == 1
+        assert cache.metrics.value("cache.evictions") == 1
         # The oldest entry (COUNTER) was evicted: resubmit misses.
         service.submit(sub_of(COUNTER), 0.0)
-        assert service.cache_hits == 0
+        assert service.metrics.value("compile.cache_hits") == 0
 
     def test_key_covers_configuration(self):
         base = design_cache_key("module m; endmodule", True, "auto", 0)
@@ -239,21 +263,19 @@ class TestBitstreamCache:
 
 
 class TestFailureDelivery:
-    def test_failed_jobs_are_returned_by_completed(self, monkeypatch):
-        """Regression: FAILED jobs used to be marked delivered without
-        ever being returned, so nobody could see the error."""
+    def test_failed_job_reports_its_error(self, monkeypatch):
+        """A FAILED job carries the toolchain's error, so whoever
+        delivers it can show the error to the user."""
         def boom(design, class_name="CompiledModel"):
             raise RuntimeError("toolchain exploded")
 
         monkeypatch.setattr(compiler_mod, "compile_design", boom)
         service = CompileService(latency_scale=0.0)
         job = service.submit(sub_of(COUNTER), now_s=0.0)
-        done = service.completed(0.0)
-        assert done == [job]
         assert job.state(0.0) == CompileJob.FAILED
         assert job.compiled is None
         assert "toolchain exploded" in job.error
-        assert service.compiles_failed == 1
+        assert service.metrics.value("compile.failed") == 1
 
     def test_runtime_surfaces_compile_failure(self, monkeypatch):
         def boom(design, class_name="CompiledModel"):
@@ -280,8 +302,8 @@ assign led.val = a;
         monkeypatch.setattr(compiler_mod, "compile_design", boom)
         service = CompileService()
         job = service.submit(sub_of(COUNTER), now_s=0.0)
-        assert service.completed(job.duration_s - 1.0) == []
-        assert service.completed(job.duration_s + 1.0) == [job]
+        assert job.state(job.duration_s - 1.0) == CompileJob.PENDING
+        assert job.state(job.duration_s + 1.0) == CompileJob.FAILED
 
 
 class TestWarmStartPlacement:
@@ -311,10 +333,10 @@ class TestWarmStartPlacement:
         s2 = CompileService(full_flow_max_luts=10_000,
                             placements=shared)
         assert s1.submit(sub_of(ALU8), 0.0).compiled is not None
-        assert s1.warm_starts == 0
+        assert s1.metrics.value("compile.warm_starts") == 0
         assert s2.submit(sub_of(ALU8), 0.0).compiled is not None
-        assert s2.warm_starts == 1
-        assert shared.hits == 1
+        assert s2.metrics.value("compile.warm_starts") == 1
+        assert shared.metrics.value("placement.hits") == 1
 
 
 class _GatedQueue(CompileQueue):
@@ -355,7 +377,7 @@ class TestSingleFlight:
         job2 = s2.submit(sub_of(COUNTER), 0.0)
         assert not job1.single_flight
         assert job2.single_flight
-        assert s2.single_flight_joins == 1
+        assert s2.metrics.value("compile.single_flight_joins") == 1
         # The follower submitted nothing: one worker, one flow run.
         assert queue.submitted == 1
         assert cache.stats()["in_flight"] == 1
@@ -407,8 +429,8 @@ class TestSingleFlight:
         assert job1.compiled is not None
         job2 = s2.submit(sub_of(COUNTER), 0.0)
         assert job2.cache_hit and not job2.single_flight
-        assert s2.cross_tenant_hits == 1
-        assert s2.single_flight_joins == 0
+        assert s2.metrics.value("compile.cross_tenant_hits") == 1
+        assert s2.metrics.value("compile.single_flight_joins") == 0
 
 
 class TestVirtualTimeIsolation:
@@ -424,7 +446,7 @@ class TestVirtualTimeIsolation:
         s2 = CompileService(cache=cache, isolate_virtual_time=True)
         job2 = s2.submit(sub_of(COUNTER), 0.0)
         assert job2.cache_hit
-        assert s2.cross_tenant_hits == 1
+        assert s2.metrics.value("compile.cross_tenant_hits") == 1
         # Tenant 2 pays what it would have paid alone...
         assert job2.duration_s == job1.duration_s
         assert job2.duration_s > s2.cache_hit_latency_s

@@ -120,7 +120,7 @@ assign led.val = total[7:0];
             assert rt.user_engine_location() == "hardware"
             rt.eval_source(f"wire probe{k}; assign probe{k} = total[0];")
         rt.run(iterations=100)
-        assert rt.hw_migrations >= 5
+        assert rt.metrics.value("runtime.hw_migrations") >= 5
 
     def test_generation_guard_drops_stale_compiles(self):
         """A compile finishing after the program changed must not be

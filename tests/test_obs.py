@@ -313,8 +313,9 @@ class TestRegistryWiring:
         rt.run(iterations=20)
         snap = service.metrics.snapshot()
         assert snap["compile.attempted"] == \
-            service.compiles_attempted >= 1
-        assert snap["runtime.hw_migrations"] == rt.hw_migrations == 1
+            service.metrics.value("compile.attempted") >= 1
+        assert snap["runtime.hw_migrations"] == \
+            rt.metrics.value("runtime.hw_migrations") == 1
         assert snap["compile.host.submit_s"] > 0
 
     def test_stats_dict_keys_preserved(self):
@@ -381,12 +382,12 @@ class TestDiskCorruption:
 
         reader = BitstreamCache(disk_dir=str(tmp_path))
         assert reader.get("key1", design) is None
-        assert reader.disk_corrupt == 1
+        assert reader.metrics.value("cache.disk_corrupt") == 1
         assert not path.exists()                 # quarantined away
         assert (tmp_path / "key1.json.corrupt").exists()
         # The next lookup is an honest miss, not a re-parse/re-fail.
         assert reader.get("key1", design) is None
-        assert reader.disk_corrupt == 1
+        assert reader.metrics.value("cache.disk_corrupt") == 1
         assert reader.stats()["disk_corrupt"] == 1
 
     def test_unreadable_file_is_not_quarantined(self, tmp_path):
@@ -400,7 +401,8 @@ class TestDiskCorruption:
             if os.access(path, os.R_OK):
                 pytest.skip("running as root; chmod 0 not enforced")
             assert fresh.get("key2", design) is None
-            assert fresh.disk_corrupt == 0       # OSError != corrupt
+            # OSError != corrupt
+            assert fresh.metrics.value("cache.disk_corrupt") == 0
             assert path.exists()
         finally:
             os.chmod(path, 0o644)

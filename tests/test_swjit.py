@@ -11,9 +11,13 @@ timelines do not depend on whether it engaged.
 
 import random
 from concurrent.futures import Future
+from types import SimpleNamespace
 
 import pytest
 
+import repro.backend.compiler as compiler_mod
+import repro.backend.flow as flow_mod
+import repro.core.runtime as runtime_mod
 from repro.apps import nw, pow as pow_app, regex
 from repro.backend.compilequeue import CompileQueue
 from repro.backend.compiler import CompileService
@@ -30,13 +34,20 @@ def _interp_runtime():
     return Runtime(enable_jit=False)
 
 
+def _inline_service(**kwargs):
+    """A compile service whose stages run inline in ``submit``, so the
+    model is ready at the first scheduler window."""
+    return CompileService(queue=CompileQueue(max_workers=0), **kwargs)
+
+
 def _fast_runtime():
     """JIT on, fabric compiles never ready -> only the software fast
-    path can engage.  The inline fast queue makes the swap moment
-    deterministic (first scheduler window)."""
-    rt = Runtime(compile_service=CompileService(latency_scale=_NEVER))
-    rt._fast_queue = CompileQueue(max_workers=0)
-    return rt
+    path can engage, at a deterministic moment (first window)."""
+    return Runtime(compile_service=_inline_service(latency_scale=_NEVER))
+
+
+def _sw_migrations(rt):
+    return rt.metrics.value("runtime.sw_migrations")
 
 
 def _hw_runtime():
@@ -85,7 +96,7 @@ end
         # still match.
         assert _observe(c)["lines"] == _observe(a)["lines"]
         assert _observe(c)["finished"] == _observe(a)["finished"]
-        assert b.sw_migrations == 1
+        assert _sw_migrations(b) == 1
         assert isinstance(b.engines["main"], FastSoftwareEngine)
 
     def test_virtual_time_bit_identical(self):
@@ -157,7 +168,7 @@ end
                 continue  # not a fast-path candidate; interpreter-only
             c = self._run_arm(_hw_runtime(), solution)
             sid = solution.student_id
-            assert b.sw_migrations == 1, f"student {sid}: no fast swap"
+            assert _sw_migrations(b) == 1, f"student {sid}: no fast swap"
             oa, ob, oc = _observe(a), _observe(b), _observe(c)
             # Interpreter vs fast path: bit-identical in every respect.
             assert oa == ob, f"student {sid}: interp vs fast diverge"
@@ -188,7 +199,7 @@ class TestAppsDifferential:
     def test_pow(self):
         a, b, c = (self._pow(r) for r in
                    (_interp_runtime(), _fast_runtime(), _hw_runtime()))
-        assert b.sw_migrations == 1
+        assert _sw_migrations(b) == 1
         assert _observe(a) == _observe(b)
         assert _observe(c)["lines"] == _observe(a)["lines"]
         assert _observe(c)["finished"] == _observe(a)["finished"]
@@ -211,7 +222,7 @@ class TestAppsDifferential:
                                            b"cats and cars and cat")
         assert a.board.leds.value == b.board.leds.value \
             == c.board.leds.value == (want & 0xFF)
-        assert b.sw_migrations == 1
+        assert _sw_migrations(b) == 1
         assert _observe(a) == _observe(b)
         assert _observe(c)["lines"] == _observe(a)["lines"]
         assert a.time_model.now_ns == b.time_model.now_ns
@@ -228,7 +239,7 @@ class TestAppsDifferential:
                    (_interp_runtime(), _fast_runtime(), _hw_runtime()))
         want = nw.nw_score(nw.random_dna(8, 7), nw.random_dna(10, 8))
         assert a.output_lines == [f"score {want}"]
-        assert b.sw_migrations == 1
+        assert _sw_migrations(b) == 1
         assert _observe(a) == _observe(b)
         assert _observe(c)["lines"] == _observe(a)["lines"]
         assert _observe(c)["finished"] == _observe(a)["finished"]
@@ -256,15 +267,14 @@ end
     def test_unsynthesizable_runs_interpreted_without_error(self):
         """A subprogram the fast tier cannot compile must run to
         completion on the interpreter with no user-visible error."""
-        rt = Runtime(compile_service=CompileService(latency_scale=_NEVER))
-        rt._fast_queue = CompileQueue(max_workers=0)
+        rt = _fast_runtime()
         rt.eval_source(self.UNSYNTH)
         rt.run(iterations=20_000, until_finish=True)
         assert rt.finished is not None
         assert rt.output_lines and rt.output_lines[0].startswith("x=")
         assert all("fail" not in line and "error" not in line.lower()
                    for line in rt.output_lines)
-        assert rt.sw_migrations == 0
+        assert _sw_migrations(rt) == 0
         assert isinstance(rt.engines["main"], SoftwareEngineAdapter)
         # Matches the interpreter-only run exactly.
         ref = Runtime(enable_jit=False)
@@ -273,25 +283,19 @@ end
         assert ref.output_lines == rt.output_lines
         assert ref.time_model.now_ns == rt.time_model.now_ns
 
-    def test_fastpath_compile_failure_is_silent(self):
-        """An exploding fast-path compile degrades to the interpreter;
-        the user sees nothing."""
-        class ExplodingQueue:
-            def submit(self, fn, *args, **kwargs):
-                fut = Future()
-                fut.set_exception(RuntimeError("codegen exploded"))
-                return fut
+    def test_fastpath_compile_failure_is_silent(self, monkeypatch):
+        """An exploding codegen degrades to the interpreter; the user
+        sees nothing."""
+        def explode(design, class_name="CompiledModel"):
+            raise RuntimeError("codegen exploded")
 
-            def cancel(self, future):
-                return False
-
-        rt = Runtime(compile_service=CompileService(latency_scale=_NEVER))
-        rt._fast_queue = ExplodingQueue()
+        monkeypatch.setattr(compiler_mod, "compile_design", explode)
+        rt = _fast_runtime()
         rt.eval_source(TestCounterParity.SRC)
         rt.run_until_finish()
         assert rt.finished is not None
-        assert rt.fastpath_failures == 1
-        assert rt.sw_migrations == 0
+        assert rt.metrics.value("runtime.fastpath_failures") == 1
+        assert _sw_migrations(rt) == 0
         ref = Runtime(enable_jit=False)
         ref.eval_source(TestCounterParity.SRC)
         ref.run_until_finish()
@@ -300,7 +304,7 @@ end
 
 
 class ManualQueue:
-    """A fast queue whose futures only resolve when the test says so,
+    """A compile queue whose futures only resolve when the test says so,
     and which (like a busy worker) refuses cancellation."""
 
     def __init__(self):
@@ -334,30 +338,32 @@ always @(posedge clk) b <= b + 2;
 
     def test_edit_invalidates_in_flight_fast_compile(self):
         """A subprogram edited mid-session must never have a stale
-        fast-path model swapped in (the _job_generation discipline)."""
-        rt = Runtime(compile_service=CompileService(latency_scale=_NEVER))
+        model swapped in: the rebuild replaces the runtime's job map."""
         queue = ManualQueue()
-        rt._fast_queue = queue
+        rt = Runtime(compile_service=CompileService(latency_scale=_NEVER,
+                                                    queue=queue))
         rt.eval_source(self.V1)
         rt.run(iterations=6)
         assert len(queue.jobs) >= 1
         n_before = len(queue.jobs)
+        stale = rt._jobs["main"]
         old_generation = rt.generation
         # Edit the program while the old compile is still in flight.
         rt.eval_source(self.V2)
         rt.run(iterations=2)
         assert rt.generation > old_generation
         assert len(queue.jobs) > n_before   # resubmitted for the edit
+        assert rt._jobs["main"] is not stale
         # The stale job completes late: it must be ignored.
         queue.resolve(n_before - 1)
         rt.run(iterations=6)
-        assert rt.sw_migrations == 0
+        assert _sw_migrations(rt) == 0
         assert isinstance(rt.engines["main"], SoftwareEngineAdapter)
         # The current-generation job completes: now the swap happens,
         # with a model that knows about the edit.
         queue.resolve(len(queue.jobs) - 1)
         rt.run(iterations=20)
-        assert rt.sw_migrations == 1
+        assert _sw_migrations(rt) == 1
         fast = rt.engines["main"]
         assert isinstance(fast, FastSoftwareEngine)
         assert "b" in fast.design.vars
@@ -381,3 +387,80 @@ class TestReplCounters:
         time_out = repl.command(":time")
         assert "sw-fast" in time_out
         assert "interpreted" in time_out
+
+
+class TestOneCompileJob:
+    """Each admission generates its model once, inside its compile job;
+    the fast path and the fabric share it."""
+
+    COUNTER = """
+reg [7:0] n = 0;
+always @(posedge clk.val) n <= n + 1;
+assign led.val = n;
+"""
+
+    def test_one_codegen_per_admission(self, monkeypatch):
+        calls = []
+        real = compiler_mod.compile_design
+
+        def counting(design, *args, **kwargs):
+            calls.append(design.name)
+            return real(design, *args, **kwargs)
+
+        monkeypatch.setattr(compiler_mod, "compile_design", counting)
+        monkeypatch.setattr(runtime_mod, "compile_design", counting)
+        service = _inline_service(latency_scale=_NEVER)
+        cold = Runtime(compile_service=service)
+        cold.eval_source(self.COUNTER)
+        cold.run(iterations=4)
+        assert len(calls) == 1
+        assert cold.engine_tiers()["main"] == "sw-fast"
+        # A cache hit already holds the model: no codegen at all.
+        hit = Runtime(compile_service=service)
+        hit.eval_source(self.COUNTER)
+        hit.run(iterations=4)
+        assert len(calls) == 1
+        assert service.metrics.value("compile.cache_hits") == 1
+        assert hit.engine_tiers()["main"] == "sw-fast"
+
+    def test_failed_closure_still_runs_sw_fast(self, monkeypatch):
+        """The codegen result survives a flow that misses closure; the
+        error reaches the user at ready_at_s, not before."""
+        def failing_flow(design, **kwargs):
+            return SimpleNamespace(
+                success=False, luts=10, fmax_mhz=12.5, phase_seconds={},
+                routing=SimpleNamespace(routed=True),
+                placement=SimpleNamespace(warm_started=False,
+                                          locations={}),
+                summary=lambda: "missed timing")
+
+        monkeypatch.setattr(flow_mod, "run_flow", failing_flow)
+        service = _inline_service(full_flow_max_luts=10_000)
+        service.model.base_s = 0.05
+        service.model.per_lut = 0.0
+        rt = Runtime(compile_service=service)
+        rt.eval_source(self.COUNTER)
+        rt.run(iterations=4)
+        job = rt._jobs["main"]
+        assert rt.time_model.now_seconds < job.ready_at_s
+        assert rt.engine_tiers()["main"] == "sw-fast"
+        assert rt.unsynthesizable == {}
+        rt.run(virtual_seconds=job.ready_at_s - rt.time_model.now_seconds)
+        rt.run(iterations=2)
+        assert "timing closure" in rt.unsynthesizable["main"]
+        assert rt.engine_tiers()["main"] == "sw-fast"
+        assert rt.metrics.value("runtime.hw_migrations") == 0
+
+    def test_one_job_per_subprogram_after_edits(self):
+        service = _inline_service(latency_scale=_NEVER)
+        rt = Runtime(compile_service=service)
+        rt.eval_source(self.COUNTER)
+        rt.run(iterations=4)
+        for k in range(6):
+            rt.eval_source(f"wire probe{k}; assign probe{k} = n[0];")
+            rt.run(iterations=4)
+        users = {sub.name for sub in rt.program.user_subprograms()}
+        assert set(rt._jobs) == users
+        assert service.metrics.value("compile.cancelled") == 6
+        # The service holds no abandoned jobs either.
+        assert service.jobs == list(rt._jobs.values())
