@@ -17,22 +17,21 @@ from typing import Dict, Optional
 from ..obs import MetricsRegistry, global_registry, tracer
 from ..verilog import ast
 from ..verilog.elaborate import Design
-from ..verilog.eval import natural_size
 from ..verilog.visitor import walk
 
 __all__ = ["estimate_resources", "instrumentation_overhead"]
 
 
 class _FallbackLog:
-    """Counts width-inference failures instead of hiding them.
+    """Counts width fallbacks instead of hiding them.
 
-    The estimator used to swallow every ``natural_size`` error behind a
-    bare ``except Exception`` and silently charge a default width — so
-    a genuinely mis-estimating build looked exactly like a healthy one.
-    Each fallback now increments ``estimate.fallbacks`` in the caller's
-    metrics registry (the process-wide one when no registry is in
-    reach) and, when tracing is on, emits an ``estimate_fallback``
-    event naming the node type and the error.
+    Widths come from the sizing pass's annotations.  A node that
+    reaches the estimator unsized (built after elaboration) is charged
+    a default width, and each such fallback increments
+    ``estimate.fallbacks`` in the caller's metrics registry (the
+    process-wide one when no registry is in reach) and, when tracing is
+    on, emits an ``estimate_fallback`` event naming the node type and
+    the error.
     """
 
     __slots__ = ("counter", "design_name")
@@ -53,65 +52,19 @@ class _FallbackLog:
                 "node": type(node).__name__,
                 "error": f"{type(exc).__name__}: {exc}"})
 
-    def width_of(self, node: ast.Expr, scope: "_Widths",
-                 default: int) -> int:
+    def width_of(self, node: ast.Expr, default: int) -> int:
         try:
-            return natural_size(node, scope)[0]
-        except Exception as exc:
+            return node.width
+        except AttributeError as exc:
             self.note(node, exc)
             return default
 
 
-class _Widths:
-    """natural_size scope over a design's variable table."""
-
-    def __init__(self, design: Design):
-        self.design = design
-
-    def width_sign(self, name):
-        var = self.design.vars[name]
-        return var.width, var.signed
-
-    def is_array(self, name):
-        var = self.design.vars.get(name)
-        return var is not None and var.is_array
-
-    def element_width_sign(self, name):
-        var = self.design.vars[name]
-        return var.width, var.signed
-
-    def range_of(self, name):
-        var = self.design.vars[name]
-        return var.msb, var.lsb
-
-    def function_width_sign(self, name):
-        fn = self.design.functions[name]
-        return fn.ret_width, fn.ret_signed
-
-    def function_port_widths(self, name):
-        fn = self.design.functions[name]
-        return [(w, s) for (_, w, s) in fn.ports]
-
-    def read(self, name):
-        raise KeyError(name)
-
-    def read_word(self, name, index):
-        raise KeyError(name)
-
-    def call_function(self, name, args):
-        raise KeyError(name)
-
-    def sys_func(self, name, args, evaluator):
-        raise KeyError(name)
-
-
-def _expr_luts(expr: ast.Expr, scope: _Widths,
-               log: _FallbackLog) -> int:
+def _expr_luts(expr: ast.Expr, log: _FallbackLog) -> int:
     """LUT cost of one expression tree."""
     total = 0
     for node in walk(expr):
-        width = log.width_of(node, scope, 32) \
-            if isinstance(node, ast.Expr) else 0
+        width = log.width_of(node, 32) if isinstance(node, ast.Expr) else 0
         if isinstance(node, ast.Binary):
             op = node.op
             if op in ("+", "-"):
@@ -121,8 +74,8 @@ def _expr_luts(expr: ast.Expr, scope: _Widths,
             elif op in ("/", "%"):
                 total += width * width
             elif op in ("==", "!=", "===", "!==", "<", "<=", ">", ">="):
-                w = max(log.width_of(node.lhs, scope, 32),
-                        log.width_of(node.rhs, scope, 32))
+                w = max(log.width_of(node.lhs, 32),
+                        log.width_of(node.rhs, 32))
                 total += max(w // 2, 1)
             elif op in ("&", "|", "^", "^~", "~^"):
                 total += (width + 1) // 2
@@ -137,7 +90,7 @@ def _expr_luts(expr: ast.Expr, scope: _Widths,
                 total += width * width
         elif isinstance(node, ast.Unary):
             if node.op in ("&", "~&", "|", "~|", "^", "~^", "^~", "!"):
-                w = log.width_of(node.operand, scope, 32)
+                w = log.width_of(node.operand, 32)
                 total += max(w // 3, 1)
             # ~ and - on top of other logic usually fold into LUTs.
         elif isinstance(node, ast.Ternary):
@@ -150,12 +103,11 @@ def estimate_resources(design: Design,
                        ) -> Dict[str, int]:
     """Estimated {luts, ffs, mem_bits} for a design.
 
-    Width-inference failures no longer vanish into silent defaults:
-    each one is counted as ``estimate.fallbacks`` in ``metrics`` (the
-    process-wide registry when none is given) and traced, so a build
-    whose estimate is mostly guesswork is visible in ``:stats``.
+    Unsized nodes do not vanish into silent defaults: each one is
+    counted as ``estimate.fallbacks`` in ``metrics`` (the process-wide
+    registry when none is given) and traced, so a build whose estimate
+    is mostly guesswork is visible in ``:stats``.
     """
-    scope = _Widths(design)
     log = _FallbackLog(metrics, design.name)
     luts = 0
     ffs = 0
@@ -168,7 +120,7 @@ def estimate_resources(design: Design,
                 ffs += var.width
 
     for assign in design.assigns:
-        luts += _expr_luts(assign.rhs, scope, log)
+        luts += _expr_luts(assign.rhs, log)
     for block in design.always:
         mux_penalty = 0
         for node in walk(block):
@@ -178,14 +130,14 @@ def estimate_resources(design: Design,
                 mux_penalty += 1
             if isinstance(node, (ast.BlockingAssign,
                                  ast.NonblockingAssign)):
-                luts += _expr_luts(node.rhs, scope, log)
-                w = log.width_of(node.lhs, scope, 8)
+                luts += _expr_luts(node.rhs, log)
+                w = log.width_of(node.lhs, 8)
                 # Each conditional level adds enable/select muxing.
                 luts += (w * max(mux_penalty, 1) + 1) // 2
     for fn in design.functions.values():
         for node in walk(fn.body):
             if isinstance(node, ast.BlockingAssign):
-                luts += _expr_luts(node.rhs, scope, log)
+                luts += _expr_luts(node.rhs, log)
     return {"luts": luts, "ffs": ffs, "mem_bits": mem_bits}
 
 

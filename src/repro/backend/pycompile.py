@@ -22,11 +22,9 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..common.bits import Bits
 from ..common.errors import SynthesisError
 from ..verilog import ast
 from ..verilog.elaborate import Design, Function, Var
-from ..verilog.eval import natural_size
 from ..interp.engine import read_set_of, read_set_of_lvalue_indices
 from . import pyrt
 
@@ -88,58 +86,6 @@ class CompiledDesign:
         return "negedge" in edges
 
 
-class _WidthScope:
-    """Width/sign information only — no live values."""
-
-    def __init__(self, design: Design,
-                 frames: Optional[Dict[str, Tuple[int, bool]]] = None):
-        self.design = design
-        self.frames = frames or {}
-
-    def width_sign(self, name: str) -> Tuple[int, bool]:
-        if name in self.frames:
-            return self.frames[name]
-        var = self.design.vars[name]
-        return var.width, var.signed
-
-    def is_array(self, name: str) -> bool:
-        if name in self.frames:
-            return False
-        var = self.design.vars.get(name)
-        return var is not None and var.is_array
-
-    def element_width_sign(self, name: str) -> Tuple[int, bool]:
-        var = self.design.vars[name]
-        return var.width, var.signed
-
-    def read(self, name: str) -> Bits:
-        raise KeyError(name)
-
-    def read_word(self, name: str, index: int) -> Bits:
-        raise KeyError(name)
-
-    def range_of(self, name: str) -> Tuple[int, int]:
-        if name in self.frames:
-            w, _ = self.frames[name]
-            return w - 1, 0
-        var = self.design.vars[name]
-        return var.msb, var.lsb
-
-    def function_width_sign(self, name: str) -> Tuple[int, bool]:
-        fn = self.design.functions[name]
-        return fn.ret_width, fn.ret_signed
-
-    def function_port_widths(self, name: str) -> List[Tuple[int, bool]]:
-        fn = self.design.functions[name]
-        return [(w, s) for (_, w, s) in fn.ports]
-
-    def call_function(self, name: str, args):
-        raise KeyError(name)
-
-    def sys_func(self, name: str, args, evaluator) -> Bits:
-        raise SynthesisError(f"{name} cannot be synthesized")
-
-
 def _attr(name: str) -> str:
     return "v_" + re.sub(r"\W", "_", name)
 
@@ -161,44 +107,44 @@ class _Emitter:
 
 
 class _ExprCompiler:
-    """Compiles expressions to Python int expressions.
+    """Compiles sized expressions to Python int expressions.
 
-    The value representation is an unsigned int in ``[0, 2**w)``; the
-    compiler tracks context width/signedness exactly like the
-    interpreter's evaluator, so results agree bit-for-bit on two-state
-    inputs.
+    The value representation is an unsigned int in ``[0, 2**w)``; every
+    node is computed at the context width and sign that sizing
+    annotated, exactly as the interpreter's evaluator reads them, so
+    results agree bit-for-bit on two-state inputs.
     """
 
     def __init__(self, compiler: "_DesignCompiler",
-                 frame: Optional[Dict[str, str]] = None,
-                 frame_widths: Optional[Dict[str, Tuple[int, bool]]] = None):
+                 frame: Optional[Dict[str, str]] = None):
         self.c = compiler
         self.frame = frame or {}
-        self.scope = _WidthScope(compiler.design, frame_widths)
-        self.temp_id = 0
 
     # -- public ----------------------------------------------------------
-    def rvalue(self, expr: ast.Expr, min_width: int = 0
-               ) -> Tuple[str, int, bool]:
+    def rvalue(self, expr: ast.Expr) -> Tuple[str, int, bool]:
         """(code, ctx_width, signed) for an expression."""
-        width, signed = natural_size(expr, self.scope)
-        ctx = max(width, min_width)
-        return self._ctx(expr, ctx, signed), ctx, signed
+        return self._ctx(expr), expr.ctx_width, expr.ctx_signed
 
     def condition(self, expr: ast.Expr) -> str:
-        code, _, _ = self.rvalue(expr)
-        return f"({code}) != 0"
+        return f"({self._ctx(expr)}) != 0"
 
     # -- helpers -----------------------------------------------------------
-    def _read(self, name: str) -> Tuple[str, int, bool]:
+    def _read(self, name: str) -> str:
         if name in self.frame:
-            w, s = self.scope.frames[name]
-            return self.frame[name], w, s
-        var = self.c.design.vars[name]
-        return f"self.{_attr(name)}", var.width, var.signed
+            return self.frame[name]
+        return f"self.{_attr(name)}"
 
-    def _coerce(self, code: str, from_w: int, from_signed_ok: bool,
-                ctx: int, signed: bool) -> str:
+    def is_memory(self, name: str) -> bool:
+        return name not in self.frame and self.c.design.vars[name].is_array
+
+    def declared_range(self, ident: ast.Ident) -> Tuple[int, int]:
+        """(msb, lsb) of a variable; function locals are [w-1:0]."""
+        if ident.name in self.frame:
+            return ident.width - 1, 0
+        var = self.c.design.vars[ident.name]
+        return var.msb, var.lsb
+
+    def _coerce(self, code: str, from_w: int, ctx: int, signed: bool) -> str:
         """Extend/truncate a value of width from_w to ctx using the
         expression's signedness."""
         if from_w == ctx:
@@ -216,110 +162,99 @@ class _ExprCompiler:
                 f"pyrt.to_signed({rcode}, {ctx})")
 
     # -- core ---------------------------------------------------------------
-    def _ctx(self, expr: ast.Expr, ctx: int, signed: bool) -> str:
+    def _ctx(self, expr: ast.Expr) -> str:
+        ctx, signed = expr.ctx_width, expr.ctx_signed
         if isinstance(expr, ast.Number):
-            value = expr.value.to_int_xz(0) & _mask(expr.value.width)
-            if expr.value.signed and ctx > expr.value.width:
-                value = pyrt.to_signed(value, expr.value.width) & _mask(ctx)
+            width = expr.value.width
+            value = expr.value.to_int_xz(0) & _mask(width)
+            if signed and value >> (width - 1):
+                value = (value - (1 << width)) & _mask(ctx)
             return str(value)
         if isinstance(expr, ast.StringLit):
             data = expr.value.encode("latin-1", "replace") or b"\0"
-            return str(int.from_bytes(data, "big") & _mask(max(ctx, 1)))
+            return str(int.from_bytes(data, "big") & _mask(ctx))
         if isinstance(expr, ast.Ident):
-            code, w, _ = self._read(expr.name)
-            return self._coerce(code, w, True, ctx, signed)
+            return self._coerce(self._read(expr.name), expr.width, ctx,
+                                signed)
         if isinstance(expr, ast.IndexExpr):
-            code, w = self._index(expr)
-            return self._coerce(code, w, False, ctx, False)
+            return self._coerce(self._index(expr), expr.width, ctx, signed)
         if isinstance(expr, ast.RangeExpr):
-            code, w = self._range(expr)
-            return self._coerce(code, w, False, ctx, False)
+            return self._coerce(self._range(expr), expr.width, ctx, signed)
         if isinstance(expr, ast.Unary):
-            return self._unary(expr, ctx, signed)
+            return self._unary(expr, ctx)
         if isinstance(expr, ast.Binary):
             return self._binary(expr, ctx, signed)
         if isinstance(expr, ast.Ternary):
             cond = self.condition(expr.cond)
-            then = self._ctx(expr.then, ctx, signed)
-            els = self._ctx(expr.els, ctx, signed)
+            then = self._ctx(expr.then)
+            els = self._ctx(expr.els)
             return f"(({then}) if ({cond}) else ({els}))"
         if isinstance(expr, ast.Concat):
-            return self._concat(expr, ctx)
+            return self._coerce(self._concat(expr.parts), expr.width, ctx,
+                                signed)
         if isinstance(expr, ast.Repeat):
-            count = _const_int(expr.count)
-            inner, w, _ = self.rvalue(expr.inner)
-            parts = " | ".join(
-                f"(({inner}) << {i * w})" for i in range(count))
-            return self._coerce(f"({parts})", w * count, False, ctx, False)
+            inner = self._concat([expr.inner] * expr.times)
+            return self._coerce(inner, expr.width, ctx, signed)
         if isinstance(expr, ast.Call):
             return self._call(expr, ctx, signed)
         raise SynthesisError(
             f"cannot compile expression {type(expr).__name__}")
 
-    def _index(self, expr: ast.IndexExpr) -> Tuple[str, int]:
+    def _index(self, expr: ast.IndexExpr) -> str:
         base = expr.base
-        idx_code, _, _ = self.rvalue(expr.index)
-        if isinstance(base, ast.Ident) and base.name not in self.frame \
-                and self.scope.is_array(base.name):
+        idx_code = self._ctx(expr.index)
+        if isinstance(base, ast.Ident) and self.is_memory(base.name):
             var = self.c.design.vars[base.name]
             nwords, msb, lsb = var.array
             lo = min(msb, lsb)
             arr = f"self.{_attr(base.name)}"
             return (f"({arr}[(({idx_code}) - {lo})] "
-                    f"if 0 <= (({idx_code}) - {lo}) < {nwords} else 0)",
-                    var.width)
+                    f"if 0 <= (({idx_code}) - {lo}) < {nwords} else 0)")
         if isinstance(base, ast.Ident):
-            code, w, _ = self._read(base.name)
-            msb, lsb = self.scope.range_of(base.name)
+            code = self._read(base.name)
+            msb, lsb = self.declared_range(base)
             offset = self._offset_code(idx_code, msb, lsb)
             return (f"((({code}) >> ({offset})) & 1 "
-                    f"if 0 <= ({offset}) < {w} else 0)", 1)
-        code, w, _ = self.rvalue(base)
+                    f"if 0 <= ({offset}) < {base.width} else 0)")
+        code = self._ctx(base)
         return (f"((({code}) >> ({idx_code})) & 1 "
-                f"if 0 <= ({idx_code}) < {w} else 0)", 1)
+                f"if 0 <= ({idx_code}) < {base.width} else 0)")
 
     def _offset_code(self, idx_code: str, msb: int, lsb: int) -> str:
         if msb >= lsb:
             return f"(({idx_code}) - {lsb})" if lsb else f"({idx_code})"
         return f"({lsb} - ({idx_code}))"
 
-    def _range(self, expr: ast.RangeExpr) -> Tuple[str, int]:
+    def _range(self, expr: ast.RangeExpr) -> str:
         base = expr.base
-        if isinstance(base, ast.Ident) and not (
-                base.name not in self.frame
-                and self.scope.is_array(base.name)):
-            code, w, _ = self._read(base.name)
-            msb, lsb = self.scope.range_of(base.name)
+        if isinstance(base, ast.Ident) and not self.is_memory(base.name):
+            code = self._read(base.name)
+            msb, lsb = self.declared_range(base)
         else:
-            code, w, _ = self.rvalue(base)
-            msb, lsb = w - 1, 0
+            code = self._ctx(base)
+            msb, lsb = base.width - 1, 0
         descending = msb >= lsb
+        width = expr.width
         if expr.mode == ":":
-            hi_i = _const_int(expr.left)
-            lo_i = _const_int(expr.right)
+            hi_i, lo_i = expr.bounds
             hi = hi_i - lsb if descending else lsb - hi_i
             lo = lo_i - lsb if descending else lsb - lo_i
-            if hi < lo:
-                hi, lo = lo, hi
-            width = hi - lo + 1
-            return (f"((({code}) >> {lo}) & {_mask(width)})", width)
-        width = _const_int(expr.right)
-        start_code, _, _ = self.rvalue(expr.left)
-        off = self._offset_code(start_code, msb, lsb)
+            return f"((({code}) >> {min(hi, lo)}) & {_mask(width)})"
+        off = self._offset_code(self._ctx(expr.left), msb, lsb)
         if expr.mode == "+:":
             lo_code = off if descending else f"(({off}) - {width - 1})"
         else:
             lo_code = f"(({off}) - {width - 1})" if descending else off
         return (f"((({code}) >> ({lo_code})) & {_mask(width)} "
-                f"if ({lo_code}) >= 0 else 0)", width)
+                f"if ({lo_code}) >= 0 else 0)")
 
-    def _unary(self, expr: ast.Unary, ctx: int, signed: bool) -> str:
+    def _unary(self, expr: ast.Unary, ctx: int) -> str:
         op = expr.op
+        inner = self._ctx(expr.operand)
         if op == "!":
-            inner, _, _ = self.rvalue(expr.operand)
             return f"(0 if ({inner}) else 1)"
         if op in ("&", "~&", "|", "~|", "^", "~^", "^~"):
-            inner, w, _ = self.rvalue(expr.operand)
+            w = expr.operand.width
             if op == "&":
                 return f"(1 if ({inner}) == {_mask(w)} else 0)"
             if op == "~&":
@@ -331,53 +266,35 @@ class _ExprCompiler:
             if op == "^":
                 return f"pyrt.red_xor({inner})"
             return f"(pyrt.red_xor({inner}) ^ 1)"
-        operand = self._ctx(expr.operand, ctx, signed)
         if op == "~":
-            return f"((~({operand})) & {_mask(ctx)})"
+            return f"((~({inner})) & {_mask(ctx)})"
         if op == "-":
-            return f"((-({operand})) & {_mask(ctx)})"
+            return f"((-({inner})) & {_mask(ctx)})"
         if op == "+":
-            return operand
+            return inner
         raise SynthesisError(f"unknown unary operator {op!r}")
 
     def _binary(self, expr: ast.Binary, ctx: int, signed: bool) -> str:
         op = expr.op
+        l = self._ctx(expr.lhs)
+        r = self._ctx(expr.rhs)
         if op in ("&&", "||"):
-            l, _, _ = self.rvalue(expr.lhs)
-            r, _, _ = self.rvalue(expr.rhs)
             py = "and" if op == "&&" else "or"
             return f"(1 if ((({l}) != 0) {py} (({r}) != 0)) else 0)"
         if op in _COMPARE:
-            lw, ls = natural_size(expr.lhs, self.scope)
-            rw, rs = natural_size(expr.rhs, self.scope)
-            w = max(lw, rw)
-            s = ls and rs
-            l = self._ctx(expr.lhs, w, s)
-            r = self._ctx(expr.rhs, w, s)
-            if s and op in ("<", "<=", ">", ">="):
+            w = expr.lhs.ctx_width
+            if expr.lhs.ctx_signed and op in ("<", "<=", ">", ">="):
                 l, r = self._signed_pair(l, r, w)
             return f"(1 if ({l}) {_COMPARE[op]} ({r}) else 0)"
         if op in ("<<", "<<<"):
-            l = self._ctx(expr.lhs, ctx, signed)
-            r, _, _ = self.rvalue(expr.rhs)
             return (f"(((({l}) << ({r})) & {_mask(ctx)}) "
                     f"if ({r}) < {ctx} else 0)")
-        if op == ">>":
-            l = self._ctx(expr.lhs, ctx, signed)
-            r, _, _ = self.rvalue(expr.rhs)
+        if op == ">>" or (op == ">>>" and not signed):
             return f"((({l}) >> ({r})) if ({r}) < {ctx} else 0)"
         if op == ">>>":
-            l = self._ctx(expr.lhs, ctx, signed)
-            r, _, _ = self.rvalue(expr.rhs)
-            if signed:
-                return f"pyrt.ashr({l}, {r}, {ctx})"
-            return f"((({l}) >> ({r})) if ({r}) < {ctx} else 0)"
+            return f"pyrt.ashr({l}, {r}, {ctx})"
         if op == "**":
-            l = self._ctx(expr.lhs, ctx, signed)
-            r, _, _ = self.rvalue(expr.rhs)
             return f"(pow({l}, {r}, {1 << ctx}))"
-        l = self._ctx(expr.lhs, ctx, signed)
-        r = self._ctx(expr.rhs, ctx, signed)
         if op in _ARITH:
             return f"((({l}) {_ARITH[op]} ({r})) & {_mask(ctx)})"
         if op == "/":
@@ -396,54 +313,35 @@ class _ExprCompiler:
             return f"((~(({l}) ^ ({r}))) & {_mask(ctx)})"
         raise SynthesisError(f"unknown binary operator {op!r}")
 
-    def _concat(self, expr: ast.Concat, ctx: int) -> str:
-        parts = []
-        total = 0
-        compiled = []
-        for p in expr.parts:
-            code, w, _ = self.rvalue(p)
-            compiled.append((code, w))
-            total += w
-        shift = total
-        for code, w in compiled:
-            shift -= w
-            parts.append(f"(({code}) << {shift})" if shift else f"({code})")
-        joined = " | ".join(parts)
-        return self._coerce(f"({joined})", total, False, ctx, False)
+    def _concat(self, parts: Sequence[ast.Expr]) -> str:
+        """The parts side by side, each at its own width."""
+        shift = sum(p.width for p in parts)
+        out = []
+        for p in parts:
+            shift -= p.width
+            code = self._ctx(p)
+            out.append(f"(({code}) << {shift})" if shift else f"({code})")
+        return "(" + " | ".join(out) + ")"
 
     def _call(self, expr: ast.Call, ctx: int, signed: bool) -> str:
         name = expr.name
-        if name == "$signed":
-            code, w, _ = self.rvalue(expr.args[0])
-            return self._coerce(code, w, True, ctx, True)
-        if name == "$unsigned":
-            code, w, _ = self.rvalue(expr.args[0])
-            return self._coerce(code, w, True, ctx, False)
+        if name in ("$signed", "$unsigned"):
+            arg = expr.args[0]
+            return self._coerce(self._ctx(arg), arg.width, ctx, signed)
         if name == "$clog2":
-            code, _, _ = self.rvalue(expr.args[0])
-            return f"(pyrt.clog2({code}) & {_mask(ctx)})"
+            return f"(pyrt.clog2({self._ctx(expr.args[0])}) & {_mask(ctx)})"
         if name == "$bits":
-            w, _ = natural_size(expr.args[0], self.scope)
-            return str(w & _mask(ctx))
+            return str(expr.args[0].width & _mask(ctx))
         if name.startswith("$"):
             raise SynthesisError(f"{name} cannot be synthesized")
         fn = self.c.design.functions[name]
         args = []
-        for arg, (_, w, s) in zip(expr.args, fn.ports):
-            args.append(self._ctx(arg, w, s) if natural_size(
-                arg, self.scope)[0] <= w else
-                f"(({self._ctx(arg, w, s)}) & {_mask(w)})")
+        for arg, (_, w, _) in zip(expr.args, fn.ports):
+            code = self._ctx(arg)
+            args.append(f"(({code}) & {_mask(w)})"
+                        if arg.ctx_width > w else code)
         call = f"self.{self.c.function_name(name)}(" + ", ".join(args) + ")"
-        return self._coerce(call, fn.ret_width, fn.ret_signed, ctx, signed)
-
-
-def _const_int(expr: ast.Expr) -> int:
-    if isinstance(expr, ast.Number):
-        return expr.value.to_int_xz(0) if not expr.value.signed \
-            else pyrt.to_signed(expr.value.to_int_xz(0), expr.value.width)
-    raise SynthesisError(
-        "part-select bounds and replication counts must be constants "
-        f"(found {type(expr).__name__})")
+        return self._coerce(call, fn.ret_width, ctx, signed)
 
 
 class _StmtCompiler:
@@ -508,9 +406,7 @@ class _StmtCompiler:
     # -- assignments ---------------------------------------------------------
     def _assign(self, lhs: ast.Expr, rhs: ast.Expr, indent: int,
                 blocking: bool) -> None:
-        from ..verilog.eval import assign_target_width
-        width = assign_target_width(lhs, self.x.scope)
-        code, ctx, _ = self.x.rvalue(rhs, width)
+        code, ctx, _ = self.x.rvalue(rhs)
         tmp = self.tmp()
         self.e.emit(indent, f"{tmp} = {code}")
         self._store(lhs, tmp, ctx, indent, blocking)
@@ -518,10 +414,9 @@ class _StmtCompiler:
     def _store(self, lhs: ast.Expr, value: str, value_w: int, indent: int,
                blocking: bool) -> None:
         if isinstance(lhs, ast.Concat):
-            from ..verilog.eval import natural_size as ns
-            widths = [ns(p, self.x.scope)[0] for p in lhs.parts]
-            pos = sum(widths)
-            for part, w in zip(lhs.parts, widths):
+            pos = lhs.width
+            for part in lhs.parts:
+                w = part.width
                 pos -= w
                 chunk = f"((({value}) >> {pos}) & {_mask(w)})"
                 tmp = self.tmp()
@@ -529,39 +424,34 @@ class _StmtCompiler:
                 self._store(part, tmp, w, indent, blocking)
             return
         if isinstance(lhs, ast.Ident):
-            self._store_ident(lhs.name, value, value_w, indent, blocking)
+            self._store_ident(lhs, value, value_w, indent, blocking)
             return
         if isinstance(lhs, ast.IndexExpr):
             base = lhs.base
             if not isinstance(base, ast.Ident):
                 raise SynthesisError("unsupported nested l-value")
             idx, _, _ = self.x.rvalue(lhs.index)
-            if base.name not in self.x.frame and \
-                    self.x.scope.is_array(base.name):
+            if self.x.is_memory(base.name):
                 self._store_word(base.name, idx, value, indent, blocking)
             else:
-                msb, lsb = self.x.scope.range_of(base.name)
+                msb, lsb = self.x.declared_range(base)
                 off = self.x._offset_code(idx, msb, lsb)
-                self._store_bits(base.name, off, 1, value, indent,
-                                 blocking)
+                self._store_bits(base, off, 1, value, indent, blocking)
             return
         if isinstance(lhs, ast.RangeExpr):
             base = lhs.base
             if not isinstance(base, ast.Ident):
                 raise SynthesisError("unsupported nested l-value")
-            msb, lsb = self.x.scope.range_of(base.name)
+            msb, lsb = self.x.declared_range(base)
             descending = msb >= lsb
+            width = lhs.width
             if lhs.mode == ":":
-                hi_i = _const_int(lhs.left)
-                lo_i = _const_int(lhs.right)
+                hi_i, lo_i = lhs.bounds
                 hi = hi_i - lsb if descending else lsb - hi_i
                 lo = lo_i - lsb if descending else lsb - lo_i
-                if hi < lo:
-                    hi, lo = lo, hi
-                self._store_bits(base.name, str(lo), hi - lo + 1, value,
+                self._store_bits(base, str(min(hi, lo)), width, value,
                                  indent, blocking)
             else:
-                width = _const_int(lhs.right)
                 start, _, _ = self.x.rvalue(lhs.left)
                 off = self.x._offset_code(start, msb, lsb)
                 if lhs.mode == "+:":
@@ -570,7 +460,7 @@ class _StmtCompiler:
                 else:
                     lo_code = f"(({off}) - {width - 1})" if descending \
                         else off
-                self._store_bits(base.name, lo_code, width, value, indent,
+                self._store_bits(base, lo_code, width, value, indent,
                                  blocking)
             return
         raise SynthesisError(f"invalid l-value {type(lhs).__name__}")
@@ -583,18 +473,13 @@ class _StmtCompiler:
         self.c.nba_targets.add(name)
         return f"self.n_{_attr(name)}"
 
-    def _store_ident(self, name: str, value: str, value_w: int,
+    def _store_ident(self, ident: ast.Ident, value: str, value_w: int,
                      indent: int, blocking: bool) -> None:
+        name, w = ident.name, ident.width
+        code = f"(({value}) & {_mask(w)})" if value_w > w else value
+        self.e.emit(indent, f"{self._target(name, blocking)} = {code}")
         if name in self.x.frame:
-            w, s = self.x.scope.frames[name]
-            code = f"(({value}) & {_mask(w)})" if value_w > w else value
-            self.e.emit(indent, f"{self.x.frame[name]} = {code}")
             return
-        var = self.c.design.vars[name]
-        target = self._target(name, blocking)
-        code = f"(({value}) & {_mask(var.width)})" \
-            if value_w > var.width else value
-        self.e.emit(indent, f"{target} = {code}")
         if blocking:
             self.c.mark_written(name, self.e, indent)
         else:
@@ -626,15 +511,10 @@ class _StmtCompiler:
                         f"{masked}))")
             self.e.emit(indent + 1, "self._nba = True")
 
-    def _store_bits(self, name: str, lo_code: str, width: int, value: str,
-                    indent: int, blocking: bool) -> None:
-        var = self.c.design.vars.get(name)
-        if name in self.x.frame:
-            w, _ = self.x.scope.frames[name]
-            target = self.x.frame[name]
-        else:
-            w = var.width
-            target = self._target(name, blocking)
+    def _store_bits(self, base: ast.Ident, lo_code: str, width: int,
+                    value: str, indent: int, blocking: bool) -> None:
+        name, w = base.name, base.width
+        target = self._target(name, blocking)
         lo = self.tmp()
         self.e.emit(indent, f"{lo} = {lo_code}")
         self.e.emit(indent, f"if 0 <= {lo} <= {w - width}:")
@@ -650,13 +530,7 @@ class _StmtCompiler:
 
     # -- case ------------------------------------------------------------------
     def _case(self, stmt: ast.Case, indent: int) -> None:
-        sel_w, _ = natural_size(stmt.expr, self.x.scope)
-        widths = [sel_w]
-        for item in stmt.items:
-            for e in item.exprs or []:
-                widths.append(natural_size(e, self.x.scope)[0])
-        w = max(widths)
-        sel_code = self.x._ctx(stmt.expr, w, False)
+        sel_code = self.x._ctx(stmt.expr)
         sel = self.tmp()
         self.e.emit(indent, f"{sel} = {sel_code}")
         first = True
@@ -668,7 +542,7 @@ class _StmtCompiler:
                 continue
             tests = []
             for label in item.exprs:
-                tests.append(self._label_test(sel, label, w, stmt.kind))
+                tests.append(self._label_test(sel, label, stmt.kind))
             conds.append((" or ".join(tests), item.body))
         for cond, body in conds:
             kw = "if" if first else "elif"
@@ -682,11 +556,12 @@ class _StmtCompiler:
                 self.e.emit(indent, "else:")
                 self.compile(default, indent + 1)
 
-    def _label_test(self, sel: str, label: ast.Expr, w: int,
-                    kind: str) -> str:
+    def _label_test(self, sel: str, label: ast.Expr, kind: str) -> str:
         if isinstance(label, ast.Number) and kind in ("casez", "casex"):
-            v = label.value.extend(w) if label.value.width < w \
-                else label.value.resize(w)
+            w = label.ctx_width
+            v = label.value.as_signed() if label.ctx_signed \
+                else label.value.as_unsigned()
+            v = v.extend(w)
             if kind == "casez":
                 wild = (~v.aval & v.bval) & _mask(w)
             else:
@@ -694,7 +569,7 @@ class _StmtCompiler:
             care = ~wild & _mask(w)
             want = v.aval & care
             return f"(({sel}) & {care}) == {want}"
-        code = self.x._ctx(label, w, False)
+        code = self.x._ctx(label)
         return f"({sel}) == ({code})"
 
     # -- system tasks -------------------------------------------------------------
@@ -880,28 +755,22 @@ class _DesignCompiler:
     def _compile_function(self, e: _Emitter, fn: Function) -> None:
         short = fn.name.split(".")[-1]
         frame: Dict[str, str] = {}
-        frame_widths: Dict[str, Tuple[int, bool]] = {}
         args = []
-        for pname, w, s in fn.ports:
+        for pname, _, _ in fn.ports:
             py = "a_" + re.sub(r"\W", "_", pname)
             frame[pname] = py
-            frame_widths[pname] = (w, s)
             args.append(py)
-        for lname, w, s in fn.locals_:
-            py = "l_" + re.sub(r"\W", "_", lname)
-            frame[lname] = py
-            frame_widths[lname] = (w, s)
+        for lname, _, _ in fn.locals_:
+            frame[lname] = "l_" + re.sub(r"\W", "_", lname)
         ret_py = "r_" + re.sub(r"\W", "_", short)
         frame[short] = ret_py
         frame[fn.name] = ret_py
-        frame_widths[short] = (fn.ret_width, fn.ret_signed)
-        frame_widths[fn.name] = (fn.ret_width, fn.ret_signed)
         e.emit(1, f"def {self.function_name(fn.name)}(self, "
                + ", ".join(args) + "):")
         for lname, _, _ in fn.locals_:
             e.emit(2, f"{frame[lname]} = 0")
         e.emit(2, f"{ret_py} = 0")
-        exprs = _ExprCompiler(self, frame, frame_widths)
+        exprs = _ExprCompiler(self, frame)
         stmts = _StmtCompiler(self, e, exprs, nba_allowed=False)
         stmts.compile(fn.body, 2)
         e.emit(2, f"return {ret_py}")
@@ -966,10 +835,8 @@ class _DesignCompiler:
         e.emit(2, "for _pass in range(128):")
         e.emit(3, "self._dirty = False")
         exprs = _ExprCompiler(self)
-        from ..verilog.eval import assign_target_width
         for assign in assigns:
-            width = assign_target_width(assign.lhs, exprs.scope)
-            code, ctx, _ = exprs.rvalue(assign.rhs, width)
+            code, ctx, _ = exprs.rvalue(assign.rhs)
             stmts = _StmtCompiler(self, e, exprs)
             tmp = stmts.tmp()
             e.emit(3, f"{tmp} = {code}")

@@ -26,9 +26,7 @@ from typing import Dict, List, Optional, Tuple
 from ..common.errors import SynthesisError
 from ..verilog import ast
 from ..verilog.elaborate import Design, Function
-from ..verilog.eval import natural_size
 from .netlist import Netlist
-from .pycompile import _WidthScope
 
 __all__ = ["synthesize"]
 
@@ -37,13 +35,13 @@ _XOR3 = 0x96             # full-adder sum
 _MAJ3 = 0xE8             # full-adder carry
 
 BitVec = List[str]       # net names, LSB first
+Frame = Dict[str, Tuple[BitVec, bool]]   # name -> (bits, signed)
 
 
 class _Synth:
     def __init__(self, design: Design, unroll_limit: int = 4096):
         self.design = design
         self.nl = Netlist(design.name)
-        self.scope = _WidthScope(design)
         self.unroll_limit = unroll_limit
         self.env: Dict[str, BitVec] = {}
 
@@ -149,57 +147,48 @@ class _Synth:
     # ------------------------------------------------------------------
     # Expressions
     # ------------------------------------------------------------------
-    def expr(self, e: ast.Expr, ctx: int, signed: bool,
-             frame: Optional[Dict[str, Tuple[BitVec, bool]]] = None
-             ) -> BitVec:
-        frame = frame if frame is not None else {}
+    def expr(self, e: ast.Expr, frame: Frame,
+             need: Optional[int] = None) -> BitVec:
+        """The low ``need`` bits (default: all) of ``e`` at its sized
+        context.  Operators whose low result bits depend only on the
+        low bits of their operands build no logic above ``need``."""
+        ctx, signed = e.ctx_width, e.ctx_signed
+        need = ctx if need is None else min(need, ctx)
         if isinstance(e, ast.Number):
-            return self.const_vec(e.value.to_int_xz(0) if not e.value.signed
-                                  else e.value.to_int_xz(0), ctx) \
-                if e.value.width >= ctx else self.const_vec(
-                    e.value.to_int_xz(0)
-                    + ((1 << ctx) if e.value.signed
-                       and e.value.to_int_xz(0) < 0 else 0), ctx)
+            width = e.value.width
+            value = e.value.to_int_xz(0) & ((1 << width) - 1)
+            if signed and value >> (width - 1):
+                value -= 1 << width
+            return self.const_vec(value, need)
         if isinstance(e, ast.Ident):
-            vec, var_signed = self._read(e.name, frame)
-            return self.resize(vec, ctx, signed and var_signed
-                               or (signed and var_signed))
+            vec, _ = self._read(e.name, frame)
+            return self.resize(vec, need, signed)
         if isinstance(e, ast.IndexExpr):
-            return self.resize(self._index(e, frame), ctx, False)
+            return self.resize(self._index(e, frame), need, signed)
         if isinstance(e, ast.RangeExpr):
-            return self.resize(self._range(e, frame), ctx, False)
+            return self.resize(self._range(e, frame), need, signed)
         if isinstance(e, ast.Unary):
-            return self._unary(e, ctx, signed, frame)
+            return self._unary(e, need, frame)
         if isinstance(e, ast.Binary):
-            return self._binary(e, ctx, signed, frame)
+            return self._binary(e, need, frame)
         if isinstance(e, ast.Ternary):
             cond = self._bool(e.cond, frame)
-            t = self.expr(e.then, ctx, signed, frame)
-            f = self.expr(e.els, ctx, signed, frame)
+            t = self.expr(e.then, frame, need)
+            f = self.expr(e.els, frame, need)
             return [self.mux(cond, a, b) for a, b in zip(t, f)]
         if isinstance(e, ast.Concat):
             parts = []
             for p in reversed(e.parts):
-                w, _ = natural_size(p, self._frame_scope(frame))
-                parts.extend(self.expr(p, w, False, frame))
-            return self.resize(parts, ctx, False)
+                parts.extend(self.expr(p, frame))
+            return self.resize(parts, need, signed)
         if isinstance(e, ast.Repeat):
-            count = self._const_int(e.count, frame)
-            w, _ = natural_size(e.inner, self._frame_scope(frame))
-            inner = self.expr(e.inner, w, False, frame)
-            return self.resize(inner * count, ctx, False)
+            inner = self.expr(e.inner, frame)
+            return self.resize(inner * e.times, need, signed)
         if isinstance(e, ast.Call):
-            return self._call(e, ctx, signed, frame)
+            return self._call(e, need, frame)
         raise SynthesisError(f"cannot synthesize {type(e).__name__}")
 
-    def _frame_scope(self, frame):
-        widths = {name: (len(vec), signed)
-                  for name, (vec, signed) in frame.items()}
-        return _WidthScope(self.design, widths)
-
-    def _read(self, name: str,
-              frame: Dict[str, Tuple[BitVec, bool]]
-              ) -> Tuple[BitVec, bool]:
+    def _read(self, name: str, frame: Frame) -> Tuple[BitVec, bool]:
         if name in frame:
             return frame[name]
         if name in self.env:
@@ -207,22 +196,26 @@ class _Synth:
             return self.env[name], var.signed
         raise SynthesisError(f"cannot synthesize read of {name!r}")
 
-    def _bool(self, e: ast.Expr, frame) -> str:
-        w, _ = natural_size(e, self._frame_scope(frame))
-        vec = self.expr(e, w, False, frame)
-        return self.reduce_tree(vec, self.or_)
+    def _bool(self, e: ast.Expr, frame: Frame) -> str:
+        return self.reduce_tree(self.expr(e, frame), self.or_)
 
-    def _const_int(self, e: ast.Expr, frame) -> int:
-        w, s = natural_size(e, self._frame_scope(frame))
-        vec = self.expr(e, w, s, frame)
+    def _known(self, e: ast.Expr, frame: Frame
+               ) -> Tuple[BitVec, Optional[int]]:
+        """``e``'s bits, and its value when every bit is a constant (a
+        loop index after unrolling), else None."""
+        vec = self.expr(e, frame)
         value = self.vec_const(vec)
+        if value is not None and e.ctx_signed and value >> (len(vec) - 1):
+            value -= 1 << len(vec)
+        return vec, value
+
+    def _constant(self, e: ast.Expr, frame: Frame) -> int:
+        _, value = self._known(e, frame)
         if value is None:
             raise SynthesisError("expected a constant expression")
-        if s and value & (1 << (w - 1)):
-            value -= 1 << w
         return value
 
-    def _index(self, e: ast.IndexExpr, frame) -> BitVec:
+    def _index(self, e: ast.IndexExpr, frame: Frame) -> BitVec:
         base = e.base
         if isinstance(base, ast.Ident):
             vec, _ = self._read(base.name, frame)
@@ -236,11 +229,9 @@ class _Synth:
             else:
                 msb, lsb = len(vec) - 1, 0
         else:
-            w, _ = natural_size(base, self._frame_scope(frame))
-            vec = self.expr(base, w, False, frame)
-            msb, lsb = w - 1, 0
-        iw, _ = natural_size(e.index, self._frame_scope(frame))
-        idx = self.expr(e.index, iw, False, frame)
+            vec = self.expr(base, frame)
+            msb, lsb = len(vec) - 1, 0
+        idx = self.expr(e.index, frame)
         const = self.vec_const(idx)
         descending = msb >= lsb
         if const is not None:
@@ -268,7 +259,7 @@ class _Synth:
             current = nxt
         return current[0]
 
-    def _range(self, e: ast.RangeExpr, frame) -> BitVec:
+    def _range(self, e: ast.RangeExpr, frame: Frame) -> BitVec:
         base = e.base
         if isinstance(base, ast.Ident) and base.name not in frame:
             var = self.design.vars.get(base.name)
@@ -280,32 +271,21 @@ class _Synth:
             vec, _ = self._read(base.name, frame)
             msb, lsb = var.msb, var.lsb
         else:
-            w, _ = natural_size(base, self._frame_scope(frame))
-            vec = self.expr(base, w, False, frame)
-            msb, lsb = w - 1, 0
+            vec = self.expr(base, frame)
+            msb, lsb = len(vec) - 1, 0
         descending = msb >= lsb
 
         def offset_of(i: int) -> int:
             return i - lsb if descending else lsb - i
 
         if e.mode == ":":
-            hi = offset_of(self._const_int(e.left, frame))
-            lo = offset_of(self._const_int(e.right, frame))
-            if hi < lo:
-                hi, lo = lo, hi
+            hi, lo = (offset_of(i) for i in e.bounds)
         else:
-            width = self._const_int(e.right, frame)
-            start_const = None
-            try:
-                start_const = self._const_int(e.left, frame)
-            except SynthesisError:
-                pass
+            width = e.width
+            start, start_const = self._known(e.left, frame)
             if start_const is None:
                 # Dynamic part select: shift right then slice.
-                iw, _ = natural_size(e.left, self._frame_scope(frame))
-                idx = self.expr(e.left, iw, False, frame)
-                shifted = self._shift_right_dyn(vec, idx)
-                return shifted[:width]
+                return self._shift_right_dyn(vec, start)[:width]
             off = offset_of(start_const)
             if e.mode == "+:":
                 hi, lo = (off + width - 1, off) if descending \
@@ -313,8 +293,8 @@ class _Synth:
             else:
                 hi, lo = (off, off - width + 1) if descending \
                     else (off + width - 1, off)
-            if hi < lo:
-                hi, lo = lo, hi
+        if hi < lo:
+            hi, lo = lo, hi
         out = []
         for i in range(lo, hi + 1):
             out.append(vec[i] if 0 <= i < len(vec)
@@ -349,15 +329,13 @@ class _Synth:
             current = nxt
         return current
 
-    def _unary(self, e: ast.Unary, ctx: int, signed: bool, frame) -> BitVec:
+    def _unary(self, e: ast.Unary, need: int, frame: Frame) -> BitVec:
         op = e.op
-        scope = self._frame_scope(frame)
         if op == "!":
             return self.resize([self.not_(self._bool(e.operand, frame))],
-                               ctx, False)
+                               need, False)
         if op in ("&", "~&", "|", "~|", "^", "~^", "^~"):
-            w, _ = natural_size(e.operand, scope)
-            vec = self.expr(e.operand, w, False, frame)
+            vec = self.expr(e.operand, frame)
             if op in ("&", "~&"):
                 bit = self.reduce_tree(vec, self.and_)
             elif op in ("|", "~|"):
@@ -366,46 +344,37 @@ class _Synth:
                 bit = self.reduce_tree(vec, self.xor_)
             if op in ("~&", "~|", "~^", "^~"):
                 bit = self.not_(bit)
-            return self.resize([bit], ctx, False)
-        vec = self.expr(e.operand, ctx, signed, frame)
+            return self.resize([bit], need, False)
+        vec = self.expr(e.operand, frame, need)
         if op == "~":
             return [self.not_(b) for b in vec]
         if op == "-":
             inverted = [self.not_(b) for b in vec]
-            out, _ = self.adder(inverted, self.const_vec(0, ctx),
+            out, _ = self.adder(inverted, self.const_vec(0, need),
                                 self.nl.add_const(1))
             return out
         if op == "+":
             return vec
         raise SynthesisError(f"cannot synthesize unary {op!r}")
 
-    def _binary(self, e: ast.Binary, ctx: int, signed: bool,
-                frame) -> BitVec:
+    def _binary(self, e: ast.Binary, need: int, frame: Frame) -> BitVec:
         op = e.op
-        scope = self._frame_scope(frame)
         if op in ("&&", "||"):
             a = self._bool(e.lhs, frame)
             b = self._bool(e.rhs, frame)
             bit = self.and_(a, b) if op == "&&" else self.or_(a, b)
-            return self.resize([bit], ctx, False)
+            return self.resize([bit], need, False)
         if op in ("==", "!=", "===", "!=="):
-            lw, ls = natural_size(e.lhs, scope)
-            rw, rs = natural_size(e.rhs, scope)
-            w = max(lw, rw)
-            a = self.expr(e.lhs, w, ls and rs, frame)
-            b = self.expr(e.rhs, w, ls and rs, frame)
+            a = self.expr(e.lhs, frame)
+            b = self.expr(e.rhs, frame)
             diff = [self.xor_(x, y) for x, y in zip(a, b)]
             neq = self.reduce_tree(diff, self.or_)
             bit = neq if op in ("!=", "!==") else self.not_(neq)
-            return self.resize([bit], ctx, False)
+            return self.resize([bit], need, False)
         if op in ("<", "<=", ">", ">="):
-            lw, ls = natural_size(e.lhs, scope)
-            rw, rs = natural_size(e.rhs, scope)
-            w = max(lw, rw)
-            s = ls and rs
-            a = self.expr(e.lhs, w, s, frame)
-            b = self.expr(e.rhs, w, s, frame)
-            if s:
+            a = self.expr(e.lhs, frame)
+            b = self.expr(e.rhs, frame)
+            if e.lhs.ctx_signed:
                 # Flip sign bits to reduce signed compare to unsigned.
                 a = a[:-1] + [self.not_(a[-1])]
                 b = b[:-1] + [self.not_(b[-1])]
@@ -422,30 +391,35 @@ class _Synth:
                 _, carry2 = self.adder(b, inv_a, self.nl.add_const(1))
                 gt = self.not_(carry2)
                 bit = gt if op == ">" else self.not_(gt)
-            return self.resize([bit], ctx, False)
+            return self.resize([bit], need, False)
         if op in ("<<", "<<<", ">>", ">>>"):
-            vec = self.expr(e.lhs, ctx, signed, frame)
-            rw, _ = natural_size(e.rhs, scope)
-            amount = self.expr(e.rhs, rw, False, frame)
+            left = op in ("<<", "<<<")
+            # Low result bits of a left shift need only low operand bits.
+            vec = self.expr(e.lhs, frame, need if left else None)
+            width = len(vec)
+            amount = self.expr(e.rhs, frame)
             const = self.vec_const(amount)
-            arith = op == ">>>" and signed
+            arith = op == ">>>" and e.ctx_signed
+            zero = self.nl.add_const(0)
             if const is not None:
-                zero = self.nl.add_const(0)
                 fill = vec[-1] if arith else zero
-                if const >= ctx:
-                    return [fill] * ctx
-                if op in ("<<", "<<<"):
-                    return [zero] * const + vec[:ctx - const]
-                return vec[const:] + [fill] * const
-            if arith:
+                if const >= width:
+                    out = [fill] * width
+                elif left:
+                    out = [zero] * const + vec[:width - const]
+                else:
+                    out = vec[const:] + [fill] * const
+            elif arith:
                 raise SynthesisError(
                     "dynamic arithmetic right shift is unsupported")
-            if op in ("<<", "<<<"):
-                return self._shift_left_dyn(vec, amount)
-            return self._shift_right_dyn(vec, amount)
+            elif left:
+                out = self._shift_left_dyn(vec, amount)
+            else:
+                out = self._shift_right_dyn(vec, amount)
+            return out[:need]
         if op in ("+", "-"):
-            a = self.expr(e.lhs, ctx, signed, frame)
-            b = self.expr(e.rhs, ctx, signed, frame)
+            a = self.expr(e.lhs, frame, need)
+            b = self.expr(e.rhs, frame, need)
             if op == "-":
                 b = [self.not_(x) for x in b]
                 out, _ = self.adder(a, b, self.nl.add_const(1))
@@ -453,17 +427,14 @@ class _Synth:
                 out, _ = self.adder(a, b, self.nl.add_const(0))
             return out
         if op == "*":
-            a = self.expr(e.lhs, ctx, signed, frame)
-            b = self.expr(e.rhs, ctx, signed, frame)
-            const = self.vec_const(b)
-            acc = self.const_vec(0, ctx)
+            a = self.expr(e.lhs, frame, need)
+            b = self.expr(e.rhs, frame, need)
+            acc = self.const_vec(0, need)
             zero = self.nl.add_const(0)
             for i, bit in enumerate(b):
-                if i >= ctx:
-                    break
                 if self._const_of(bit) == 0:
                     continue
-                shifted = [zero] * i + a[:ctx - i]
+                shifted = [zero] * i + a[:need - i]
                 if self._const_of(bit) == 1:
                     addend = shifted
                 else:
@@ -471,40 +442,33 @@ class _Synth:
                 acc, _ = self.adder(acc, addend, zero)
             return acc
         if op in ("&", "|", "^", "^~", "~^"):
-            a = self.expr(e.lhs, ctx, signed, frame)
-            b = self.expr(e.rhs, ctx, signed, frame)
+            a = self.expr(e.lhs, frame, need)
+            b = self.expr(e.rhs, frame, need)
             fn = {"&": self.and_, "|": self.or_, "^": self.xor_,
                   "^~": self.xnor_, "~^": self.xnor_}[op]
             return [fn(x, y) for x, y in zip(a, b)]
         raise SynthesisError(f"cannot synthesize binary {op!r}")
 
-    def _call(self, e: ast.Call, ctx: int, signed: bool, frame) -> BitVec:
+    def _call(self, e: ast.Call, need: int, frame: Frame) -> BitVec:
         name = e.name
-        scope = self._frame_scope(frame)
-        if name == "$signed":
-            w, _ = natural_size(e.args[0], scope)
-            vec = self.expr(e.args[0], w, True, frame)
-            return self.resize(vec, ctx, True)
-        if name == "$unsigned":
-            w, _ = natural_size(e.args[0], scope)
-            vec = self.expr(e.args[0], w, False, frame)
-            return self.resize(vec, ctx, False)
+        if name in ("$signed", "$unsigned"):
+            return self.resize(self.expr(e.args[0], frame), need,
+                               e.ctx_signed)
         if name.startswith("$"):
             raise SynthesisError(f"{name} cannot be synthesized")
         fn = self.design.functions.get(name)
         if fn is None:
             raise SynthesisError(f"unknown function {name!r}")
-        new_frame: Dict[str, Tuple[BitVec, bool]] = {}
+        new_frame: Frame = {}
         for (pname, width, psigned), arg in zip(fn.ports, e.args):
-            new_frame[pname] = (self.expr(arg, width, psigned, frame),
-                                psigned)
+            new_frame[pname] = (self.expr(arg, frame, width), psigned)
         for lname, width, lsigned in fn.locals_:
             new_frame[lname] = (self.const_vec(0, width), lsigned)
         short = fn.name.split(".")[-1]
         new_frame[short] = (self.const_vec(0, fn.ret_width), fn.ret_signed)
         self._stmt(fn.body, new_frame, None)
         vec, _ = new_frame[short]
-        return self.resize(vec, ctx, fn.ret_signed and signed)
+        return self.resize(vec, need, e.ctx_signed)
 
     # ------------------------------------------------------------------
     # Statements (symbolic execution)
@@ -587,14 +551,7 @@ class _Synth:
                              for a, b in zip(tv, fv)]
 
     def _case(self, stmt: ast.Case, frame, nba) -> None:
-        scope = self._frame_scope(frame)
-        sel_w, _ = natural_size(stmt.expr, scope)
-        widths = [sel_w]
-        for item in stmt.items:
-            for e in item.exprs or []:
-                widths.append(natural_size(e, scope)[0])
-        w = max(widths)
-        sel = self.expr(stmt.expr, w, False, frame)
+        sel = self.expr(stmt.expr, frame)
 
         def build(items: List[ast.CaseItem]) -> None:
             if not items:
@@ -605,7 +562,7 @@ class _Synth:
                 return
             tests = []
             for label_expr in item.exprs:
-                label = self.expr(label_expr, w, False, frame)
+                label = self.expr(label_expr, frame)
                 diff = [self.xor_(a, b) for a, b in zip(sel, label)]
                 tests.append(self.not_(self.reduce_tree(diff, self.or_)))
             cond = self.reduce_tree(tests, self.or_)
@@ -653,10 +610,7 @@ class _Synth:
     def _for(self, stmt: ast.For, frame, nba) -> None:
         self._assign(stmt.init.lhs, stmt.init.rhs, frame, None)
         for _ in range(self.unroll_limit):
-            scope = self._frame_scope(frame)
-            w, s = natural_size(stmt.cond, scope)
-            cond_vec = self.expr(stmt.cond, w, s, frame)
-            cond = self.vec_const(cond_vec)
+            cond = self.vec_const(self.expr(stmt.cond, frame))
             if cond is None:
                 raise SynthesisError(
                     "loop conditions must be compile-time constant "
@@ -669,20 +623,14 @@ class _Synth:
 
     def _assign(self, lhs: ast.Expr, rhs: ast.Expr, frame,
                 nba: Optional[Dict[str, BitVec]]) -> None:
-        scope = self._frame_scope(frame)
-        from ..verilog.eval import assign_target_width
-        width = assign_target_width(lhs, scope)
-        _, rs = natural_size(rhs, scope)
-        value = self.expr(rhs, width, rs, frame)
-        self._store(lhs, value, frame, nba)
+        self._store(lhs, self.expr(rhs, frame, lhs.width), frame, nba)
 
     def _store(self, lhs: ast.Expr, value: BitVec, frame,
                nba: Optional[Dict[str, BitVec]]) -> None:
         if isinstance(lhs, ast.Concat):
-            scope = self._frame_scope(frame)
-            pos = sum(natural_size(p, scope)[0] for p in lhs.parts)
+            pos = lhs.width
             for part in lhs.parts:
-                w = natural_size(part, scope)[0]
+                w = part.width
                 pos -= w
                 chunk = [value[pos + i] if pos + i < len(value)
                          else self.nl.add_const(0) for i in range(w)]
@@ -701,18 +649,17 @@ class _Synth:
                 and base.name not in frame else (len(current) - 1, 0)
             descending = msb >= lsb
             if isinstance(lhs, ast.IndexExpr):
-                idx = self._const_int(lhs.index, frame)
+                idx = self._constant(lhs.index, frame)
                 off = idx - lsb if descending else lsb - idx
                 lo, hi = off, off
             else:
                 if lhs.mode == ":":
-                    hi = self._const_int(lhs.left, frame)
-                    lo = self._const_int(lhs.right, frame)
+                    hi, lo = lhs.bounds
                     hi = hi - lsb if descending else lsb - hi
                     lo = lo - lsb if descending else lsb - lo
                 else:
-                    w = self._const_int(lhs.right, frame)
-                    start = self._const_int(lhs.left, frame)
+                    w = lhs.width
+                    start = self._constant(lhs.left, frame)
                     off = start - lsb if descending else lsb - start
                     if lhs.mode == "+:":
                         lo, hi = (off, off + w - 1) if descending \

@@ -30,7 +30,8 @@ from ..common.bits import Bits
 from ..common.errors import EvalError
 from ..verilog import ast
 from ..verilog.elaborate import Design, Function, Var
-from ..verilog.eval import ExprEvaluator, assign_target_width, natural_size
+from ..verilog.eval import ExprEvaluator
+from ..verilog.sizing import size_expr
 from ..verilog.visitor import find_all, walk
 from .fmt import format_display
 
@@ -205,22 +206,11 @@ class _Scope:
         return None
 
     # -- Scope protocol ---------------------------------------------------
-    def width_sign(self, name: str) -> Tuple[int, bool]:
-        v = self._frame_lookup(name)
-        if v is not None:
-            return v.width, v.signed
-        var = self.engine.design.vars[name]
-        return var.width, var.signed
-
     def is_array(self, name: str) -> bool:
         if self._frame_lookup(name) is not None:
             return False
         var = self.engine.design.vars.get(name)
         return var is not None and var.is_array
-
-    def element_width_sign(self, name: str) -> Tuple[int, bool]:
-        var = self.engine.design.vars[name]
-        return var.width, var.signed
 
     def read(self, name: str) -> Bits:
         v = self._frame_lookup(name)
@@ -241,14 +231,6 @@ class _Scope:
             return v.width - 1, 0
         var = self.engine.design.vars[name]
         return var.msb, var.lsb
-
-    def function_width_sign(self, name: str) -> Tuple[int, bool]:
-        fn = self.engine.design.functions[name]
-        return fn.ret_width, fn.ret_signed
-
-    def function_port_widths(self, name: str) -> List[Tuple[int, bool]]:
-        fn = self.engine.design.functions[name]
-        return [(w, s) for (_, w, s) in fn.ports]
 
     def call_function(self, name: str, args: List[Bits]) -> Bits:
         return self.engine.call_function(name, args)
@@ -340,6 +322,8 @@ class SoftwareEngine:
             names = sorted(read_set_of(block.body))
             items = [ast.EventItem(None, ast.Ident(n.split(".")))
                      for n in names]
+            for item in items:
+                size_expr(item.expr, self.design)
             ctrl = ast.EventControl(False, items, block.ctrl.loc)
         while True:
             if ctrl is not None:
@@ -414,7 +398,7 @@ class SoftwareEngine:
                     if edge is None:
                         satisfied = True
                     continue
-                new = self.evaluator.eval_self(expr)
+                new = self.evaluator.eval(expr)
                 entry.items[i] = (edge, expr, new, names)
                 if edge is None:
                     if new.aval != prev.aval or new.bval != prev.bval:
@@ -466,7 +450,7 @@ class SoftwareEngine:
                 continue
             current = values.get(ident) if ident is not None else None
             if current is None:
-                current = self.evaluator.eval_self(expr)
+                current = self.evaluator.eval(expr)
             items.append((edge, expr, current, item_names))
         entry = _WaitEntry(process, items, names)
         waits = self._waits_by_name
@@ -495,8 +479,7 @@ class SoftwareEngine:
         elif isinstance(stmt, ast.NonblockingAssign):
             self._do_nonblocking(stmt)
         elif isinstance(stmt, ast.If):
-            cond = self.evaluator.eval_self(stmt.cond)
-            if bool(cond):
+            if self.evaluator.eval_bool(stmt.cond):
                 yield from self._exec(stmt.then)
             else:
                 yield from self._exec(stmt.els)
@@ -513,7 +496,7 @@ class SoftwareEngine:
                 self._budget()
                 yield from self._exec(stmt.body)
         elif isinstance(stmt, ast.RepeatStmt):
-            count = self.evaluator.eval_self(stmt.count)
+            count = self.evaluator.eval(stmt.count)
             n = 0 if count.has_xz else count.to_uint()
             for _ in range(n):
                 self._budget()
@@ -523,7 +506,7 @@ class SoftwareEngine:
                 self._budget()
                 yield from self._exec(stmt.body)
         elif isinstance(stmt, ast.DelayStmt):
-            amount = self.evaluator.eval_self(stmt.amount)
+            amount = self.evaluator.eval(stmt.amount)
             n = 1 if amount.has_xz else max(amount.to_uint(), 0)
             yield ("delay", n)
             yield from self._exec(stmt.stmt)
@@ -541,20 +524,14 @@ class SoftwareEngine:
         """The body of the matching case arm (or default), or None."""
         wild_x = stmt.kind == "casex"
         is_plain = stmt.kind == "case"
-        sel_w, sel_s = natural_size(stmt.expr, self.scope)
-        widths = [sel_w]
-        for item in stmt.items:
-            for e in item.exprs or []:
-                widths.append(natural_size(e, self.scope)[0])
-        w = max(widths)
-        selector = self.evaluator.eval(stmt.expr, w).resize(w)
+        selector = self.evaluator.eval(stmt.expr)
         default_body = None
         for item in stmt.items:
             if item.exprs is None:
                 default_body = item.body
                 continue
             for e in item.exprs:
-                label = self.evaluator.eval(e, w).resize(w)
+                label = self.evaluator.eval(e)
                 if is_plain:
                     hit = bool(selector.case_eq(label))
                 else:
@@ -572,20 +549,17 @@ class SoftwareEngine:
     # Assignment machinery
     # ------------------------------------------------------------------
     def _do_blocking(self, stmt: ast.BlockingAssign) -> None:
-        width = assign_target_width(stmt.lhs, self.scope)
-        value = self.evaluator.eval(stmt.rhs, width)
+        value = self.evaluator.eval(stmt.rhs)
         for op in self._resolve_targets(stmt.lhs, value):
             self._apply_write(op)
 
     def _do_nonblocking(self, stmt: ast.NonblockingAssign) -> None:
-        width = assign_target_width(stmt.lhs, self.scope)
-        value = self.evaluator.eval(stmt.rhs, width)
+        value = self.evaluator.eval(stmt.rhs)
         self._update_queue.extend(self._resolve_targets(stmt.lhs, value))
 
     def run_continuous(self, assign: ast.ContinuousAssign) -> None:
         """(Re-)evaluate one continuous assign."""
-        width = assign_target_width(assign.lhs, self.scope)
-        value = self.evaluator.eval(assign.rhs, width)
+        value = self.evaluator.eval(assign.rhs)
         for op in self._resolve_targets(assign.lhs, value):
             self._apply_write(op)
 
@@ -602,12 +576,12 @@ class SoftwareEngine:
     def _resolve_into(self, lhs: ast.Expr, value: Bits,
                       ops: List[Tuple]) -> None:
         if isinstance(lhs, ast.Concat):
-            total = sum(natural_size(p, self.scope)[0] for p in lhs.parts)
+            total = lhs.width
             v = value.resize(total) if value.width >= total \
                 else value.extend(total)
             pos = total
             for part in lhs.parts:
-                w = natural_size(part, self.scope)[0]
+                w = part.width
                 chunk = v.part(pos - 1, pos - w)
                 self._resolve_into(part, chunk, ops)
                 pos -= w
@@ -625,7 +599,7 @@ class SoftwareEngine:
             base = lhs.base
             if not isinstance(base, ast.Ident):
                 raise EvalError("unsupported nested l-value")
-            index = self.evaluator.eval_self(lhs.index)
+            index = self.evaluator.eval(lhs.index)
             if index.has_xz:
                 return  # write to x index is discarded
             var = self.design.vars.get(base.name)
@@ -678,19 +652,14 @@ class SoftwareEngine:
             return idx - var.lsb if descending else var.lsb - idx
 
         if lhs.mode == ":":
-            msb = self.evaluator.eval_self(lhs.left)
-            lsb = self.evaluator.eval_self(lhs.right)
-            if msb.has_xz or lsb.has_xz:
-                return None
-            hi = offset_of(msb.to_int() if msb.signed else msb.to_uint())
-            lo = offset_of(lsb.to_int() if lsb.signed else lsb.to_uint())
+            msb, lsb = lhs.bounds
+            hi, lo = offset_of(msb), offset_of(lsb)
         else:
-            start = self.evaluator.eval_self(lhs.left)
-            width_b = self.evaluator.eval_self(lhs.right)
-            if start.has_xz or width_b.has_xz:
+            start = self.evaluator.eval(lhs.left)
+            if start.has_xz:
                 return None
             s = start.to_int() if start.signed else start.to_uint()
-            w = width_b.to_uint()
+            w = lhs.width
             if lhs.mode == "+:":
                 if descending:
                     hi, lo = offset_of(s) + w - 1, offset_of(s)
@@ -758,8 +727,7 @@ class SoftwareEngine:
                     run(sub)
             elif isinstance(stmt, ast.BlockingAssign):
                 lhs = stmt.lhs
-                width = assign_target_width(lhs, self.scope)
-                value = self.evaluator.eval(stmt.rhs, width)
+                value = self.evaluator.eval(stmt.rhs)
                 target = lhs
                 if isinstance(target, ast.Ident) and \
                         target.name in frame:
@@ -776,7 +744,7 @@ class SoftwareEngine:
                         and target.base.name in frame:
                     cur = frame[target.base.name]
                     if isinstance(target, ast.IndexExpr):
-                        idx = self.evaluator.eval_self(target.index)
+                        idx = self.evaluator.eval(target.index)
                         if idx.has_xz:
                             return
                         offset = idx.to_uint()
@@ -814,7 +782,7 @@ class SoftwareEngine:
                     self._budget()
                     run(stmt.body)
             elif isinstance(stmt, ast.RepeatStmt):
-                count = self.evaluator.eval_self(stmt.count)
+                count = self.evaluator.eval(stmt.count)
                 for _ in range(0 if count.has_xz else count.to_uint()):
                     run(stmt.body)
             elif isinstance(stmt, ast.SysTask):
@@ -833,7 +801,7 @@ class SoftwareEngine:
             return Bits.from_int(self.services.now(), 64)
         if name == "$random":
             if args:
-                seed = evaluator.eval_self(args[0])
+                seed = evaluator.eval(args[0])
                 if not seed.has_xz:
                     self._rand_state = seed.to_uint() & 0xFFFFFFFF or 1
             # xorshift32: deterministic, decent spectral behaviour.
@@ -855,7 +823,7 @@ class SoftwareEngine:
         elif name in ("$finish", "$stop"):
             code = 0
             if stmt.args:
-                v = self.evaluator.eval_self(stmt.args[0])
+                v = self.evaluator.eval(stmt.args[0])
                 code = 0 if v.has_xz else v.to_uint()
             self._finished = code
             self.services.finish(code)
@@ -870,7 +838,7 @@ class SoftwareEngine:
             if isinstance(a, ast.StringLit):
                 rendered.append(a.value)
             else:
-                rendered.append(self.evaluator.eval_self(a))
+                rendered.append(self.evaluator.eval(a))
         return format_display(rendered, self.design.name,
                               self.services.now())
 

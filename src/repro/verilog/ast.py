@@ -56,7 +56,14 @@ class Node:
 # Expressions
 # ======================================================================
 class Expr(Node):
-    __slots__ = ()
+    """Base of all expressions.
+
+    :mod:`repro.verilog.sizing` fills the four size slots once, at the
+    end of elaboration: ``width``/``signed`` (self-determined) and
+    ``ctx_width``/``ctx_signed`` (what the node is evaluated at).
+    """
+
+    __slots__ = ("width", "signed", "ctx_width", "ctx_signed")
 
 
 class Number(Expr):
@@ -120,11 +127,12 @@ class IndexExpr(Expr):
 class RangeExpr(Expr):
     """Part select ``base[msb:lsb]``, ``base[start+:w]`` or ``base[start-:w]``.
 
-    ``mode`` is one of ``":"``, ``"+:"`` or ``"-:"``.
+    ``mode`` is one of ``":"``, ``"+:"`` or ``"-:"``.  Sizing folds a
+    ``":"`` select's bounds into ``bounds`` (msb, lsb).
     """
 
     _fields = ("base", "left", "right")
-    __slots__ = ("base", "left", "right", "mode")
+    __slots__ = ("base", "left", "right", "mode", "bounds")
 
     def __init__(self, base: Expr, left: Expr, right: Expr, mode: str = ":",
                  loc=None):
@@ -179,10 +187,11 @@ class Concat(Expr):
 
 
 class Repeat(Expr):
-    """Replication ``{count{inner}}``; count must be constant."""
+    """Replication ``{count{inner}}``; sizing folds count into
+    ``times``."""
 
     _fields = ("count", "inner")
-    __slots__ = ("count", "inner")
+    __slots__ = ("count", "inner", "times")
 
     def __init__(self, count: Expr, inner: Expr, loc=None):
         super().__init__(loc)

@@ -10,7 +10,9 @@ relies on (paper §3.3):
   the child's promoted port variables, exactly the Figure 4
   transformation,
 * registration of functions, processes and continuous assigns against a
-  flat variable table.
+  flat variable table,
+* sizing: :func:`repro.verilog.sizing.size_design` annotates every
+  expression with its width and sign, once, for every tier.
 
 :func:`elaborate` flattens a whole hierarchy into a single
 :class:`Design` (this is what the reference simulator and the baseline
@@ -25,9 +27,10 @@ import copy
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..common.bits import Bits
-from ..common.errors import ElaborationError, TypeError_
+from ..common.errors import ElaborationError
 from . import ast
-from .eval import ConstScope, ExprEvaluator, const_eval
+from .eval import const_eval
+from .sizing import size_design
 from .visitor import map_exprs
 
 __all__ = ["Var", "Function", "Design", "ModuleLibrary", "elaborate",
@@ -197,10 +200,6 @@ def _rewrite(node: ast.Node, params: Dict[str, Bits], prefix: str,
         return e
 
     return map_exprs(node, fn)
-
-
-def _const_scope(extra: Optional[Dict[str, Bits]] = None) -> ConstScope:
-    return ConstScope(extra or {})
 
 
 def _resolve_range(range_: Optional[ast.Range],
@@ -528,6 +527,7 @@ def elaborate(top: ast.Module, library: Optional[ModuleLibrary] = None,
     design = Design(top.name)
     _Elaborator(library or ModuleLibrary(), recurse=True).elaborate(
         top, design, "", overrides or {})
+    size_design(design)
     return design
 
 
@@ -538,4 +538,5 @@ def elaborate_leaf(module: ast.Module,
     design = Design(module.name)
     _Elaborator(ModuleLibrary(), recurse=False).elaborate(
         module, design, "", overrides or {})
+    size_design(design)
     return design

@@ -1,45 +1,31 @@
-"""Expression evaluation with IEEE 1364 context-determined sizing.
+"""Expression evaluation over sized expressions.
 
-This module is the single implementation of Verilog expression semantics.
-It is shared by:
-
-* the reference interpreter (:mod:`repro.interp.engine`),
-* constant evaluation during elaboration (:mod:`repro.verilog.elaborate`),
-* the backend's constant folding.
-
-The evaluator follows the two-pass discipline of §5.4/§5.5 of the spec:
-:func:`natural_size` computes each expression's self-determined width and
-signedness bottom-up, then :meth:`ExprEvaluator.eval` evaluates top-down
-with the context width (the max of the naturals along the operand chain
-and, for assignments, the l-value width), extending operands using the
-*expression's* signedness, which is signed only when every operand is.
+The interpreter (:mod:`repro.interp.engine`) and constant evaluation
+during elaboration evaluate Verilog expressions here.  Widths and signs
+are *not* decided here: :mod:`repro.verilog.sizing` decides them once,
+at elaboration, for every tier.  :meth:`ExprEvaluator.eval` evaluates
+each node at its annotated ``ctx_width``, extending operands with the
+annotated ``ctx_signed`` — the *expression's* sign, which is signed only
+when every operand of the context is (§5.5.4).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol, Tuple
+from typing import Dict, List, Optional, Protocol, Tuple
 
 from ..common.bits import Bits
-from ..common.errors import EvalError, TypeError_
+from ..common.errors import EvalError
 from . import ast
+from .sizing import size_constant
 
-__all__ = ["Scope", "ExprEvaluator", "natural_size", "assign_target_width",
-           "const_eval", "ConstScope"]
+__all__ = ["Scope", "ExprEvaluator", "const_eval", "ConstScope"]
 
 
 class Scope(Protocol):
-    """What the evaluator needs to know about the surrounding design."""
-
-    def width_sign(self, name: str) -> Tuple[int, bool]:
-        """(width, signed) of a scalar/vector variable, by full name."""
-        ...
+    """The values the evaluator reads from the surrounding design."""
 
     def is_array(self, name: str) -> bool:
         """True when the name is a memory (unpacked array)."""
-        ...
-
-    def element_width_sign(self, name: str) -> Tuple[int, bool]:
-        """(width, signed) of one word of an array."""
         ...
 
     def read(self, name: str) -> Bits:
@@ -54,14 +40,7 @@ class Scope(Protocol):
         """Declared (msb, lsb) of the variable, for select indexing."""
         ...
 
-    def function_width_sign(self, name: str) -> Tuple[int, bool]:
-        """(width, signed) of a user function's return value."""
-        ...
-
     def call_function(self, name: str, args: List[Bits]) -> Bits:
-        ...
-
-    def function_port_widths(self, name: str) -> List[Tuple[int, bool]]:
         ...
 
     def sys_func(self, name: str, args: List[ast.Expr],
@@ -70,9 +49,6 @@ class Scope(Protocol):
         ...
 
 
-# ----------------------------------------------------------------------
-# Natural (self-determined) size and signedness
-# ----------------------------------------------------------------------
 _ARITH_OPS = frozenset(["+", "-", "*", "/", "%"])
 _BITWISE_OPS = frozenset(["&", "|", "^", "^~", "~^"])
 _COMPARE_OPS = frozenset(["==", "!=", "===", "!==", "<", "<=", ">", ">="])
@@ -81,163 +57,63 @@ _SHIFT_OPS = frozenset(["<<", ">>", "<<<", ">>>"])
 _REDUCTION_OPS = frozenset(["&", "~&", "|", "~|", "^", "~^", "^~"])
 
 
-def natural_size(expr: ast.Expr, scope: Scope) -> Tuple[int, bool]:
-    """(width, signed) of the expression, self-determined."""
-    if isinstance(expr, ast.Number):
-        return expr.value.width, expr.value.signed
-    if isinstance(expr, ast.StringLit):
-        return max(8 * len(expr.value), 8), False
-    if isinstance(expr, ast.Ident):
-        try:
-            return scope.width_sign(expr.name)
-        except KeyError:
-            raise TypeError_(f"undeclared identifier {expr.name!r}",
-                             expr.loc) from None
-    if isinstance(expr, ast.IndexExpr):
-        base = expr.base
-        if isinstance(base, ast.Ident) and scope.is_array(base.name):
-            return scope.element_width_sign(base.name)
-        return 1, False
-    if isinstance(expr, ast.RangeExpr):
-        if expr.mode == ":":
-            msb = const_int(expr.left, scope, "part-select msb")
-            lsb = const_int(expr.right, scope, "part-select lsb")
-            return abs(msb - lsb) + 1, False
-        width = const_int(expr.right, scope, "part-select width")
-        if width <= 0:
-            raise TypeError_("part-select width must be positive", expr.loc)
-        return width, False
-    if isinstance(expr, ast.Unary):
-        if expr.op in ("!",) or expr.op in _REDUCTION_OPS:
-            return 1, False
-        return natural_size(expr.operand, scope)
-    if isinstance(expr, ast.Binary):
-        if expr.op in _COMPARE_OPS or expr.op in _LOGICAL_OPS:
-            return 1, False
-        lw, ls = natural_size(expr.lhs, scope)
-        if expr.op in _SHIFT_OPS or expr.op == "**":
-            return lw, ls
-        rw, rs = natural_size(expr.rhs, scope)
-        return max(lw, rw), ls and rs
-    if isinstance(expr, ast.Ternary):
-        tw, ts = natural_size(expr.then, scope)
-        ew, es = natural_size(expr.els, scope)
-        return max(tw, ew), ts and es
-    if isinstance(expr, ast.Concat):
-        return sum(natural_size(p, scope)[0] for p in expr.parts), False
-    if isinstance(expr, ast.Repeat):
-        count = const_int(expr.count, scope, "replication count")
-        if count <= 0:
-            raise TypeError_("replication count must be positive", expr.loc)
-        inner, _ = natural_size(expr.inner, scope)
-        return count * inner, False
-    if isinstance(expr, ast.Call):
-        name = expr.name
-        if name == "$signed":
-            w, _ = natural_size(expr.args[0], scope)
-            return w, True
-        if name == "$unsigned":
-            w, _ = natural_size(expr.args[0], scope)
-            return w, False
-        if name in ("$time", "$stime"):
-            return 64, False
-        if name == "$random":
-            return 32, True
-        if name == "$clog2":
-            return 32, True
-        if name == "$bits":
-            return 32, False
-        if name.startswith("$"):
-            return 32, False
-        try:
-            return scope.function_width_sign(name)
-        except KeyError:
-            raise TypeError_(f"unknown function {name!r}", expr.loc) \
-                from None
-    raise TypeError_(f"cannot size expression {type(expr).__name__}",
-                     expr.loc)
-
-
-def assign_target_width(lhs: ast.Expr, scope: Scope) -> int:
-    """Width of an assignment target (drives the RHS context width)."""
-    width, _ = natural_size(lhs, scope)
-    return width
-
-
 # ----------------------------------------------------------------------
 # Evaluation
 # ----------------------------------------------------------------------
 class ExprEvaluator:
-    """Evaluates expressions against a :class:`Scope`."""
+    """Evaluates sized expressions against a :class:`Scope`."""
 
     def __init__(self, scope: Scope):
         self.scope = scope
 
     # -- public API ----------------------------------------------------
-    def eval(self, expr: ast.Expr, min_width: int = 0) -> Bits:
-        """Evaluate with a context at least ``min_width`` wide (use the
-        l-value width for assignment right-hand sides)."""
-        width, signed = natural_size(expr, self.scope)
-        ctx = max(width, min_width)
-        return self._eval_ctx(expr, ctx, signed)
-
-    def eval_self(self, expr: ast.Expr) -> Bits:
-        """Evaluate in a purely self-determined context."""
-        return self.eval(expr, 0)
-
-    def eval_bool(self, expr: ast.Expr) -> bool:
-        """Condition truthiness: a known-1 bit somewhere."""
-        return bool(self.eval_self(expr))
-
-    # -- helpers --------------------------------------------------------
-    def _coerce(self, value: Bits, ctx: int, signed: bool) -> Bits:
-        v = value.as_signed() if signed else value.as_unsigned()
-        if v.width == ctx:
-            return v
-        if v.width > ctx:
-            return v.resize(ctx)
-        return v.extend(ctx)
-
-    def _eval_ctx(self, expr: ast.Expr, ctx: int, signed: bool) -> Bits:
-        if isinstance(expr, ast.Number):
-            return self._coerce_literal(expr.value, ctx, signed)
-        if isinstance(expr, ast.StringLit):
-            data = expr.value.encode("latin-1", "replace") or b"\0"
-            value = int.from_bytes(data, "big")
-            return Bits.from_int(value, ctx if ctx >= 8 * len(data)
-                                 else 8 * len(data)).resize(ctx) \
-                if ctx else Bits.from_int(value, 8 * len(data))
+    def eval(self, expr: ast.Expr) -> Bits:
+        """The value of ``expr`` at its annotated context width."""
+        ctx = expr.ctx_width
+        signed = expr.ctx_signed
         if isinstance(expr, ast.Ident):
             return self._coerce(self._read_ident(expr), ctx, signed)
+        if isinstance(expr, ast.Number):
+            return self._coerce(expr.value, ctx, signed)
+        if isinstance(expr, ast.Binary):
+            return self._eval_binary(expr, ctx, signed)
         if isinstance(expr, ast.IndexExpr):
             return self._coerce(self._eval_index(expr), ctx, signed)
         if isinstance(expr, ast.RangeExpr):
             return self._coerce(self._eval_range(expr), ctx, signed)
         if isinstance(expr, ast.Unary):
             return self._eval_unary(expr, ctx, signed)
-        if isinstance(expr, ast.Binary):
-            return self._eval_binary(expr, ctx, signed)
         if isinstance(expr, ast.Ternary):
-            return self._eval_ternary(expr, ctx, signed)
+            return self._eval_ternary(expr, ctx)
         if isinstance(expr, ast.Concat):
-            parts = [self.eval_self(p) for p in expr.parts]
-            return self._coerce(Bits.concat(parts), ctx, False)
+            parts = [self.eval(p) for p in expr.parts]
+            return self._coerce(Bits.concat(parts), ctx, signed)
         if isinstance(expr, ast.Repeat):
-            count = const_int(expr.count, self.scope, "replication count")
-            inner = self.eval_self(expr.inner)
-            return self._coerce(inner.replicate(count), ctx, False)
+            inner = self.eval(expr.inner)
+            return self._coerce(inner.replicate(expr.times), ctx, signed)
         if isinstance(expr, ast.Call):
             return self._eval_call(expr, ctx, signed)
+        if isinstance(expr, ast.StringLit):
+            data = expr.value.encode("latin-1", "replace") or b"\0"
+            return Bits.from_int(int.from_bytes(data, "big"), ctx)
         raise EvalError(f"cannot evaluate {type(expr).__name__}")
 
-    def _coerce_literal(self, value: Bits, ctx: int, signed: bool) -> Bits:
+    def eval_bool(self, expr: ast.Expr) -> bool:
+        """Condition truthiness: a known-1 bit somewhere."""
+        return bool(self.eval(expr))
+
+    # -- helpers --------------------------------------------------------
+    @staticmethod
+    def _coerce(value: Bits, ctx: int, signed: bool) -> Bits:
+        """Convert an operand to the propagated type and size: extended
+        with the sign only when the propagated type is signed."""
+        if value.width == ctx and value.signed == signed:
+            return value
         v = value.as_signed() if signed else value.as_unsigned()
-        if v.width >= ctx:
-            return v.resize(ctx) if v.width > ctx else v
-        # Literals keep their own sign for extension when the context is
-        # unsigned but the literal is a negative signed constant the
-        # expression has already made unsigned -- the bits were fixed at
-        # parse time, so plain extension with expression sign is correct.
+        if v.width == ctx:
+            return v
+        if v.width > ctx:
+            return v.resize(ctx)
         return v.extend(ctx)
 
     def _read_ident(self, expr: ast.Ident) -> Bits:
@@ -261,11 +137,10 @@ class ExprEvaluator:
 
     def _eval_index(self, expr: ast.IndexExpr) -> Bits:
         base = expr.base
-        index = self.eval_self(expr.index)
+        index = self.eval(expr.index)
         if isinstance(base, ast.Ident) and self.scope.is_array(base.name):
             if index.has_xz:
-                w, _ = self.scope.element_width_sign(base.name)
-                return Bits.xes(w)
+                return Bits.xes(expr.width)
             return self.scope.read_word(base.name, index.to_uint())
         if isinstance(base, ast.Ident):
             if index.has_xz:
@@ -276,7 +151,7 @@ class ExprEvaluator:
                 return Bits.xes(1)
             return value.select(offset)
         # Bit select of a computed value (e.g. mem[i][j]).
-        value = self.eval_self(base)
+        value = self.eval(base)
         if index.has_xz:
             return Bits.xes(1)
         return value.select(index.to_uint())
@@ -287,7 +162,7 @@ class ExprEvaluator:
             value = self._read_ident(base)
             msb_decl, lsb_decl = self.scope.range_of(base.name)
         else:
-            value = self.eval_self(base)
+            value = self.eval(base)
             msb_decl, lsb_decl = value.width - 1, 0
         descending = msb_decl >= lsb_decl
 
@@ -295,12 +170,11 @@ class ExprEvaluator:
             return idx - lsb_decl if descending else lsb_decl - idx
 
         if expr.mode == ":":
-            msb = const_int(expr.left, self.scope, "part-select msb")
-            lsb = const_int(expr.right, self.scope, "part-select lsb")
+            msb, lsb = expr.bounds
             hi, lo = offset_of(msb), offset_of(lsb)
         else:
-            start = self.eval_self(expr.left)
-            width = const_int(expr.right, self.scope, "part-select width")
+            start = self.eval(expr.left)
+            width = expr.width
             if start.has_xz:
                 return Bits.xes(width)
             s = start.to_uint()
@@ -319,18 +193,18 @@ class ExprEvaluator:
     def _eval_unary(self, expr: ast.Unary, ctx: int, signed: bool) -> Bits:
         op = expr.op
         if op == "!":
-            return self._coerce(self.eval_self(expr.operand).log_not(),
-                                ctx, False)
+            return self._coerce(self.eval(expr.operand).log_not(),
+                                ctx, signed)
         if op in _REDUCTION_OPS:
-            v = self.eval_self(expr.operand)
+            v = self.eval(expr.operand)
             result = {
                 "&": v.reduce_and, "~&": v.reduce_nand,
                 "|": v.reduce_or, "~|": v.reduce_nor,
                 "^": v.reduce_xor, "~^": v.reduce_xnor,
                 "^~": v.reduce_xnor,
             }[op]()
-            return self._coerce(result, ctx, False)
-        operand = self._eval_ctx(expr.operand, ctx, signed)
+            return self._coerce(result, ctx, signed)
+        operand = self.eval(expr.operand)
         if op == "~":
             return operand.not_()
         if op == "-":
@@ -342,38 +216,28 @@ class ExprEvaluator:
     def _eval_binary(self, expr: ast.Binary, ctx: int, signed: bool) -> Bits:
         op = expr.op
         if op in _LOGICAL_OPS:
-            lhs = self.eval_self(expr.lhs)
-            rhs = self.eval_self(expr.rhs)
+            lhs = self.eval(expr.lhs)
+            rhs = self.eval(expr.rhs)
             out = lhs.log_and(rhs) if op == "&&" else lhs.log_or(rhs)
-            return self._coerce(out, ctx, False)
+            return self._coerce(out, ctx, signed)
+        lhs = self.eval(expr.lhs)
+        rhs = self.eval(expr.rhs)
         if op in _COMPARE_OPS:
-            lw, ls = natural_size(expr.lhs, self.scope)
-            rw, rs = natural_size(expr.rhs, self.scope)
-            w = max(lw, rw)
-            s = ls and rs
-            lhs = self._eval_ctx(expr.lhs, w, s)
-            rhs = self._eval_ctx(expr.rhs, w, s)
             out = {
                 "==": lhs.eq, "!=": lhs.neq,
                 "===": lhs.case_eq, "!==": lhs.case_neq,
                 "<": lhs.lt, "<=": lhs.le, ">": lhs.gt, ">=": lhs.ge,
             }[op](rhs)
-            return self._coerce(out, ctx, False)
+            return self._coerce(out, ctx, signed)
         if op in _SHIFT_OPS:
-            lhs = self._eval_ctx(expr.lhs, ctx, signed)
-            rhs = self.eval_self(expr.rhs)
             if op == "<<" or op == "<<<":
                 return lhs.shl(rhs)
             if op == ">>":
                 return lhs.shr(rhs)
             return lhs.ashr(rhs)
         if op == "**":
-            lhs = self._eval_ctx(expr.lhs, ctx, signed)
-            rhs = self.eval_self(expr.rhs)
             return lhs.pow(rhs.extend(ctx) if rhs.width < ctx
                            else rhs.resize(ctx))
-        lhs = self._eval_ctx(expr.lhs, ctx, signed)
-        rhs = self._eval_ctx(expr.rhs, ctx, signed)
         if op in _ARITH_OPS:
             return {
                 "+": lhs.add, "-": lhs.sub, "*": lhs.mul,
@@ -386,15 +250,13 @@ class ExprEvaluator:
             }[op](rhs)
         raise EvalError(f"unknown binary operator {op!r}")
 
-    def _eval_ternary(self, expr: ast.Ternary, ctx: int,
-                      signed: bool) -> Bits:
-        cond = self.eval_self(expr.cond)
+    def _eval_ternary(self, expr: ast.Ternary, ctx: int) -> Bits:
+        cond = self.eval(expr.cond)
         if not cond.has_xz:
-            branch = expr.then if bool(cond) else expr.els
-            return self._eval_ctx(branch, ctx, signed)
+            return self.eval(expr.then if bool(cond) else expr.els)
         # Ambiguous condition: bitwise merge of both branches (§5.1.13).
-        then = self._eval_ctx(expr.then, ctx, signed)
-        els = self._eval_ctx(expr.els, ctx, signed)
+        then = self.eval(expr.then)
+        els = self.eval(expr.els)
         agree = ~(then.aval ^ els.aval) & ~(then.bval | els.bval)
         mask = (1 << ctx) - 1
         differ = ~agree & mask
@@ -404,31 +266,25 @@ class ExprEvaluator:
     def _eval_call(self, expr: ast.Call, ctx: int, signed: bool) -> Bits:
         name = expr.name
         if name == "$signed":
-            v = self.eval_self(expr.args[0]).as_signed()
-            return self._coerce(v, ctx, True)
+            return self._coerce(self.eval(expr.args[0]).as_signed(), ctx,
+                                signed)
         if name == "$unsigned":
-            v = self.eval_self(expr.args[0]).as_unsigned()
-            return self._coerce(v, ctx, False)
+            return self._coerce(self.eval(expr.args[0]).as_unsigned(), ctx,
+                                signed)
         if name == "$clog2":
-            v = self.eval_self(expr.args[0])
+            v = self.eval(expr.args[0])
             if v.has_xz:
-                return Bits.xes(32).resize(ctx) if ctx else Bits.xes(32)
+                return Bits.xes(ctx)
             n = v.to_uint()
             result = (n - 1).bit_length() if n > 1 else 0
             return self._coerce(Bits.from_int(result, 32, True), ctx, signed)
         if name == "$bits":
-            w, _ = natural_size(expr.args[0], self.scope)
-            return self._coerce(Bits.from_int(w, 32), ctx, signed)
+            return self._coerce(Bits.from_int(expr.args[0].width, 32), ctx,
+                                signed)
         if name.startswith("$"):
             out = self.scope.sys_func(name, expr.args, self)
             return self._coerce(out, ctx, signed)
-        widths = self.scope.function_port_widths(name)
-        if len(widths) != len(expr.args):
-            raise EvalError(
-                f"function {name!r} expects {len(widths)} arguments, "
-                f"got {len(expr.args)}")
-        args = [self._eval_ctx(a, w, s)
-                for a, (w, s) in zip(expr.args, widths)]
+        args = [self.eval(a) for a in expr.args]
         return self._coerce(self.scope.call_function(name, args), ctx,
                             signed)
 
@@ -439,18 +295,11 @@ class ExprEvaluator:
 class ConstScope:
     """A scope over a fixed table of named constants (parameters)."""
 
-    def __init__(self, values: Optional[dict] = None):
+    def __init__(self, values: Optional[Dict[str, Bits]] = None):
         self.values = dict(values or {})
-
-    def width_sign(self, name: str) -> Tuple[int, bool]:
-        v = self.values[name]
-        return v.width, v.signed
 
     def is_array(self, name: str) -> bool:
         return False
-
-    def element_width_sign(self, name: str) -> Tuple[int, bool]:
-        raise KeyError(name)
 
     def read(self, name: str) -> Bits:
         return self.values[name]
@@ -462,27 +311,15 @@ class ConstScope:
         v = self.values[name]
         return v.width - 1, 0
 
-    def function_width_sign(self, name: str) -> Tuple[int, bool]:
-        raise KeyError(name)
-
     def call_function(self, name: str, args: List[Bits]) -> Bits:
         raise EvalError(f"function call {name!r} in constant expression")
-
-    def function_port_widths(self, name: str) -> List[Tuple[int, bool]]:
-        raise KeyError(name)
 
     def sys_func(self, name: str, args, evaluator) -> Bits:
         raise EvalError(f"system function {name!r} in constant expression")
 
 
-def const_eval(expr: ast.Expr, scope: Optional[Scope] = None) -> Bits:
-    """Evaluate a constant expression (parameters only)."""
-    return ExprEvaluator(scope or ConstScope()).eval_self(expr)
-
-
-def const_int(expr: ast.Expr, scope, what: str = "constant") -> int:
-    """Evaluate a constant expression to a plain int."""
-    value = ExprEvaluator(scope).eval_self(expr)
-    if value.has_xz:
-        raise EvalError(f"{what} has x/z bits")
-    return value.to_int() if value.signed else value.to_uint()
+def const_eval(expr: ast.Expr,
+               params: Optional[Dict[str, Bits]] = None) -> Bits:
+    """Size and evaluate a constant expression over parameter values."""
+    size_constant(expr, params)
+    return ExprEvaluator(ConstScope(params)).eval(expr)

@@ -125,6 +125,28 @@ module t;
 endmodule""")
         assert out == ["-2"]
 
+    def test_signed_literal_in_unsigned_expression(self):
+        # The expression is unsigned, so the literal is zero-extended.
+        assert eval_expr("reg [7:0] a = 1;", "a + 4'sb1111") == "16"
+
+    def test_signed_cast_in_unsigned_expression(self):
+        assert eval_expr("reg [7:0] a = 0;",
+                         "$signed(4'b1111) + a") == "15"
+
+    def test_case_with_one_unsigned_member_is_unsigned(self):
+        out = simulate_source("""
+module t;
+  reg signed [3:0] s = -1;
+  initial begin
+    case (s)
+      8'hFF: $display("sign-extended");
+      8'h0F: $display("zero-extended");
+    endcase
+    $finish;
+  end
+endmodule""")
+        assert out == ["zero-extended"]
+
     def test_signed_division_truncates(self):
         assert eval_expr("reg signed [7:0] a = -7; "
                          "reg signed [7:0] b = 2;", "a / b") == "-3"
@@ -229,6 +251,22 @@ module t;
   end
 endmodule""")
         assert out == ["42"]
+
+    def test_argument_extended_by_its_own_type(self):
+        # An unsigned 8 assigned to a signed 6-bit input stays 8.
+        out = simulate_source("""
+module t;
+  reg [3:0] u = 8;
+  function signed [11:0] f;
+    input signed [5:0] x;
+    f = x * 3;
+  endfunction
+  initial begin
+    $display("%0d %0d", f(u), f(4'sb1000));
+    $finish;
+  end
+endmodule""")
+        assert out == ["24 -24"]
 
     def test_function_with_locals_and_loop(self):
         out = simulate_source("""

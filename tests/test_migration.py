@@ -138,3 +138,22 @@ assign led.val = total[7:0];
         assert all(j not in rt.compiler.jobs or j.delivered
                    for j in first_jobs)
         assert rt.user_engine_location() == "software"
+
+
+class TestParameterizedSelects:
+    def test_parameterized_select_reaches_hardware(self):
+        """Part-select bounds and replication counts are folded at
+        elaboration, so a parameterized select compiles in codegen and
+        migrates like a literal ``n[7:0]``."""
+        rt = Runtime(compile_service=CompileService(latency_scale=0.0))
+        rt.eval_source("""
+localparam W = 8;
+reg [15:0] n = 0;
+always @(posedge clk.val) n <= n + 1;
+assign led.val = n[W-1:0] ^ {W/4{n[1:0]}};
+""")
+        rt.run(iterations=2000)
+        assert rt.metrics.value("runtime.fastpath_failures") == 0
+        assert rt.user_engine_location() == "hardware"
+        n = rt.engines["main"].get_state()["n"].to_uint()
+        assert rt.board.leds.value == ((n & 0xFF) ^ ((n & 3) * 5)) & 0xFF

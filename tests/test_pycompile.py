@@ -1,8 +1,11 @@
-"""Differential tests: compiled hardware models vs the interpreter.
+"""Differential tests: interpreter vs compiled model vs netlist.
 
 The compiled model is our stand-in for the bitstream, so it must agree
 bit-for-bit with the reference interpreter on two-state synthesizable
 designs — this file drives both from the same stimuli and compares.
+Combinational rows also step the gate-level netlist from
+:func:`repro.backend.synth.synthesize`, so all three tiers agree on
+every width and sign.
 """
 
 import random
@@ -10,6 +13,7 @@ import random
 import pytest
 
 from repro.backend.pycompile import compile_design
+from repro.backend.synth import synthesize
 from repro.common.bits import Bits
 from repro.interp.engine import SoftwareEngine
 from repro.interp.sim import CollectingServices
@@ -22,14 +26,23 @@ def _attr(name):
     return "v_" + re.sub(r"\W", "_", name)
 
 
-def run_both(text, stimuli, outputs, cycles=20, top=None):
-    """Drive interpreter and compiled model with the same input
-    sequence; return (interp_trace, compiled_trace)."""
+def _pins(var, value):
+    """Netlist port name -> bit of ``value``, LSB first, for a variable."""
+    if var.width == 1:
+        return {var.name: value & 1}
+    return {f"{var.name}[{i}]": (value >> i) & 1 for i in range(var.width)}
+
+
+def run_both(text, stimuli, outputs, cycles=20, netlist=False):
+    """Drive interpreter and compiled model (and, for a combinational
+    design with ``netlist``, the synthesized netlist) with the same
+    input sequence; return one trace per tier."""
     module = parse_module(text)
     design_i = elaborate_leaf(module)
     design_c = elaborate_leaf(module)
     interp = SoftwareEngine(design_i, CollectingServices())
     compiled = compile_design(design_c).instantiate()
+    gates = synthesize(elaborate_leaf(module)) if netlist else None
 
     def settle_interp():
         interp.evaluate()
@@ -48,16 +61,18 @@ def run_both(text, stimuli, outputs, cycles=20, top=None):
     settle_interp()
     settle_compiled()
 
-    trace_i, trace_c = [], []
+    trace_i, trace_c, trace_n = [], [], []
     rng = random.Random(7)
     for cycle in range(cycles):
         values = stimuli(cycle, rng)
+        pins = {}
         for name, value in values.items():
             var = design_i.vars[name]
             interp.poke(name, Bits.from_int(value, var.width))
             setattr(compiled, _attr(name),
                     value & ((1 << var.width) - 1))
             compiled._dirty = True
+            pins.update(_pins(var, value))
         for clk in (1, 0):
             if "clk" in design_i.vars:
                 interp.poke("clk", Bits.from_int(clk, 1))
@@ -70,7 +85,13 @@ def run_both(text, stimuli, outputs, cycles=20, top=None):
             & ((1 << design_i.vars[o].width) - 1) for o in outputs))
         trace_c.append(tuple(
             getattr(compiled, _attr(o)) for o in outputs))
-    return trace_i, trace_c
+        if gates is not None:
+            _, outs = gates.step(pins)
+            trace_n.append(tuple(
+                sum(outs[port] << i for i, port
+                    in enumerate(_pins(design_i.vars[o], 0)))
+                for o in outputs))
+    return (trace_i, trace_c, trace_n) if netlist else (trace_i, trace_c)
 
 
 ALU = """
@@ -153,6 +174,66 @@ endmodule
 """
 
 
+# Combinational rows share one port list; every row drives ``y``.
+PORTS = ("input wire [7:0] a, input wire [7:0] b, "
+         "input wire signed [3:0] sa, input wire signed [7:0] sb, "
+         "input wire c, input wire [3:0] u4")
+COMB_INPUTS = {"a": 8, "b": 8, "sa": 4, "sb": 8, "c": 1, "u4": 4}
+
+
+def _comb(expr, decls=""):
+    return (f"module t({PORTS}, output wire [15:0] y);\n{decls}\n"
+            f"  assign y = {expr};\nendmodule\n")
+
+
+TIMES3 = """
+  function signed [11:0] f;
+    input signed [5:0] x;
+    f = x * 3;
+  endfunction"""
+
+CASE_WIDE = f"""
+module t({PORTS}, output reg [15:0] y);
+  always @(*)
+    case (a[1:0])
+      8'd7: y = 16'd70;  // never: the selector is zero-extended
+      8'd3: y = 16'd30;
+      8'd1, 8'd2: y = 16'd12;
+      default: y = 16'd99;
+    endcase
+endmodule
+"""
+
+# Combinational rows: interpreter, compiled model and netlist agree.
+COMB_ROWS = [
+    # A signed literal in an unsigned expression is zero-extended.
+    ("literal-add", _comb("a + 4'sb1111")),
+    ("literal-compare", _comb("a > 4'sb1111")),
+    ("literal-and", _comb("a & 4'sb1001")),
+    ("unsigned-cast-literal", _comb("$unsigned(sa) + 4'sb1111")),
+    ("ternary-literals", _comb("(c ? 4'sb1111 : 4'sb0001) + 16'd0")),
+    # An argument is extended by its own type, not the port's.
+    ("function-arg-ident", _comb("f(u4)", TIMES3)),
+    ("function-arg-select", _comb("f(a[3:0])", TIMES3)),
+    # Part-select bounds and replication counts folded at elaboration.
+    ("param-select", _comb("a[W-1:0]", "  localparam W = 8;")),
+    ("param-repeat", _comb("{W/4{a[1:0]}}", "  localparam W = 8;")),
+    # Controls.
+    ("signed-compare", _comb("{sa < sb, sa < b, sb >= sa, a <= sb}")),
+    ("ashr-signed", _comb("sb >>> 3")),
+    ("ashr-unsigned", _comb("b >>> 3")),
+    ("signed-cast", _comb("$signed(a[3:0]) * sb")),
+    ("signed-mul", _comb("sa * sb")),
+    ("signed-div", _comb("sb / (sa | 4'sd1)")),
+    ("signed-mod", _comb("sb % (sa | 4'sd1)")),
+    ("signed-concat", _comb("{sa, sb} + 16'd1")),
+    ("case-narrow-selector", CASE_WIDE),
+]
+# Every combinational row also steps the netlist, except the divider
+# rows: the gate-level flow has no divider.
+NETLIST_ROWS = {name for name, _ in COMB_ROWS} - {"signed-div", "signed-mod"}
+
+
 @pytest.mark.parametrize("name,text,inputs,outputs", [
     ("alu", ALU, {"a": 8, "b": 8, "op": 3}, ["acc"]),
     ("signed", SIGNED, {"a": 8, "b": 8}, ["r"]),
@@ -160,13 +241,16 @@ endmodule
     ("memory", MEMORY, {"addr": 4, "wen": 1, "din": 8}, ["dout"]),
     ("function", FUNCTION, {"x": 8}, ["y"]),
     ("partsel", PARTSEL, {"v": 16, "sel": 2}, ["nib", "spun"]),
-])
+] + [pytest.param(name, text, COMB_INPUTS, ["y"], id=name)
+     for name, text in COMB_ROWS])
 def test_compiled_matches_interpreter(name, text, inputs, outputs):
     def stimuli(cycle, rng):
         return {k: rng.getrandbits(w) for k, w in inputs.items()}
 
-    trace_i, trace_c = run_both(text, stimuli, outputs, cycles=40)
-    assert trace_i == trace_c, f"{name}: divergence"
+    traces = run_both(text, stimuli, outputs, cycles=40,
+                      netlist=name in NETLIST_ROWS)
+    for tier, trace in zip(("compiled", "netlist"), traces[1:]):
+        assert trace == traces[0], f"{name}: interpreter vs {tier}"
 
 
 def test_compiled_collects_display_tasks():
