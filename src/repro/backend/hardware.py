@@ -102,6 +102,15 @@ class HardwareEngine(CollectedTasks, Engine):
                             getattr(self.model, _attr(name)))
         self.model._dirty = True
 
+    def sync_edge_samples(self) -> None:
+        """Align edge-detection samples with current values, so the
+        post-handover settle cannot fire edges the previous tier already
+        consumed."""
+        model = self.model
+        for sig in self.compiled.edge_signals:
+            attr = _attr(sig)
+            setattr(model, "p_" + attr, getattr(model, attr))
+
     # ------------------------------------------------------------------
     # Data plane
     # ------------------------------------------------------------------
@@ -355,15 +364,6 @@ class FastSoftwareEngine(HardwareEngine):
             # nothing; keep the previous sample in sync (as _seq would
             # have) so the next matching edge is still detected.
             setattr(model, "p_" + attr, v)
-
-    def sync_edge_samples(self) -> None:
-        """Align edge-detection samples with current values, so the
-        post-handover settle cannot fire edges the interpreter already
-        consumed."""
-        model = self.model
-        for sig in self.compiled.edge_signals:
-            attr = _attr(sig)
-            setattr(model, "p_" + attr, getattr(model, attr))
 
     def supports_forwarding(self) -> bool:
         return False

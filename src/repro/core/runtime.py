@@ -470,24 +470,26 @@ class Runtime:
                     self._c_fastpath_failures.inc()
         self._maybe_enter_open_loop()
 
+    @staticmethod
+    def _settle_handover(engine: HardwareEngine) -> None:
+        """Settle a freshly loaded compiled model without replaying
+        history.  Combinational logic reaches its live values first (so
+        a derived clock wire is current), then the edge samples are
+        aligned, so the sequential pass cannot re-fire an edge the
+        previous tier already applied.  The settle's side effects are
+        discarded: the $display stream and virtual time must be exactly
+        what an interpreter-only run produces."""
+        engine.model._eval_comb()
+        engine.sync_edge_samples()
+        engine.evaluate()
+        engine.drain_tasks()
+
     def _swap_to_fastpath(self, name: str, compiled) -> None:
         old = self.engines[name]
         sub = self.program.subprograms[name]
         fast = FastSoftwareEngine(sub, compiled)
         self._transfer(old, fast, sub)
-        # The handover settle mirrors _swap_to_hardware, with one extra
-        # precaution: combinational logic is settled *before* edge
-        # samples are aligned, so a derived signal (e.g. an internal
-        # clock wire assigned from an input port) reaches its live value
-        # first and the sequential pass cannot re-fire edges the
-        # interpreter has already consumed.  The settle's side effects
-        # are discarded — virtual time and the $display stream must be
-        # exactly what an interpreter-only run would have produced.
-        fast.model._eval_comb()
-        fast.sync_edge_samples()
-        fast.model._dirty = True
-        fast.evaluate()
-        fast.drain_tasks()
+        self._settle_handover(fast)
         fast.drain_output_changes()
         self._install(name, fast, self._c_sw_migrations, "interpreted",
                       "sw-fast")
@@ -502,10 +504,7 @@ class Runtime:
         sub = self.program.subprograms[name]
         hw = HardwareEngine(sub, job.compiled)
         self._transfer(old, hw, sub)
-        # Settle combinational outputs before anyone observes them, so
-        # the handover is glitch-free.
-        hw.evaluate()
-        hw.drain_tasks()
+        self._settle_handover(hw)
         old_tier = "sw-fast" \
             if isinstance(old, FastSoftwareEngine) else "interpreted"
         self._install(name, hw, self._c_hw_migrations, old_tier,

@@ -103,6 +103,42 @@ assign led.val = n;
             assert cur == (prev + 1) & 0xFF
 
 
+class TestHandoverTiming:
+    """A migration is invisible: the handover settles the new engine
+    without replaying the clock edge the previous tier already applied,
+    so the run finishes on the same tick as an interpreter-only run."""
+
+    SRC = """
+reg [7:0] n = 0;
+always @(posedge clk.val) begin
+  n <= n + 1;
+  $display("n=%0d", n);
+  if (n == 40) $finish;
+end
+assign led.val = n;
+"""
+
+    def _run(self, rt):
+        rt.eval_source(self.SRC)
+        rt.run_until_finish()
+        return rt
+
+    @pytest.mark.parametrize("sw_fast", [False, True])
+    @pytest.mark.parametrize("open_loop", [False, True])
+    def test_migrating_run_matches_interpreter(self, sw_fast, open_loop):
+        ref = self._run(Runtime(enable_jit=False))
+        service = CompileService()
+        service.model.base_s = 0.003  # lands on a clock-high window
+        service.model.per_lut = 0.0
+        rt = self._run(Runtime(compile_service=service,
+                               enable_sw_fastpath=sw_fast,
+                               enable_open_loop=open_loop))
+        assert rt.engine_tiers()["main"] == "hardware"
+        assert rt.output_lines == ref.output_lines
+        assert rt.virtual_clock_ticks == ref.virtual_clock_ticks
+        assert rt.finished == ref.finished
+
+
 class TestRepeatedEvalCycles:
     def test_many_evals_keep_state_monotonic(self):
         """Every eval restarts the JIT; registers survive each rebuild
