@@ -50,7 +50,7 @@ from typing import Dict, Optional, Tuple
 from ..obs import Counter, MetricsRegistry, tracer
 from ..verilog.elaborate import Design
 from .netlist import Netlist
-from .pycompile import CompiledDesign
+from .pycompile import CODEGEN_VERSION, CompiledDesign
 
 __all__ = ["BitstreamCache", "CacheEntry", "InflightCompile",
            "PlacementCache", "design_cache_key"]
@@ -66,6 +66,7 @@ def design_cache_key(source: str, instrumented: bool,
     h.update(b"|instrumented=1|" if instrumented else b"|instrumented=0|")
     h.update(device_name.encode("utf-8"))
     h.update(b"|flow=%d" % full_flow_max_luts)
+    h.update(b"|codegen=%d" % CODEGEN_VERSION)
     return h.hexdigest()
 
 
@@ -83,13 +84,6 @@ class CacheEntry:
         self.flow_summary = flow_summary
 
 
-def _comb_snap_count(model_class) -> int:
-    n = 0
-    while hasattr(model_class, f"_comb_snap{n}"):
-        n += 1
-    return n
-
-
 def _rehydrate(design: Design, payload: Dict) -> CacheEntry:
     """Rebuild a CacheEntry from its on-disk JSON payload.
 
@@ -102,11 +96,8 @@ def _rehydrate(design: Design, payload: Dict) -> CacheEntry:
         namespace: Dict[str, object] = {}
         exec(compile(payload["pysource"],
                      f"<cached:{design.name}>", "exec"), namespace)
-        model_class = namespace[payload["class_name"]]
-        for i in range(payload.get("comb_snaps", 0)):
-            setattr(model_class, f"_comb_snap{i}", None)
-        compiled = CompiledDesign(design, payload["pysource"], model_class,
-                                  list(payload.get("edge_signals", [])))
+        compiled = CompiledDesign(design, payload["pysource"],
+                                  namespace[payload["class_name"]])
     placement = None
     if payload.get("placement") is not None:
         placement = {cell: (loc[0], loc[1])
@@ -350,10 +341,6 @@ class BitstreamCache:
                 if entry.compiled else None,
                 "pysource": entry.compiled.source
                 if entry.compiled else None,
-                "edge_signals": entry.compiled.edge_signals
-                if entry.compiled else [],
-                "comb_snaps": _comb_snap_count(entry.compiled.model_class)
-                if entry.compiled else 0,
                 "resources": entry.resources,
                 "error": entry.error,
                 "placement": {c: list(loc) for c, loc in

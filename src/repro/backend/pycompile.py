@@ -20,7 +20,8 @@ the clock internally (``_oloop``).
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, \
+    Tuple
 
 from ..common.errors import SynthesisError
 from ..verilog import ast
@@ -28,7 +29,11 @@ from ..verilog.elaborate import Design, Function, Var
 from ..interp.engine import read_set_of, read_set_of_lvalue_indices
 from . import pyrt
 
-__all__ = ["CompiledDesign", "compile_design"]
+__all__ = ["CODEGEN_VERSION", "CompiledDesign", "compile_design"]
+
+#: Bumped whenever the generated model changes shape, so on-disk cache
+#: entries written by an older code generator miss instead of loading.
+CODEGEN_VERSION = 2
 
 _ARITH = {"+": "+", "-": "-", "*": "*"}
 _BITWISE = {"&": "&", "|": "|", "^": "^"}
@@ -52,18 +57,17 @@ class CompiledDesign:
     appearing in an edge-sensitive event control to the set of edges
     registered on it.  The software fast path uses them to charge the
     same number of ABI-level evaluate calls as the interpreter would.
+    Both, like ``edge_signals``, are class attributes of the generated
+    model, so the source text alone is the whole artifact.
     """
 
-    def __init__(self, design: Design, source: str, model_class,
-                 edge_signals: List[str],
-                 comb_wake: Optional[Set[str]] = None,
-                 edge_wake: Optional[Dict[str, Set[str]]] = None):
+    def __init__(self, design: Design, source: str, model_class):
         self.design = design
         self.source = source
         self.model_class = model_class
-        self.edge_signals = edge_signals
-        self.comb_wake = comb_wake if comb_wake is not None else set()
-        self.edge_wake = edge_wake if edge_wake is not None else {}
+        self.edge_signals: List[str] = list(model_class._edge_signals)
+        self.comb_wake: FrozenSet[str] = model_class._comb_wake
+        self.edge_wake: Dict[str, FrozenSet[str]] = model_class._edge_wake
 
     def instantiate(self):
         return self.model_class()
@@ -673,8 +677,16 @@ class _DesignCompiler:
             name for name in self.comb_wake
             if design.vars.get(name) is not None
             and design.vars[name].is_array)
-        e.emit(1, "_wake_arrays = frozenset((" +
-               ", ".join(repr(n) for n in wake_arrays) + "))")
+        e.emit(1, f"_wake_arrays = frozenset({tuple(wake_arrays)!r})")
+        e.emit(1, f"_comb_wake = frozenset({tuple(sorted(self.comb_wake))!r})")
+        e.emit(1, "_edge_wake = {" + ", ".join(
+            f"{name!r}: frozenset({tuple(sorted(edges))!r})"
+            for name, edges in sorted(self.edge_wake.items())) + "}")
+        e.emit(1, "_edge_signals = "
+               f"{tuple(sorted(self._edge_signal_names(seq_blocks)))!r}")
+        for i in range(len(comb_blocks)):
+            # Comb-block snapshots start unset so every block runs once.
+            e.emit(1, f"_comb_snap{i} = None")
 
         # Pre-scan for NBA targets so __init__ can declare shadows: we
         # compile bodies into a scratch emitter first.
@@ -695,16 +707,7 @@ class _DesignCompiler:
         namespace: Dict[str, object] = {}
         exec(compile(source, f"<compiled:{design.name}>", "exec"),
              namespace)
-        model_class = namespace[self.class_name]
-        edge_signals = sorted({
-            item.expr.name
-            for block in seq_blocks
-            for item in block.ctrl.items
-            if isinstance(item.expr, ast.Ident)})
-        return CompiledDesign(design, source, model_class, edge_signals,
-                              comb_wake=set(self.comb_wake),
-                              edge_wake={k: set(v) for k, v
-                                         in self.edge_wake.items()})
+        return CompiledDesign(design, source, namespace[self.class_name])
 
     # ------------------------------------------------------------------
     def _emit_init(self, e: _Emitter,
@@ -1013,20 +1016,8 @@ class _DesignCompiler:
         e.emit(2, "return done")
         e.blank()
 
-    def comb_snap_defaults(self, count: int) -> None:
-        pass
-
 
 def compile_design(design: Design,
                    class_name: str = "CompiledModel") -> CompiledDesign:
     """Compile a synthesizable design into a fast Python model."""
-    compiler = _DesignCompiler(design, class_name)
-    compiled = compiler.compile()
-    # Comb-block snapshot caches start unset so blocks run once.
-    n_blocks = sum(
-        1 for b in design.always
-        if b.ctrl is not None and (b.ctrl.star or all(
-            i.edge is None for i in b.ctrl.items)))
-    for i in range(n_blocks):
-        setattr(compiled.model_class, f"_comb_snap{i}", None)
-    return compiled
+    return _DesignCompiler(design, class_name).compile()

@@ -237,6 +237,36 @@ class TestBitstreamCache:
             model.evaluate()
         assert model.v_q == 1
 
+    def test_disk_hit_runs_sw_fast_like_the_interpreter(self, tmp_path):
+        """A model rehydrated from disk carries its wake sets, so the
+        fast path it runs on wakes exactly as the interpreter does."""
+        src = """
+reg [7:0] n = 0;
+always @(posedge clk.val) begin
+  n <= n + 1;
+  if (n == 50) $finish;
+end
+assign led.val = n;
+"""
+
+        def run(rt):
+            rt.eval_source(src)
+            rt.run(iterations=400, until_finish=True)
+            return (rt.board.leds.value, rt.finished,
+                    rt.virtual_clock_ticks, rt.time_model.now_ns)
+
+        ref = run(Runtime(enable_jit=False))
+        assert ref[:3] == (51, 0, 50)
+        for disk_hits in (0, 1):
+            service = CompileService(
+                queue=CompileQueue(max_workers=0), latency_scale=1e9,
+                cache=BitstreamCache(disk_dir=str(tmp_path)))
+            rt = Runtime(compile_service=service)
+            assert run(rt) == ref
+            assert rt.engine_tiers()["main"] == "sw-fast"
+            assert service.cache.metrics.value("cache.disk_hits") \
+                == disk_hits
+
     def test_lru_eviction(self):
         cache = BitstreamCache(capacity=2)
         service = CompileService(cache=cache)
@@ -259,6 +289,15 @@ class TestBitstreamCache:
         assert base != design_cache_key("module m; endmodule", True,
                                         "auto", 500)
         assert base == design_cache_key("module m; endmodule", True,
+                                        "auto", 0)
+
+    def test_key_covers_codegen_version(self, monkeypatch):
+        """Entries written by an older code generator miss."""
+        import repro.backend.cache as cache_mod
+        base = design_cache_key("module m; endmodule", True, "auto", 0)
+        monkeypatch.setattr(cache_mod, "CODEGEN_VERSION",
+                            cache_mod.CODEGEN_VERSION + 1)
+        assert base != design_cache_key("module m; endmodule", True,
                                         "auto", 0)
 
 

@@ -119,6 +119,35 @@ end
         assert b.engine_tiers()["main"] == "sw-fast"
 
 
+class TestSingleArrayWake:
+    """A nonblocking write to the one array the comb logic reads must
+    wake the fast path, exactly as it wakes the interpreter.  The array
+    name has more than one character on purpose."""
+
+    SRC = """
+reg [7:0] mem [0:3];
+initial mem[1] = 0;
+wire [7:0] y;
+assign y = mem[1] + 1;
+assign led.val = y;
+always @(posedge clk.val) mem[1] <= y;
+always @(negedge clk.val) $display("led %0d", led.val);
+"""
+
+    def _run(self, rt):
+        rt.eval_source(self.SRC)
+        rt.run(iterations=402)
+        return rt
+
+    def test_fast_path_matches_interpreter(self):
+        a = self._run(_interp_runtime())
+        b = self._run(_fast_runtime())
+        assert b.engine_tiers()["main"] == "sw-fast"
+        assert a.output_lines[-1] == "led 202"
+        assert _observe(a) == _observe(b)
+        assert a.time_model.now_ns == b.time_model.now_ns
+
+
 class TestCorpusDifferential:
     """Every synthesizable corpus program, all three tiers."""
 
