@@ -16,7 +16,6 @@ supports the two optimisations that matter for performance:
 
 from __future__ import annotations
 
-import re
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..common.bits import Bits
@@ -25,13 +24,9 @@ from ..core.abi import HARDWARE, SOFTWARE, CollectedTasks, Engine, \
 from ..interp.fmt import format_display
 from ..ir.build import Subprogram
 from ..verilog.elaborate import Design
-from .pycompile import CompiledDesign
+from .pycompile import CompiledDesign, _attr
 
 __all__ = ["HardwareEngine", "FastSoftwareEngine"]
-
-
-def _attr(name: str) -> str:
-    return "v_" + re.sub(r"\W", "_", name)
 
 
 class HardwareEngine(CollectedTasks, Engine):
@@ -46,12 +41,16 @@ class HardwareEngine(CollectedTasks, Engine):
         self.design: Design = compiled.design
         self.model = compiled.instantiate()
         self._events = 0
-        self._out_last: Dict[str, int] = {}
-        self._outputs = [(v.name, v.width, v.signed)
+        #: name -> (model attribute, width mask, width, signed), mapped
+        #: once so the data plane's calls do no name mangling.
+        self._ports: Dict[str, Tuple[str, int, int, bool]] = {
+            v.name: (_attr(v.name), (1 << v.width) - 1, v.width, v.signed)
+            for v in self.design.vars.values() if not v.is_array}
+        self._outputs = [(v.name, _attr(v.name))
                          for v in self.design.vars.values()
                          if v.direction == "output"]
-        for name, _, _ in self._outputs:
-            self._out_last[name] = getattr(self.model, _attr(name))
+        self._out_last: Dict[str, int] = {
+            name: getattr(self.model, attr) for name, attr in self._outputs}
         # Forwarding state.
         self.inner: List[Engine] = []
         self._to_inner: List[Tuple[str, Engine, str]] = []
@@ -85,17 +84,21 @@ class HardwareEngine(CollectedTasks, Engine):
             var = self.design.vars.get(name)
             if var is None:
                 continue
+            # The model holds every value as an unsigned int of its
+            # variable's width; a signed Bits (an interpreter array word
+            # keeps the sign of the value stored into it) reads negative.
+            mask = (1 << var.width) - 1
             if var.is_array:
                 words = getattr(self.model, _attr(name))
                 for i, w in enumerate(list(value)[:len(words)]):
-                    words[i] = w.to_int_xz(0) if isinstance(w, Bits) \
-                        else int(w)
+                    words[i] = (w.to_int_xz(0) if isinstance(w, Bits)
+                                else int(w)) & mask
                 setattr(self.model, "g_" + _attr(name),
                         getattr(self.model, "g_" + _attr(name)) + 1)
             else:
                 v = value.to_int_xz(0) if isinstance(value, Bits) \
                     else int(value)
-                setattr(self.model, _attr(name), v & ((1 << var.width) - 1))
+                setattr(self.model, _attr(name), v & mask)
                 shadow = "n_" + _attr(name)
                 if hasattr(self.model, shadow):
                     setattr(self.model, shadow,
@@ -116,25 +119,24 @@ class HardwareEngine(CollectedTasks, Engine):
     # ------------------------------------------------------------------
     def write(self, port: str, value: Bits) -> None:
         self._events += 1
-        var = self.design.vars[port]
-        v = value.to_int_xz(0) & ((1 << var.width) - 1)
-        attr = _attr(port)
+        attr, mask, _, _ = self._ports[port]
+        v = value.to_int_xz(0) & mask
         if getattr(self.model, attr) != v:
             setattr(self.model, attr, v)
             self.model._dirty = True
 
     def read(self, port: str) -> Bits:
-        var = self.design.vars[port]
-        return Bits.from_int(getattr(self.model, _attr(port)), var.width,
-                             var.signed)
+        attr, _, width, signed = self._ports[port]
+        return Bits.from_int(getattr(self.model, attr), width, signed)
 
     def drain_output_changes(self) -> Set[str]:
         changed: Set[str] = set()
         model = self.model
-        for name, _, _ in self._outputs:
-            cur = getattr(model, _attr(name))
-            if cur != self._out_last[name]:
-                self._out_last[name] = cur
+        last = self._out_last
+        for name, attr in self._outputs:
+            cur = getattr(model, attr)
+            if cur != last[name]:
+                last[name] = cur
                 changed.add(name)
         return changed
 
@@ -142,7 +144,7 @@ class HardwareEngine(CollectedTasks, Engine):
     # Scheduling
     # ------------------------------------------------------------------
     def there_are_evals(self) -> bool:
-        return self.model._dirty or any(
+        return self.model._dirty or bool(self.inner) and any(
             inner.there_are_evals() for inner in self.inner)
 
     def evaluate(self) -> None:
@@ -153,7 +155,7 @@ class HardwareEngine(CollectedTasks, Engine):
         self._collect_tasks()
 
     def there_are_updates(self) -> bool:
-        return self.model._nba or any(
+        return self.model._nba or bool(self.inner) and any(
             inner.there_are_updates() for inner in self.inner)
 
     def update(self) -> None:
@@ -349,9 +351,8 @@ class FastSoftwareEngine(HardwareEngine):
 
     def write(self, port: str, value: Bits) -> None:
         self._events += 1
-        var = self.design.vars[port]
-        v = value.to_int_xz(0) & ((1 << var.width) - 1)
-        attr = _attr(port)
+        attr, mask, _, _ = self._ports[port]
+        v = value.to_int_xz(0) & mask
         model = self.model
         old = getattr(model, attr)
         if old == v:

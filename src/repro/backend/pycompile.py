@@ -3,8 +3,9 @@
 A hardware engine cannot run on a real FPGA here, so the "compiled"
 artifact our Quartus stand-in produces is a generated Python class that
 evaluates the design with plain machine integers, two-state, with
-sensitivity-driven sequential blocks and fixpoint combinational
-settling.  It is bit-exact with the reference interpreter on
+sensitivity-driven sequential blocks and a levelized combinational pass
+(a fixpoint only where the network is cyclic or has comb ``always``
+blocks).  It is bit-exact with the reference interpreter on
 synthesizable designs (tested by differential tests) and one to two
 orders of magnitude faster — the same *qualitative* gap that separates
 an interpreted simulator from fabric, which the virtual time model then
@@ -27,13 +28,20 @@ from ..common.errors import SynthesisError
 from ..verilog import ast
 from ..verilog.elaborate import Design, Function, Var
 from ..interp.engine import read_set_of, read_set_of_lvalue_indices
+from ..verilog.visitor import walk
 from . import pyrt
 
 __all__ = ["CODEGEN_VERSION", "CompiledDesign", "compile_design"]
 
 #: Bumped whenever the generated model changes shape, so on-disk cache
 #: entries written by an older code generator miss instead of loading.
-CODEGEN_VERSION = 2
+CODEGEN_VERSION = 3
+
+#: Pure single-port functions at most this wide become lookup tables.
+_TABLE_MAX_BITS = 8
+#: A combinational cone at least this costly is skipped while its
+#: inputs and outputs are unchanged (cheaper ones just recompute).
+_CONE_COST = 24
 
 _ARITH = {"+": "+", "-": "-", "*": "*"}
 _BITWISE = {"&": "&", "|": "|", "^": "^"}
@@ -43,6 +51,26 @@ _COMPARE = {"==": "==", "!=": "!=", "===": "==", "!==": "!=",
 
 def _mask(width: int) -> int:
     return (1 << width) - 1
+
+
+_INT = re.compile(r"-?\d+")
+#: Code made only of literals and these operators evaluates at codegen
+#: time exactly as it would at run time (no shifts: they can explode).
+_FOLDABLE = re.compile(r"[\d()+\-*&|^~ ]+")
+#: Argument code cheap enough to repeat when a function is inlined.
+_SIMPLE = re.compile(r"-?\d+|[A-Za-z_][\w.]*(\[\d+\])?")
+
+
+def _lit(code: str) -> Optional[int]:
+    """The value of constant generated code, else None."""
+    return int(code) if _INT.fullmatch(code) else None
+
+
+def _fold(code: str) -> str:
+    """Constant-fold generated code built only from literals."""
+    if _FOLDABLE.fullmatch(code) and not _INT.fullmatch(code):
+        return str(eval(code))
+    return code
 
 
 class CompiledDesign:
@@ -116,13 +144,19 @@ class _ExprCompiler:
     The value representation is an unsigned int in ``[0, 2**w)``; every
     node is computed at the context width and sign that sizing
     annotated, exactly as the interpreter's evaluator reads them, so
-    results agree bit-for-bit on two-state inputs.
+    results agree bit-for-bit on two-state inputs.  ``frame`` maps
+    function ports and locals to code; ``local`` maps design variables
+    the enclosing method has loaded into Python locals.  Constant
+    sub-expressions fold at codegen time, and with them index, select
+    and shift guards.
     """
 
     def __init__(self, compiler: "_DesignCompiler",
-                 frame: Optional[Dict[str, str]] = None):
+                 frame: Optional[Dict[str, str]] = None,
+                 local: Optional[Dict[str, str]] = None):
         self.c = compiler
         self.frame = frame or {}
+        self.local = local if local is not None else {}
 
     # -- public ----------------------------------------------------------
     def rvalue(self, expr: ast.Expr) -> Tuple[str, int, bool]:
@@ -130,13 +164,24 @@ class _ExprCompiler:
         return self._ctx(expr), expr.ctx_width, expr.ctx_signed
 
     def condition(self, expr: ast.Expr) -> str:
+        """A Python truth test of ``expr``; comparisons and logical
+        operators test directly instead of through a 0/1 value."""
+        if isinstance(expr, ast.Binary):
+            if expr.op in _COMPARE:
+                return self._compare(expr)
+            if expr.op in ("&&", "||"):
+                py = "and" if expr.op == "&&" else "or"
+                return (f"({self.condition(expr.lhs)}) {py} "
+                        f"({self.condition(expr.rhs)})")
+        if isinstance(expr, ast.Unary) and expr.op == "!":
+            return f"not ({self.condition(expr.operand)})"
         return f"({self._ctx(expr)}) != 0"
 
     # -- helpers -----------------------------------------------------------
     def _read(self, name: str) -> str:
         if name in self.frame:
             return self.frame[name]
-        return f"self.{_attr(name)}"
+        return self.local.get(name) or f"self.{_attr(name)}"
 
     def is_memory(self, name: str) -> bool:
         return name not in self.frame and self.c.design.vars[name].is_array
@@ -154,16 +199,35 @@ class _ExprCompiler:
         if from_w == ctx:
             return code
         if from_w > ctx:
-            return f"(({code}) & {_mask(ctx)})"
+            return _fold(f"(({code}) & {_mask(ctx)})")
         if signed:
             # Sign-extend then re-mask.
+            value = _lit(code)
+            if value is not None:
+                return str(pyrt.to_signed(value, from_w) & _mask(ctx))
             return (f"((pyrt.to_signed({code}, {from_w})) & {_mask(ctx)})")
         return code  # zero extension is a no-op for unsigned ints
 
+    @staticmethod
+    def _signed(code: str, width: int) -> str:
+        value = _lit(code)
+        if value is not None:
+            return str(pyrt.to_signed(value, width))
+        return f"pyrt.to_signed({code}, {width})"
+
     def _signed_pair(self, lcode: str, rcode: str, ctx: int
                      ) -> Tuple[str, str]:
-        return (f"pyrt.to_signed({lcode}, {ctx})",
-                f"pyrt.to_signed({rcode}, {ctx})")
+        return self._signed(lcode, ctx), self._signed(rcode, ctx)
+
+    def _guarded(self, value, index: str, limit: int) -> str:
+        """``value(i)`` when ``0 <= index < limit``, else 0.  A constant
+        index is checked here; otherwise the index is bound once to a
+        fresh local, which the condition computes before ``value``."""
+        k = _lit(index)
+        if k is not None:
+            return value(str(k)) if 0 <= k < limit else "0"
+        i = self.c.fresh("_i")
+        return f"({value(i)} if 0 <= ({i} := {index}) < {limit} else 0)"
 
     # -- core ---------------------------------------------------------------
     def _ctx(self, expr: ast.Expr) -> str:
@@ -185,9 +249,9 @@ class _ExprCompiler:
         if isinstance(expr, ast.RangeExpr):
             return self._coerce(self._range(expr), expr.width, ctx, signed)
         if isinstance(expr, ast.Unary):
-            return self._unary(expr, ctx)
+            return _fold(self._unary(expr, ctx))
         if isinstance(expr, ast.Binary):
-            return self._binary(expr, ctx, signed)
+            return _fold(self._binary(expr, ctx, signed))
         if isinstance(expr, ast.Ternary):
             cond = self.condition(expr.cond)
             then = self._ctx(expr.then)
@@ -208,26 +272,24 @@ class _ExprCompiler:
         base = expr.base
         idx_code = self._ctx(expr.index)
         if isinstance(base, ast.Ident) and self.is_memory(base.name):
-            var = self.c.design.vars[base.name]
-            nwords, msb, lsb = var.array
+            nwords, msb, lsb = self.c.design.vars[base.name].array
             lo = min(msb, lsb)
-            arr = f"self.{_attr(base.name)}"
-            return (f"({arr}[(({idx_code}) - {lo})] "
-                    f"if 0 <= (({idx_code}) - {lo}) < {nwords} else 0)")
+            offset = _fold(f"(({idx_code}) - {lo})") if lo else idx_code
+            arr = self._read(base.name)
+            return self._guarded(lambda i: f"{arr}[{i}]", offset, nwords)
         if isinstance(base, ast.Ident):
             code = self._read(base.name)
             msb, lsb = self.declared_range(base)
             offset = self._offset_code(idx_code, msb, lsb)
-            return (f"((({code}) >> ({offset})) & 1 "
-                    f"if 0 <= ({offset}) < {base.width} else 0)")
-        code = self._ctx(base)
-        return (f"((({code}) >> ({idx_code})) & 1 "
-                f"if 0 <= ({idx_code}) < {base.width} else 0)")
+        else:
+            code, offset = self._ctx(base), idx_code
+        return self._guarded(lambda i: f"((({code}) >> {i}) & 1)", offset,
+                             base.width)
 
     def _offset_code(self, idx_code: str, msb: int, lsb: int) -> str:
         if msb >= lsb:
-            return f"(({idx_code}) - {lsb})" if lsb else f"({idx_code})"
-        return f"({lsb} - ({idx_code}))"
+            return _fold(f"(({idx_code}) - {lsb})") if lsb else idx_code
+        return _fold(f"({lsb} - ({idx_code}))")
 
     def _range(self, expr: ast.RangeExpr) -> str:
         base = expr.base
@@ -243,14 +305,23 @@ class _ExprCompiler:
             hi_i, lo_i = expr.bounds
             hi = hi_i - lsb if descending else lsb - hi_i
             lo = lo_i - lsb if descending else lsb - lo_i
-            return f"((({code}) >> {min(hi, lo)}) & {_mask(width)})"
+            return self._slice(code, min(hi, lo), width)
         off = self._offset_code(self._ctx(expr.left), msb, lsb)
         if expr.mode == "+:":
-            lo_code = off if descending else f"(({off}) - {width - 1})"
+            lo_code = off if descending else _fold(f"(({off}) - {width - 1})")
         else:
-            lo_code = f"(({off}) - {width - 1})" if descending else off
+            lo_code = _fold(f"(({off}) - {width - 1})") if descending else off
+        lo = _lit(lo_code)
+        if lo is not None:
+            return self._slice(code, lo, width) if lo >= 0 else "0"
         return (f"((({code}) >> ({lo_code})) & {_mask(width)} "
                 f"if ({lo_code}) >= 0 else 0)")
+
+    @staticmethod
+    def _slice(code: str, lo: int, width: int) -> str:
+        if lo:
+            code = f"(({code}) >> {lo})"
+        return f"(({code}) & {_mask(width)})"
 
     def _unary(self, expr: ast.Unary, ctx: int) -> str:
         op = expr.op
@@ -286,14 +357,17 @@ class _ExprCompiler:
             py = "and" if op == "&&" else "or"
             return f"(1 if ((({l}) != 0) {py} (({r}) != 0)) else 0)"
         if op in _COMPARE:
-            w = expr.lhs.ctx_width
-            if expr.lhs.ctx_signed and op in ("<", "<=", ">", ">="):
-                l, r = self._signed_pair(l, r, w)
-            return f"(1 if ({l}) {_COMPARE[op]} ({r}) else 0)"
+            return f"(1 if {self._compare(expr, l, r)} else 0)"
+        amount = _lit(r)
         if op in ("<<", "<<<"):
+            if amount is not None:
+                return f"((({l}) << {amount}) & {_mask(ctx)})" \
+                    if amount < ctx else "0"
             return (f"(((({l}) << ({r})) & {_mask(ctx)}) "
                     f"if ({r}) < {ctx} else 0)")
         if op == ">>" or (op == ">>>" and not signed):
+            if amount is not None:
+                return f"(({l}) >> {amount})" if amount < ctx else "0"
             return f"((({l}) >> ({r})) if ({r}) < {ctx} else 0)"
         if op == ">>>":
             return f"pyrt.ashr({l}, {r}, {ctx})"
@@ -317,15 +391,31 @@ class _ExprCompiler:
             return f"((~(({l}) ^ ({r}))) & {_mask(ctx)})"
         raise SynthesisError(f"unknown binary operator {op!r}")
 
+    def _compare(self, expr: ast.Binary, l: Optional[str] = None,
+                 r: Optional[str] = None) -> str:
+        if l is None:
+            l, r = self._ctx(expr.lhs), self._ctx(expr.rhs)
+        if expr.lhs.ctx_signed and expr.op in ("<", "<=", ">", ">="):
+            l, r = self._signed_pair(l, r, expr.lhs.ctx_width)
+        return f"({l}) {_COMPARE[expr.op]} ({r})"
+
     def _concat(self, parts: Sequence[ast.Expr]) -> str:
         """The parts side by side, each at its own width."""
         shift = sum(p.width for p in parts)
         out = []
+        const = 0
         for p in parts:
             shift -= p.width
             code = self._ctx(p)
-            out.append(f"(({code}) << {shift})" if shift else f"({code})")
-        return "(" + " | ".join(out) + ")"
+            value = _lit(code)
+            if value is not None and value >= 0:
+                const |= value << shift
+            else:
+                out.append(f"(({code}) << {shift})" if shift
+                           else f"({code})")
+        if const or not out:
+            out.insert(0, str(const))
+        return "(" + " | ".join(out) + ")" if len(out) > 1 else out[0]
 
     def _call(self, expr: ast.Call, ctx: int, signed: bool) -> str:
         name = expr.name
@@ -342,10 +432,32 @@ class _ExprCompiler:
         args = []
         for arg, (_, w, _) in zip(expr.args, fn.ports):
             code = self._ctx(arg)
-            args.append(f"(({code}) & {_mask(w)})"
+            args.append(_fold(f"(({code}) & {_mask(w)})")
                         if arg.ctx_width > w else code)
-        call = f"self.{self.c.function_name(name)}(" + ", ".join(args) + ")"
-        return self._coerce(call, fn.ret_width, ctx, signed)
+        return self._coerce(self._apply(fn, args), fn.ret_width, ctx,
+                            signed)
+
+    def _apply(self, fn: Function, args: List[str]) -> str:
+        """A call of ``fn``: a table lookup, the body inlined, or a
+        method call, cheapest first."""
+        info = self.c.function_info(fn.name)
+        if info.table is not None:
+            return f"{info.table}[{args[0]}]"
+        body = info.inline
+        if body is not None:
+            frame = {}
+            for (port, _, _), code in zip(fn.ports, args):
+                if not _SIMPLE.fullmatch(code) and info.uses[port] > 1:
+                    break
+                frame[port] = code if _SIMPLE.fullmatch(code) \
+                    else f"({code})"
+            else:
+                code = _ExprCompiler(self.c, frame)._ctx(body)
+                if body.ctx_width > fn.ret_width:
+                    code = _fold(f"(({code}) & {_mask(fn.ret_width)})")
+                return code
+        return f"self.{self.c.function_name(fn.name)}(" \
+            + ", ".join(args) + ")"
 
 
 class _StmtCompiler:
@@ -411,9 +523,11 @@ class _StmtCompiler:
     def _assign(self, lhs: ast.Expr, rhs: ast.Expr, indent: int,
                 blocking: bool) -> None:
         code, ctx, _ = self.x.rvalue(rhs)
-        tmp = self.tmp()
-        self.e.emit(indent, f"{tmp} = {code}")
-        self._store(lhs, tmp, ctx, indent, blocking)
+        if _lit(code) is None:
+            tmp = self.tmp()
+            self.e.emit(indent, f"{tmp} = {code}")
+            code = tmp
+        self._store(lhs, code, ctx, indent, blocking)
 
     def _store(self, lhs: ast.Expr, value: str, value_w: int, indent: int,
                blocking: bool) -> None:
@@ -473,64 +587,83 @@ class _StmtCompiler:
         if name in self.x.frame:
             return self.x.frame[name]
         if blocking:
-            return f"self.{_attr(name)}"
+            return self.x.local.get(name) or f"self.{_attr(name)}"
         self.c.nba_targets.add(name)
         return f"self.n_{_attr(name)}"
+
+    def _written(self, name: str, blocking: bool, indent: int) -> None:
+        """Bookkeeping after a store to a design variable: a blocking
+        store through a local also writes the attribute back."""
+        if not blocking:
+            self.e.emit(indent, "self._nba = True")
+            return
+        local = self.x.local.get(name)
+        if local is not None:
+            self.e.emit(indent, f"self.{_attr(name)} = {local}")
+        self.c.mark_written(name, self.e, indent)
 
     def _store_ident(self, ident: ast.Ident, value: str, value_w: int,
                      indent: int, blocking: bool) -> None:
         name, w = ident.name, ident.width
-        code = f"(({value}) & {_mask(w)})" if value_w > w else value
+        code = _fold(f"(({value}) & {_mask(w)})") if value_w > w else value
         self.e.emit(indent, f"{self._target(name, blocking)} = {code}")
-        if name in self.x.frame:
-            return
-        if blocking:
-            self.c.mark_written(name, self.e, indent)
-        else:
-            self.e.emit(indent, "self._nba = True")
+        if name not in self.x.frame:
+            self._written(name, blocking, indent)
 
     def _store_word(self, name: str, idx: str, value: str, indent: int,
                     blocking: bool) -> None:
         var = self.c.design.vars[name]
         nwords, msb, lsb = var.array
         lo = min(msb, lsb)
-        off = self.tmp()
-        self.e.emit(indent, f"{off} = ({idx}) - {lo}")
-        self.e.emit(indent, f"if 0 <= {off} < {nwords}:")
-        masked = f"(({value}) & {_mask(var.width)})"
+        arr = self.x._read(name)
+        masked = _fold(f"(({value}) & {_mask(var.width)})")
+        off = _fold(f"({idx}) - {lo}") if lo else idx
+        k = _lit(off)
+        if k is None:
+            tmp = self.tmp()
+            self.e.emit(indent, f"{tmp} = {off}")
+            self.e.emit(indent, f"if 0 <= {tmp} < {nwords}:")
+            off, indent = tmp, indent + 1
+        elif not 0 <= k < nwords:
+            self.e.emit(indent, "pass")
+            return
         if blocking:
             # Change-filtered like the interpreter's _set_word: a
             # same-value rewrite must not bump the generation counter,
             # or a self-sensitive comb block never settles.
-            self.e.emit(indent + 1,
-                        f"if self.{_attr(name)}[{off}] != {masked}:")
-            self.e.emit(indent + 2,
-                        f"self.{_attr(name)}[{off}] = {masked}")
-            self.e.emit(indent + 2, f"self.g_{_attr(name)} += 1")
-            self.c.mark_written(name, self.e, indent + 2)
+            self.e.emit(indent, f"if {arr}[{off}] != {masked}:")
+            self.e.emit(indent + 1, f"{arr}[{off}] = {masked}")
+            self.e.emit(indent + 1, f"self.g_{_attr(name)} += 1")
+            self.c.mark_written(name, self.e, indent + 1)
         else:
+            # Each pending word carries its array and whether a change
+            # to it wakes combinational logic, so update() does no
+            # lookups.
             self.c.nba_array_targets.add(name)
-            self.e.emit(indent + 1,
-                        f"self._nba_words.append(('{name}', {off}, "
-                        f"{masked}))")
-            self.e.emit(indent + 1, "self._nba = True")
+            wakes = name in self.c.comb_wake
+            self.e.emit(indent, f"self._nba_words.append(({arr}, {off}, "
+                        f"{masked}, {wakes}))")
+            self.e.emit(indent, "self._nba = True")
 
     def _store_bits(self, base: ast.Ident, lo_code: str, width: int,
                     value: str, indent: int, blocking: bool) -> None:
         name, w = base.name, base.width
         target = self._target(name, blocking)
-        lo = self.tmp()
-        self.e.emit(indent, f"{lo} = {lo_code}")
-        self.e.emit(indent, f"if 0 <= {lo} <= {w - width}:")
+        lo = _lit(lo_code)
+        if lo is None:
+            lo = self.tmp()
+            self.e.emit(indent, f"{lo} = {lo_code}")
+            self.e.emit(indent, f"if 0 <= {lo} <= {w - width}:")
+            indent += 1
+        elif not 0 <= lo <= w - width:
+            self.e.emit(indent, "pass")
+            return
         self.e.emit(
-            indent + 1,
+            indent,
             f"{target} = ({target} & ~({_mask(width)} << {lo})) | "
             f"((({value}) & {_mask(width)}) << {lo})")
         if name not in self.x.frame:
-            if blocking:
-                self.c.mark_written(name, self.e, indent + 1)
-            else:
-                self.e.emit(indent + 1, "self._nba = True")
+            self._written(name, blocking, indent)
 
     # -- case ------------------------------------------------------------------
     def _case(self, stmt: ast.Case, indent: int) -> None:
@@ -599,6 +732,51 @@ class _StmtCompiler:
             raise SynthesisError(f"{stmt.name} cannot be synthesized")
 
 
+def _cost(expr: ast.Expr) -> int:
+    """A rough evaluation cost: nodes, with calls weighing more."""
+    return sum(8 if isinstance(n, ast.Call) else 1 for n in walk(expr))
+
+
+def _lvalue_names(lhs: ast.Expr) -> List[str]:
+    """The variables an l-value writes."""
+    out = []
+    stack = [lhs]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Ident):
+            out.append(node.name)
+        elif isinstance(node, (ast.IndexExpr, ast.RangeExpr)):
+            stack.append(node.base)
+        elif isinstance(node, ast.Concat):
+            stack.extend(node.parts)
+    return out
+
+
+def _local(name: str) -> str:
+    """The Python local a method loads a design variable into."""
+    return "_" + _attr(name)
+
+
+class _FnInfo:
+    """What codegen knows about one Verilog function.
+
+    ``reads`` are the design variables it reads, through its callees
+    too; it is ``side_effect_free`` when neither it nor a callee writes
+    a design variable or runs a system task.  A pure function (side
+    effect free, reading only its arguments) compiles to a lookup
+    ``table`` when it has one narrow port and no loops or calls, and
+    otherwise may be ``inline``d: ``inline`` is the right-hand side when
+    the body is one assignment of the result, and ``uses`` counts each
+    port's references in it."""
+
+    def __init__(self):
+        self.reads: Set[str] = set()
+        self.side_effect_free = True
+        self.inline: Optional[ast.Expr] = None
+        self.uses: Dict[str, int] = {}
+        self.table: Optional[str] = None
+
+
 class _DesignCompiler:
     """Drives compilation of one design into a model class."""
 
@@ -607,15 +785,86 @@ class _DesignCompiler:
         self.class_name = class_name
         self.nba_targets: Set[str] = set()
         self.nba_array_targets: Set[str] = set()
-        self.comb_written: Dict[int, Set[str]] = {}
         self._fn_names: Dict[str, str] = {}
-        self._current_comb: Optional[int] = None
+        self._fn_info: Dict[str, _FnInfo] = {}
+        self._tables: List[str] = []
+        self._fresh = 0
+        #: Snapshot attributes of the gated combinational cones.
+        self.cones: List[str] = []
 
     def function_name(self, name: str) -> str:
         if name not in self._fn_names:
             self._fn_names[name] = "f_" + re.sub(r"\W", "_", name) \
                 + f"_{len(self._fn_names)}"
         return self._fn_names[name]
+
+    def fresh(self, prefix: str) -> str:
+        self._fresh += 1
+        return f"{prefix}{self._fresh}"
+
+    def function_info(self, name: str) -> _FnInfo:
+        info = self._fn_info.get(name)
+        if info is None:
+            info = self._fn_info[name] = _FnInfo()
+            # Registered before the walk: a recursive call sees this
+            # (conservatively impure) entry.
+            info.side_effect_free = False
+            self._analyse_function(self.design.functions[name], info)
+        return info
+
+    def _analyse_function(self, fn: Function, info: _FnInfo) -> None:
+        short = fn.name.split(".")[-1]
+        ports = {p for p, _, _ in fn.ports}
+        frame = ports | {l for l, _, _ in fn.locals_} | {short, fn.name}
+        info.reads = read_set_of(fn.body) - frame
+        free, simple = True, True
+        for node in walk(fn.body):
+            if isinstance(node, (ast.BlockingAssign,
+                                 ast.NonblockingAssign)):
+                free = free and set(_lvalue_names(node.lhs)) <= frame
+            elif isinstance(node, ast.SysTask):
+                free = False
+            elif isinstance(node, (ast.For, ast.While, ast.RepeatStmt,
+                                   ast.Forever)):
+                simple = False
+            elif isinstance(node, ast.Call) and \
+                    not node.name.startswith("$"):
+                simple = False
+                callee = self.function_info(node.name)
+                info.reads |= callee.reads
+                free = free and callee.side_effect_free
+        info.side_effect_free = free
+        if not free or info.reads:
+            return
+        if simple and len(fn.ports) == 1 \
+                and fn.ports[0][1] <= _TABLE_MAX_BITS:
+            info.table = self._tabulate(fn)
+            return
+        body = fn.body
+        if isinstance(body, ast.Block) and len(body.stmts) == 1:
+            body = body.stmts[0]
+        if isinstance(body, ast.BlockingAssign) \
+                and isinstance(body.lhs, ast.Ident) \
+                and body.lhs.name in (short, fn.name):
+            idents = [n.name for n in walk(body.rhs)
+                      if isinstance(n, ast.Ident)]
+            if set(idents) <= ports:
+                info.inline = body.rhs
+                info.uses = {p: idents.count(p) for p in ports}
+
+    def _tabulate(self, fn: Function) -> str:
+        """Evaluate a pure one-port function on every argument value at
+        codegen time; the generated model indexes the table instead."""
+        e = _Emitter()
+        e.emit(0, "class _Fn:")
+        self._compile_function(e, fn)
+        namespace: Dict[str, object] = {"pyrt": pyrt}
+        exec(compile(e.source(), f"<table:{fn.name}>", "exec"), namespace)
+        method = getattr(namespace["_Fn"], self.function_name(fn.name))
+        name = "_T" + self.function_name(fn.name)[1:]
+        values = tuple(method(None, v) for v in range(1 << fn.ports[0][1]))
+        self._tables.append(f"{name} = {values!r}")
+        return name
 
     def mark_written(self, name: str, emitter: _Emitter,
                      indent: int) -> None:
@@ -665,19 +914,12 @@ class _DesignCompiler:
                         item.expr.name, set()).add(item.edge)
 
         e = _Emitter()
-        e.emit(0, "from repro.backend import pyrt")
-        e.blank()
         e.emit(0, f"class {self.class_name}:")
         # When _gate_wakes is True (the software fast path), update()
         # raises the dirty flag only for changes the interpreter would
         # also have activated on, so ABI-level call counts — and hence
         # virtual-time charges — match the interpreter bit for bit.
         e.emit(1, "_gate_wakes = False")
-        wake_arrays = sorted(
-            name for name in self.comb_wake
-            if design.vars.get(name) is not None
-            and design.vars[name].is_array)
-        e.emit(1, f"_wake_arrays = frozenset({tuple(wake_arrays)!r})")
         e.emit(1, f"_comb_wake = frozenset({tuple(sorted(self.comb_wake))!r})")
         e.emit(1, "_edge_wake = {" + ", ".join(
             f"{name!r}: frozenset({tuple(sorted(edges))!r})"
@@ -703,7 +945,8 @@ class _DesignCompiler:
         self._emit_framework(body, seq_blocks)
         e.lines.extend(body.lines)
 
-        source = e.source()
+        source = "\n".join(["from repro.backend import pyrt", ""]
+                           + self._tables + [""]) + e.source()
         namespace: Dict[str, object] = {}
         exec(compile(source, f"<compiled:{design.name}>", "exec"),
              namespace)
@@ -715,21 +958,21 @@ class _DesignCompiler:
         e.emit(1, "def __init__(self):")
         for var in self.design.vars.values():
             attr = _attr(var.name)
+            # A signed initializer reads negative; the model holds the
+            # unsigned value of the variable's width.
+            init = var.init.to_int_xz(0) & _mask(var.width) \
+                if var.init is not None else 0
             if var.is_array:
-                nwords = var.array[0]
-                if var.init is not None:
-                    init = var.init.to_int_xz(0)
-                else:
-                    init = 0
-                e.emit(2, f"self.{attr} = [{init}] * {nwords}")
+                e.emit(2, f"self.{attr} = [{init}] * {var.array[0]}")
                 e.emit(2, f"self.g_{attr} = 0")
             else:
-                init = var.init.to_int_xz(0) if var.init is not None else 0
                 e.emit(2, f"self.{attr} = {init}")
         for name in sorted(self.nba_targets):
             attr = _attr(name)
             e.emit(2, f"self.n_{attr} = self.{attr}")
         e.emit(2, "self._nba_words = []")
+        for key in self.cones:
+            e.emit(2, f"self.{key} = None")
         # Previous samples for edge detection.
         for sig in self._edge_signal_names(seq_blocks):
             e.emit(2, f"self.p_{_attr(sig)} = self.{_attr(sig)}")
@@ -780,61 +1023,71 @@ class _DesignCompiler:
         e.blank()
 
     def _topo_sort_assigns(self, assigns: List[ast.ContinuousAssign]
-                           ) -> List[ast.ContinuousAssign]:
-        """Order continuous assigns so drivers precede readers; with an
-        acyclic comb network the fixpoint then converges in one pass
-        (plus one verification pass).  Cycles fall back to input order
-        and settle through extra passes."""
-        from ..verilog.visitor import walk as _walk
+                           ) -> Tuple[List[ast.ContinuousAssign], bool]:
+        """Order continuous assigns so drivers precede readers.
 
-        def lhs_names(a: ast.ContinuousAssign):
-            out = []
-            stack = [a.lhs]
-            while stack:
-                node = stack.pop()
-                if isinstance(node, ast.Ident):
-                    out.append(node.name)
-                elif isinstance(node, (ast.IndexExpr, ast.RangeExpr)):
-                    stack.append(node.base)
-                elif isinstance(node, ast.Concat):
-                    stack.extend(node.parts)
-            return out
-
+        Returns the order and whether the network is *levelizable*: one
+        pass in that order settles it.  That holds when no assign
+        depends on its own target (directly or through other assigns),
+        each fully driven variable has one driver, and every function
+        the assigns call is free of side effects; the variables such a
+        function reads count as dependencies.  Otherwise the order is
+        the input order, and the caller settles the network through a
+        fixpoint."""
         writers: Dict[str, List[int]] = {}
+        full: Dict[str, int] = {}
         for i, a in enumerate(assigns):
-            for name in lhs_names(a):
+            for name in _lvalue_names(a.lhs):
                 writers.setdefault(name, []).append(i)
+            if isinstance(a.lhs, ast.Ident):
+                full[a.lhs.name] = full.get(a.lhs.name, 0) + 1
+        levelized = all(len(writers[name]) == 1 for name in full)
+        deps: List[Set[str]] = []
+        for a in assigns:
+            deps.append(self._assign_reads(a))
+            levelized = levelized and all(
+                self.function_info(node.name).side_effect_free
+                for node in walk(a.rhs) if isinstance(node, ast.Call)
+                and not node.name.startswith("$"))
         order: List[int] = []
         state = [0] * len(assigns)  # 0 new, 1 visiting, 2 done
-        cyclic = False
 
         def visit(i: int) -> None:
-            nonlocal cyclic
+            nonlocal levelized
             if state[i] == 2:
                 return
             if state[i] == 1:
-                cyclic = True
+                levelized = False
                 return
             state[i] = 1
-            for node in _walk(assigns[i].rhs):
-                if isinstance(node, ast.Ident):
-                    for j in writers.get(node.name, ()):
-                        if j != i:
-                            visit(j)
+            for name in sorted(deps[i]):
+                for j in writers.get(name, ()):
+                    visit(j)
             state[i] = 2
             order.append(i)
 
         for i in range(len(assigns)):
             visit(i)
-        if cyclic:
-            return assigns
-        return [assigns[i] for i in order]
+        if not levelized:
+            return assigns, False
+        return [assigns[i] for i in order], True
+
+    def _assign_reads(self, a: ast.ContinuousAssign) -> Set[str]:
+        """What an assign reads, through the functions it calls too."""
+        reads = read_set_of(a.rhs) | read_set_of_lvalue_indices(a.lhs)
+        for node in walk(a.rhs):
+            if isinstance(node, ast.Call) and not node.name.startswith("$"):
+                reads |= self.function_info(node.name).reads
+        return reads
 
     def _compile_comb(self, e: _Emitter,
                       assigns: List[ast.ContinuousAssign],
                       blocks: List[ast.AlwaysBlock]) -> None:
-        assigns = self._topo_sort_assigns(assigns)
+        assigns, levelized = self._topo_sort_assigns(assigns)
         e.emit(1, "def _eval_comb(self):")
+        if levelized and not blocks:
+            self._emit_levelized(e, assigns)
+            return
         e.emit(2, "for _pass in range(128):")
         e.emit(3, "self._dirty = False")
         exprs = _ExprCompiler(self)
@@ -872,6 +1125,93 @@ class _DesignCompiler:
             stmts = _StmtCompiler(self, e, exprs_i)
             stmts.compile(block.body, 2)
             e.blank()
+
+    def _emit_levelized(self, e: _Emitter,
+                        assigns: List[ast.ContinuousAssign]) -> None:
+        """The whole network in one pass, in dependency order.
+
+        The variables the network only reads are loaded into locals up
+        front, and each fully driven variable is computed into a local
+        that later assigns read; its attribute is stored
+        unconditionally, which leaves the state a fixpoint would.
+        Assigns that share no variable form independent *cones*; a
+        large cone is skipped while a snapshot of everything it reads
+        and writes is unchanged, since recomputing it would change
+        nothing."""
+        vars_ = self.design.vars
+        reads = [self._assign_reads(a) for a in assigns]
+        writes = [set(_lvalue_names(a.lhs)) for a in assigns]
+        written = set().union(*writes)
+        local: Dict[str, str] = {}
+        for name in sorted(set().union(*reads) - written):
+            if name in vars_:
+                local[name] = _local(name)
+                e.emit(2, f"{local[name]} = self.{_attr(name)}")
+        exprs = _ExprCompiler(self, local=local)
+        self.cones = []
+        for cone in self._cones(assigns, reads, writes):
+            indent = 2
+            gated = sum(_cost(assigns[i].rhs) for i in cone) >= _CONE_COST
+            if gated:
+                snap = [f"self.g_{_attr(n)}" if vars_[n].is_array
+                        else local[n]
+                        for n in sorted(set().union(*(reads[i] for i in cone))
+                                        - written) if n in vars_]
+                snap += [f"self.{_attr(n)}" for n in
+                         sorted(set().union(*(writes[i] for i in cone)))]
+                snap_code = "(" + ", ".join(snap) + ",)"
+                key = f"_cone{len(self.cones)}"
+                self.cones.append(key)
+                e.emit(2, f"if {snap_code} != self.{key}:")
+                indent = 3
+            for i in cone:
+                a = assigns[i]
+                code, ctx, _ = exprs.rvalue(a.rhs)
+                lhs = a.lhs
+                if isinstance(lhs, ast.Ident) and lhs.name in vars_:
+                    width = vars_[lhs.name].width
+                    if ctx > width:
+                        code = _fold(f"(({code}) & {_mask(width)})")
+                    e.emit(indent, f"{_local(lhs.name)} = {code}")
+                    e.emit(indent,
+                           f"self.{_attr(lhs.name)} = {_local(lhs.name)}")
+                    local[lhs.name] = _local(lhs.name)
+                else:
+                    stmts = _StmtCompiler(self, e, exprs)
+                    tmp = stmts.tmp()
+                    e.emit(indent, f"{tmp} = {code}")
+                    stmts._store(lhs, tmp, ctx, indent, blocking=True)
+            if gated:
+                e.emit(3, f"self.{key} = {snap_code}")
+        e.emit(2, "self._dirty = False")
+        e.blank()
+
+    @staticmethod
+    def _cones(assigns: List[ast.ContinuousAssign], reads: List[Set[str]],
+               writes: List[Set[str]]) -> List[List[int]]:
+        """Group assigns (kept in the given order) that are connected
+        through a variable one writes and another reads or writes."""
+        parent = list(range(len(assigns)))
+
+        def find(i: int) -> int:
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        users: Dict[str, int] = {}
+        for i in range(len(assigns)):
+            for name in writes[i]:
+                users.setdefault(name, i)
+        for i in range(len(assigns)):
+            for name in reads[i] | writes[i]:
+                j = users.get(name)
+                if j is not None:
+                    parent[find(i)] = find(j)
+        cones: Dict[int, List[int]] = {}
+        for i in range(len(assigns)):
+            cones.setdefault(find(i), []).append(i)
+        return list(cones.values())
 
     def _emit_comb_store(self, e: _Emitter, stmts: "_StmtCompiler",
                          lhs: ast.Expr, tmp: str, ctx: int) -> None:
@@ -922,19 +1262,39 @@ class _DesignCompiler:
         e.blank()
         for i, block in enumerate(blocks):
             e.emit(1, f"def _seq_blk{i}(self):")
-            exprs = _ExprCompiler(self)
+            exprs = _ExprCompiler(self, local=self._block_locals(e, block))
             stmts = _StmtCompiler(self, e, exprs)
             stmts.compile(block.body, 2)
             e.blank()
 
+    def _block_locals(self, e: _Emitter,
+                      block: ast.AlwaysBlock) -> Dict[str, str]:
+        """Load the variables a sequential block reads more than once
+        into locals (blocking stores write both back).  A block calling
+        a function that writes design variables keeps every read on the
+        attributes."""
+        counts: Dict[str, int] = {}
+        for node in walk(block.body):
+            if isinstance(node, ast.Ident):
+                counts[node.name] = counts.get(node.name, 0) + 1
+            elif isinstance(node, ast.Call) and \
+                    not node.name.startswith("$") and \
+                    not self.function_info(node.name).side_effect_free:
+                return {}
+        local: Dict[str, str] = {}
+        for name in sorted(counts):
+            if counts[name] > 1 and name in self.design.vars:
+                local[name] = _local(name)
+                e.emit(2, f"{local[name]} = self.{_attr(name)}")
+        return local
+
     def _emit_framework(self, e: _Emitter,
                         seq_blocks: List[ast.AlwaysBlock]) -> None:
-        # Snapshot fields for comb blocks are created lazily in
-        # __init__-time via class attribute defaults.
         e.emit(1, "def evaluate(self):")
+        e.emit(2, "_eval_comb, _seq = self._eval_comb, self._seq")
         e.emit(2, "for _round in range(64):")
-        e.emit(3, "self._eval_comb()")
-        e.emit(3, "if not self._seq():")
+        e.emit(3, "_eval_comb()")
+        e.emit(3, "if not _seq():")
         e.emit(4, "return")
         e.emit(2, "raise RuntimeError('evaluation did not converge')")
         e.blank()
@@ -973,12 +1333,11 @@ class _DesignCompiler:
             e.emit(3, f"self.{attr} = self.n_{attr}")
             e.emit(3, "changed = True")
         e.emit(2, "if self._nba_words:")
-        e.emit(3, "for _name, _off, _val in self._nba_words:")
-        e.emit(4, "_arr = getattr(self, 'v_' + _name.replace('.', '_'))")
+        e.emit(3, "for _arr, _off, _val, _wakes in self._nba_words:")
         e.emit(4, "if _arr[_off] != _val:")
         e.emit(5, "_arr[_off] = _val")
         e.emit(5, "changed = True")
-        e.emit(5, "if _name in self._wake_arrays:")
+        e.emit(5, "if _wakes:")
         e.emit(6, "wake = True")
         for name in sorted(self.nba_array_targets):
             e.emit(3, f"self.g_{_attr(name)} += 1")
@@ -999,15 +1358,16 @@ class _DesignCompiler:
         e.emit(2, "self._finished = code")
         e.blank()
         e.emit(1, "def open_loop(self, clock_attr, steps):")
+        e.emit(2, "evaluate, update = self.evaluate, self.update")
         e.emit(2, "done = 0")
         e.emit(2, "while done < steps:")
         e.emit(3, "setattr(self, clock_attr, "
                "getattr(self, clock_attr) ^ 1)")
         e.emit(3, "self._dirty = True")
-        e.emit(3, "self.evaluate()")
+        e.emit(3, "evaluate()")
         e.emit(3, "while self._nba:")
-        e.emit(4, "self.update()")
-        e.emit(4, "self.evaluate()")
+        e.emit(4, "update()")
+        e.emit(4, "evaluate()")
         e.emit(3, "done += 1")
         e.emit(3, "if not (done & 1):")
         e.emit(4, "self._time += 1")

@@ -121,6 +121,12 @@ class Engine(abc.ABC):
         """Pending display/finish notifications for the runtime."""
         return []
 
+    @property
+    def has_tasks(self) -> bool:
+        """False only when :meth:`drain_tasks` would return nothing (the
+        scheduler then skips the drain); conservatively True here."""
+        return True
+
     # -- optimisations (forward / open_loop) ---------------------------------
     def supports_forwarding(self) -> bool:
         return False

@@ -33,6 +33,9 @@ class DataPlane:
         self.driver_port: Dict[str, Tuple[str, str]] = {}
         self.rebuild_routes()
         self.messages_sent = 0
+        #: Per polled engine: (engine, on the fabric?, {out port: (net,
+        #: ((reader, reader port, reader on the fabric?), ...))}).
+        self._routes: Optional[List[Tuple[Engine, bool, Dict]]] = None
 
     def rebuild_routes(self) -> None:
         self.readers = {name: [] for name in self.program.nets}
@@ -44,51 +47,74 @@ class DataPlane:
                         (sub.name, port))
                 else:
                     self.driver_port[net] = (sub.name, port)
+        self._routes = None
+
+    def invalidate_routes(self) -> None:
+        """The engine set or the absorbed set changed."""
+        self._routes = None
+
+    def _route_table(self, engines: Dict[str, Engine],
+                     absorbed: Set[str]) -> List[Tuple[Engine, bool, Dict]]:
+        routes = []
+        for name, engine in engines.items():
+            if name in absorbed:
+                continue
+            ports = {}
+            bindings = self.program.subprograms[name].bindings
+            for port, (net, direction) in bindings.items():
+                if direction != "out":
+                    continue
+                readers = []
+                for reader_name, reader_port in self.readers.get(net, ()):
+                    reader = engines.get(reader_name)
+                    if reader_name not in absorbed and reader is not None:
+                        readers.append((reader, reader_port,
+                                        reader.location == HARDWARE))
+                ports[port] = (net, tuple(readers))
+            routes.append((engine, engine.location == HARDWARE, ports))
+        return routes
 
     # ------------------------------------------------------------------
-    def _charge(self, engine: Engine) -> None:
-        self.messages_sent += 1
-        if engine.location == HARDWARE:
-            self.time_model.charge_mmio()
-        else:
-            self.time_model.charge_sw_events(0)  # heap-local, ~free
-
     def propagate(self, engines: Dict[str, Engine],
                   absorbed: Optional[Set[str]] = None) -> bool:
         """Drain output changes from every engine and deliver them to
         readers.  ``absorbed`` names subprograms currently handled by
         ABI forwarding — the plane neither polls nor delivers to them.
-        Returns True when any message was delivered."""
-        absorbed = absorbed or set()
+        Returns True when any message was delivered.
+
+        Routes are tabulated per engine on first use and kept until
+        :meth:`invalidate_routes`.  Every message counts in
+        ``messages_sent``; one to or from the fabric is charged as MMIO,
+        a heap-local one costs nothing."""
+        routes = self._routes
+        if routes is None:
+            routes = self._routes = self._route_table(engines,
+                                                      absorbed or set())
+        values = self.values
+        time_model = self.time_model
         delivered = False
-        for name, engine in engines.items():
-            if name in absorbed:
-                continue
+        for engine, hardware, ports in routes:
             changed = engine.drain_output_changes()
             if not changed:
                 continue
-            sub = self.program.subprograms[name]
             for port in changed:
-                binding = sub.bindings.get(port)
-                if binding is None:
+                route = ports.get(port)
+                if route is None:
                     continue
-                net, direction = binding
-                if direction != "out":
-                    continue
+                net, readers = route
                 value = engine.read(port)
-                self._charge(engine)
-                old = self.values.get(net)
+                self.messages_sent += 1
+                if hardware:
+                    time_model.charge_mmio()
+                old = values.get(net)
                 if old is not None and old.aval == value.aval \
                         and old.bval == value.bval:
                     continue
-                self.values[net] = value
-                for reader_name, reader_port in self.readers.get(net, ()):
-                    if reader_name in absorbed:
-                        continue
-                    reader = engines.get(reader_name)
-                    if reader is None:
-                        continue
-                    self._charge(reader)
+                values[net] = value
+                for reader, reader_port, reader_hardware in readers:
+                    self.messages_sent += 1
+                    if reader_hardware:
+                        time_model.charge_mmio()
                     reader.write(reader_port, value)
                     delivered = True
         return delivered

@@ -145,12 +145,22 @@ class Runtime:
         self.obs_tid = "main"
         self.unsynthesizable: Dict[str, str] = {}
         self._engines_cache: Optional[List[Tuple[str, Engine]]] = None
+        #: Per active engine: (engine, its there_are_evals and
+        #: there_are_updates, charged over MMIO?, tallied as sw-fast?).
+        self._schedule: List[tuple] = []
+
+    def _engines_changed(self) -> None:
+        """The engine set changed (rebuild, migration, forwarding or
+        absorption): drop everything derived from it."""
+        self._engines_cache = None
+        if self.plane is not None:
+            self.plane.invalidate_routes()
 
     def _install(self, name: str, engine: Engine, migrations: Counter,
                  from_tier: str, to_tier: str, **extra) -> None:
         """Put ``engine`` in ``name``'s place and record the tier swap."""
         self.engines[name] = engine
-        self._engines_cache = None
+        self._engines_changed()
         migrations.inc()
         tr = tracer()
         if tr.enabled:
@@ -243,7 +253,7 @@ class Runtime:
         self.program = program
         self.engines = engines
         self.absorbed = set()
-        self._engines_cache = None
+        self._engines_changed()
         self._open_loop_active = False
         self._oloop_limit = _OLOOP_MIN
         self._oloop_exec_cap = _OLOOP_REAL_CAP
@@ -340,10 +350,19 @@ class Runtime:
             cache = [(name, e) for name, e in self.engines.items()
                      if name not in self.absorbed]
             self._engines_cache = cache
+            # A call to an engine is charged over MMIO to the fabric or
+            # at software rates (by default the interpreter's own rate —
+            # DESIGN.md §4.4), tallied under the fast tier for sw-fast.
+            self._schedule = [
+                (e, e.there_are_evals, e.there_are_updates,
+                 e.location == HARDWARE, isinstance(e, FastSoftwareEngine))
+                for _, e in cache]
         return cache
 
     def _drain_tasks(self) -> None:
         for name, engine in self._active_engines():
+            if not engine.has_tasks:
+                continue
             for task in engine.drain_tasks():
                 if task.kind == "display":
                     self.interrupts.push_display(task.text, task.newline)
@@ -351,41 +370,41 @@ class Runtime:
                     self.interrupts.push_finish(task.code)
 
     def _phase_loop(self) -> None:
-        """Drain evaluation/update events to an observable state."""
+        """Drain evaluation/update events to an observable state.  One
+        engine's evaluate or update cannot raise another's events (they
+        meet only through the plane), so each engine is checked and run
+        in turn."""
         plane = self.plane
         assert plane is not None
+        self._active_engines()
+        schedule = self._schedule
+        tm = self.time_model
         for _ in range(100_000):
-            active = self._active_engines()
-            evals = [(n, e) for n, e in active if e.there_are_evals()]
-            if evals:
-                for name, engine in evals:
-                    self._charge_call(engine)
+            ran = False
+            for engine, evals, _, hardware, fast in schedule:
+                if evals():
+                    if hardware:
+                        tm.charge_mmio()
+                        tm.charge_hw_ticks(1)
+                    else:
+                        tm.charge_sw_events(1, fast)
                     engine.evaluate()
-                plane.propagate(self.engines, self.absorbed)
-                self._drain_tasks()
-                continue
-            updates = [(n, e) for n, e in active
-                       if e.there_are_updates()]
-            if updates:
-                for name, engine in updates:
-                    self._charge_call(engine)
-                    engine.update()
-                plane.propagate(self.engines, self.absorbed)
-                self._drain_tasks()
-                continue
-            return
+                    ran = True
+            if not ran:
+                for engine, _, updates, hardware, fast in schedule:
+                    if updates():
+                        if hardware:
+                            tm.charge_mmio()
+                            tm.charge_hw_ticks(1)
+                        else:
+                            tm.charge_sw_events(1, fast)
+                        engine.update()
+                        ran = True
+                if not ran:
+                    return
+            plane.propagate(self.engines, self.absorbed)
+            self._drain_tasks()
         raise CascadeError("scheduler did not reach an observable state")
-
-    def _charge_call(self, engine: Engine) -> None:
-        if engine.location == HARDWARE:
-            self.time_model.charge_mmio()
-            self.time_model.charge_hw_ticks(1)
-        else:
-            # The fast path is charged at software rates (by default the
-            # interpreter's own rate — DESIGN.md §4.4) but tallied under
-            # its own tier so :stats can show where events ran.
-            self.time_model.charge_sw_events(
-                1, fast=isinstance(engine, FastSoftwareEngine))
 
     def _service_interrupts(self) -> None:
         """Apply queued interrupts in arrival order (§3.4)."""
@@ -541,7 +560,7 @@ class Runtime:
                 continue
             hw.forward(inner)
             self.absorbed.add(other.name)
-            self._engines_cache = None
+            self._engines_changed()
             self.view.info(f"[cascade] {other.name} forwarded into "
                            f"{sub.name}")
 
@@ -588,7 +607,7 @@ class Runtime:
             return
         hw.absorb_clock(self.engines[clock_name], clock_port)
         self.absorbed.add(clock_name)
-        self._engines_cache = None
+        self._engines_changed()
         self._open_loop_active = True
         self.view.info(f"[cascade] entering open-loop scheduling "
                        f"(clock={clock_port})")

@@ -91,7 +91,9 @@ class StdlibEngine(CollectedTasks, Engine):
         return v.aval & ~v.bval
 
     def drain_output_changes(self) -> Set[str]:
-        out, self._changed = self._changed, set()
+        out = self._changed
+        if out:
+            self._changed = set()
         return out
 
     def there_are_evals(self) -> bool:

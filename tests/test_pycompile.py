@@ -323,3 +323,51 @@ endmodule""")
     compiled = compile_design(elaborate_leaf(module))
     assert "def evaluate" in compiled.source
     compile(compiled.source, "<check>", "exec")
+
+
+def test_signed_initializer_is_held_unsigned():
+    module = parse_module("""
+module init(input wire clk, output reg signed [3:0] q = -1);
+  always @(posedge clk) q <= q;
+endmodule""")
+    model = compile_design(elaborate_leaf(module)).instantiate()
+    assert model.v_q == 15
+
+
+def _eval_comb_source(compiled):
+    source = compiled.source
+    start = source.index("    def _eval_comb(self):")
+    return source[start:source.index("\n    def ", start + 1)]
+
+
+def test_acyclic_network_is_one_levelized_pass():
+    """pow's network is acyclic and has no comb always block: one pass
+    in dependency order, pure functions inlined or tabulated, constant
+    indices folded."""
+    from repro.apps.pow import pow_program
+    from repro.core.runtime import Runtime
+    rt = Runtime(enable_jit=False)
+    rt.eval_source(pow_program(target_zeros=6, max_nonce=3, quiet=True))
+    rt.run(iterations=2)
+    comb = _eval_comb_source(compile_design(rt.engines["main"].design))
+    assert "for _pass" not in comb
+    assert "f_miner_core_rotr" not in comb
+    assert "f_miner_core_kconst" not in comb
+    assert "< 16 else" not in comb
+
+
+@pytest.mark.parametrize("body", [
+    # reads its own target
+    "wire [7:0] z; assign y = {y[6:0], a};",
+    # a cycle through two assigns
+    "wire [7:0] z; assign y = z + 1; assign z = y[3:0];",
+    # a comb always block
+    "reg [7:0] z; assign y = a; always @* z = y + 1;",
+], ids=["self-read", "cycle", "comb-block"])
+def test_cyclic_or_comb_block_keeps_the_fixpoint(body):
+    module = parse_module(f"""
+module loop(input wire a, output wire [7:0] y);
+  {body}
+endmodule""")
+    comb = _eval_comb_source(compile_design(elaborate_leaf(module)))
+    assert "for _pass" in comb
