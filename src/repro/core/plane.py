@@ -29,25 +29,17 @@ class DataPlane:
         self.values: Dict[str, Bits] = {
             name: Bits.xes(net.width) for name, net in program.nets.items()}
         # net -> [(subprogram name, port)]
-        self.readers: Dict[str, List[Tuple[str, str]]] = {}
-        self.driver_port: Dict[str, Tuple[str, str]] = {}
-        self.rebuild_routes()
-        self.messages_sent = 0
-        #: Per polled engine: (engine, on the fabric?, {out port: (net,
-        #: ((reader, reader port, reader on the fabric?), ...))}).
-        self._routes: Optional[List[Tuple[Engine, bool, Dict]]] = None
-
-    def rebuild_routes(self) -> None:
-        self.readers = {name: [] for name in self.program.nets}
-        self.driver_port = {}
-        for sub in self.program.subprograms.values():
+        self.readers: Dict[str, List[Tuple[str, str]]] = {
+            name: [] for name in program.nets}
+        for sub in program.subprograms.values():
             for port, (net, direction) in sub.bindings.items():
                 if direction == "in":
                     self.readers.setdefault(net, []).append(
                         (sub.name, port))
-                else:
-                    self.driver_port[net] = (sub.name, port)
-        self._routes = None
+        self.messages_sent = 0
+        #: Per polled engine: (engine, on the fabric?, {out port: (net,
+        #: ((reader, reader port, reader on the fabric?), ...))}).
+        self._routes: Optional[List[Tuple[Engine, bool, Dict]]] = None
 
     def invalidate_routes(self) -> None:
         """The engine set or the absorbed set changed."""
@@ -118,20 +110,3 @@ class DataPlane:
                     reader.write(reader_port, value)
                     delivered = True
         return delivered
-
-    def read_net(self, net: str) -> Bits:
-        return self.values[net]
-
-    def write_net(self, net: str, value: Bits,
-                  engines: Dict[str, Engine],
-                  absorbed: Optional[Set[str]] = None) -> None:
-        """Force a net to a value (used when re-seeding rebuilt
-        engines)."""
-        absorbed = absorbed or set()
-        self.values[net] = value
-        for reader_name, reader_port in self.readers.get(net, ()):
-            if reader_name in absorbed:
-                continue
-            reader = engines.get(reader_name)
-            if reader is not None:
-                reader.write(reader_port, value)
