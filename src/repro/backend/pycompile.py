@@ -930,19 +930,14 @@ class _DesignCompiler:
             # Comb-block snapshots start unset so every block runs once.
             e.emit(1, f"_comb_snap{i} = None")
 
-        # Pre-scan for NBA targets so __init__ can declare shadows: we
-        # compile bodies into a scratch emitter first.
-        scratch = _Emitter()
-        self._compile_functions(scratch)
-        self._compile_comb(scratch, comb_assigns, comb_blocks)
-        self._compile_seq(scratch, seq_blocks)
-
-        self._emit_init(e, seq_blocks)
+        # The bodies come first: they find the NBA shadows and cone
+        # snapshots that __init__ declares.
         body = _Emitter()
         self._compile_functions(body)
         self._compile_comb(body, comb_assigns, comb_blocks)
         self._compile_seq(body, seq_blocks)
         self._emit_framework(body, seq_blocks)
+        self._emit_init(e, seq_blocks)
         e.lines.extend(body.lines)
 
         source = "\n".join(["from repro.backend import pyrt", ""]
