@@ -6,7 +6,8 @@ continuous assigns declared in shuffled order, widths 1-70 with mixed
 signedness, an inlinable function, a constant ``case`` function (a
 lookup table), an array read by combinational logic, an optional
 ``always @*`` block (which keeps the fixpoint), and a clocked register
-set that ``$display``s every cycle.  Each program runs interpreter-only,
+set (with if/else, case and a blocking loop) that ``$display``s every
+cycle.  Each program runs interpreter-only,
 on the software fast path and on the hardware engine (which lands at a
 drawn iteration); the ``$display`` streams, tick counts and final
 registers must agree, and the fast path's virtual time must equal the
@@ -136,13 +137,34 @@ def programs(draw):
         lines.append("end")
         leaves.append(("cb", width, False))
 
+    # The clocked block: nonblocking register updates under if/else and
+    # case, and a blocking loop over the array.
+    lines.append("integer k;")
+    lines.append("reg [15:0] acc = 0;")
     lines.append("always @(posedge clk.val) begin")
     lines.append("  cycles <= cycles + 1;")
     lines.append("  if (cycles != 0) begin")
     for name, _, _ in regs:
-        lines.append(f"    {name} <= {draw(_expr(leaves))};")
+        form = draw(st.sampled_from(["plain", "if", "case"]))
+        if form == "if":
+            lines.append(f"    if ({draw(_expr(leaves, 2))}) "
+                         f"{name} <= {draw(_expr(leaves))};")
+            lines.append(f"    else {name} <= {draw(_expr(leaves))};")
+        elif form == "case":
+            lines.append(f"    case ({draw(_expr(leaves, 1))})")
+            for k in range(draw(st.integers(1, 3))):
+                lines.append(f"      {draw(_const())}: "
+                             f"{name} <= {draw(_expr(leaves, 2))};")
+            lines.append(f"      default: {name} <= {draw(_expr(leaves))};")
+            lines.append("    endcase")
+        else:
+            lines.append(f"    {name} <= {draw(_expr(leaves))};")
     lines.append(f"    table_mem[{regs[0][0]}[0]] <= "
                  f"{draw(_expr(leaves, 1))};")
+    lines.append("    acc = 0;")
+    lines.append("    for (k = 0; k < 4; k = k + 1)")
+    lines.append("      acc = acc + table_mem[k];")
+    leaves.append(("acc", 16, False))
     shown = [name for name, _, _ in leaves]
     lines.append(f"    $display(\"{' '.join(['%h'] * len(shown))}\", "
                  f"{', '.join(shown)});")
