@@ -80,7 +80,7 @@ class FlowReport:
 
 
 def _pr_candidate(netlist_payload: tuple, device_payload: tuple,
-                  seed: int, effort: float, initial, kernel: str
+                  seed: int, effort: float, initial
                   ) -> Tuple[Placement, RoutingResult, TimingReport,
                              Dict[str, float]]:
     """One complete place/route/timing candidate.
@@ -97,7 +97,7 @@ def _pr_candidate(netlist_payload: tuple, device_payload: tuple,
     device = Device.from_payload(device_payload)
     t0 = time.perf_counter()
     placement = place(netlist, device, seed=seed, effort=effort,
-                      initial=initial, kernel=kernel)
+                      initial=initial)
     t1 = time.perf_counter()
     routing = route(netlist, placement, device)
     t2 = time.perf_counter()
@@ -112,8 +112,7 @@ def run_flow(design: Design, device: Optional[Device] = None,
              seed: int = 1, effort: float = 1.0,
              placement_cache=None,
              warm_effort: float = 0.35,
-             starts: int = 1, pool=None,
-             kernel: str = "fast") -> FlowReport:
+             starts: int = 1, pool=None) -> FlowReport:
     """Run the complete flow on a design.
 
     Raises SynthesisError for constructs outside the gate-level subset;
@@ -154,7 +153,7 @@ def run_flow(design: Design, device: Optional[Device] = None,
     else:
         plan = [(seed + k, effort, None) for k in range(max(starts, 1))]
 
-    outcomes = _run_candidates(netlist, device, plan, pool, kernel)
+    outcomes = _run_candidates(netlist, device, plan, pool)
     placement, routing, timing, winner_phases = min(
         outcomes, key=lambda o: (o[0].cost, o[0].seed))
 
@@ -170,17 +169,15 @@ def run_flow(design: Design, device: Optional[Device] = None,
 
 
 def _run_candidates(netlist: Netlist, device: Device,
-                    plan: List[Tuple[int, float, Optional[dict]]],
-                    pool, kernel: str
+                    plan: List[Tuple[int, float, Optional[dict]]], pool
                     ) -> List[Tuple[Placement, RoutingResult,
                                     TimingReport, Dict[str, float]]]:
     """Fan the candidate plan across ``pool`` (or run inline)."""
     if pool is None:
         np_, dp = netlist.to_payload(), device.to_payload()
-        return [_pr_candidate(np_, dp, s, e, h, kernel)
-                for s, e, h in plan]
+        return [_pr_candidate(np_, dp, s, e, h) for s, e, h in plan]
     np_, dp = netlist.to_payload(), device.to_payload()
-    futures = [pool.submit(_pr_candidate, np_, dp, s, e, h, kernel)
+    futures = [pool.submit(_pr_candidate, np_, dp, s, e, h)
                for s, e, h in plan]
     outcomes = []
     for future, (s, e, h) in zip(futures, plan):
@@ -190,5 +187,5 @@ def _run_candidates(netlist: Netlist, device: Device,
             # A broken pool (killed worker, sandboxed fork) must not
             # fail the compile: the candidate is a pure function, so
             # recompute it inline.
-            outcomes.append(_pr_candidate(np_, dp, s, e, h, kernel))
+            outcomes.append(_pr_candidate(np_, dp, s, e, h))
     return outcomes

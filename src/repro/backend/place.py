@@ -7,19 +7,18 @@ every LUT/FF cell to a logic element on the device grid and every
 INPUT/OUTPUT to a perimeter pad, minimising total half-perimeter
 wirelength under an exponential cooling schedule.
 
-Two kernels implement the same anneal:
+:func:`place` is an array-based kernel: cells are integer indices,
+coordinates live in flat lists, and every net caches its bounding box,
+updated incrementally on each move (a from-scratch rescan happens only
+when a moved cell sat on the box boundary or a swap touched the net
+twice).  Rejected moves restore the saved boxes instead of recomputing
+them.
 
-* ``kernel="fast"`` (the default) — an array-based kernel: cells are
-  integer indices, coordinates live in flat lists, and every net caches
-  its bounding box, updated incrementally on each move (a from-scratch
-  rescan happens only when a moved cell sat on the box boundary or a
-  swap touched the net twice).  Rejected moves restore the saved boxes
-  instead of recomputing them.
-* ``kernel="reference"`` — the original dict-of-lists implementation
-  that rebuilds coordinate lists per affected net per move.  It is kept
-  as the differential oracle (both kernels draw the same random-number
-  sequence and make bit-identical accept/reject decisions, so their
-  placements must match exactly) and as the benchmark baseline.
+:func:`_place_reference` is the original dict-of-lists implementation
+that rebuilds coordinate lists per affected net per move.  It is kept
+only as the differential oracle of the tests: both kernels draw the
+same random-number sequence and make bit-identical accept/reject
+decisions, so their placements must match exactly.
 """
 
 from __future__ import annotations
@@ -149,8 +148,7 @@ def _schedule(cost: float, n: int, effort: float, warm_started: bool
 
 def place(netlist: Netlist, device: Device, seed: int = 1,
           effort: float = 1.0,
-          initial: Optional[Dict[str, Coord]] = None,
-          kernel: str = "fast") -> Placement:
+          initial: Optional[Dict[str, Coord]] = None) -> Placement:
     """Anneal a placement; raises :class:`PlacementError` when the
     design does not fit the device.
 
@@ -160,11 +158,9 @@ def place(netlist: Netlist, device: Device, seed: int = 1,
     optimum.  Callers typically combine it with a reduced ``effort``.
 
     The result is a pure function of ``(netlist, device, seed, effort,
-    initial)``: both kernels, and any host (thread, process, inline),
-    produce bit-identical placements.
+    initial)``: any host (thread, process, inline) produces a
+    bit-identical placement.
     """
-    if kernel == "reference":
-        return _place_reference(netlist, device, seed, effort, initial)
     rng = random.Random(seed)
     locations, placeable, free_sites, warm_started = \
         _initial_locations(netlist, device, rng, initial)
@@ -307,8 +303,8 @@ def _place_reference(netlist: Netlist, device: Device, seed: int = 1,
                      effort: float = 1.0,
                      initial: Optional[Dict[str, Coord]] = None
                      ) -> Placement:
-    """The original list-rebuilding kernel (differential oracle and
-    benchmark baseline — see the module docstring)."""
+    """The original list-rebuilding kernel (the differential oracle —
+    see the module docstring)."""
     rng = random.Random(seed)
     locations, placeable, free_sites, warm_started = \
         _initial_locations(netlist, device, rng, initial)

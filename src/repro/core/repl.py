@@ -58,14 +58,20 @@ class Repl:
             return errors
         t0 = _time.perf_counter()
         try:
-            self.runtime.eval_source(text)
-        except CascadeError as item_error:
-            # Not a valid item list; try a bare statement (eg $display).
-            try:
-                self.runtime.eval_statement(stripped)
-            except CascadeError:
-                errors.append(str(item_error))
-                return errors
+            with self.runtime.atomic_eval():
+                try:
+                    self.runtime.eval_source(text)
+                except CascadeError as item_error:
+                    # Not a valid item list; try a bare statement (eg
+                    # $display).
+                    try:
+                        self.runtime.eval_statement(stripped)
+                    except CascadeError:
+                        raise item_error from None
+        except CascadeError as exc:
+            # A failed eval is rolled back; the program keeps running.
+            errors.append(str(exc))
+            return errors
         self.runtime.run(iterations=self.run_between_inputs)
         self._h_eval.observe(_time.perf_counter() - t0)
         return errors

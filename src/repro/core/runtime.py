@@ -20,7 +20,8 @@ which eval'ing new code cannot produce undefined behaviour (§3.4).
 from __future__ import annotations
 
 import time as _time
-from typing import Dict, List, Optional, Set, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..backend.compiler import CompileJob, CompileService
 from ..backend.hardware import FastSoftwareEngine, HardwareEngine
@@ -31,7 +32,7 @@ from ..common.bits import Bits
 from ..common.errors import CascadeError, SynthesisError
 from ..interp.engine import read_set_of
 from ..ir.build import IRProgram, Subprogram, build_ir
-from ..obs import Counter, tracer
+from ..obs import Counter, MetricsRegistry, tracer
 from ..perf.timemodel import PerfTrace, TimeModel
 from ..stdlib.board import VirtualBoard
 from ..stdlib.components import (IMPLICIT_INSTANCES, STDLIB_MODULE_NAMES,
@@ -130,9 +131,10 @@ class Runtime:
         #: (a stale job is simply no longer in it) and the only list of
         #: jobs the runtime polls.
         self._jobs: Dict[str, CompileJob] = {}
-        #: Runtime counters live in the compile service's registry so
-        #: one ``:stats`` snapshot covers the whole pipeline.
-        self.metrics = self.compiler.metrics
+        #: This runtime's own counters: a compile service may be shared
+        #: by several runtimes, so they cannot live in its registry.
+        #: ``:stats`` and session snapshots merge the two.
+        self.metrics = MetricsRegistry()
         self._c_hw_migrations = self.metrics.counter(
             "runtime.hw_migrations")
         self._c_sw_migrations = self.metrics.counter(
@@ -214,11 +216,27 @@ class Runtime:
     def _invalidate(self) -> None:
         self._needs_rebuild = True
 
+    @contextmanager
+    def atomic_eval(self) -> Iterator[None]:
+        """Evals inside the block take effect as one unit: they are
+        rebuilt on exit, and if that (or an eval) raises, the root
+        items and the module library go back to what they were and the
+        running program carries on untouched."""
+        items, modules = list(self.root_items), dict(self.library.modules)
+        pending = self._needs_rebuild
+        try:
+            yield
+            if self._needs_rebuild:
+                self._rebuild()
+        except CascadeError:
+            self.root_items, self._needs_rebuild = items, pending
+            self.library.modules = modules
+            raise
+
     # ------------------------------------------------------------------
     # Rebuild: program -> IR -> engines (the eval window work)
     # ------------------------------------------------------------------
     def _rebuild(self) -> None:
-        self.generation += 1
         _t_rebuild = _time.perf_counter()
         root = ast.Module("main", [], list(self.root_items))
         program = build_ir(root, self.library,
@@ -233,13 +251,16 @@ class Runtime:
         for name, engine in old_engines.items():
             saved_state[name] = engine.get_state()
 
+        # Nothing the running program uses is touched until every new
+        # engine exists, so a program that fails here leaves it intact.
         engines: Dict[str, Engine] = {}
+        kept: List[Tuple[StdlibEngine, Subprogram]] = []
         for sub in program.subprograms.values():
             if sub.external:
                 old = old_engines.get(sub.name)
                 if isinstance(old, StdlibEngine) and \
                         old.subprogram.source_module == sub.source_module:
-                    old.subprogram = sub
+                    kept.append((old, sub))
                     engines[sub.name] = old
                 else:
                     engines[sub.name] = make_stdlib_engine(sub, self.board)
@@ -250,6 +271,9 @@ class Runtime:
                     engine.set_state(state)
                 engines[sub.name] = engine
 
+        self.generation += 1
+        for old, sub in kept:
+            old.subprogram = sub
         self.program = program
         self.engines = engines
         self.absorbed = set()

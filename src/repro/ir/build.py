@@ -30,139 +30,16 @@ compiling their Verilog.
 from __future__ import annotations
 
 import copy
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..common.bits import Bits
 from ..common.errors import ElaborationError, TypeError_
 from ..verilog import ast
-from ..verilog.elaborate import ModuleLibrary
-from ..verilog.eval import const_eval
+from ..verilog.elaborate import (Instance, ModuleLibrary, build_tree,
+                                 substitute_params)
 from ..verilog.visitor import map_exprs, walk
 
-__all__ = ["Instance", "Net", "Subprogram", "IRProgram", "build_ir",
-           "instance_var_table", "VarSig"]
-
-
-class VarSig:
-    """Width/signedness signature of one variable inside an instance."""
-
-    __slots__ = ("width", "signed", "direction", "is_array", "net_kind")
-
-    def __init__(self, width: int, signed: bool,
-                 direction: Optional[str] = None, is_array: bool = False,
-                 net_kind: str = "wire"):
-        self.width = width
-        self.signed = signed
-        self.direction = direction
-        self.is_array = is_array
-        self.net_kind = net_kind
-
-
-def _bind_params(module: ast.Module,
-                 overrides: Dict[str, Bits]) -> Dict[str, Bits]:
-    """Resolve a module's parameters given override values."""
-    params: Dict[str, Bits] = {}
-    for item in module.items:
-        if not isinstance(item, ast.ParamDecl):
-            continue
-        if not item.local and item.name in overrides:
-            value = overrides[item.name]
-        else:
-            expr = _subst_params(copy.deepcopy(item.value), params)
-            value = const_eval(expr)
-        if item.range_ is not None:
-            rng = copy.deepcopy(item.range_)
-            _subst_params(rng, params)
-            width = abs(const_eval(rng.msb).to_int_xz()
-                        - const_eval(rng.lsb).to_int_xz()) + 1
-            value = value.as_signed() if item.signed else value.as_unsigned()
-            value = value.extend(width) if value.width < width \
-                else value.resize(width)
-        params[item.name] = value
-    return params
-
-
-def _subst_params(node: ast.Node, params: Dict[str, Bits]) -> ast.Node:
-    def fn(e: ast.Expr) -> ast.Expr:
-        if isinstance(e, ast.Ident) and len(e.parts) == 1 \
-                and e.parts[0] in params:
-            v = params[e.parts[0]]
-            return ast.Number(v, v.to_verilog(), True, loc=e.loc)
-        return e
-    return map_exprs(node, fn)
-
-
-def _resolve_width(range_: Optional[ast.Range],
-                   params: Dict[str, Bits]) -> int:
-    if range_ is None:
-        return 1
-    rng = copy.deepcopy(range_)
-    _subst_params(rng, params)
-    return abs(const_eval(rng.msb).to_int_xz()
-               - const_eval(rng.lsb).to_int_xz()) + 1
-
-
-def instance_var_table(module: ast.Module,
-                       params: Dict[str, Bits]) -> Dict[str, VarSig]:
-    """Variable signatures for one instance (ports and nets)."""
-    table: Dict[str, VarSig] = {}
-    for port in module.ports:
-        table[port.name] = VarSig(_resolve_width(port.range_, params),
-                                  port.signed, port.direction,
-                                  net_kind=port.net_kind)
-    for item in module.items:
-        if not isinstance(item, ast.NetDecl):
-            continue
-        width = 32 if item.kind == "integer" \
-            else _resolve_width(item.range_, params)
-        kind = "reg" if item.kind in ("reg", "integer", "genvar") \
-            else "wire"
-        for decl in item.decls:
-            if decl.name in table:
-                if kind == "reg":
-                    table[decl.name].net_kind = "reg"
-                continue
-            table[decl.name] = VarSig(width, item.signed, None,
-                                      bool(decl.dims), kind)
-    return table
-
-
-class Instance:
-    """One node of the resolved instance tree."""
-
-    def __init__(self, path: Tuple[str, ...], module: ast.Module,
-                 params: Dict[str, Bits], external: bool,
-                 parent: Optional["Instance"],
-                 connections: Dict[str, Optional[ast.Expr]]):
-        self.path = path
-        self.module = module
-        self.params = params
-        self.external = external
-        self.parent = parent
-        self.connections = connections  # port -> expr in parent's scope
-        self.children: Dict[str, "Instance"] = {}
-        self.vars = instance_var_table(module, params)
-
-    @property
-    def path_str(self) -> str:
-        return ".".join(self.path) if self.path else "<root>"
-
-    def resolve(self, parts: Sequence[str]
-                ) -> Optional[Tuple["Instance", str]]:
-        """Resolve a (possibly hierarchical) name from this instance:
-        returns (owning instance, variable name) or None."""
-        node: Instance = self
-        for i, part in enumerate(parts):
-            rest = parts[i:]
-            if len(rest) == 1:
-                if part in node.vars:
-                    return node, part
-                return None
-            if part in node.children:
-                node = node.children[part]
-            else:
-                return None
-        return None
+__all__ = ["Net", "Subprogram", "IRProgram", "build_ir"]
 
 
 class Net:
@@ -242,87 +119,6 @@ class IRProgram:
 
 
 # ----------------------------------------------------------------------
-# Instance tree construction
-# ----------------------------------------------------------------------
-def _build_tree(root_module: ast.Module, library: ModuleLibrary,
-                external: Set[str]) -> Instance:
-    def build(path: Tuple[str, ...], module: ast.Module,
-              overrides: Dict[str, Bits], parent: Optional[Instance],
-              connections: Dict[str, Optional[ast.Expr]],
-              depth: int) -> Instance:
-        if depth > 64:
-            raise ElaborationError("instantiation depth exceeds 64",
-                                   module.loc)
-        params = _bind_params(module, overrides)
-        inst = Instance(path, module, params,
-                        module.name in external, parent, connections)
-        if inst.external:
-            return inst
-        for item in module.items:
-            if not isinstance(item, ast.Instantiation):
-                continue
-            child_mod = library.get(item.module_name, item.loc)
-            child_overrides = _eval_overrides(item, child_mod, params)
-            conns = _map_connections(item, child_mod)
-            if item.inst_name in inst.children:
-                raise ElaborationError(
-                    f"duplicate instance name {item.inst_name!r}",
-                    item.loc)
-            inst.children[item.inst_name] = build(
-                path + (item.inst_name,), child_mod, child_overrides,
-                inst, conns, depth + 1)
-        return inst
-
-    return build((), root_module, {}, None, {}, 0)
-
-
-def _eval_overrides(item: ast.Instantiation, child: ast.Module,
-                    params: Dict[str, Bits]) -> Dict[str, Bits]:
-    overrides: Dict[str, Bits] = {}
-    if not item.param_overrides:
-        return overrides
-    names = [i.name for i in child.items
-             if isinstance(i, ast.ParamDecl) and not i.local]
-    positional = [c for c in item.param_overrides if c.name is None]
-    if positional and len(positional) != len(item.param_overrides):
-        raise ElaborationError(
-            "cannot mix positional and named parameter overrides",
-            item.loc)
-    pairs = zip(names, positional) if positional else \
-        ((c.name, c) for c in item.param_overrides)
-    for name, conn in pairs:
-        if conn.expr is None:
-            continue
-        expr = _subst_params(copy.deepcopy(conn.expr), params)
-        overrides[name] = const_eval(expr)
-    return overrides
-
-
-def _map_connections(item: ast.Instantiation, child: ast.Module
-                     ) -> Dict[str, Optional[ast.Expr]]:
-    port_names = [p.name for p in child.ports]
-    conns: Dict[str, Optional[ast.Expr]] = {}
-    positional = [c for c in item.connections if c.name is None]
-    if positional and len(positional) != len(item.connections):
-        raise ElaborationError(
-            "cannot mix positional and named connections", item.loc)
-    if positional:
-        if len(positional) > len(port_names):
-            raise ElaborationError(
-                f"too many connections for {item.module_name!r}", item.loc)
-        for name, conn in zip(port_names, positional):
-            conns[name] = conn.expr
-    else:
-        for conn in item.connections:
-            if conn.name not in port_names:
-                raise ElaborationError(
-                    f"module {item.module_name!r} has no port "
-                    f"{conn.name!r}", conn.loc)
-            conns[conn.name] = conn.expr
-    return conns
-
-
-# ----------------------------------------------------------------------
 # Group building
 # ----------------------------------------------------------------------
 def _collect_instances(root: Instance) -> List[Instance]:
@@ -358,16 +154,6 @@ def _net_name(inst: Instance, var: str) -> str:
 def _num(value: int) -> ast.Number:
     bits = Bits.from_int(value, max(32, value.bit_length() + 1), True)
     return ast.Number(bits, str(value), False)
-
-
-def _is_lvalue(expr: ast.Expr) -> bool:
-    if isinstance(expr, ast.Ident):
-        return True
-    if isinstance(expr, (ast.IndexExpr, ast.RangeExpr)):
-        return _is_lvalue(expr.base)
-    if isinstance(expr, ast.Concat):
-        return all(_is_lvalue(p) for p in expr.parts)
-    return False
 
 
 def _lvalue_base_idents(lhs: ast.Expr) -> List[ast.Ident]:
@@ -456,15 +242,14 @@ class _GroupBuilder:
         if is_leader:
             # The leader's declared ports remain real subprogram ports.
             for port in copy.deepcopy(inst.module.ports):
-                _subst_params(port, inst.params)
+                substitute_params(port, inst.params)
+                var = inst.vars[port.name]
                 if port.range_ is not None:
-                    width = _resolve_width(port.range_, inst.params)
-                    port.range_ = ast.Range(_num(width - 1), _num(0))
+                    port.range_ = ast.Range(_num(var.width - 1), _num(0))
                 self.ports.append(port)
                 self.port_dirs[port.name] = port.direction
-                sig = inst.vars[port.name]
                 net = self.program.net(_net_name(inst, port.name),
-                                       sig.width, sig.signed)
+                                       var.width, var.signed)
                 self.program.bind(
                     self.sub, port.name, net,
                     "in" if port.direction == "input" else "out")
@@ -472,16 +257,16 @@ class _GroupBuilder:
             # Non-leader member: its ports become plain local variables.
             for port in inst.module.ports:
                 name = self.local_name(inst, port.name)
-                sig = inst.vars[port.name]
-                rng = ast.Range(_num(sig.width - 1), _num(0)) \
-                    if sig.width > 1 else None
-                kind = "reg" if sig.net_kind == "reg" else "wire"
+                var = inst.vars[port.name]
+                rng = ast.Range(_num(var.width - 1), _num(0)) \
+                    if var.width > 1 else None
+                kind = "reg" if var.kind == "reg" else "wire"
                 init = None
                 if port.init is not None and kind == "reg":
-                    init = _subst_params(copy.deepcopy(port.init),
-                                         inst.params)
+                    init = substitute_params(copy.deepcopy(port.init),
+                                             inst.params)
                 self.items.append(ast.NetDecl(
-                    kind, sig.signed, rng,
+                    kind, var.signed, rng,
                     [ast.Declarator(name, (), init)], inst.module.loc))
 
         for item in items:
@@ -490,7 +275,7 @@ class _GroupBuilder:
             if isinstance(item, ast.Instantiation):
                 self._lower_instantiation(inst, item)
                 continue
-            _subst_params(item, inst.params)
+            substitute_params(item, inst.params)
             if isinstance(item, ast.FunctionDecl):
                 self._process_function(inst, item)
                 continue
@@ -545,16 +330,10 @@ class _GroupBuilder:
         child = inst.children[item.inst_name]
         child_in_group = id(child) in self.member_set
         for port in child.module.ports:
-            conn = child.connections.get(port.name)
-            if conn is None:
+            expr = child.connections.get(port.name)
+            if expr is None:
                 continue
-            expr = _subst_params(copy.deepcopy(conn), inst.params)
             if port.direction == "output":
-                if not _is_lvalue(expr):
-                    raise ElaborationError(
-                        f"output port {port.name!r} of "
-                        f"{item.inst_name!r} must connect to an l-value",
-                        item.loc)
                 self._lower_hierarchical_writes_lhs(inst, expr)
             expr = self._rename(inst, expr)
             if child_in_group:
@@ -568,12 +347,9 @@ class _GroupBuilder:
             if port.direction == "input":
                 self.items.append(
                     ast.ContinuousAssign(target, expr, item.loc))
-            elif port.direction == "output":
+            else:
                 self.items.append(
                     ast.ContinuousAssign(expr, target, item.loc))
-            else:
-                raise ElaborationError("inout ports are not supported",
-                                       item.loc)
 
     # -- hierarchical writes ---------------------------------------------
     def _lower_hierarchical_writes(self, inst: Instance,
@@ -734,7 +510,7 @@ def build_ir(root_module: ast.Module, library: ModuleLibrary,
     """
     external = external or set()
     program = IRProgram()
-    root = _build_tree(root_module, library, external)
+    root = build_tree(root_module, library, external)
     instances = _collect_instances(root)
 
     groups: Dict[int, List[Instance]] = {}

@@ -214,9 +214,9 @@ def merge_registries(*registries: Optional[MetricsRegistry]
     """One snapshot over several registries, deduplicated by identity.
 
     Components default to private registries but share one when wired
-    together (a Runtime adopts its CompileService's registry; a solo
-    service hands its registry to the caches it creates), so callers
-    can pass every registry they can see and duplicates collapse.
+    together (a solo service hands its registry to the caches it
+    creates), so callers can pass every registry they can see and
+    duplicates collapse.
     """
     seen: List[MetricsRegistry] = []
     for registry in registries:

@@ -200,8 +200,8 @@ class Session:
 
     # -- introspection -------------------------------------------------
     def metrics_snapshot(self) -> Dict[str, object]:
-        """This tenant's registries, merged (runtime/service share one;
-        the shared caches' registry is the server's)."""
+        """This tenant's registries, merged (the shared caches'
+        registry is the server's)."""
         return merge_registries(self.runtime.metrics,
                                 self.service.metrics,
                                 self.service.cache.metrics,

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Set
 
 from ..common.bits import Bits
 from ..ir.build import Subprogram
+from ..verilog.elaborate import declare_vars
 from .board import VirtualBoard
 from ..core.abi import HARDWARE, CollectedTasks, Engine
 
@@ -36,8 +37,9 @@ class StdlibEngine(CollectedTasks, Engine):
         self._changed: Set[str] = set()
         self._events = 0
         self.time = 0
+        table = declare_vars(subprogram.module_ast, subprogram.params)
         for port in subprogram.module_ast.ports:
-            width = _port_width(subprogram, port.name)
+            width = table[port.name].width
             self.widths[port.name] = width
             self.ports[port.name] = Bits.zeros(width)
 
@@ -120,12 +122,6 @@ class StdlibEngine(CollectedTasks, Engine):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.subprogram.name})"
-
-
-def _port_width(subprogram: Subprogram, port: str) -> int:
-    from ..ir.build import instance_var_table
-    table = instance_var_table(subprogram.module_ast, subprogram.params)
-    return table[port].width
 
 
 class ClockEngine(StdlibEngine):

@@ -5,6 +5,10 @@ relies on (paper §3.3):
 
 * parameter binding and substitution (``#(...)`` overrides),
 * range resolution (every width becomes a concrete integer),
+* the instance tree (:func:`build_tree`): every instance with its
+  parameters bound, its declarations sized and its port connections
+  mapped — the one front end both the flattener below and the IR
+  builder (:mod:`repro.ir.build`) consume,
 * hierarchy flattening with dotted-prefix naming — nested instantiations
   are replaced by continuous assignments between parent expressions and
   the child's promoted port variables, exactly the Figure 4
@@ -24,7 +28,7 @@ per-subprogram after its own flattening).
 from __future__ import annotations
 
 import copy
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from ..common.bits import Bits
 from ..common.errors import ElaborationError
@@ -33,8 +37,9 @@ from .eval import const_eval
 from .sizing import size_design
 from .visitor import map_exprs
 
-__all__ = ["Var", "Function", "Design", "ModuleLibrary", "elaborate",
-           "elaborate_leaf"]
+__all__ = ["Var", "Function", "Design", "ModuleLibrary", "Instance",
+           "build_tree", "bind_params", "declare_vars", "resolve_range",
+           "substitute_params", "elaborate", "elaborate_leaf"]
 
 MAX_WIDTH = 1 << 20  # sanity bound on declared widths
 
@@ -202,11 +207,25 @@ def _rewrite(node: ast.Node, params: Dict[str, Bits], prefix: str,
     return map_exprs(node, fn)
 
 
-def _resolve_range(range_: Optional[ast.Range],
-                   what: str) -> Tuple[int, int, int]:
-    """(width, msb, lsb) of a resolved range; defaults to 1 bit."""
+def substitute_params(node: ast.Node, params: Dict[str, Bits]) -> ast.Node:
+    """Replace parameter names in ``node`` by their values, in place;
+    returns the (possibly replaced) root."""
+    return _rewrite(node, params, "")
+
+
+def _fit(value: Bits, width: int, signed: bool) -> Bits:
+    """``value`` cast to a declared width and signedness."""
+    value = value.as_signed() if signed else value.as_unsigned()
+    return value.extend(width) if value.width < width \
+        else value.resize(width)
+
+
+def resolve_range(range_: Optional[ast.Range], params: Dict[str, Bits],
+                  what: str) -> Tuple[int, int, int]:
+    """(width, msb, lsb) of a declared range; defaults to 1 bit."""
     if range_ is None:
         return 1, 0, 0
+    range_ = substitute_params(copy.deepcopy(range_), params)
     msb_v = const_eval(range_.msb)
     lsb_v = const_eval(range_.lsb)
     if msb_v.has_xz or lsb_v.has_xz:
@@ -220,150 +239,74 @@ def _resolve_range(range_: Optional[ast.Range],
     return width, msb, lsb
 
 
-# ----------------------------------------------------------------------
-# The elaborator
-# ----------------------------------------------------------------------
-class _Elaborator:
-    def __init__(self, library: ModuleLibrary, recurse: bool,
-                 max_depth: int = 64):
-        self.library = library
-        self.recurse = recurse
-        self.max_depth = max_depth
+def bind_params(module: ast.Module,
+                overrides: Dict[str, Bits]) -> Dict[str, Bits]:
+    """Every parameter and localparam of ``module``, given the values an
+    instantiation overrides."""
+    params: Dict[str, Bits] = {}
+    declared = set()
+    for item in module.items:
+        if not isinstance(item, ast.ParamDecl):
+            continue
+        if not item.local:
+            declared.add(item.name)
+        if not item.local and item.name in overrides:
+            value = overrides[item.name]
+        else:
+            value = const_eval(
+                substitute_params(copy.deepcopy(item.value), params))
+        if item.range_ is not None:
+            width, _, _ = resolve_range(item.range_, params,
+                                        f"parameter {item.name!r}")
+            value = _fit(value, width, item.signed)
+        params[item.name] = value
+    unknown = set(overrides) - declared
+    if unknown:
+        raise ElaborationError(
+            f"module {module.name!r} has no parameter(s) "
+            f"{sorted(unknown)}", module.loc)
+    return params
 
-    def elaborate(self, module: ast.Module, design: Design, prefix: str,
-                  overrides: Dict[str, Bits], depth: int = 0) -> None:
-        if depth > self.max_depth:
-            raise ElaborationError(
-                f"instantiation depth exceeds {self.max_depth} "
-                "(recursive module?)", module.loc)
-        items = copy.deepcopy(module.items)
-        ports = copy.deepcopy(module.ports)
 
-        params = self._bind_params(items, overrides, module)
-        if not prefix:
-            design.params.update(params)
+_NET_KINDS = {"integer": "reg", "genvar": "reg", "tri": "wire",
+              "supply0": "wire", "supply1": "wire"}
 
-        # Declare ports and nets.
-        port_dirs: Dict[str, str] = {}
-        for port in ports:
-            width, msb, lsb = _resolve_range(
-                self._subst_range(port.range_, params),
-                f"port {port.name!r}")
-            init = None
-            if port.init is not None and port.net_kind == "reg":
-                expr = _rewrite(copy.deepcopy(port.init), params, "")
-                value = const_eval(expr)
-                value = value.as_signed() if port.signed \
-                    else value.as_unsigned()
-                init = value.extend(width) if value.width < width \
-                    else value.resize(width)
-            design.add_var(Var(self._full(prefix, port.name), port.net_kind,
-                               width, port.signed, msb, lsb, port.direction,
-                               init, None, port.loc))
-            port_dirs[port.name] = port.direction
 
-        for item in items:
-            if isinstance(item, ast.NetDecl):
-                self._declare_net(item, design, prefix, params)
-
-        # Functions next (bodies may be referenced by any process).
-        local_funcs = [i for i in items if isinstance(i, ast.FunctionDecl)]
-        for fn in local_funcs:
-            self._declare_function(fn, design, prefix, params)
-
-        # Behaviour: rewrite and register.
-        for item in items:
-            if isinstance(item, (ast.NetDecl, ast.ParamDecl,
-                                 ast.FunctionDecl)):
-                continue
-            if isinstance(item, ast.Instantiation):
-                self._elaborate_instance(item, design, prefix, params,
-                                         depth)
-                continue
-            _rewrite(item, params, prefix)
-            if isinstance(item, ast.ContinuousAssign):
-                design.assigns.append(item)
-            elif isinstance(item, ast.AlwaysBlock):
-                design.always.append(item)
-            elif isinstance(item, ast.InitialBlock):
-                design.initials.append(item)
-            else:
-                raise ElaborationError(
-                    f"unsupported module item {type(item).__name__}",
-                    item.loc)
-
-        # Initializers on regs become initial state; on wires they are
-        # continuous assigns (wire w = expr).
-        for item in items:
-            if isinstance(item, ast.NetDecl):
-                self._apply_initializers(item, design, prefix, params)
-
-    # ------------------------------------------------------------------
-    def _full(self, prefix: str, name: str) -> str:
-        return f"{prefix}.{name}" if prefix else name
-
-    def _subst_range(self, range_: Optional[ast.Range],
-                     params: Dict[str, Bits]) -> Optional[ast.Range]:
-        if range_ is None:
-            return None
-        r = copy.deepcopy(range_)
-        _rewrite(r, params, "")
-        return r
-
-    def _bind_params(self, items: List[ast.Item],
-                     overrides: Dict[str, Bits],
-                     module: ast.Module) -> Dict[str, Bits]:
-        params: Dict[str, Bits] = {}
-        declared = set()
-        for item in items:
-            if not isinstance(item, ast.ParamDecl):
-                continue
-            if not item.local:
-                declared.add(item.name)
-            if not item.local and item.name in overrides:
-                value = overrides[item.name]
-            else:
-                expr = _rewrite(copy.deepcopy(item.value), params, "")
-                value = const_eval(expr)
-            if item.range_ is not None:
-                width, _, _ = _resolve_range(
-                    self._subst_range(item.range_, params),
-                    f"parameter {item.name!r}")
-                value = (value.as_signed() if item.signed
-                         else value.as_unsigned())
-                value = value.extend(width) if value.width < width \
-                    else value.resize(width)
-            params[item.name] = value
-        unknown = set(overrides) - declared
-        if unknown:
-            raise ElaborationError(
-                f"module {module.name!r} has no parameter(s) "
-                f"{sorted(unknown)}", module.loc)
-        return params
-
-    def _declare_net(self, item: ast.NetDecl, design: Design, prefix: str,
-                     params: Dict[str, Bits]) -> None:
-        kind = {"integer": "reg", "genvar": "reg", "tri": "wire",
-                "supply0": "wire", "supply1": "wire"}.get(item.kind,
-                                                          item.kind)
-        width, msb, lsb = _resolve_range(
-            self._subst_range(item.range_, params),
-            f"declaration at {item.loc}")
+def declare_vars(module: ast.Module, params: Dict[str, Bits],
+                 prefix: str = "") -> Dict[str, Var]:
+    """The variables one instance of ``module`` declares — ports first,
+    then nets, in source order — keyed by their local name and named by
+    their dotted path under ``prefix``."""
+    table: Dict[str, Var] = {}
+    for port in module.ports:
+        full = _full(prefix, port.name)
+        if port.name in table:
+            raise ElaborationError(f"duplicate declaration of {full!r}",
+                                   port.loc)
+        width, msb, lsb = resolve_range(port.range_, params,
+                                        f"port {port.name!r}")
+        table[port.name] = Var(full, port.net_kind, width, port.signed,
+                               msb, lsb, port.direction, None, None,
+                               port.loc)
+    for item in module.items:
+        if not isinstance(item, ast.NetDecl):
+            continue
+        kind = _NET_KINDS.get(item.kind, item.kind)
+        width, msb, lsb = resolve_range(item.range_, params,
+                                        f"declaration at {item.loc}")
         for decl in item.decls:
-            full = self._full(prefix, decl.name)
+            full = _full(prefix, decl.name)
             array = None
             if decl.dims:
                 if len(decl.dims) > 1:
                     raise ElaborationError(
                         "multi-dimensional arrays are not supported",
                         decl.loc)
-                _, a_msb, a_lsb = _resolve_range(
-                    self._subst_range(decl.dims[0], params),
-                    f"array {decl.name!r}")
-                nwords = abs(a_msb - a_lsb) + 1
-                array = (nwords, a_msb, a_lsb)
-            if full in design.vars:
-                existing = design.vars[full]
+                _, a_msb, a_lsb = resolve_range(
+                    decl.dims[0], params, f"array {decl.name!r}")
+                array = (abs(a_msb - a_lsb) + 1, a_msb, a_lsb)
+            existing = table.get(decl.name)
+            if existing is not None:
                 # A net decl may re-declare a port to set reg-ness/width.
                 if existing.direction is not None and array is None:
                     existing.kind = kind if kind == "reg" else existing.kind
@@ -374,138 +317,14 @@ class _Elaborator:
                     continue
                 raise ElaborationError(f"duplicate declaration of {full!r}",
                                        decl.loc)
-            design.add_var(Var(full, kind, width, item.signed, msb, lsb,
-                               None, None, array, decl.loc))
+            init = None
             if item.kind == "supply0":
-                design.vars[full].init = Bits.zeros(width)
+                init = Bits.zeros(width)
             elif item.kind == "supply1":
-                design.vars[full].init = Bits.ones(width)
-
-    def _apply_initializers(self, item: ast.NetDecl, design: Design,
-                            prefix: str, params: Dict[str, Bits]) -> None:
-        for decl in item.decls:
-            if decl.init is None:
-                continue
-            full = self._full(prefix, decl.name)
-            var = design.vars[full]
-            expr = _rewrite(copy.deepcopy(decl.init), params, prefix)
-            if var.kind == "reg":
-                value = const_eval(expr)
-                value = value.as_signed() if var.signed \
-                    else value.as_unsigned()
-                var.init = value.extend(var.width) \
-                    if value.width < var.width else value.resize(var.width)
-            else:
-                design.assigns.append(ast.ContinuousAssign(
-                    ast.Ident(full.split("."), decl.loc), expr, decl.loc))
-
-    def _declare_function(self, fn: ast.FunctionDecl, design: Design,
-                          prefix: str, params: Dict[str, Bits]) -> None:
-        ret_width, _, _ = _resolve_range(
-            self._subst_range(fn.range_, params), f"function {fn.name!r}")
-        ports = []
-        local_names = {fn.name}
-        for p in fn.ports:
-            width, _, _ = _resolve_range(
-                self._subst_range(p.range_, params),
-                f"function input {p.name!r}")
-            ports.append((p.name, width, p.signed))
-            local_names.add(p.name)
-        locals_ = []
-        for decl_item in fn.locals_:
-            width, _, _ = _resolve_range(
-                self._subst_range(decl_item.range_, params),
-                "function local")
-            for d in decl_item.decls:
-                locals_.append((d.name, width, decl_item.signed))
-                local_names.add(d.name)
-        body = copy.deepcopy(fn.body)
-        _rewrite(body, params, prefix, frozenset(local_names))
-        full = self._full(prefix, fn.name)
-        if full in design.functions:
-            raise ElaborationError(f"duplicate function {full!r}", fn.loc)
-        design.functions[full] = Function(full, ret_width, fn.signed,
-                                          ports, locals_, body, fn.loc)
-
-    def _elaborate_instance(self, inst: ast.Instantiation, design: Design,
-                            prefix: str, params: Dict[str, Bits],
-                            depth: int) -> None:
-        if not self.recurse:
-            raise ElaborationError(
-                f"unexpected instantiation {inst.inst_name!r} in leaf "
-                "elaboration (the IR should have flattened it)", inst.loc)
-        child = self.library.get(inst.module_name, inst.loc)
-        child_prefix = self._full(prefix, inst.inst_name)
-
-        # Evaluate parameter overrides in the parent's constant context.
-        overrides: Dict[str, Bits] = {}
-        if inst.param_overrides:
-            names = [i.name for i in child.items
-                     if isinstance(i, ast.ParamDecl) and not i.local]
-            positional = [c for c in inst.param_overrides if c.name is None]
-            if positional and len(positional) != len(inst.param_overrides):
-                raise ElaborationError(
-                    "cannot mix positional and named parameter overrides",
-                    inst.loc)
-            if positional:
-                if len(positional) > len(names):
-                    raise ElaborationError(
-                        f"too many parameter overrides for "
-                        f"{inst.module_name!r}", inst.loc)
-                pairs = zip(names, positional)
-            else:
-                pairs = ((c.name, c) for c in inst.param_overrides)
-            for name, conn in pairs:
-                if conn.expr is None:
-                    continue
-                expr = _rewrite(copy.deepcopy(conn.expr), params, "")
-                overrides[name] = const_eval(expr)
-
-        # Connect ports: inputs become child_port = parent_expr; outputs
-        # become parent_lvalue = child_port (the Figure 4 flattening).
-        port_names = [p.name for p in child.ports]
-        conns: Dict[str, Optional[ast.Expr]] = {}
-        positional = [c for c in inst.connections if c.name is None]
-        if positional and len(positional) != len(inst.connections):
-            raise ElaborationError(
-                "cannot mix positional and named connections", inst.loc)
-        if positional:
-            if len(positional) > len(port_names):
-                raise ElaborationError(
-                    f"too many connections for {inst.module_name!r}",
-                    inst.loc)
-            for name, conn in zip(port_names, positional):
-                conns[name] = conn.expr
-        else:
-            for conn in inst.connections:
-                if conn.name not in port_names:
-                    raise ElaborationError(
-                        f"module {inst.module_name!r} has no port "
-                        f"{conn.name!r}", conn.loc)
-                conns[conn.name] = conn.expr
-
-        self.elaborate(child, design, child_prefix, overrides, depth + 1)
-
-        for port in child.ports:
-            expr = conns.get(port.name)
-            if expr is None:
-                continue
-            expr = _rewrite(copy.deepcopy(expr), params, prefix)
-            port_ident = ast.Ident(
-                self._full(child_prefix, port.name).split("."), inst.loc)
-            if port.direction == "input":
-                design.assigns.append(
-                    ast.ContinuousAssign(port_ident, expr, inst.loc))
-            elif port.direction == "output":
-                if not _is_lvalue(expr):
-                    raise ElaborationError(
-                        f"output port {port.name!r} must connect to an "
-                        "l-value", inst.loc)
-                design.assigns.append(
-                    ast.ContinuousAssign(expr, port_ident, inst.loc))
-            else:
-                raise ElaborationError("inout ports are not supported",
-                                       inst.loc)
+                init = Bits.ones(width)
+            table[decl.name] = Var(full, kind, width, item.signed, msb, lsb,
+                                   None, init, array, decl.loc)
+    return table
 
 
 def _is_lvalue(expr: ast.Expr) -> bool:
@@ -518,6 +337,268 @@ def _is_lvalue(expr: ast.Expr) -> bool:
     return False
 
 
+def _full(prefix: str, name: str) -> str:
+    return f"{prefix}.{name}" if prefix else name
+
+
+# ----------------------------------------------------------------------
+# The instance tree
+# ----------------------------------------------------------------------
+class Instance:
+    """One node of the instance tree: a module with its parameters
+    bound, its declarations sized and its ports connected."""
+
+    def __init__(self, path: Tuple[str, ...], module: ast.Module,
+                 params: Dict[str, Bits], external: bool = False,
+                 parent: Optional["Instance"] = None,
+                 connections: Optional[Dict[str, ast.Expr]] = None):
+        self.path = path
+        self.module = module
+        self.params = params
+        self.external = external
+        self.parent = parent
+        #: port -> connected expression, in the parent's scope with the
+        #: parent's parameters substituted (unconnected ports absent).
+        self.connections = connections or {}
+        self.children: Dict[str, "Instance"] = {}
+        self.vars = declare_vars(module, params, ".".join(path))
+
+    def resolve(self, parts: Sequence[str]
+                ) -> Optional[Tuple["Instance", str]]:
+        """Resolve a (possibly hierarchical) name from this instance:
+        returns (owning instance, variable name) or None."""
+        node: Instance = self
+        for part in parts[:-1]:
+            node = node.children.get(part)
+            if node is None:
+                return None
+        if parts[-1] in node.vars:
+            return node, parts[-1]
+        return None
+
+
+def _param_overrides(item: ast.Instantiation, child: ast.Module,
+                     params: Dict[str, Bits]) -> Dict[str, Bits]:
+    """The ``#(...)`` values of ``item``, evaluated in the parent's
+    constant context."""
+    overrides: Dict[str, Bits] = {}
+    if not item.param_overrides:
+        return overrides
+    names = [i.name for i in child.items
+             if isinstance(i, ast.ParamDecl) and not i.local]
+    positional = [c for c in item.param_overrides if c.name is None]
+    if positional and len(positional) != len(item.param_overrides):
+        raise ElaborationError(
+            "cannot mix positional and named parameter overrides",
+            item.loc)
+    if positional:
+        if len(positional) > len(names):
+            raise ElaborationError(
+                f"too many parameter overrides for "
+                f"{item.module_name!r}", item.loc)
+        pairs = zip(names, positional)
+    else:
+        pairs = ((c.name, c) for c in item.param_overrides)
+    for name, conn in pairs:
+        if conn.expr is not None:
+            overrides[name] = const_eval(
+                substitute_params(copy.deepcopy(conn.expr), params))
+    return overrides
+
+
+def _port_connections(item: ast.Instantiation, child: ast.Module,
+                      params: Dict[str, Bits]) -> Dict[str, ast.Expr]:
+    """Port name -> connected expression of ``item``, with the parent's
+    parameters substituted."""
+    port_names = [p.name for p in child.ports]
+    conns: Dict[str, Optional[ast.Expr]] = {}
+    positional = [c for c in item.connections if c.name is None]
+    if positional and len(positional) != len(item.connections):
+        raise ElaborationError(
+            "cannot mix positional and named connections", item.loc)
+    if positional:
+        if len(positional) > len(port_names):
+            raise ElaborationError(
+                f"too many connections for {item.module_name!r}",
+                item.loc)
+        for name, conn in zip(port_names, positional):
+            conns[name] = conn.expr
+    else:
+        for conn in item.connections:
+            if conn.name not in port_names:
+                raise ElaborationError(
+                    f"module {item.module_name!r} has no port "
+                    f"{conn.name!r}", conn.loc)
+            conns[conn.name] = conn.expr
+    out: Dict[str, ast.Expr] = {}
+    for port in child.ports:
+        expr = conns.get(port.name)
+        if expr is None:
+            continue
+        expr = substitute_params(copy.deepcopy(expr), params)
+        if port.direction == "output" and not _is_lvalue(expr):
+            raise ElaborationError(
+                f"output port {port.name!r} must connect to an "
+                "l-value", item.loc)
+        if port.direction not in ("input", "output"):
+            raise ElaborationError("inout ports are not supported",
+                                   item.loc)
+        out[port.name] = expr
+    return out
+
+
+def build_tree(root: ast.Module, library: ModuleLibrary,
+               external: Collection[str] = (),
+               overrides: Optional[Dict[str, Bits]] = None,
+               max_depth: int = 64) -> Instance:
+    """Bind, size and connect every instance under ``root``.  Instances
+    of ``external`` modules are leaves: their children are not built."""
+
+    def build(path: Tuple[str, ...], module: ast.Module,
+              overrides: Dict[str, Bits], parent: Optional[Instance],
+              connections: Dict[str, ast.Expr]) -> Instance:
+        if len(path) > max_depth:
+            raise ElaborationError(
+                f"instantiation depth exceeds {max_depth} "
+                "(recursive module?)", module.loc)
+        params = bind_params(module, overrides)
+        inst = Instance(path, module, params, module.name in external,
+                        parent, connections)
+        if inst.external:
+            return inst
+        for item in module.items:
+            if not isinstance(item, ast.Instantiation):
+                continue
+            if item.inst_name in inst.children:
+                raise ElaborationError(
+                    f"duplicate instance name {item.inst_name!r}",
+                    item.loc)
+            child = library.get(item.module_name, item.loc)
+            inst.children[item.inst_name] = build(
+                path + (item.inst_name,), child,
+                _param_overrides(item, child, params), inst,
+                _port_connections(item, child, params))
+        return inst
+
+    return build((), root, overrides or {}, None, {})
+
+
+# ----------------------------------------------------------------------
+# Flattening an instance tree into a Design
+# ----------------------------------------------------------------------
+def _initial_value(expr: ast.Expr, params: Dict[str, Bits], prefix: str,
+                   var: Var) -> Bits:
+    value = const_eval(_rewrite(copy.deepcopy(expr), params, prefix))
+    return _fit(value, var.width, var.signed)
+
+
+def _elaborate(inst: Instance, design: Design) -> None:
+    module, params = inst.module, inst.params
+    prefix = ".".join(inst.path)
+    if not prefix:
+        design.params.update(params)
+    for var in inst.vars.values():
+        design.add_var(var)
+    for port in module.ports:
+        if port.init is not None and port.net_kind == "reg":
+            var = inst.vars[port.name]
+            var.init = _initial_value(port.init, params, "", var)
+
+    items = copy.deepcopy(module.items)
+    # Functions next (bodies may be referenced by any process).
+    for item in items:
+        if isinstance(item, ast.FunctionDecl):
+            _declare_function(item, design, prefix, params)
+
+    # Behaviour: rewrite and register.
+    for item in items:
+        if isinstance(item, (ast.NetDecl, ast.ParamDecl,
+                             ast.FunctionDecl)):
+            continue
+        if isinstance(item, ast.Instantiation):
+            _elaborate_instance(inst, item, design)
+            continue
+        _rewrite(item, params, prefix)
+        if isinstance(item, ast.ContinuousAssign):
+            design.assigns.append(item)
+        elif isinstance(item, ast.AlwaysBlock):
+            design.always.append(item)
+        elif isinstance(item, ast.InitialBlock):
+            design.initials.append(item)
+        else:
+            raise ElaborationError(
+                f"unsupported module item {type(item).__name__}",
+                item.loc)
+
+    # Initializers on regs become initial state; on wires they are
+    # continuous assigns (wire w = expr).
+    for item in items:
+        if not isinstance(item, ast.NetDecl):
+            continue
+        for decl in item.decls:
+            if decl.init is None:
+                continue
+            var = inst.vars[decl.name]
+            if var.kind == "reg":
+                var.init = _initial_value(decl.init, params, prefix, var)
+            else:
+                design.assigns.append(ast.ContinuousAssign(
+                    ast.Ident(var.name.split("."), decl.loc),
+                    _rewrite(decl.init, params, prefix), decl.loc))
+
+
+def _declare_function(fn: ast.FunctionDecl, design: Design, prefix: str,
+                      params: Dict[str, Bits]) -> None:
+    ret_width, _, _ = resolve_range(fn.range_, params,
+                                    f"function {fn.name!r}")
+    ports = []
+    local_names = {fn.name}
+    for p in fn.ports:
+        width, _, _ = resolve_range(p.range_, params,
+                                    f"function input {p.name!r}")
+        ports.append((p.name, width, p.signed))
+        local_names.add(p.name)
+    locals_ = []
+    for decl_item in fn.locals_:
+        width, _, _ = resolve_range(decl_item.range_, params,
+                                    "function local")
+        for d in decl_item.decls:
+            locals_.append((d.name, width, decl_item.signed))
+            local_names.add(d.name)
+    _rewrite(fn.body, params, prefix, frozenset(local_names))
+    full = _full(prefix, fn.name)
+    if full in design.functions:
+        raise ElaborationError(f"duplicate function {full!r}", fn.loc)
+    design.functions[full] = Function(full, ret_width, fn.signed,
+                                      ports, locals_, fn.body, fn.loc)
+
+
+def _elaborate_instance(inst: Instance, item: ast.Instantiation,
+                        design: Design) -> None:
+    """Elaborate a child, then connect its ports: inputs become
+    child_port = parent_expr; outputs become parent_lvalue = child_port
+    (the Figure 4 flattening)."""
+    child = inst.children.get(item.inst_name)
+    if child is None:
+        raise ElaborationError(
+            f"unexpected instantiation {item.inst_name!r} in leaf "
+            "elaboration (the IR should have flattened it)", item.loc)
+    _elaborate(child, design)
+    prefix = ".".join(inst.path)
+    for port in child.module.ports:
+        expr = child.connections.get(port.name)
+        if expr is None:
+            continue
+        expr = _rewrite(expr, {}, prefix)
+        port_ident = ast.Ident((*child.path, port.name), item.loc)
+        if port.direction == "input":
+            design.assigns.append(
+                ast.ContinuousAssign(port_ident, expr, item.loc))
+        else:
+            design.assigns.append(
+                ast.ContinuousAssign(expr, port_ident, item.loc))
+
+
 # ----------------------------------------------------------------------
 # Public entry points
 # ----------------------------------------------------------------------
@@ -525,8 +606,8 @@ def elaborate(top: ast.Module, library: Optional[ModuleLibrary] = None,
               overrides: Optional[Dict[str, Bits]] = None) -> Design:
     """Fully elaborate ``top``, flattening the whole hierarchy."""
     design = Design(top.name)
-    _Elaborator(library or ModuleLibrary(), recurse=True).elaborate(
-        top, design, "", overrides or {})
+    _elaborate(build_tree(top, library or ModuleLibrary(),
+                          overrides=overrides), design)
     size_design(design)
     return design
 
@@ -536,7 +617,7 @@ def elaborate_leaf(module: ast.Module,
     """Elaborate a single module; instantiations inside it are an error
     (Cascade's IR flattens hierarchy before engines see a subprogram)."""
     design = Design(module.name)
-    _Elaborator(ModuleLibrary(), recurse=False).elaborate(
-        module, design, "", overrides or {})
+    _elaborate(Instance((), module, bind_params(module, overrides or {})),
+               design)
     size_design(design)
     return design

@@ -145,7 +145,7 @@ class TestKernelEquivalence:
         netlist = synthesize(design_of(source))
         device = device_for(
             max(netlist.count("LUT") + netlist.count("FF"), 16))
-        fast = place(netlist, device, seed=seed, kernel="fast")
+        fast = place(netlist, device, seed=seed)
         ref = _place_reference(netlist, device, seed=seed)
         assert fast.locations == ref.locations
         assert fast.cost == ref.cost

@@ -1,12 +1,16 @@
 """The Cascade IR: port promotion, flattening, inlining, nets."""
 
+import re
+
 import pytest
 
 from repro.common.errors import ElaborationError, TypeError_
+from repro.core.repl import Repl
+from repro.core.runtime import Runtime
 from repro.ir.build import build_ir
 from repro.stdlib.components import STDLIB_MODULE_NAMES, stdlib_modules
 from repro.verilog import ast
-from repro.verilog.elaborate import ModuleLibrary, elaborate_leaf
+from repro.verilog.elaborate import ModuleLibrary, elaborate, elaborate_leaf
 from repro.verilog.parser import parse_module, parse_source
 from repro.verilog.printer import module_to_str
 
@@ -235,3 +239,120 @@ assign probe = c.hidden;
         assert "main" in net.readers
         design = elaborate_leaf(program.subprograms["c"].module_ast)
         assert design.vars["hidden"].direction == "output"
+
+
+# ----------------------------------------------------------------------
+# One front end: the IR and the simulator bind, size and reject alike
+# ----------------------------------------------------------------------
+FRONT_END_MODULES = """
+module Leaf #(parameter W = 4, parameter [7:0] K = 8'd3,
+              parameter YW = W * 2)
+             (input wire [W-1:0] a, output wire signed [YW-1:0] y,
+              output wire [K[1:0]:0] kq);
+  localparam H = W / 2;
+  wire [H:0] half = a[H:0];
+  reg signed [YW-1:0] acc = -1;
+  assign y = a + K + half + acc;
+  assign kq = K;
+endmodule
+module Mid #(parameter N = 2)
+            (input wire [N+1:0] x, output wire signed [2*N+3:0] z);
+  wire signed [2*N+3:0] t;
+  Leaf #(.W(N + 2)) l2(.a(x), .y(t));
+  assign z = t - l2.half;
+endmodule
+module Foo #(parameter A = 1, parameter B = 2)(output wire [7:0] q);
+  assign q = A + B;
+endmodule
+module Bar #(parameter W = 4)(output wire [W-1:0] r);
+  assign r = 0;
+endmodule
+"""
+
+LEGAL_FRONT_END = {
+    "positional": """
+reg [5:0] r = 5;
+wire signed [11:0] y1;
+Leaf #(6, 8'd7) l1(.a(r), .y(y1));
+assign led.val = y1[7:0];
+""",
+    "named-ranged": """
+reg [2:0] r = 5;
+wire signed [5:0] y1;
+wire [3:0] kq1;
+Leaf #(.W(3), .K(9'h1ff)) l1(.a(r), .y(y1), .kq(kq1));
+assign led.val = {2'b0, y1} ^ kq1;
+""",
+    "defaults-localparam": """
+reg [3:0] r = 5;
+wire signed [7:0] y1;
+Leaf l1(.a(r), .y(y1));
+assign led.val = y1 ^ l1.half;
+""",
+    "two-levels": """
+reg [5:0] r = 5;
+wire signed [9:0] z1;
+Mid #(.N(3)) m(.x(r[4:0]), .z(z1));
+assign led.val = z1[7:0] ^ m.l2.acc[7:0];
+""",
+}
+
+#: The simulator's message for each program the IR used to accept.
+ILLEGAL_FRONT_END = {
+    "too-many-overrides": ("wire [7:0] q;\nFoo #(10, 20, 30) f(.q(q));\n",
+                           "too many parameter overrides for 'Foo'"),
+    "unknown-override": ("wire [7:0] q;\nFoo #(.NOPE(7)) f(.q(q));\n",
+                         "module 'Foo' has no parameter(s) ['NOPE']"),
+    "x-range": ("wire [3:0] r;\nBar #(4'bx) b(.r(r));\n",
+                "port 'r' range has x/z bits"),
+}
+
+
+def _front_end(text):
+    src = parse_source(FRONT_END_MODULES + text + "Led#(8) led();\n",
+                       "<eval>")
+    library = ModuleLibrary(stdlib_modules())
+    for module in src.modules:
+        library.declare(module)
+    return ast.Module("main", [], list(src.root_items)), library
+
+
+class TestFrontEndAgreement:
+    @pytest.mark.parametrize("inlined", [False, True])
+    @pytest.mark.parametrize("name", sorted(LEGAL_FRONT_END))
+    def test_net_widths_match_the_elaborated_design(self, name, inlined):
+        root, library = _front_end(LEGAL_FRONT_END[name])
+        design = elaborate(root, library)
+        program = build_ir(root, library,
+                           external=set(STDLIB_MODULE_NAMES),
+                           inlined=inlined)
+        assert program.nets
+        for net in program.nets.values():
+            path, var = net.name.rsplit(".", 1)
+            full = var if path == "main" else f"{path}.{var}"
+            elaborated = design.vars[full]
+            assert (net.width, net.signed) == \
+                (elaborated.width, elaborated.signed), net.name
+        for sub in program.user_subprograms():
+            leaf = elaborate_leaf(sub.module_ast)
+            for port, (net_name, _) in sub.bindings.items():
+                net = program.nets[net_name]
+                assert (leaf.vars[port].width, leaf.vars[port].signed) \
+                    == (net.width, net.signed), (sub.name, port)
+
+    @pytest.mark.parametrize("name", sorted(ILLEGAL_FRONT_END))
+    def test_illegal_programs_fail_alike(self, name):
+        text, message = ILLEGAL_FRONT_END[name]
+        root, library = _front_end(text)
+        with pytest.raises(ElaborationError, match=re.escape(message)) \
+                as simulated:
+            elaborate(root, library)
+        for inlined in (False, True):
+            with pytest.raises(ElaborationError) as built:
+                build_ir(root, library,
+                         external=set(STDLIB_MODULE_NAMES),
+                         inlined=inlined)
+            assert str(built.value) == str(simulated.value)
+        repl = Repl(Runtime(enable_jit=False))
+        assert repl.feed(FRONT_END_MODULES + text) == \
+            [str(simulated.value)]

@@ -307,16 +307,29 @@ class TestRegistryWiring:
                                  queue=CompileQueue(max_workers=0))
         rt = Runtime(compile_service=service,
                      enable_sw_fastpath=False)
-        assert rt.metrics is service.metrics
+        assert rt.metrics is not service.metrics
         assert service.cache.metrics is service.metrics
         rt.eval_source(COUNTER_SRC)
         rt.run(iterations=20)
-        snap = service.metrics.snapshot()
+        snap = merge_registries(rt.metrics, service.metrics)
         assert snap["compile.attempted"] == \
             service.metrics.value("compile.attempted") >= 1
         assert snap["runtime.hw_migrations"] == \
             rt.metrics.value("runtime.hw_migrations") == 1
+        assert "runtime.hw_migrations" not in service.metrics.snapshot()
         assert snap["compile.host.submit_s"] > 0
+
+    def test_runtimes_sharing_a_service_count_their_own_migrations(self):
+        service = CompileService(latency_scale=1e9,
+                                 queue=CompileQueue(max_workers=0))
+        first = Runtime(compile_service=service)
+        second = Runtime(compile_service=service, enable_jit=False)
+        for rt in (first, second):
+            rt.eval_source(COUNTER_SRC)
+            rt.run(iterations=20)
+        assert first.metrics.value("runtime.sw_migrations") == 1
+        assert second.metrics.value("runtime.sw_migrations") == 0
+        assert second.metrics.value("runtime.hw_migrations") == 0
 
     def test_stats_dict_keys_preserved(self):
         service = CompileService(latency_scale=0.0,

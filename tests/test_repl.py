@@ -59,6 +59,49 @@ class TestRepl:
         assert repl.runtime.board.leds.value == 2
 
 
+class TestFailedEvalRollback:
+    """An eval that fails to rebuild is undone; the program runs on."""
+
+    COUNTER = ("reg [7:0] cnt = 0; "
+               "always @(posedge clk.val) cnt <= cnt + 1;")
+    FOO = ("module Foo #(parameter A = 1, parameter B = 2)"
+           "(output wire [7:0] q); assign q = A + B; endmodule\n")
+
+    def _cnt(self, repl):
+        assert repl.feed('$display("cnt=%0d", cnt);') == []
+        lines = [line for line in repl.drain_output()
+                 if line.startswith("cnt=")]
+        return int(lines[-1].split("=")[1])
+
+    @pytest.mark.parametrize("bad, message", [
+        ("assign led.val = nope;", "cannot resolve 'nope'"),
+        (FOO + "wire [7:0] q; Foo #(10, 20, 30) f(.q(q));",
+         "too many parameter overrides for 'Foo'"),
+    ])
+    def test_bad_eval_is_rolled_back(self, bad, message):
+        repl = Repl(Runtime(enable_jit=False), run_between_inputs=16)
+        assert repl.feed(self.COUNTER) == []
+        items = list(repl.runtime.root_items)
+        modules = dict(repl.runtime.library.modules)
+        before = self._cnt(repl)
+        errors = repl.feed(bad)
+        assert len(errors) == 1 and message in errors[0]
+        assert repl.runtime.root_items == items
+        assert repl.runtime.library.modules == modules
+        assert repl.feed('$display("alive");') == []
+        assert "alive" in repl.drain_output()
+        assert self._cnt(repl) > before
+
+    def test_module_of_a_failed_eval_can_be_declared_again(self):
+        repl = Repl(Runtime(enable_jit=False), run_between_inputs=16)
+        assert repl.feed(self.FOO + "wire [7:0] q; Foo #(.NOPE(7)) "
+                         "f(.q(q));")
+        assert repl.feed(self.FOO + "wire [7:0] q; "
+                         "Foo #(.B(7)) f(.q(q));") == []
+        assert repl.feed('$display("q=%0d", q);') == []
+        assert "q=8" in repl.drain_output()
+
+
 class TestCompletenessHeuristic:
     """_complete must tokenize, not substring-count: ``"module" in
     "endmodule"`` made every balanced input look unbalanced."""

@@ -245,6 +245,19 @@ class TestServerSessions:
             assert stats["sessions_active"] == 1
             assert stats["scheduler"]["turns"] > 0
 
+    def test_bad_eval_keeps_session_open(self, server_factory):
+        server = server_factory()
+        with connect(server.address) as session:
+            assert session.eval("reg [7:0] cnt = 0; always @(posedge "
+                                "clk.val) cnt <= cnt + 1;",
+                                timeout=30) == []
+            errors = session.eval("assign led.val = nope;", timeout=30)
+            assert len(errors) == 1 and "cannot resolve 'nope'" in errors[0]
+            assert session.eval('$display("alive %0d", cnt);',
+                                timeout=30) == []
+            assert "alive" in " ".join(session.drain_output())
+            assert server.stats()["sessions_active"] == 1
+
     def test_metrics_and_trace_ops(self, server_factory):
         from repro.obs import tracer
         server = server_factory()
