@@ -50,10 +50,6 @@ class Device:
     def logic_elements(self) -> int:
         return self.width * self.height
 
-    @property
-    def clock_period_ns(self) -> float:
-        return 1_000.0 / self.clock_mhz
-
     def __repr__(self) -> str:
         return (f"Device({self.name}, {self.width}x{self.height}, "
                 f"{self.clock_mhz}MHz)")

@@ -40,7 +40,6 @@ class HardwareEngine(CollectedTasks, Engine):
         self.compiled = compiled
         self.design: Design = compiled.design
         self.model = compiled.instantiate()
-        self._events = 0
         #: name -> (model attribute, width mask, width, signed), mapped
         #: once so the data plane's calls do no name mangling.
         self._ports: Dict[str, Tuple[str, int, int, bool]] = {
@@ -57,9 +56,6 @@ class HardwareEngine(CollectedTasks, Engine):
         self._from_inner: List[Tuple[Engine, str, str, int]] = []
         self.clock_engine: Optional[Engine] = None
         self.clock_attr: Optional[str] = None
-        # Ticks performed inside open_loop since the last drain (the
-        # runtime charges fabric time from this).
-        self.open_loop_ticks = 0
 
     # ------------------------------------------------------------------
     # State migration
@@ -118,7 +114,6 @@ class HardwareEngine(CollectedTasks, Engine):
     # Data plane
     # ------------------------------------------------------------------
     def write(self, port: str, value: Bits) -> None:
-        self._events += 1
         attr, mask, _, _ = self._ports[port]
         v = value.to_int_xz(0) & mask
         if getattr(self.model, attr) != v:
@@ -148,7 +143,6 @@ class HardwareEngine(CollectedTasks, Engine):
             inner.there_are_evals() for inner in self.inner)
 
     def evaluate(self) -> None:
-        self._events += 1
         self.model.evaluate()
         if self.inner:
             self._exchange()
@@ -159,7 +153,6 @@ class HardwareEngine(CollectedTasks, Engine):
             inner.there_are_updates() for inner in self.inner)
 
     def update(self) -> None:
-        self._events += 1
         self.model.update()
         for inner in self.inner:
             if inner.there_are_updates():
@@ -173,9 +166,6 @@ class HardwareEngine(CollectedTasks, Engine):
             inner.end_step()
         if self.inner:
             self._exchange()
-
-    def events_processed(self) -> int:
-        return self._events
 
     def set_time(self, time: int) -> None:
         self.model._time = time
@@ -210,9 +200,6 @@ class HardwareEngine(CollectedTasks, Engine):
     # ------------------------------------------------------------------
     # ABI forwarding (§4.3)
     # ------------------------------------------------------------------
-    def supports_forwarding(self) -> bool:
-        return True
-
     def forward(self, inner: Engine) -> None:
         """Absorb a standard-library engine: link its ports to our local
         variables over shared nets and take over its scheduling."""
@@ -267,9 +254,6 @@ class HardwareEngine(CollectedTasks, Engine):
     # ------------------------------------------------------------------
     # Open-loop scheduling (§4.4)
     # ------------------------------------------------------------------
-    def supports_open_loop(self) -> bool:
-        return self.clock_attr is not None
-
     def open_loop(self, clock_port: str, steps: int) -> int:
         model = self.model
         attr = self.clock_attr or _attr(clock_port)
@@ -308,7 +292,6 @@ class HardwareEngine(CollectedTasks, Engine):
                 self._collect_tasks()
                 if self.has_tasks:
                     break
-        self.open_loop_ticks += done
         # Propagate the final clock value back to the clock engine so
         # the runtime's view stays coherent.
         if self.clock_engine is not None:
@@ -350,7 +333,6 @@ class FastSoftwareEngine(HardwareEngine):
         self.model._gate_wakes = True
 
     def write(self, port: str, value: Bits) -> None:
-        self._events += 1
         attr, mask, _, _ = self._ports[port]
         v = value.to_int_xz(0) & mask
         model = self.model
@@ -365,12 +347,6 @@ class FastSoftwareEngine(HardwareEngine):
             # nothing; keep the previous sample in sync (as _seq would
             # have) so the next matching edge is still detected.
             setattr(model, "p_" + attr, v)
-
-    def supports_forwarding(self) -> bool:
-        return False
-
-    def supports_open_loop(self) -> bool:
-        return False
 
     def __repr__(self) -> str:
         return f"FastSoftwareEngine({self.subprogram.name})"

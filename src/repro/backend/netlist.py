@@ -96,11 +96,6 @@ class Netlist:
         self.add(Cell(name, LUT, fanin, truth=truth))
         return name
 
-    def add_ff(self, d: str, hint: str = "ff") -> str:
-        name = self.fresh(hint)
-        self.add(Cell(name, FF, [d]))
-        return name
-
     def set_output(self, port: str, net: str) -> None:
         self.outputs[port] = net
 

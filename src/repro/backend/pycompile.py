@@ -26,7 +26,8 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, \
 
 from ..common.errors import SynthesisError
 from ..verilog import ast
-from ..verilog.elaborate import Design, Function, Var
+from ..verilog.elaborate import Design, Function
+from ..verilog.sizing import Select
 from ..interp.engine import read_set_of, read_set_of_lvalue_indices
 from ..verilog.visitor import walk
 from . import pyrt
@@ -35,7 +36,7 @@ __all__ = ["CODEGEN_VERSION", "CompiledDesign", "compile_design"]
 
 #: Bumped whenever the generated model changes shape, so on-disk cache
 #: entries written by an older code generator miss instead of loading.
-CODEGEN_VERSION = 3
+CODEGEN_VERSION = 4
 
 #: Pure single-port functions at most this wide become lookup tables.
 _TABLE_MAX_BITS = 8
@@ -183,15 +184,26 @@ class _ExprCompiler:
             return self.frame[name]
         return self.local.get(name) or f"self.{_attr(name)}"
 
-    def is_memory(self, name: str) -> bool:
-        return name not in self.frame and self.c.design.vars[name].is_array
-
-    def declared_range(self, ident: ast.Ident) -> Tuple[int, int]:
-        """(msb, lsb) of a variable; function locals are [w-1:0]."""
-        if ident.name in self.frame:
-            return ident.width - 1, 0
-        var = self.c.design.vars[ident.name]
-        return var.msb, var.lsb
+    def low(self, sel: Select, index: ast.Expr, width: int = 1) -> str:
+        """Code for the low position of a select ``width`` positions
+        wide: the folded constant, or ``step * index + bias`` with the
+        index read at its own sign.  A single position needs no sign
+        when a negative index lands below 0 read signed and at or
+        above ``span`` read unsigned."""
+        if sel.low is not None:
+            return str(sel.low)
+        code = self._ctx(index)
+        half = 1 << (index.ctx_width - 1)
+        if index.ctx_signed and not (
+                width == 1 and sel.step > 0 and sel.bias <= 0
+                and sel.span <= half + sel.bias):
+            code = f"((({code}) ^ {half}) - {half})"
+        if sel.step < 0:
+            code = f"-({code})"
+        if sel.bias:
+            code = f"(({code}) {'-' if sel.bias < 0 else '+'} " \
+                f"{abs(sel.bias)})"
+        return _fold(code)
 
     def _coerce(self, code: str, from_w: int, ctx: int, signed: bool) -> str:
         """Extend/truncate a value of width from_w to ctx using the
@@ -268,60 +280,40 @@ class _ExprCompiler:
         raise SynthesisError(
             f"cannot compile expression {type(expr).__name__}")
 
-    def _index(self, expr: ast.IndexExpr) -> str:
-        base = expr.base
-        idx_code = self._ctx(expr.index)
-        if isinstance(base, ast.Ident) and self.is_memory(base.name):
-            nwords, msb, lsb = self.c.design.vars[base.name].array
-            lo = min(msb, lsb)
-            offset = _fold(f"(({idx_code}) - {lo})") if lo else idx_code
-            arr = self._read(base.name)
-            return self._guarded(lambda i: f"{arr}[{i}]", offset, nwords)
+    def _base(self, base: ast.Expr) -> str:
         if isinstance(base, ast.Ident):
-            code = self._read(base.name)
-            msb, lsb = self.declared_range(base)
-            offset = self._offset_code(idx_code, msb, lsb)
-        else:
-            code, offset = self._ctx(base), idx_code
-        return self._guarded(lambda i: f"((({code}) >> {i}) & 1)", offset,
-                             base.width)
+            return self._read(base.name)
+        return self._ctx(base)
 
-    def _offset_code(self, idx_code: str, msb: int, lsb: int) -> str:
-        if msb >= lsb:
-            return _fold(f"(({idx_code}) - {lsb})") if lsb else idx_code
-        return _fold(f"({lsb} - ({idx_code}))")
+    def _index(self, expr: ast.IndexExpr) -> str:
+        sel = expr.select
+        low = self.low(sel, expr.index)
+        code = self._base(expr.base)
+        if sel.word:
+            return self._guarded(lambda i: f"{code}[{i}]", low, sel.span)
+        return self._guarded(lambda i: f"((({code}) >> {i}) & 1)", low,
+                             sel.span)
 
     def _range(self, expr: ast.RangeExpr) -> str:
-        base = expr.base
-        if isinstance(base, ast.Ident) and not self.is_memory(base.name):
-            code = self._read(base.name)
-            msb, lsb = self.declared_range(base)
-        else:
-            code = self._ctx(base)
-            msb, lsb = base.width - 1, 0
-        descending = msb >= lsb
-        width = expr.width
-        if expr.mode == ":":
-            hi_i, lo_i = expr.bounds
-            hi = hi_i - lsb if descending else lsb - hi_i
-            lo = lo_i - lsb if descending else lsb - lo_i
-            return self._slice(code, min(hi, lo), width)
-        off = self._offset_code(self._ctx(expr.left), msb, lsb)
-        if expr.mode == "+:":
-            lo_code = off if descending else _fold(f"(({off}) - {width - 1})")
-        else:
-            lo_code = _fold(f"(({off}) - {width - 1})") if descending else off
-        lo = _lit(lo_code)
-        if lo is not None:
-            return self._slice(code, lo, width) if lo >= 0 else "0"
-        return (f"((({code}) >> ({lo_code})) & {_mask(width)} "
-                f"if ({lo_code}) >= 0 else 0)")
-
-    @staticmethod
-    def _slice(code: str, lo: int, width: int) -> str:
-        if lo:
-            code = f"(({code}) >> {lo})"
-        return f"(({code}) & {_mask(width)})"
+        """The select's bits; those below bit 0 read as 0, and those
+        above the base's top bit already are 0."""
+        code = self._base(expr.base)
+        mask = _mask(expr.width)
+        sel = expr.select
+        low = self.low(sel, expr.left, expr.width)
+        k = _lit(low)
+        if k is None and sel.step > 0 and sel.bias >= 0 \
+                and not expr.left.ctx_signed:   # low is never negative
+            code = f"(({code}) >> ({low}))"
+        elif k is None:
+            i = self.c.fresh("_i")
+            code = (f"(({code}) >> {i} if ({i} := {low}) >= 0 "
+                    f"else ({code}) << -{i})")
+        elif k < 0:
+            code = f"(({code}) << {-k})"
+        elif k:
+            code = f"(({code}) >> {k})"
+        return f"(({code}) & {mask})"
 
     def _unary(self, expr: ast.Unary, ctx: int) -> str:
         op = expr.op
@@ -430,11 +422,11 @@ class _ExprCompiler:
             raise SynthesisError(f"{name} cannot be synthesized")
         fn = self.c.design.functions[name]
         args = []
-        for arg, (_, w, _) in zip(expr.args, fn.ports):
+        for arg, port in zip(expr.args, fn.ports):
             code = self._ctx(arg)
-            args.append(_fold(f"(({code}) & {_mask(w)})")
-                        if arg.ctx_width > w else code)
-        return self._coerce(self._apply(fn, args), fn.ret_width, ctx,
+            args.append(_fold(f"(({code}) & {_mask(port.width)})")
+                        if arg.ctx_width > port.width else code)
+        return self._coerce(self._apply(fn, args), fn.ret.width, ctx,
                             signed)
 
     def _apply(self, fn: Function, args: List[str]) -> str:
@@ -446,15 +438,15 @@ class _ExprCompiler:
         body = info.inline
         if body is not None:
             frame = {}
-            for (port, _, _), code in zip(fn.ports, args):
-                if not _SIMPLE.fullmatch(code) and info.uses[port] > 1:
+            for port, code in zip(fn.ports, args):
+                if not _SIMPLE.fullmatch(code) and info.uses[port.name] > 1:
                     break
-                frame[port] = code if _SIMPLE.fullmatch(code) \
+                frame[port.name] = code if _SIMPLE.fullmatch(code) \
                     else f"({code})"
             else:
                 code = _ExprCompiler(self.c, frame)._ctx(body)
-                if body.ctx_width > fn.ret_width:
-                    code = _fold(f"(({code}) & {_mask(fn.ret_width)})")
+                if body.ctx_width > fn.ret.width:
+                    code = _fold(f"(({code}) & {_mask(fn.ret.width)})")
                 return code
         return f"self.{self.c.function_name(fn.name)}(" \
             + ", ".join(args) + ")"
@@ -544,44 +536,18 @@ class _StmtCompiler:
         if isinstance(lhs, ast.Ident):
             self._store_ident(lhs, value, value_w, indent, blocking)
             return
+        if not isinstance(lhs, (ast.IndexExpr, ast.RangeExpr)):
+            raise SynthesisError(f"invalid l-value {type(lhs).__name__}")
+        if not isinstance(lhs.base, ast.Ident):
+            raise SynthesisError("unsupported nested l-value")
         if isinstance(lhs, ast.IndexExpr):
-            base = lhs.base
-            if not isinstance(base, ast.Ident):
-                raise SynthesisError("unsupported nested l-value")
-            idx, _, _ = self.x.rvalue(lhs.index)
-            if self.x.is_memory(base.name):
-                self._store_word(base.name, idx, value, indent, blocking)
-            else:
-                msb, lsb = self.x.declared_range(base)
-                off = self.x._offset_code(idx, msb, lsb)
-                self._store_bits(base, off, 1, value, indent, blocking)
-            return
-        if isinstance(lhs, ast.RangeExpr):
-            base = lhs.base
-            if not isinstance(base, ast.Ident):
-                raise SynthesisError("unsupported nested l-value")
-            msb, lsb = self.x.declared_range(base)
-            descending = msb >= lsb
-            width = lhs.width
-            if lhs.mode == ":":
-                hi_i, lo_i = lhs.bounds
-                hi = hi_i - lsb if descending else lsb - hi_i
-                lo = lo_i - lsb if descending else lsb - lo_i
-                self._store_bits(base, str(min(hi, lo)), width, value,
-                                 indent, blocking)
-            else:
-                start, _, _ = self.x.rvalue(lhs.left)
-                off = self.x._offset_code(start, msb, lsb)
-                if lhs.mode == "+:":
-                    lo_code = off if descending \
-                        else f"(({off}) - {width - 1})"
-                else:
-                    lo_code = f"(({off}) - {width - 1})" if descending \
-                        else off
-                self._store_bits(base, lo_code, width, value, indent,
-                                 blocking)
-            return
-        raise SynthesisError(f"invalid l-value {type(lhs).__name__}")
+            low = self.x.low(lhs.select, lhs.index)
+        else:
+            low = self.x.low(lhs.select, lhs.left, lhs.width)
+        if lhs.select.word:
+            self._store_word(lhs, low, value, indent, blocking)
+        else:
+            self._store_bits(lhs, low, value, indent, blocking)
 
     def _target(self, name: str, blocking: bool) -> str:
         if name in self.x.frame:
@@ -610,14 +576,11 @@ class _StmtCompiler:
         if name not in self.x.frame:
             self._written(name, blocking, indent)
 
-    def _store_word(self, name: str, idx: str, value: str, indent: int,
-                    blocking: bool) -> None:
-        var = self.c.design.vars[name]
-        nwords, msb, lsb = var.array
-        lo = min(msb, lsb)
+    def _store_word(self, lhs: ast.IndexExpr, off: str, value: str,
+                    indent: int, blocking: bool) -> None:
+        name, nwords = lhs.base.name, lhs.select.span
         arr = self.x._read(name)
-        masked = _fold(f"(({value}) & {_mask(var.width)})")
-        off = _fold(f"({idx}) - {lo}") if lo else idx
+        masked = _fold(f"(({value}) & {_mask(lhs.width)})")
         k = _lit(off)
         if k is None:
             tmp = self.tmp()
@@ -645,23 +608,30 @@ class _StmtCompiler:
                         f"{masked}, {wakes}))")
             self.e.emit(indent, "self._nba = True")
 
-    def _store_bits(self, base: ast.Ident, lo_code: str, width: int,
-                    value: str, indent: int, blocking: bool) -> None:
-        name, w = base.name, base.width
+    def _store_bits(self, lhs: ast.Expr, low: str, value: str,
+                    indent: int, blocking: bool) -> None:
+        """Write the bits of a select that land inside its base: a
+        constant select that fits in place, any other through
+        ``pyrt.insert`` under a guard that some bit lands."""
+        name, w, width = lhs.base.name, lhs.base.width, lhs.width
         target = self._target(name, blocking)
-        lo = _lit(lo_code)
-        if lo is None:
-            lo = self.tmp()
-            self.e.emit(indent, f"{lo} = {lo_code}")
-            self.e.emit(indent, f"if 0 <= {lo} <= {w - width}:")
-            indent += 1
-        elif not 0 <= lo <= w - width:
+        k = _lit(low)
+        if k is None:
+            tmp = self.tmp()
+            self.e.emit(indent, f"{tmp} = {low}")
+            self.e.emit(indent, f"if {-width} < {tmp} < {w}:")
+            low, indent = tmp, indent + 1
+        elif not -width < k < w:
             self.e.emit(indent, "pass")
             return
-        self.e.emit(
-            indent,
-            f"{target} = ({target} & ~({_mask(width)} << {lo})) | "
-            f"((({value}) & {_mask(width)}) << {lo})")
+        if k is not None and 0 <= k <= w - width:
+            self.e.emit(
+                indent,
+                f"{target} = ({target} & ~({_mask(width)} << {k})) | "
+                f"((({value}) & {_mask(width)}) << {k})")
+        else:
+            self.e.emit(indent, f"{target} = pyrt.insert({target}, {low}, "
+                        f"{value}, {_mask(width)}, {_mask(w)})")
         if name not in self.x.frame:
             self._written(name, blocking, indent)
 
@@ -814,8 +784,8 @@ class _DesignCompiler:
 
     def _analyse_function(self, fn: Function, info: _FnInfo) -> None:
         short = fn.name.split(".")[-1]
-        ports = {p for p, _, _ in fn.ports}
-        frame = ports | {l for l, _, _ in fn.locals_} | {short, fn.name}
+        ports = {p.name for p in fn.ports}
+        frame = ports | {v.name for v in fn.locals_} | {short, fn.name}
         info.reads = read_set_of(fn.body) - frame
         free, simple = True, True
         for node in walk(fn.body):
@@ -837,7 +807,7 @@ class _DesignCompiler:
         if not free or info.reads:
             return
         if simple and len(fn.ports) == 1 \
-                and fn.ports[0][1] <= _TABLE_MAX_BITS:
+                and fn.ports[0].width <= _TABLE_MAX_BITS:
             info.table = self._tabulate(fn)
             return
         body = fn.body
@@ -862,7 +832,7 @@ class _DesignCompiler:
         exec(compile(e.source(), f"<table:{fn.name}>", "exec"), namespace)
         method = getattr(namespace["_Fn"], self.function_name(fn.name))
         name = "_T" + self.function_name(fn.name)[1:]
-        values = tuple(method(None, v) for v in range(1 << fn.ports[0][1]))
+        values = tuple(method(None, v) for v in range(1 << fn.ports[0].width))
         self._tables.append(f"{name} = {values!r}")
         return name
 
@@ -997,19 +967,19 @@ class _DesignCompiler:
         short = fn.name.split(".")[-1]
         frame: Dict[str, str] = {}
         args = []
-        for pname, _, _ in fn.ports:
-            py = "a_" + re.sub(r"\W", "_", pname)
-            frame[pname] = py
+        for port in fn.ports:
+            py = "a_" + re.sub(r"\W", "_", port.name)
+            frame[port.name] = py
             args.append(py)
-        for lname, _, _ in fn.locals_:
-            frame[lname] = "l_" + re.sub(r"\W", "_", lname)
+        for var in fn.locals_:
+            frame[var.name] = "l_" + re.sub(r"\W", "_", var.name)
         ret_py = "r_" + re.sub(r"\W", "_", short)
         frame[short] = ret_py
         frame[fn.name] = ret_py
         e.emit(1, f"def {self.function_name(fn.name)}(self, "
                + ", ".join(args) + "):")
-        for lname, _, _ in fn.locals_:
-            e.emit(2, f"{frame[lname]} = 0")
+        for var in fn.locals_:
+            e.emit(2, f"{frame[var.name]} = 0")
         e.emit(2, f"{ret_py} = 0")
         exprs = _ExprCompiler(self, frame)
         stmts = _StmtCompiler(self, e, exprs, nba_allowed=False)

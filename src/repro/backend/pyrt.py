@@ -9,7 +9,8 @@ a Python int expression.
 
 from __future__ import annotations
 
-__all__ = ["sdiv", "smod", "ashr", "to_signed", "red_xor", "clog2"]
+__all__ = ["sdiv", "smod", "ashr", "to_signed", "red_xor", "clog2",
+           "insert"]
 
 
 def to_signed(value: int, width: int) -> int:
@@ -51,3 +52,12 @@ def red_xor(value: int) -> int:
 
 def clog2(value: int) -> int:
     return (value - 1).bit_length() if value > 1 else 0
+
+
+def insert(target: int, low: int, value: int, mask: int, full: int) -> int:
+    """``target`` with ``value & mask`` written from bit ``low`` up; the
+    bits that land below bit 0 or outside ``full`` (the target's mask)
+    are dropped (IEEE 1364-2005 §5.2.1)."""
+    if low < 0:
+        return (target & ~(mask >> -low)) | ((value & mask) >> -low)
+    return ((target & ~(mask << low)) | ((value & mask) << low)) & full

@@ -25,7 +25,8 @@ from typing import Dict, List, Optional, Tuple
 
 from ..common.errors import SynthesisError
 from ..verilog import ast
-from ..verilog.elaborate import Design, Function
+from ..verilog.elaborate import Design
+from ..verilog.sizing import Select
 from .netlist import Netlist
 
 __all__ = ["synthesize"]
@@ -209,123 +210,64 @@ class _Synth:
             value -= 1 << len(vec)
         return vec, value
 
-    def _constant(self, e: ast.Expr, frame: Frame) -> int:
-        _, value = self._known(e, frame)
-        if value is None:
-            raise SynthesisError("expected a constant expression")
-        return value
+    def _base(self, e: ast.Expr, frame: Frame) -> BitVec:
+        """The bits a select picks from."""
+        if e.select.word:
+            raise SynthesisError(
+                "memories are not supported by the gate-level flow")
+        if isinstance(e.base, ast.Ident):
+            return self._read(e.base.name, frame)[0]
+        return self.expr(e.base, frame)
+
+    def _low(self, sel: Select, index: ast.Expr, frame: Frame
+             ) -> Tuple[Optional[int], BitVec]:
+        """A select's low position when it is known (a loop index after
+        unrolling counts), else None with the index bits."""
+        if sel.low is not None:
+            return sel.low, []
+        vec, value = self._known(index, frame)
+        return (None if value is None else sel.at(value)), vec
+
+    def _dynamic(self, sel: Select, index: ast.Expr) -> None:
+        """Only a select whose map is the identity on an unsigned index
+        maps to a shifter."""
+        if (sel.step, sel.bias) != (1, 0) or index.ctx_signed:
+            raise SynthesisError(
+                "a dynamic select needs an unsigned index into a [n:0] "
+                "range")
 
     def _index(self, e: ast.IndexExpr, frame: Frame) -> BitVec:
-        base = e.base
-        if isinstance(base, ast.Ident):
-            vec, _ = self._read(base.name, frame)
-            if base.name not in frame:
-                var = self.design.vars.get(base.name)
-                if var is not None and var.is_array:
-                    raise SynthesisError(
-                        "memories are not supported by the gate-level "
-                        "flow")
-                msb, lsb = var.msb, var.lsb
-            else:
-                msb, lsb = len(vec) - 1, 0
-        else:
-            vec = self.expr(base, frame)
-            msb, lsb = len(vec) - 1, 0
-        idx = self.expr(e.index, frame)
-        const = self.vec_const(idx)
-        descending = msb >= lsb
-        if const is not None:
-            offset = const - lsb if descending else lsb - const
-            if 0 <= offset < len(vec):
-                return [vec[offset]]
-            return [self.nl.add_const(0)]
-        # Dynamic bit select: mux tree over the vector.
-        if not descending or lsb:
-            raise SynthesisError(
-                "dynamic select on non-[n:0] ranges is unsupported")
-        return [self._dyn_select(vec, idx)]
-
-    def _dyn_select(self, vec: BitVec, idx: BitVec) -> str:
-        current = list(vec)
-        for stage, sel in enumerate(idx):
-            step = 1 << stage
-            if step >= len(current):
-                break
-            nxt = []
-            for i in range(len(current)):
-                hi = current[i + step] if i + step < len(current) \
-                    else self.nl.add_const(0)
-                nxt.append(self.mux(sel, hi, current[i]))
-            current = nxt
-        return current[0]
+        vec = self._base(e, frame)
+        low, idx = self._low(e.select, e.index, frame)
+        if low is None:
+            self._dynamic(e.select, e.index)
+            return self._shift_dyn(vec, idx, left=False)[:1]
+        return [vec[low] if 0 <= low < len(vec) else self.nl.add_const(0)]
 
     def _range(self, e: ast.RangeExpr, frame: Frame) -> BitVec:
-        base = e.base
-        if isinstance(base, ast.Ident) and base.name not in frame:
-            var = self.design.vars.get(base.name)
-            if var is None:
-                raise SynthesisError(f"unknown variable {base.name!r}")
-            if var.is_array:
-                raise SynthesisError("memories are not supported by the "
-                                     "gate-level flow")
-            vec, _ = self._read(base.name, frame)
-            msb, lsb = var.msb, var.lsb
-        else:
-            vec = self.expr(base, frame)
-            msb, lsb = len(vec) - 1, 0
-        descending = msb >= lsb
+        vec = self._base(e, frame)
+        low, start = self._low(e.select, e.left, frame)
+        if low is None:
+            self._dynamic(e.select, e.left)
+            return self._shift_dyn(vec, start, left=False)[:e.width]
+        return [vec[i] if 0 <= i < len(vec) else self.nl.add_const(0)
+                for i in range(low, low + e.width)]
 
-        def offset_of(i: int) -> int:
-            return i - lsb if descending else lsb - i
-
-        if e.mode == ":":
-            hi, lo = (offset_of(i) for i in e.bounds)
-        else:
-            width = e.width
-            start, start_const = self._known(e.left, frame)
-            if start_const is None:
-                # Dynamic part select: shift right then slice.
-                return self._shift_right_dyn(vec, start)[:width]
-            off = offset_of(start_const)
-            if e.mode == "+:":
-                hi, lo = (off + width - 1, off) if descending \
-                    else (off, off - width + 1)
-            else:
-                hi, lo = (off, off - width + 1) if descending \
-                    else (off + width - 1, off)
-        if hi < lo:
-            hi, lo = lo, hi
-        out = []
-        for i in range(lo, hi + 1):
-            out.append(vec[i] if 0 <= i < len(vec)
-                       else self.nl.add_const(0))
-        return out
-
-    def _shift_right_dyn(self, vec: BitVec, amount: BitVec) -> BitVec:
+    def _shift_dyn(self, vec: BitVec, amount: BitVec, left: bool) -> BitVec:
+        """``vec`` shifted by ``amount`` with zeros in: a mux stage per
+        amount bit, then the bits worth ``len(vec)`` or more clear it."""
         current = list(vec)
         zero = self.nl.add_const(0)
         for stage, sel in enumerate(amount):
             step = 1 << stage
-            if step >= 2 * len(current):
-                break
+            if step >= len(current):
+                over = self.reduce_tree(amount[stage:], self.or_)
+                return [self.mux(over, zero, bit) for bit in current]
             nxt = []
             for i in range(len(current)):
-                hi = current[i + step] if i + step < len(current) else zero
-                nxt.append(self.mux(sel, hi, current[i]))
-            current = nxt
-        return current
-
-    def _shift_left_dyn(self, vec: BitVec, amount: BitVec) -> BitVec:
-        current = list(vec)
-        zero = self.nl.add_const(0)
-        for stage, sel in enumerate(amount):
-            step = 1 << stage
-            if step >= 2 * len(current):
-                break
-            nxt = []
-            for i in range(len(current)):
-                lo = current[i - step] if i - step >= 0 else zero
-                nxt.append(self.mux(sel, lo, current[i]))
+                j = i - step if left else i + step
+                src = current[j] if 0 <= j < len(current) else zero
+                nxt.append(self.mux(sel, src, current[i]))
             current = nxt
         return current
 
@@ -412,10 +354,8 @@ class _Synth:
             elif arith:
                 raise SynthesisError(
                     "dynamic arithmetic right shift is unsupported")
-            elif left:
-                out = self._shift_left_dyn(vec, amount)
             else:
-                out = self._shift_right_dyn(vec, amount)
+                out = self._shift_dyn(vec, amount, left)
             return out[:need]
         if op in ("+", "-"):
             a = self.expr(e.lhs, frame, need)
@@ -460,14 +400,13 @@ class _Synth:
         if fn is None:
             raise SynthesisError(f"unknown function {name!r}")
         new_frame: Frame = {}
-        for (pname, width, psigned), arg in zip(fn.ports, e.args):
-            new_frame[pname] = (self.expr(arg, frame, width), psigned)
-        for lname, width, lsigned in fn.locals_:
-            new_frame[lname] = (self.const_vec(0, width), lsigned)
-        short = fn.name.split(".")[-1]
-        new_frame[short] = (self.const_vec(0, fn.ret_width), fn.ret_signed)
+        for port, arg in zip(fn.ports, e.args):
+            new_frame[port.name] = (self.expr(arg, frame, port.width),
+                                    port.signed)
+        for var in fn.locals_ + [fn.ret]:
+            new_frame[var.name] = (self.const_vec(0, var.width), var.signed)
         self._stmt(fn.body, new_frame, None)
-        vec, _ = new_frame[short]
+        vec, _ = new_frame[fn.ret.name]
         return self.resize(vec, need, e.ctx_signed)
 
     # ------------------------------------------------------------------
@@ -643,39 +582,19 @@ class _Synth:
             base = lhs.base
             if not isinstance(base, ast.Ident):
                 raise SynthesisError("unsupported nested l-value")
-            current, signed = self._read_for_store(base.name, frame, nba)
-            var = self.design.vars.get(base.name)
-            msb, lsb = (var.msb, var.lsb) if var is not None \
-                and base.name not in frame else (len(current) - 1, 0)
-            descending = msb >= lsb
-            if isinstance(lhs, ast.IndexExpr):
-                idx = self._constant(lhs.index, frame)
-                off = idx - lsb if descending else lsb - idx
-                lo, hi = off, off
-            else:
-                if lhs.mode == ":":
-                    hi, lo = lhs.bounds
-                    hi = hi - lsb if descending else lsb - hi
-                    lo = lo - lsb if descending else lsb - lo
-                else:
-                    w = lhs.width
-                    start = self._constant(lhs.left, frame)
-                    off = start - lsb if descending else lsb - start
-                    if lhs.mode == "+:":
-                        lo, hi = (off, off + w - 1) if descending \
-                            else (off - w + 1, off)
-                    else:
-                        lo, hi = (off - w + 1, off) if descending \
-                            else (off, off + w - 1)
-                if hi < lo:
-                    hi, lo = lo, hi
-            new = list(current)
-            for i in range(lo, hi + 1):
-                if 0 <= i < len(new):
-                    src = value[i - lo] if i - lo < len(value) \
-                        else self.nl.add_const(0)
-                    new[i] = src
-            self._store_name(base.name, new, frame, nba, exact=True)
+            if lhs.select.word:
+                raise SynthesisError(
+                    "memories are not supported by the gate-level flow")
+            low, _ = self._low(lhs.select, lhs.index if isinstance(
+                lhs, ast.IndexExpr) else lhs.left, frame)
+            if low is None:
+                raise SynthesisError("expected a constant expression")
+            new, _ = self._read_for_store(base.name, frame, nba)
+            new = list(new)
+            for i in range(max(low, 0), min(low + lhs.width, len(new))):
+                new[i] = value[i - low] if i - low < len(value) \
+                    else self.nl.add_const(0)
+            self._store_name(base.name, new, frame, nba)
             return
         raise SynthesisError(f"invalid l-value {type(lhs).__name__}")
 
@@ -688,8 +607,7 @@ class _Synth:
         return self._read(name, frame)
 
     def _store_name(self, name: str, value: BitVec, frame,
-                    nba: Optional[Dict[str, BitVec]],
-                    exact: bool = False) -> None:
+                    nba: Optional[Dict[str, BitVec]]) -> None:
         if name in frame:
             width = len(frame[name][0])
             signed = frame[name][1]

@@ -614,9 +614,6 @@ class Bits:
             b |= fill
         return Bits(self.width, a, b, True)
 
-    def ashl(self, other: "Bits") -> "Bits":
-        return self.shl(other)
-
     # ------------------------------------------------------------------
     # Relational / equality -> 1 bit
     # ------------------------------------------------------------------

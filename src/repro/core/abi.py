@@ -113,9 +113,6 @@ class Engine(abc.ABC):
         ignore it — part of the ABI so the scheduler never has to probe
         with hasattr on its hot path."""
 
-    def end(self) -> None:
-        """Optional: called once at shutdown."""
-
     # -- unsynthesizable side effects (display / finish) --------------------
     def drain_tasks(self) -> List[EngineTask]:
         """Pending display/finish notifications for the runtime."""
@@ -128,17 +125,11 @@ class Engine(abc.ABC):
         return True
 
     # -- optimisations (forward / open_loop) ---------------------------------
-    def supports_forwarding(self) -> bool:
-        return False
-
     def forward(self, inner: "Engine") -> None:
         """ABI forwarding (§4.3): absorb a standard component so this
         engine answers ABI requests on its behalf."""
         raise NotImplementedError(
             f"{type(self).__name__} does not support ABI forwarding")
-
-    def supports_open_loop(self) -> bool:
-        return False
 
     def open_loop(self, clock_port: str, steps: int) -> int:
         """Open-loop scheduling (§4.4): run up to ``steps`` full
@@ -147,12 +138,6 @@ class Engine(abc.ABC):
         intervention.  Returns the number of iterations performed."""
         raise NotImplementedError(
             f"{type(self).__name__} does not support open loop")
-
-    # -- accounting -----------------------------------------------------------
-    def events_processed(self) -> int:
-        """Monotonic count of events this engine has processed; the
-        performance model charges per-event costs from deltas."""
-        return 0
 
 
 class CollectedTasks:

@@ -49,7 +49,6 @@ class SoftwareEngineAdapter(CollectedTasks, Engine):
             design = elaborate_leaf(subprogram.module_ast)
         self.design = design
         self.core = SoftwareEngine(design, self.services)
-        self._events = 0
 
     # -- state ----------------------------------------------------------
     def get_state(self) -> Dict[str, object]:
@@ -60,7 +59,6 @@ class SoftwareEngineAdapter(CollectedTasks, Engine):
 
     # -- data plane -------------------------------------------------------
     def write(self, port: str, value: Bits) -> None:
-        self._events += 1
         self.core.poke(port, value)
 
     def read(self, port: str) -> Bits:
@@ -74,14 +72,12 @@ class SoftwareEngineAdapter(CollectedTasks, Engine):
         return self.core.there_are_evals()
 
     def evaluate(self) -> None:
-        self._events += 1
         self.core.evaluate()
 
     def there_are_updates(self) -> bool:
         return self.core.there_are_updates()
 
     def update(self) -> None:
-        self._events += 1
         self.core.update()
 
     def end_step(self) -> None:
@@ -89,9 +85,6 @@ class SoftwareEngineAdapter(CollectedTasks, Engine):
 
     def set_time(self, time: int) -> None:
         self.services.time = time
-
-    def events_processed(self) -> int:
-        return self._events
 
     def __repr__(self) -> str:
         return f"SoftwareEngineAdapter({self.subprogram.name})"

@@ -21,7 +21,6 @@ class Interrupt:
 
     DISPLAY = "display"
     FINISH = "finish"
-    EVAL = "eval"
     ACTION = "action"   # arbitrary runtime callback (engine swap, etc.)
 
     def __init__(self, kind: str, payload=None):
@@ -38,17 +37,11 @@ class InterruptQueue:
     def __init__(self):
         self._queue: Deque[Interrupt] = deque()
 
-    def push(self, interrupt: Interrupt) -> None:
-        self._queue.append(interrupt)
-
     def push_display(self, text: str, newline: bool = True) -> None:
         self._queue.append(Interrupt(Interrupt.DISPLAY, (text, newline)))
 
     def push_finish(self, code: int = 0) -> None:
         self._queue.append(Interrupt(Interrupt.FINISH, code))
-
-    def push_eval(self, payload) -> None:
-        self._queue.append(Interrupt(Interrupt.EVAL, payload))
 
     def push_action(self, action: Callable[[], None]) -> None:
         self._queue.append(Interrupt(Interrupt.ACTION, action))

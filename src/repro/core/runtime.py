@@ -209,10 +209,6 @@ class Runtime:
         self.root_items.append(ast.InitialBlock(stmt, stmt.loc))
         self._invalidate()
 
-    def eval_item(self, item: ast.Item) -> None:
-        self.root_items.append(item)
-        self._invalidate()
-
     def _invalidate(self) -> None:
         self._needs_rebuild = True
 
@@ -563,7 +559,6 @@ class Runtime:
                         sub: Subprogram) -> None:
         """Absorb standard components whose nets connect only to this
         engine (§4.3)."""
-        my_nets = {net for net, _ in sub.bindings.values()}
         for other in self.program.external_subprograms():
             if other.name in self.absorbed:
                 continue

@@ -29,7 +29,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 from ..common.bits import Bits
 from ..common.errors import EvalError
 from ..verilog import ast
-from ..verilog.elaborate import Design, Function, Var
+from ..verilog.elaborate import Design, Function
 from ..verilog.eval import ExprEvaluator
 from ..verilog.sizing import size_expr
 from ..verilog.visitor import find_all, walk
@@ -62,6 +62,12 @@ class EngineServices:
     def fopen(self, path: str) -> Iterable[str]:
         with open(path, "r", encoding="utf-8") as f:
             return f.read().splitlines()
+
+
+def _fit(value: Bits, width: int, signed: bool) -> Bits:
+    """``value`` assigned to a variable of ``width`` and ``signed``."""
+    v = value.as_signed() if signed else value.as_unsigned()
+    return v.extend(width) if v.width < width else v.resize(width)
 
 
 class _FinishSignal(Exception):
@@ -206,31 +212,17 @@ class _Scope:
         return None
 
     # -- Scope protocol ---------------------------------------------------
-    def is_array(self, name: str) -> bool:
-        if self._frame_lookup(name) is not None:
-            return False
-        var = self.engine.design.vars.get(name)
-        return var is not None and var.is_array
-
     def read(self, name: str) -> Bits:
         v = self._frame_lookup(name)
         if v is not None:
             return v
         return self.engine.values[name]
 
-    def read_word(self, name: str, index: int) -> Bits:
-        var = self.engine.design.vars[name]
-        offset = var.word_index(index)
-        if offset is None:
-            return Bits.xes(var.width)
-        return self.engine.arrays[name][offset]
-
-    def range_of(self, name: str) -> Tuple[int, int]:
-        v = self._frame_lookup(name)
-        if v is not None:
-            return v.width - 1, 0
-        var = self.engine.design.vars[name]
-        return var.msb, var.lsb
+    def read_word(self, name: str, offset: int) -> Bits:
+        words = self.engine.arrays[name]
+        if 0 <= offset < len(words):
+            return words[offset]
+        return Bits.xes(self.engine.design.vars[name].width)
 
     def call_function(self, name: str, args: List[Bits]) -> Bits:
         return self.engine.call_function(name, args)
@@ -337,20 +329,10 @@ class SoftwareEngine:
         """Current value of a variable (ABI read)."""
         return self.values[name]
 
-    def peek_word(self, name: str, index: int) -> Bits:
-        var = self.design.vars[name]
-        offset = var.word_index(index)
-        if offset is None:
-            return Bits.xes(var.width)
-        return self.arrays[name][offset]
-
     def poke(self, name: str, value: Bits) -> None:
         """Deliver an input change (ABI write)."""
         var = self.design.vars[name]
-        v = value.as_signed() if var.signed else value.as_unsigned()
-        v = v.extend(var.width) if v.width < var.width \
-            else v.resize(var.width)
-        self._set_var(name, v)
+        self._set_var(name, _fit(value, var.width, var.signed))
 
     def _set_var(self, name: str, value: Bits) -> None:
         old = self.values[name]
@@ -359,11 +341,7 @@ class SoftwareEngine:
         self.values[name] = value
         self._notify(name, old, value)
 
-    def _set_word(self, name: str, index: int, value: Bits) -> None:
-        var = self.design.vars[name]
-        offset = var.word_index(index)
-        if offset is None:
-            return
+    def _set_word(self, name: str, offset: int, value: Bits) -> None:
         old = self.arrays[name][offset]
         if old.aval == value.aval and old.bval == value.bval:
             return
@@ -566,8 +544,8 @@ class SoftwareEngine:
     def _resolve_targets(self, lhs: ast.Expr, value: Bits) -> List[Tuple]:
         """Lower an l-value + value into primitive write operations.
 
-        Ops: ("var", name, bits) | ("word", name, index, bits) |
-        ("bits", name, hi, lo, bits).
+        Ops: ("var", name, bits) | ("word", name, offset, bits) |
+        ("bits", name, hi, lo, bits), at physical positions.
         """
         ops: List[Tuple] = []
         self._resolve_into(lhs, value, ops)
@@ -587,137 +565,65 @@ class SoftwareEngine:
                 pos -= w
             return
         if isinstance(lhs, ast.Ident):
-            var = self.design.vars.get(lhs.name)
-            if var is None:
-                raise EvalError(f"assignment to undeclared {lhs.name!r}")
-            v = value.as_signed() if var.signed else value.as_unsigned()
-            v = v.extend(var.width) if v.width < var.width \
-                else v.resize(var.width)
-            ops.append(("var", lhs.name, v))
+            ops.append(("var", lhs.name, _fit(value, lhs.width, lhs.signed)))
             return
-        if isinstance(lhs, ast.IndexExpr):
-            base = lhs.base
-            if not isinstance(base, ast.Ident):
-                raise EvalError("unsupported nested l-value")
-            index = self.evaluator.eval(lhs.index)
-            if index.has_xz:
-                return  # write to x index is discarded
-            var = self.design.vars.get(base.name)
-            if var is None:
-                raise EvalError(f"assignment to undeclared {base.name!r}")
-            if var.is_array:
-                v = value.extend(var.width) if value.width < var.width \
-                    else value.resize(var.width)
-                ops.append(("word", base.name, index.to_uint(), v))
-            else:
-                offset = self._lvalue_offset(var, index.to_int()
-                                             if index.signed
-                                             else index.to_uint())
-                if offset is not None:
-                    ops.append(("bits", base.name, offset, offset,
-                                value.resize(1)))
+        if not isinstance(lhs, (ast.IndexExpr, ast.RangeExpr)):
+            raise EvalError(f"invalid l-value {type(lhs).__name__}")
+        if not isinstance(lhs.base, ast.Ident):
+            raise EvalError("unsupported nested l-value")
+        sel = lhs.select
+        low = self.evaluator.low(sel, lhs.index if isinstance(
+            lhs, ast.IndexExpr) else lhs.left)
+        width = lhs.width
+        # An x index, or no bit or word in range: the write is lost.
+        if low is None:
             return
-        if isinstance(lhs, ast.RangeExpr):
-            base = lhs.base
-            if not isinstance(base, ast.Ident):
-                raise EvalError("unsupported nested l-value")
-            var = self.design.vars.get(base.name)
-            if var is None:
-                raise EvalError(f"assignment to undeclared {base.name!r}")
-            bounds = self._range_bounds(lhs, var)
-            if bounds is None:
-                return
-            hi, lo = bounds
-            width = hi - lo + 1
-            v = value.resize(width) if value.width >= width \
-                else value.extend(width)
-            ops.append(("bits", base.name, hi, lo, v))
-            return
-        raise EvalError(f"invalid l-value {type(lhs).__name__}")
-
-    def _lvalue_offset(self, var: Var, index: int) -> Optional[int]:
-        if var.msb >= var.lsb:
-            offset = index - var.lsb
-        else:
-            offset = var.lsb - index
-        if 0 <= offset < var.width:
-            return offset
-        return None
-
-    def _range_bounds(self, lhs: ast.RangeExpr,
-                      var: Var) -> Optional[Tuple[int, int]]:
-        descending = var.msb >= var.lsb
-
-        def offset_of(idx: int) -> int:
-            return idx - var.lsb if descending else var.lsb - idx
-
-        if lhs.mode == ":":
-            msb, lsb = lhs.bounds
-            hi, lo = offset_of(msb), offset_of(lsb)
-        else:
-            start = self.evaluator.eval(lhs.left)
-            if start.has_xz:
-                return None
-            s = start.to_int() if start.signed else start.to_uint()
-            w = lhs.width
-            if lhs.mode == "+:":
-                if descending:
-                    hi, lo = offset_of(s) + w - 1, offset_of(s)
-                else:
-                    hi, lo = offset_of(s), offset_of(s) - w + 1
-            else:
-                if descending:
-                    hi, lo = offset_of(s), offset_of(s) - w + 1
-                else:
-                    hi, lo = offset_of(s) + w - 1, offset_of(s)
-        if hi < lo:
-            hi, lo = lo, hi
-        hi = min(hi, var.width - 1)
-        lo = max(lo, 0)
-        if hi < lo:
-            return None
-        return hi, lo
+        if sel.word:
+            if 0 <= low < sel.span:
+                ops.append(("word", lhs.base.name, low,
+                            value.extend(width) if value.width < width
+                            else value.resize(width)))
+        elif -width < low < sel.span:
+            ops.append(("bits", lhs.base.name, low + width - 1, low, value))
 
     def _apply_write(self, op: Tuple) -> None:
-        kind = op[0]
+        """Apply one write, to the current function frame when it holds
+        the name."""
+        kind, name = op[0], op[1]
+        if kind == "word":
+            self._set_word(name, op[2], op[3])
+            return
+        frames = self.scope.frames
+        frame = frames[-1] if frames and name in frames[-1] else None
         if kind == "var":
-            _, name, value = op
-            self._set_var(name, value)
-        elif kind == "word":
-            _, name, index, value = op
-            self._set_word(name, index, value)
+            value = op[2]
         else:
-            _, name, hi, lo, value = op
-            old = self.values[name]
-            self._set_var(name, old.set_part(hi, lo, value))
+            old = self.values[name] if frame is None else frame[name]
+            value = old.set_part(op[2], op[3], op[4])
+        if frame is None:
+            self._set_var(name, value)
+        else:
+            frame[name] = value
 
     # ------------------------------------------------------------------
     # Functions and system tasks
     # ------------------------------------------------------------------
     def call_function(self, name: str, args: List[Bits]) -> Bits:
         fn: Function = self.design.functions[name]
-        frame: Dict[str, Bits] = {}
-        for (pname, width, signed), value in zip(fn.ports, args):
-            v = value.as_signed() if signed else value.as_unsigned()
-            frame[pname] = v.extend(width) if v.width < width \
-                else v.resize(width)
-        for lname, width, signed in fn.locals_:
-            frame[lname] = Bits.xes(width) if not signed \
-                else Bits.xes(width).as_signed()
-        frame[fn.name.split(".")[-1]] = Bits.xes(fn.ret_width)
-        frame[fn.name] = frame[fn.name.split(".")[-1]]
+        frame: Dict[str, Bits] = {
+            port.name: _fit(value, port.width, port.signed)
+            for port, value in zip(fn.ports, args)}
+        for var in fn.locals_ + [fn.ret]:
+            frame[var.name] = Bits.xes(var.width)
         self.scope.push_frame(frame)
         try:
-            self._exec_function_body(fn, frame)
+            self._exec_function_body(fn)
         finally:
             self.scope.pop_frame()
-        result = frame.get(fn.name.split(".")[-1], Bits.xes(fn.ret_width))
-        return result.as_signed() if fn.ret_signed else result
+        result = frame[fn.ret.name]
+        return result.as_signed() if fn.ret.signed else result
 
-    def _exec_function_body(self, fn: Function,
-                            frame: Dict[str, Bits]) -> None:
-        short = fn.name.split(".")[-1]
-
+    def _exec_function_body(self, fn: Function) -> None:
         def run(stmt: Optional[ast.Stmt]) -> None:
             if stmt is None:
                 return
@@ -726,44 +632,7 @@ class SoftwareEngine:
                 for sub in stmt.stmts:
                     run(sub)
             elif isinstance(stmt, ast.BlockingAssign):
-                lhs = stmt.lhs
-                value = self.evaluator.eval(stmt.rhs)
-                target = lhs
-                if isinstance(target, ast.Ident) and \
-                        target.name in frame:
-                    cur = frame[target.name]
-                    v = value.as_signed() if cur.signed \
-                        else value.as_unsigned()
-                    v = v.extend(cur.width) if v.width < cur.width \
-                        else v.resize(cur.width)
-                    frame[target.name] = v
-                    if target.name == short:
-                        frame[fn.name] = v
-                elif isinstance(target, (ast.IndexExpr, ast.RangeExpr)) \
-                        and isinstance(target.base, ast.Ident) \
-                        and target.base.name in frame:
-                    cur = frame[target.base.name]
-                    if isinstance(target, ast.IndexExpr):
-                        idx = self.evaluator.eval(target.index)
-                        if idx.has_xz:
-                            return
-                        offset = idx.to_uint()
-                        if 0 <= offset < cur.width:
-                            frame[target.base.name] = cur.set_part(
-                                offset, offset, value.resize(1))
-                    else:
-                        fake = Var(target.base.name, "reg", cur.width,
-                                   cur.signed, cur.width - 1, 0)
-                        bounds = self._range_bounds(target, fake)
-                        if bounds:
-                            hi, lo = bounds
-                            frame[target.base.name] = cur.set_part(
-                                hi, lo, value)
-                    if target.base.name == short:
-                        frame[fn.name] = frame[target.base.name]
-                else:
-                    for op in self._resolve_targets(lhs, value):
-                        self._apply_write(op)
+                self._do_blocking(stmt)
             elif isinstance(stmt, ast.If):
                 if self.evaluator.eval_bool(stmt.cond):
                     run(stmt.then)
@@ -935,9 +804,6 @@ class SoftwareEngine:
             if text != last:
                 self._monitors[i] = (args, text)
                 self.services.display(text)
-
-    def end(self) -> None:
-        """Shutdown hook."""
 
     def next_wake_time(self) -> Optional[int]:
         """Earliest pending delayed wake-up, for the standalone

@@ -73,12 +73,6 @@ class Subprogram:
         # port name -> (net name, "in" | "out")
         self.bindings: Dict[str, Tuple[str, str]] = {}
 
-    def input_ports(self) -> List[str]:
-        return [p for p, (_, d) in self.bindings.items() if d == "in"]
-
-    def output_ports(self) -> List[str]:
-        return [p for p, (_, d) in self.bindings.items() if d == "out"]
-
     def __repr__(self) -> str:
         return f"Subprogram({self.name}, module={self.source_module})"
 

@@ -7,9 +7,8 @@ fabric.  We have neither device, so the runtime advances a discrete
 virtual clock whose per-operation costs are calibrated to the paper's
 platform:
 
-* a software engine charges ``sw_event_ns`` per event it processes plus
-  ``sw_iteration_ns`` fixed cost per scheduler iteration it takes part
-  in (calibrated so a small design simulates at roughly the 1 kHz range
+* a software engine charges ``sw_event_ns`` per event it processes
+  (calibrated so a small design simulates at roughly the 1 kHz range
   the paper reports for interpreted simulation);
 * every data/control-plane message to a hardware-located engine charges
   one MMIO round trip (``mmio_ns``) — the §4.4 observation that even one
@@ -38,14 +37,12 @@ class TimeModel:
     def __init__(self,
                  fabric_mhz: float = 50.0,
                  sw_event_ns: int = 120_000,
-                 sw_iteration_ns: int = 150_000,
                  mmio_ns: int = 1_800,
                  runtime_overhead_ns: int = 4_000,
                  sw_fast_event_ns: Optional[int] = None):
         self.fabric_mhz = fabric_mhz
         self.fabric_tick_ns = 1_000.0 / fabric_mhz
         self.sw_event_ns = sw_event_ns
-        self.sw_iteration_ns = sw_iteration_ns
         self.mmio_ns = mmio_ns
         self.runtime_overhead_ns = runtime_overhead_ns
         #: Virtual cost of an event processed by the *software fast
@@ -70,9 +67,6 @@ class TimeModel:
         else:
             self.now_ns += count * self.sw_event_ns
             self.tier_events["interpreted"] += count
-
-    def charge_sw_iteration(self) -> None:
-        self.now_ns += self.sw_iteration_ns
 
     def charge_mmio(self, messages: int = 1) -> None:
         self.now_ns += messages * self.mmio_ns

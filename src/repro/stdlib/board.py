@@ -116,22 +116,11 @@ class HostFifo:
         self.pushed += 1
         return True
 
-    def host_push_all(self, values) -> int:
-        count = 0
-        for v in values:
-            if not self.host_push(v):
-                break
-            count += 1
-        return count
-
     def device_pop(self) -> Optional[int]:
         if not self.to_device:
             return None
         self.popped += 1
         return self.to_device.popleft()
-
-    def device_peek(self) -> Optional[int]:
-        return self.to_device[0] if self.to_device else None
 
     @property
     def empty(self) -> bool:

@@ -15,7 +15,7 @@ board, never by compiling this Verilog.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from ..verilog import ast
 from ..verilog.parser import parse_source
@@ -88,6 +88,3 @@ def stdlib_modules() -> List[ast.Module]:
 
 _CACHE = None
 
-
-def stdlib_module_map() -> Dict[str, ast.Module]:
-    return {m.name: m for m in stdlib_modules()}

@@ -35,7 +35,6 @@ class StdlibEngine(CollectedTasks, Engine):
         self.ports: Dict[str, Bits] = {}
         self.widths: Dict[str, int] = {}
         self._changed: Set[str] = set()
-        self._events = 0
         self.time = 0
         table = declare_vars(subprogram.module_ast, subprogram.params)
         for port in subprogram.module_ast.ports:
@@ -64,7 +63,6 @@ class StdlibEngine(CollectedTasks, Engine):
         pass
 
     def write(self, port: str, value: Bits) -> None:
-        self._events += 1
         width = self.widths[port]
         v = value.extend(width) if value.width < width \
             else value.resize(width)
@@ -102,16 +100,13 @@ class StdlibEngine(CollectedTasks, Engine):
         return False
 
     def evaluate(self) -> None:
-        self._events += 1
+        pass
 
     def there_are_updates(self) -> bool:
         return False
 
     def update(self) -> None:
-        self._events += 1
-
-    def events_processed(self) -> int:
-        return self._events
+        pass
 
     # -- subclass hooks -------------------------------------------------------
     def on_input(self, port: str, value: Bits) -> None:
@@ -141,7 +136,6 @@ class ClockEngine(StdlibEngine):
         return self._pending
 
     def update(self) -> None:
-        self._events += 1
         if self._pending:
             self._set("val", 1 - self.ports["val"].to_int_xz())
             self._pending = False

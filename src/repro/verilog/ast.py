@@ -107,16 +107,16 @@ class Ident(Expr):
     def name(self) -> str:
         return ".".join(self.parts)
 
-    @property
-    def is_hierarchical(self) -> bool:
-        return len(self.parts) > 1
-
 
 class IndexExpr(Expr):
-    """Bit select or memory word select: ``base[index]``."""
+    """Bit select or memory word select: ``base[index]``.
+
+    Sizing maps it to physical bits or words in ``select`` (a
+    :class:`repro.verilog.sizing.Select`).
+    """
 
     _fields = ("base", "index")
-    __slots__ = ("base", "index")
+    __slots__ = ("base", "index", "select")
 
     def __init__(self, base: Expr, index: Expr, loc=None):
         super().__init__(loc)
@@ -127,12 +127,12 @@ class IndexExpr(Expr):
 class RangeExpr(Expr):
     """Part select ``base[msb:lsb]``, ``base[start+:w]`` or ``base[start-:w]``.
 
-    ``mode`` is one of ``":"``, ``"+:"`` or ``"-:"``.  Sizing folds a
-    ``":"`` select's bounds into ``bounds`` (msb, lsb).
+    ``mode`` is one of ``":"``, ``"+:"`` or ``"-:"``.  Sizing maps it
+    to physical bits in ``select`` (a :class:`repro.verilog.sizing.Select`).
     """
 
     _fields = ("base", "left", "right")
-    __slots__ = ("base", "left", "right", "mode", "bounds")
+    __slots__ = ("base", "left", "right", "mode", "select")
 
     def __init__(self, base: Expr, left: Expr, right: Expr, mode: str = ":",
                  loc=None):

@@ -69,16 +69,6 @@ class Var:
     def is_array(self) -> bool:
         return self.array is not None
 
-    def word_index(self, index: int) -> Optional[int]:
-        """Storage offset for a declared array index, or None if out of
-        range."""
-        assert self.array is not None
-        nwords, msb, lsb = self.array
-        lo, hi = min(msb, lsb), max(msb, lsb)
-        if not lo <= index <= hi:
-            return None
-        return index - lo
-
     def default_value(self) -> Bits:
         if self.init is not None:
             return self.init
@@ -92,20 +82,18 @@ class Var:
 
 
 class Function:
-    """A resolved Verilog function."""
+    """A resolved Verilog function.  Its result, ports and locals are
+    frame variables named by their local names, with their declared
+    ranges."""
 
-    __slots__ = ("name", "ret_width", "ret_signed", "ports", "locals_",
-                 "body", "loc")
+    __slots__ = ("name", "ret", "ports", "locals_", "body", "loc")
 
-    def __init__(self, name: str, ret_width: int, ret_signed: bool,
-                 ports: List[Tuple[str, int, bool]],
-                 locals_: List[Tuple[str, int, bool]],
-                 body: ast.Stmt, loc=None):
+    def __init__(self, name: str, ret: Var, ports: List[Var],
+                 locals_: List[Var], body: ast.Stmt, loc=None):
         self.name = name
-        self.ret_width = ret_width
-        self.ret_signed = ret_signed
-        self.ports = ports        # [(name, width, signed)]
-        self.locals_ = locals_    # [(name, width, signed)]
+        self.ret = ret
+        self.ports = ports
+        self.locals_ = locals_
         self.body = body
         self.loc = loc
 
@@ -549,28 +537,22 @@ def _elaborate(inst: Instance, design: Design) -> None:
 
 def _declare_function(fn: ast.FunctionDecl, design: Design, prefix: str,
                       params: Dict[str, Bits]) -> None:
-    ret_width, _, _ = resolve_range(fn.range_, params,
-                                    f"function {fn.name!r}")
-    ports = []
-    local_names = {fn.name}
-    for p in fn.ports:
-        width, _, _ = resolve_range(p.range_, params,
-                                    f"function input {p.name!r}")
-        ports.append((p.name, width, p.signed))
-        local_names.add(p.name)
-    locals_ = []
-    for decl_item in fn.locals_:
-        width, _, _ = resolve_range(decl_item.range_, params,
-                                    "function local")
-        for d in decl_item.decls:
-            locals_.append((d.name, width, decl_item.signed))
-            local_names.add(d.name)
-    _rewrite(fn.body, params, prefix, frozenset(local_names))
+    def frame_var(name: str, range_, signed: bool, what: str) -> Var:
+        width, msb, lsb = resolve_range(range_, params, what)
+        return Var(name, "reg", width, signed, msb, lsb)
+
+    ret = frame_var(fn.name, fn.range_, fn.signed, f"function {fn.name!r}")
+    ports = [frame_var(p.name, p.range_, p.signed,
+                       f"function input {p.name!r}") for p in fn.ports]
+    locals_ = [frame_var(d.name, item.range_, item.signed, "function local")
+               for item in fn.locals_ for d in item.decls]
+    local_names = frozenset([fn.name] + [v.name for v in ports + locals_])
+    _rewrite(fn.body, params, prefix, local_names)
     full = _full(prefix, fn.name)
     if full in design.functions:
         raise ElaborationError(f"duplicate function {full!r}", fn.loc)
-    design.functions[full] = Function(full, ret_width, fn.signed,
-                                      ports, locals_, fn.body, fn.loc)
+    design.functions[full] = Function(full, ret, ports, locals_, fn.body,
+                                      fn.loc)
 
 
 def _elaborate_instance(inst: Instance, item: ast.Instantiation,

@@ -11,12 +11,12 @@ when every operand of the context is (§5.5.4).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Protocol, Tuple
+from typing import Dict, List, Optional, Protocol
 
 from ..common.bits import Bits
 from ..common.errors import EvalError
 from . import ast
-from .sizing import size_constant
+from .sizing import Select, size_constant
 
 __all__ = ["Scope", "ExprEvaluator", "const_eval", "ConstScope"]
 
@@ -24,20 +24,13 @@ __all__ = ["Scope", "ExprEvaluator", "const_eval", "ConstScope"]
 class Scope(Protocol):
     """The values the evaluator reads from the surrounding design."""
 
-    def is_array(self, name: str) -> bool:
-        """True when the name is a memory (unpacked array)."""
-        ...
-
     def read(self, name: str) -> Bits:
         """Current value of a scalar/vector variable."""
         ...
 
-    def read_word(self, name: str, index: int) -> Bits:
-        """Current value of array word ``name[index]``."""
-        ...
-
-    def range_of(self, name: str) -> Tuple[int, int]:
-        """Declared (msb, lsb) of the variable, for select indexing."""
+    def read_word(self, name: str, offset: int) -> Bits:
+        """Current value of the word of memory ``name`` stored at
+        ``offset`` (x when out of range)."""
         ...
 
     def call_function(self, name: str, args: List[Bits]) -> Bits:
@@ -122,73 +115,34 @@ class ExprEvaluator:
         except KeyError:
             raise EvalError(f"undeclared identifier {expr.name!r}") from None
 
-    def _bit_offset(self, name: str, index: int) -> Optional[int]:
-        """Map a declared index to a physical bit offset, or None if out
-        of the declared range."""
-        msb, lsb = self.scope.range_of(name)
-        if msb >= lsb:
-            offset = index - lsb
-        else:
-            offset = lsb - index
-        width = abs(msb - lsb) + 1
-        if 0 <= offset < width:
-            return offset
-        return None
+    def low(self, sel: Select, index: ast.Expr) -> Optional[int]:
+        """A select's low position, None for an x/z index."""
+        if sel.low is not None:
+            return sel.low
+        value = self.eval(index)
+        if value.has_xz:
+            return None
+        return sel.at(value.to_int() if value.signed else value.to_uint())
+
+    def _base(self, base: ast.Expr) -> Bits:
+        if isinstance(base, ast.Ident):
+            return self._read_ident(base)
+        return self.eval(base)
 
     def _eval_index(self, expr: ast.IndexExpr) -> Bits:
-        base = expr.base
-        index = self.eval(expr.index)
-        if isinstance(base, ast.Ident) and self.scope.is_array(base.name):
-            if index.has_xz:
-                return Bits.xes(expr.width)
-            return self.scope.read_word(base.name, index.to_uint())
-        if isinstance(base, ast.Ident):
-            if index.has_xz:
-                return Bits.xes(1)
-            offset = self._bit_offset(base.name, index.to_uint())
-            value = self._read_ident(base)
-            if offset is None:
-                return Bits.xes(1)
-            return value.select(offset)
-        # Bit select of a computed value (e.g. mem[i][j]).
-        value = self.eval(base)
-        if index.has_xz:
-            return Bits.xes(1)
-        return value.select(index.to_uint())
+        sel = expr.select
+        low = self.low(sel, expr.index)
+        if low is None:
+            return Bits.xes(expr.width)
+        if sel.word:
+            return self.scope.read_word(expr.base.name, low)
+        return self._base(expr.base).select(low)
 
     def _eval_range(self, expr: ast.RangeExpr) -> Bits:
-        base = expr.base
-        if isinstance(base, ast.Ident) and not self.scope.is_array(base.name):
-            value = self._read_ident(base)
-            msb_decl, lsb_decl = self.scope.range_of(base.name)
-        else:
-            value = self.eval(base)
-            msb_decl, lsb_decl = value.width - 1, 0
-        descending = msb_decl >= lsb_decl
-
-        def offset_of(idx: int) -> int:
-            return idx - lsb_decl if descending else lsb_decl - idx
-
-        if expr.mode == ":":
-            msb, lsb = expr.bounds
-            hi, lo = offset_of(msb), offset_of(lsb)
-        else:
-            start = self.eval(expr.left)
-            width = expr.width
-            if start.has_xz:
-                return Bits.xes(width)
-            s = start.to_uint()
-            if expr.mode == "+:":
-                hi, lo = offset_of(s) + width - 1, offset_of(s)
-                if not descending:
-                    hi, lo = offset_of(s), offset_of(s) - width + 1
-            else:  # "-:"
-                hi, lo = offset_of(s), offset_of(s) - width + 1
-                if not descending:
-                    hi, lo = offset_of(s) + width - 1, offset_of(s)
-        if hi < lo:
-            hi, lo = lo, hi
-        return value.part(hi, lo)
+        low = self.low(expr.select, expr.left)
+        if low is None:
+            return Bits.xes(expr.width)
+        return self._base(expr.base).part(low + expr.width - 1, low)
 
     def _eval_unary(self, expr: ast.Unary, ctx: int, signed: bool) -> Bits:
         op = expr.op
@@ -298,18 +252,11 @@ class ConstScope:
     def __init__(self, values: Optional[Dict[str, Bits]] = None):
         self.values = dict(values or {})
 
-    def is_array(self, name: str) -> bool:
-        return False
-
     def read(self, name: str) -> Bits:
         return self.values[name]
 
-    def read_word(self, name: str, index: int) -> Bits:
-        raise KeyError(name)
-
-    def range_of(self, name: str) -> Tuple[int, int]:
-        v = self.values[name]
-        return v.width - 1, 0
+    def read_word(self, name: str, offset: int) -> Bits:
+        raise EvalError(f"memory {name!r} in constant expression")
 
     def call_function(self, name: str, args: List[Bits]) -> Bits:
         raise EvalError(f"function call {name!r} in constant expression")

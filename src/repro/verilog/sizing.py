@@ -19,15 +19,17 @@ delays and system-task arguments — and annotates each node with
   are.  An assignment right-hand side, a function argument included,
   is evaluated at the wider of its own width and its target's, with
   its own sign;
-* ``bounds`` on ``[msb:lsb]`` part-selects and ``times`` on
-  replications — the folded integers.  An indexed part-select's
-  width is its ``width``.
+* ``select`` on every bit, part and word select — the :class:`Select`
+  that maps it to physical bits or words of its base — and ``times``
+  on replications, the folded count.  An indexed part-select's width
+  is its ``width``.
 
 The interpreter, the compiled model, synthesis and the resource
-estimator all read these annotations and size nothing themselves, so
-the tiers cannot disagree about a width.  A node that reaches a
-backend unsized raises; a node that would be sized twice in different
-contexts is an elaboration error.
+estimator all read these annotations and neither size nor map
+anything themselves, so the tiers cannot disagree about a width or
+about which bits a select touches.  A node that reaches a backend
+unsized raises; a node that would be sized twice in different contexts
+is an elaboration error.
 """
 
 from __future__ import annotations
@@ -38,12 +40,36 @@ from ..common.bits import Bits
 from ..common.errors import ElaborationError, EvalError, TypeError_
 from . import ast
 
-__all__ = ["size_design", "size_expr", "size_constant"]
+__all__ = ["Select", "size_design", "size_expr", "size_constant"]
 
 _COMPARE_OPS = frozenset(["==", "!=", "===", "!==", "<", "<=", ">", ">="])
 _LOGICAL_OPS = frozenset(["&&", "||"])
 _SHIFT_OPS = frozenset(["<<", ">>", "<<<", ">>>"])
 _REDUCTION_OPS = frozenset(["&", "~&", "|", "~|", "^", "~^", "^~"])
+
+
+class Select(NamedTuple):
+    """Where a bit, part or word select lands in its base.
+
+    A bit or word select covers physical position ``low`` of a base
+    ``span`` positions long, and a part-select ``width`` bits wide
+    covers ``[low, low + width)``: position 0 is the base's least
+    significant bit, or its first word when ``word`` (a memory).  A
+    constant select folds ``low``; a dynamic one computes it with
+    :meth:`at` from its index value, read with the index expression's
+    own sign.  Positions outside ``[0, span)`` read as x (0 on the
+    two-state tiers) and are never written; the others keep their true
+    places (IEEE 1364-2005 §5.2.1)."""
+
+    step: int
+    bias: int
+    span: int
+    low: Optional[int] = None
+    word: bool = False
+
+    def at(self, index: int) -> int:
+        """The low position for an index value."""
+        return self.step * index + self.bias
 
 
 class _Decl(NamedTuple):
@@ -52,6 +78,8 @@ class _Decl(NamedTuple):
 
     width: int
     signed: bool
+    msb: int
+    lsb: int
     is_array: bool = False
 
 
@@ -143,21 +171,23 @@ class _Sizer:
             return decl.width, decl.signed
         if isinstance(e, ast.IndexExpr):
             self.size(e.base)
-            self.size(e.index)
-            if isinstance(e.base, ast.Ident) and self._decl(e.base).is_array:
+            self._map(e, e.index, 1)
+            if e.select.word:
                 return e.base.width, e.base.signed
             return 1, False
         if isinstance(e, ast.RangeExpr):
             self.size(e.base)
             if e.mode == ":":
-                e.bounds = (self.fold(e.left, "part-select msb"),
-                            self.fold(e.right, "part-select lsb"))
-                return abs(e.bounds[0] - e.bounds[1]) + 1, False
-            self.size(e.left)
+                bounds = (self.fold(e.left, "part-select msb"),
+                          self.fold(e.right, "part-select lsb"))
+                width = abs(bounds[0] - bounds[1]) + 1
+                self._map(e, None, width, bounds)
+                return width, False
             width = self.fold(e.right, "part-select width")
             if width <= 0:
                 raise TypeError_("part-select width must be positive",
                                  e.loc)
+            self._map(e, e.left, width)
             return width, False
         if isinstance(e, ast.Unary):
             width, signed = self.size(e.operand)
@@ -209,7 +239,7 @@ class _Sizer:
             raise TypeError_(
                 f"function {name!r} expects {len(fn.ports)} arguments, "
                 f"got {len(e.args)}", e.loc)
-        return fn.ret_width, fn.ret_signed
+        return fn.ret.width, fn.ret.signed
 
     def _decl(self, e: ast.Ident):
         try:
@@ -218,15 +248,56 @@ class _Sizer:
             raise TypeError_(f"undeclared identifier {e.name!r}",
                              e.loc) from None
 
-    def fold(self, e: ast.Expr, what: str) -> int:
-        """The integer value of a constant sub-expression."""
+    def _map(self, e: ast.Expr, index: Optional[ast.Expr], width: int,
+             bounds: Optional[Tuple[int, int]] = None) -> None:
+        """Annotate select ``e``, ``width`` positions wide, with its
+        :class:`Select`: from its ``index`` (the start of an indexed
+        part-select), or from the folded ``bounds`` of ``[msb:lsb]``."""
+        base = e.base
+        decl = self._decl(base) if isinstance(base, ast.Ident) else None
+        if decl is not None and decl.is_array:
+            if isinstance(e, ast.RangeExpr):
+                raise TypeError_("cannot part-select a memory", e.loc)
+            # Words are stored from the lower declared index up.
+            nwords, msb, lsb = decl.array
+            step, bias, span, word = 1, -min(msb, lsb), nwords, True
+        else:
+            if isinstance(base, ast.IndexExpr) and base.select.word:
+                decl = self._decl(base.base)   # a bit of a memory word
+            msb, lsb = (decl.msb, decl.lsb) if decl is not None \
+                else (base.width - 1, 0)
+            step, bias = (1, -lsb) if msb >= lsb else (-1, lsb)
+            span, word = abs(msb - lsb) + 1, False
+            # The low position is the start of a "+:" select on a
+            # descending range, and the end of it on an ascending one.
+            if isinstance(e, ast.RangeExpr) and index is not None \
+                    and (e.mode == "+:") == (step < 0):
+                bias -= width - 1
+        sel = Select(step, bias, span, word=word)
+        if index is None:
+            e.select = sel._replace(low=min(map(sel.at, bounds)))
+            return
+        value = self._value(index)
+        if value is not None and not value.has_xz:
+            sel = sel._replace(low=sel.at(
+                value.to_int() if value.signed else value.to_uint()))
+        e.select = sel
+
+    def _value(self, e: ast.Expr) -> Optional[Bits]:
+        """Size ``e`` self-determined; its value when it is constant."""
         from .eval import ConstScope, ExprEvaluator
         self.root(e)
         try:
-            value = ExprEvaluator(ConstScope(self.constants)).eval(e)
+            return ExprEvaluator(ConstScope(self.constants)).eval(e)
         except EvalError:
+            return None
+
+    def fold(self, e: ast.Expr, what: str) -> int:
+        """The integer value of a constant sub-expression."""
+        value = self._value(e)
+        if value is None:
             raise TypeError_(f"{what} must be a constant expression",
-                             e.loc) from None
+                             e.loc)
         if value.has_xz:
             raise TypeError_(f"{what} has x/z bits", e.loc)
         return value.to_int() if value.signed else value.to_uint()
@@ -242,11 +313,7 @@ class _Sizer:
         self.placed.add(id(e))
         e.ctx_width, e.ctx_signed = width, signed
         if isinstance(e, (ast.IndexExpr, ast.RangeExpr)):
-            self.place_self(e.base)
-            if isinstance(e, ast.IndexExpr):
-                self.place_self(e.index)
-            elif e.mode != ":":
-                self.place_self(e.left)
+            self.place_self(e.base)   # _map placed the index
         elif isinstance(e, ast.Unary):
             if e.op == "!" or e.op in _REDUCTION_OPS:
                 self.place_self(e.operand)
@@ -270,8 +337,8 @@ class _Sizer:
                     self.place_self(arg)
             else:
                 # An argument is assigned to its input port.
-                for arg, (_, port_width, _) in zip(e.args, fn.ports):
-                    self.place(arg, max(arg.width, port_width), arg.signed)
+                for arg, port in zip(e.args, fn.ports):
+                    self.place(arg, max(arg.width, port.width), arg.signed)
 
     def _place_binary(self, e: ast.Binary, width: int, signed: bool) -> None:
         op = e.op
@@ -309,9 +376,8 @@ def size_design(design) -> None:
     for block in design.initials:
         sizer.stmt(block.body)
     for fn in design.functions.values():
-        frame = {name: _Decl(w, s) for name, w, s in fn.ports + fn.locals_}
-        frame[fn.name] = frame[fn.name.split(".")[-1]] = \
-            _Decl(fn.ret_width, fn.ret_signed)
+        frame = {v.name: v for v in fn.ports + fn.locals_}
+        frame[fn.name] = frame[fn.ret.name] = fn.ret
         sizer.lookup = lambda name, frame=frame: \
             frame[name] if name in frame else variables[name]
         sizer.stmt(fn.body)
@@ -330,6 +396,6 @@ def size_constant(expr: ast.Expr,
 
     def lookup(name: str) -> _Decl:
         value = params[name]
-        return _Decl(value.width, value.signed)
+        return _Decl(value.width, value.signed, value.width - 1, 0)
 
     _Sizer(lookup, {}, params).root(expr)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Set
+from typing import Callable, Iterator, List
 
 from . import ast
 
@@ -20,11 +20,6 @@ def walk(node: ast.Node) -> Iterator[ast.Node]:
 def find_all(node: ast.Node, *types) -> List[ast.Node]:
     """All nodes in the subtree that are instances of the given types."""
     return [n for n in walk(node) if isinstance(n, types)]
-
-
-def idents_read(expr: ast.Expr) -> Set[str]:
-    """The full names of all identifiers appearing in an expression."""
-    return {n.name for n in walk(expr) if isinstance(n, ast.Ident)}
 
 
 def map_exprs(node: ast.Node,

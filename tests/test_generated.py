@@ -5,9 +5,11 @@ what the levelized compiled model relies on: acyclic chains of
 continuous assigns declared in shuffled order, widths 1-70 with mixed
 signedness, an inlinable function, a constant ``case`` function (a
 lookup table), an array read by combinational logic, an optional
-``always @*`` block (which keeps the fixpoint), and a clocked register
-set (with if/else, case and a blocking loop) that ``$display``s every
-cycle.  Each program runs interpreter-only,
+``always @*`` block (which keeps the fixpoint), registers declared with
+non-zero, negative or ascending ranges that are read and written through
+dynamic bit, ``+:`` and ``-:`` selects with signed and unsigned indices,
+and a clocked register set (with if/else, case and a blocking loop)
+that ``$display``s every cycle.  Each program runs interpreter-only,
 on the software fast path and on the hardware engine (which lands at a
 drawn iteration); the ``$display`` streams, tick counts and final
 registers must agree, and the fast path's virtual time must equal the
@@ -30,6 +32,44 @@ _UNARY = ["~", "-", "!", "&", "|", "^"]
 def _decl(signed, width):
     return ("signed " if signed else "") + \
         (f"[{width - 1}:0] " if width > 1 else "")
+
+
+@st.composite
+def _ranged(draw, name):
+    """A register declared ``[msb:lsb]`` with lsb in -8..8, ascending
+    or descending: (declaration, (name, msb, lsb))."""
+    width, lsb = draw(st.integers(1, 24)), draw(st.integers(-8, 8))
+    msb = lsb + width - 1
+    if draw(st.booleans()):
+        msb, lsb = lsb, msb
+    signed = "signed " if draw(st.booleans()) else ""
+    init = draw(st.integers(0, (1 << width) - 1))
+    return f"reg {signed}[{msb}:{lsb}] {name} = {init};", (name, msb, lsb)
+
+
+@st.composite
+def _select(draw, base, index_name, writable):
+    """A dynamic bit, ``+:`` or ``-:`` select of ``base`` through a new
+    7-bit index wire: (index wire declaration, select, width).  Its
+    index keeps a read's bits in range; a write may reach past either
+    end."""
+    name, msb, lsb = base
+    low, high = min(msb, lsb), max(msb, lsb)
+    mode = draw(st.sampled_from(["bit", "+:", "-:"]))
+    width = 1 if mode == "bit" else draw(st.integers(1, high - low + 1))
+    first = low + (width - 1 if mode == "-:" else 0)
+    last = high - (width - 1 if mode == "+:" else 0)
+    if writable:
+        first, last = first - width, last + width
+    count = last - first + 1
+    if first >= 0 and draw(st.booleans()):
+        index = f"wire [6:0] {index_name} = {first} + cycles % {count};"
+    else:
+        index = (f"wire signed [6:0] {index_name} = "
+                 f"$signed(cycles % {count}) + ({first});")
+    if mode == "bit":
+        return index, f"{name}[{index_name}]", 1
+    return index, f"{name}[{index_name} {mode} {width}]", width
 
 
 @st.composite
@@ -127,6 +167,29 @@ def programs(draw):
     # compiled tiers cannot hold.  So the block reads a cycle counter,
     # and the clocked logic reads nothing on the first edge.
     lines.append("reg [7:0] cycles = 0;")
+
+    # Ranged registers, read by wires through dynamic selects.  A read
+    # stays in range: an out-of-range bit is x on the interpreter and 0
+    # on the two-state tiers.
+    ranged = []
+    for i in range(draw(st.integers(1, 2))):
+        decl, base = draw(_ranged(f"s{i}"))
+        lines.append(decl)
+        ranged.append(base)
+    for i in range(draw(st.integers(1, 2))):
+        index, select, width = draw(_select(draw(st.sampled_from(ranged)),
+                                            f"xr{i}", writable=False))
+        lines.extend([index, f"wire [{width - 1}:0] d{i} = {select};"])
+        leaves.append((f"d{i}", width, False))
+    # Each ranged register is written through a dynamic select, from a
+    # select of one of them.
+    writes = []
+    for i, base in enumerate(ranged):
+        index, target, _ = draw(_select(base, f"xw{i}", writable=True))
+        source_index, source, _ = draw(_select(
+            draw(st.sampled_from(ranged)), f"xs{i}", writable=False))
+        lines.extend([index, source_index])
+        writes.append((target, source))
     if draw(st.booleans()):
         width = draw(st.integers(1, 70))
         lines.append(f"reg [{width - 1}:0] cb;")
@@ -161,11 +224,15 @@ def programs(draw):
             lines.append(f"    {name} <= {draw(_expr(leaves))};")
     lines.append(f"    table_mem[{regs[0][0]}[0]] <= "
                  f"{draw(_expr(leaves, 1))};")
+    for target, source in writes:
+        lines.append(f"    {target} <= {source} ^ "
+                     f"{draw(_expr(leaves, 1))};")
     lines.append("    acc = 0;")
     lines.append("    for (k = 0; k < 4; k = k + 1)")
     lines.append("      acc = acc + table_mem[k];")
     leaves.append(("acc", 16, False))
-    shown = [name for name, _, _ in leaves]
+    shown = [name for name, _, _ in leaves] + \
+        [name for name, _, _ in ranged]
     lines.append(f"    $display(\"{' '.join(['%h'] * len(shown))}\", "
                  f"{', '.join(shown)});")
     lines.append("  end")

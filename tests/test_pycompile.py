@@ -228,6 +228,8 @@ COMB_ROWS = [
     ("signed-mod", _comb("sb % (sa | 4'sd1)")),
     ("signed-concat", _comb("{sa, sb} + 16'd1")),
     ("case-narrow-selector", CASE_WIDE),
+    # Shift amounts of 32 or more clear the value on the netlist too.
+    ("shift-past-width", _comb("(a << b) ^ (a >> b)")),
 ]
 # Every combinational row also steps the netlist, except the divider
 # rows: the gate-level flow has no divider.

@@ -12,7 +12,7 @@ from repro.verilog import ast
 from repro.verilog.elaborate import elaborate_leaf
 from repro.verilog.eval import const_eval
 from repro.verilog.parser import parse_expr_text, parse_module
-from repro.verilog.sizing import size_design
+from repro.verilog.sizing import Select, size_design
 from repro.verilog.visitor import walk
 
 
@@ -117,9 +117,10 @@ module m(input wire [15:0] a, output wire [15:0] y, output wire [3:0] z);
   assign z = a[W +: 4];
 endmodule""")
         rep = _rhs(design, 0)
-        assert rep.times == 2 and rep.inner.bounds == (7, 4)
+        assert rep.times == 2 and rep.inner.select == Select(1, 0, 16, 4)
         assert rep.width == 8
         assert _rhs(design, 1).width == 4
+        assert _rhs(design, 1).select == Select(1, 0, 16, 8)
 
     def test_const_eval_reads_parameters(self):
         value = const_eval(parse_expr_text("P[3:0] + 1"),
