@@ -28,8 +28,7 @@ from ..common.errors import SynthesisError
 from ..verilog import ast
 from ..verilog.elaborate import Design, Function
 from ..verilog.sizing import Select
-from ..interp.engine import read_set_of, read_set_of_lvalue_indices
-from ..verilog.visitor import walk
+from ..verilog.visitor import read_set_of, read_set_of_lvalue_indices, walk
 from . import pyrt
 
 __all__ = ["CODEGEN_VERSION", "CompiledDesign", "compile_design"]

@@ -21,15 +21,20 @@ operators propagate x per-bit, relational operators yield a 1-bit x when
 either operand contains x/z, and case equality (``===``) compares the four
 state exactly.
 
+Each operator's x/z rule is written once, as a function over the two
+planes (the "plane-level 4-state rules" after the class).  The
+:class:`Bits` methods wrap those functions, and the interpreter's lowered
+closures (:mod:`repro.verilog.eval`) call them directly on int planes.
+
 Width discipline: operations here are *self-determined* — callers (the
-expression evaluator in :mod:`repro.interp.evaluator`) are responsible for
-extending operands to the context-determined width before invoking an
-operation, exactly the way a Verilog simulator sizes its intermediates.
+lowering in :mod:`repro.verilog.eval`) are responsible for extending
+operands to the context-determined width before invoking an operation,
+exactly the way a Verilog simulator sizes its intermediates.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from typing import Iterable
 
 __all__ = ["Bits", "parse_literal", "BitsError"]
 
@@ -64,10 +69,10 @@ class Bits:
         if width <= 0:
             raise BitsError(f"Bits width must be positive, got {width}")
         m = _mask(width)
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "aval", aval & m)
-        object.__setattr__(self, "bval", bval & m)
-        object.__setattr__(self, "signed", bool(signed))
+        _set_width(self, width)
+        _set_aval(self, aval & m)
+        _set_bval(self, bval & m)
+        _set_signed(self, bool(signed))
 
     def __setattr__(self, name, value):  # pragma: no cover - safety net
         raise AttributeError("Bits is immutable")
@@ -127,11 +132,6 @@ class Bits:
     @classmethod
     def zs(cls, width: int) -> "Bits":
         return cls(width, 0, _mask(width))
-
-    @classmethod
-    def bool_(cls, value) -> "Bits":
-        """A 1-bit 0/1 from a Python truthy value."""
-        return _TRUE if value else _FALSE
 
     # ------------------------------------------------------------------
     # Inspection
@@ -282,21 +282,8 @@ class Bits:
         """
         if width == self.width:
             return self
-        if width < self.width:
-            return Bits(width, self.aval, self.bval, self.signed)
-        msb_a = (self.aval >> (self.width - 1)) & 1
-        msb_b = (self.bval >> (self.width - 1)) & 1
-        ext = _mask(width - self.width)
-        if msb_b:
-            pad_a, pad_b = (ext if msb_a else 0), ext
-        elif self.signed and msb_a:
-            pad_a, pad_b = ext, 0
-        else:
-            pad_a, pad_b = 0, 0
-        return Bits(width,
-                    self.aval | (pad_a << self.width),
-                    self.bval | (pad_b << self.width),
-                    self.signed)
+        a, b = extend(self.aval, self.bval, self.width, width, self.signed)
+        return box(width, a, b, self.signed)
 
     def resize(self, width: int) -> "Bits":
         """Zero-extend/truncate regardless of sign (assignment semantics
@@ -306,46 +293,30 @@ class Bits:
         return Bits(width, self.aval, self.bval, self.signed)
 
     def as_signed(self) -> "Bits":
-        return Bits(self.width, self.aval, self.bval, True)
+        return box(self.width, self.aval, self.bval, True)
 
     def as_unsigned(self) -> "Bits":
-        return Bits(self.width, self.aval, self.bval, False)
+        return box(self.width, self.aval, self.bval, False)
 
     def select(self, i: int) -> "Bits":
         """Single-bit select; out of range yields 1'bx."""
-        if not 0 <= i < self.width:
-            return Bits.xes(1)
-        return Bits(1, (self.aval >> i) & 1, (self.bval >> i) & 1)
+        return box(1, *part(self.aval, self.bval, self.width, i, 1), False)
 
     def part(self, msb: int, lsb: int) -> "Bits":
         """Part select [msb:lsb]; out-of-range bits read as x."""
         if msb < lsb:
             raise BitsError(f"part select [{msb}:{lsb}] is reversed")
         width = msb - lsb + 1
-        if lsb >= 0 and msb < self.width:
-            return Bits(width, self.aval >> lsb, self.bval >> lsb)
-        a = b = 0
-        for out_i, src_i in enumerate(range(lsb, msb + 1)):
-            if 0 <= src_i < self.width:
-                a |= ((self.aval >> src_i) & 1) << out_i
-                b |= ((self.bval >> src_i) & 1) << out_i
-            else:
-                a |= 1 << out_i
-                b |= 1 << out_i
-        return Bits(width, a, b)
+        return box(width, *part(self.aval, self.bval, self.width, lsb,
+                                 width), False)
 
     def set_part(self, msb: int, lsb: int, value: "Bits") -> "Bits":
         """A copy with bits [msb:lsb] replaced by ``value`` (resized)."""
         if msb < lsb:
             raise BitsError(f"part select [{msb}:{lsb}] is reversed")
-        width = msb - lsb + 1
-        v = value.resize(width)
-        a, b = self.aval, self.bval
-        for out_i, dst_i in enumerate(range(lsb, msb + 1)):
-            if 0 <= dst_i < self.width:
-                a = (a & ~(1 << dst_i)) | (((v.aval >> out_i) & 1) << dst_i)
-                b = (b & ~(1 << dst_i)) | (((v.bval >> out_i) & 1) << dst_i)
-        return Bits(self.width, a, b, self.signed)
+        a, b = set_part(self.aval, self.bval, self.width, lsb,
+                        msb - lsb + 1, value.aval, value.bval)
+        return box(self.width, a, b, self.signed)
 
     @staticmethod
     def concat(parts: Iterable["Bits"]) -> "Bits":
@@ -367,316 +338,489 @@ class Bits:
         return Bits.concat([self] * n)
 
     # ------------------------------------------------------------------
-    # Bit-plane helpers
+    # Operators: each applies its plane-level rule below
     # ------------------------------------------------------------------
-    def _planes(self) -> Tuple[int, int, int, int]:
-        """(is0, is1, isxz, mask) planes for this vector."""
-        m = _mask(self.width)
-        isxz = self.bval
-        is1 = self.aval & ~isxz
-        is0 = ~self.aval & ~isxz & m
-        return is0, is1, isxz, m
-
-    @staticmethod
-    def _same_width(a: "Bits", b: "Bits") -> int:
-        if a.width != b.width:
+    def _same_width(self, other: "Bits") -> int:
+        if other.width != self.width:
             raise BitsError(
-                f"width mismatch: {a.width} vs {b.width} "
+                f"width mismatch: {self.width} vs {other.width} "
                 "(callers must extend operands to context width)")
-        return a.width
+        return self.width
 
-    def _result_signed(self, other: "Bits") -> bool:
-        return self.signed and other.signed
+    def _binary(self, other: "Bits", rule, *extra) -> "Bits":
+        """``rule`` over two same-width operands; the result is signed
+        only when both are."""
+        w = self._same_width(other)
+        a, b = rule(self.aval, self.bval, other.aval, other.bval,
+                    _mask(w), *extra)
+        return box(w, a, b, self.signed and other.signed)
 
-    # ------------------------------------------------------------------
-    # Bitwise operators (4-state, per-bit)
-    # ------------------------------------------------------------------
+    def _test(self, other: "Bits", rule, *extra) -> "Bits":
+        """A 1-bit comparison of two same-width operands."""
+        self._same_width(other)
+        return box(1, *rule(self.aval, self.bval, other.aval, other.bval,
+                             *extra), False)
+
+    def _unary(self, rule, *extra) -> "Bits":
+        a, b = rule(self.aval, self.bval, _mask(self.width), *extra)
+        return box(self.width, a, b, self.signed)
+
+    def _reduce(self, rule) -> "Bits":
+        return box(1, *rule(self.aval, self.bval, _mask(self.width)),
+                    False)
+
     def and_(self, other: "Bits") -> "Bits":
-        w = self._same_width(self, other)
-        a0, a1, _, m = self._planes()
-        b0, b1, _, _ = other._planes()
-        r0 = a0 | b0
-        r1 = a1 & b1
-        rx = ~(r0 | r1) & m
-        return Bits(w, r1 | rx, rx, self._result_signed(other))
+        return self._binary(other, and_)
 
     def or_(self, other: "Bits") -> "Bits":
-        w = self._same_width(self, other)
-        a0, a1, _, m = self._planes()
-        b0, b1, _, _ = other._planes()
-        r1 = a1 | b1
-        r0 = a0 & b0
-        rx = ~(r0 | r1) & m
-        return Bits(w, r1 | rx, rx, self._result_signed(other))
+        return self._binary(other, or_)
 
     def xor_(self, other: "Bits") -> "Bits":
-        w = self._same_width(self, other)
-        _, _, ax, m = self._planes()
-        _, _, bx, _ = other._planes()
-        rx = ax | bx
-        r1 = (self.aval ^ other.aval) & ~rx & m
-        return Bits(w, r1 | rx, rx, self._result_signed(other))
+        return self._binary(other, xor_)
 
     def xnor_(self, other: "Bits") -> "Bits":
-        return self.xor_(other).not_()
+        return self._binary(other, xnor_)
 
     def not_(self) -> "Bits":
-        _, _, rx, m = self._planes()
-        r1 = ~self.aval & ~rx & m
-        return Bits(self.width, r1 | rx, rx, self.signed)
+        return self._unary(not_)
 
-    # ------------------------------------------------------------------
-    # Reduction operators -> 1 bit
-    # ------------------------------------------------------------------
     def reduce_and(self) -> "Bits":
-        is0, _, isxz, m = self._planes()
-        if is0:
-            return Bits(1, 0, 0)
-        if isxz:
-            return Bits.xes(1)
-        return Bits(1, 1, 0)
+        return self._reduce(reduce_and)
 
     def reduce_or(self) -> "Bits":
-        _, is1, isxz, _ = self._planes()
-        if is1:
-            return Bits(1, 1, 0)
-        if isxz:
-            return Bits.xes(1)
-        return Bits(1, 0, 0)
+        return self._reduce(reduce_or)
 
     def reduce_xor(self) -> "Bits":
-        if self.bval:
-            return Bits.xes(1)
-        return Bits(1, bin(self.aval).count("1") & 1, 0)
+        return self._reduce(reduce_xor)
 
     def reduce_nand(self) -> "Bits":
-        return self.reduce_and().not_()
+        return self._reduce(reduce_nand)
 
     def reduce_nor(self) -> "Bits":
-        return self.reduce_or().not_()
+        return self._reduce(reduce_nor)
 
     def reduce_xnor(self) -> "Bits":
-        return self.reduce_xor().not_()
+        return self._reduce(reduce_xnor)
 
-    # ------------------------------------------------------------------
-    # Logical operators -> 1 bit
-    # ------------------------------------------------------------------
     def log_not(self) -> "Bits":
-        if bool(self):
-            return Bits(1, 0, 0)
-        if self.has_xz and (self.aval & ~self.bval) == 0:
-            # No known-1 bit, but x/z bits could be 1 -> unknown.
-            return Bits.xes(1)
-        return Bits(1, 1, 0)
-
-    def _truth(self) -> str:
-        """'1', '0' or 'x' truthiness for logical operators."""
-        if self.aval & ~self.bval:
-            return "1"
-        if self.bval:
-            return "x"
-        return "0"
+        return box(1, *log_not(self.aval, self.bval), False)
 
     def log_and(self, other: "Bits") -> "Bits":
-        a, b = self._truth(), other._truth()
-        if a == "0" or b == "0":
-            return Bits(1, 0, 0)
-        if a == "1" and b == "1":
-            return Bits(1, 1, 0)
-        return Bits.xes(1)
+        return box(1, *log_and(self.aval, self.bval, other.aval,
+                                other.bval), False)
 
     def log_or(self, other: "Bits") -> "Bits":
-        a, b = self._truth(), other._truth()
-        if a == "1" or b == "1":
-            return Bits(1, 1, 0)
-        if a == "0" and b == "0":
-            return Bits(1, 0, 0)
-        return Bits.xes(1)
-
-    # ------------------------------------------------------------------
-    # Arithmetic (x/z in any operand -> all-x result)
-    # ------------------------------------------------------------------
-    def _arith_ints(self, other: "Bits") -> Tuple[int, int, bool] | None:
-        self._same_width(self, other)
-        if self.bval or other.bval:
-            return None
-        signed = self._result_signed(other)
-        if signed:
-            return self.as_signed().to_int(), other.as_signed().to_int(), True
-        return self.aval, other.aval, False
+        return box(1, *log_or(self.aval, self.bval, other.aval,
+                               other.bval), False)
 
     def add(self, other: "Bits") -> "Bits":
-        ops = self._arith_ints(other)
-        if ops is None:
-            return Bits.xes(self.width)
-        a, b, signed = ops
-        return Bits.from_int(a + b, self.width, signed)
+        return self._binary(other, add)
 
     def sub(self, other: "Bits") -> "Bits":
-        ops = self._arith_ints(other)
-        if ops is None:
-            return Bits.xes(self.width)
-        a, b, signed = ops
-        return Bits.from_int(a - b, self.width, signed)
+        return self._binary(other, sub)
 
     def mul(self, other: "Bits") -> "Bits":
-        ops = self._arith_ints(other)
-        if ops is None:
-            return Bits.xes(self.width)
-        a, b, signed = ops
-        return Bits.from_int(a * b, self.width, signed)
+        return self._binary(other, mul)
 
     def div(self, other: "Bits") -> "Bits":
-        ops = self._arith_ints(other)
-        if ops is None or ops[1] == 0:
-            return Bits.xes(self.width)
-        a, b, signed = ops
-        q = abs(a) // abs(b)
-        if (a < 0) != (b < 0):
-            q = -q
-        return Bits.from_int(q, self.width, signed)
+        return self._binary(other, div, self.signed and other.signed)
 
     def mod(self, other: "Bits") -> "Bits":
-        ops = self._arith_ints(other)
-        if ops is None or ops[1] == 0:
-            return Bits.xes(self.width)
-        a, b, signed = ops
-        r = abs(a) % abs(b)
-        if a < 0:
-            r = -r
-        return Bits.from_int(r, self.width, signed)
+        return self._binary(other, mod, self.signed and other.signed)
 
     def pow(self, other: "Bits") -> "Bits":
-        if self.bval or other.bval:
-            return Bits.xes(self.width)
-        base = self.to_int() if self.signed else self.aval
-        exp = other.to_int() if other.signed else other.aval
-        if exp < 0:
-            if base in (1, -1):
-                return Bits.from_int(base ** (-exp & 1 or 2), self.width,
-                                     self.signed)
-            return Bits.xes(self.width) if base == 0 else \
-                Bits.from_int(0, self.width, self.signed)
-        return Bits.from_int(pow(base, exp, 1 << self.width), self.width,
-                             self.signed)
+        """``self ** other``: the base is read with its own sign and the
+        exponent with the exponent's."""
+        w = self.width
+        a, b = pow_(self.aval, self.bval, other.aval, other.bval, w,
+                    self.signed, other.width, other.signed)
+        return box(w, a, b, self.signed)
 
     def neg(self) -> "Bits":
-        if self.bval:
-            return Bits.xes(self.width)
-        return Bits.from_int(-self.to_int_xz() if self.signed else -self.aval,
-                             self.width, self.signed)
+        return self._unary(neg)
 
     def plus(self) -> "Bits":
-        if self.bval:
-            return Bits.xes(self.width)
-        return self
+        return self._unary(plus)
 
-    # ------------------------------------------------------------------
-    # Shifts
-    # ------------------------------------------------------------------
-    def _shift_amount(self, other: "Bits") -> int | None:
-        if other.bval:
-            return None
-        return other.aval  # shift amounts are unsigned per spec
-
+    # Shift amounts are unsigned and self-determined (any width).
     def shl(self, other: "Bits") -> "Bits":
-        n = self._shift_amount(other)
-        if n is None:
-            return Bits.xes(self.width)
-        if n >= self.width:
-            return Bits(self.width, 0, 0, self.signed)
-        return Bits(self.width, self.aval << n, self.bval << n, self.signed)
+        return self._unary(shl, other.aval, other.bval)
 
     def shr(self, other: "Bits") -> "Bits":
-        n = self._shift_amount(other)
-        if n is None:
-            return Bits.xes(self.width)
-        if n >= self.width:
-            return Bits(self.width, 0, 0, self.signed)
-        return Bits(self.width, self.aval >> n, self.bval >> n, self.signed)
+        return self._unary(shr, other.aval, other.bval)
 
     def ashr(self, other: "Bits") -> "Bits":
         """>>> : arithmetic when the left operand is signed."""
-        n = self._shift_amount(other)
-        if n is None:
-            return Bits.xes(self.width)
-        if not self.signed:
-            return self.shr(other)
-        n = min(n, self.width)
-        msb_a = (self.aval >> (self.width - 1)) & 1
-        msb_b = (self.bval >> (self.width - 1)) & 1
-        fill = _mask(n) << (self.width - n) if n else 0
-        a = self.aval >> n
-        b = self.bval >> n
-        if msb_a:
-            a |= fill
-        if msb_b:
-            b |= fill
-        return Bits(self.width, a, b, True)
+        return self._unary(ashr if self.signed else shr,
+                           other.aval, other.bval)
 
-    # ------------------------------------------------------------------
-    # Relational / equality -> 1 bit
-    # ------------------------------------------------------------------
     def eq(self, other: "Bits") -> "Bits":
-        self._same_width(self, other)
-        if self.bval or other.bval:
-            return Bits.xes(1)
-        return Bits.bool_(self.aval == other.aval)
+        return self._test(other, eq)
 
     def neq(self, other: "Bits") -> "Bits":
-        return self.eq(other).log_not()
+        return self._test(other, neq)
 
     def case_eq(self, other: "Bits") -> "Bits":
-        self._same_width(self, other)
-        return Bits.bool_(self.aval == other.aval and self.bval == other.bval)
+        return self._test(other, case_eq)
 
     def case_neq(self, other: "Bits") -> "Bits":
-        return Bits.bool_(not bool(self.case_eq(other)))
+        return self._test(other, case_neq)
 
-    def _relational(self, other: "Bits", op) -> "Bits":
-        ops = self._arith_ints(other)
-        if ops is None:
-            return Bits.xes(1)
-        a, b, _ = ops
-        return Bits.bool_(op(a, b))
+    def _compare(self, other: "Bits", op: str) -> "Bits":
+        return self._test(other, compare, self.width,
+                          self.signed and other.signed, op)
 
     def lt(self, other: "Bits") -> "Bits":
-        return self._relational(other, lambda a, b: a < b)
+        return self._compare(other, "<")
 
     def le(self, other: "Bits") -> "Bits":
-        return self._relational(other, lambda a, b: a <= b)
+        return self._compare(other, "<=")
 
     def gt(self, other: "Bits") -> "Bits":
-        return self._relational(other, lambda a, b: a > b)
+        return self._compare(other, ">")
 
     def ge(self, other: "Bits") -> "Bits":
-        return self._relational(other, lambda a, b: a >= b)
+        return self._compare(other, ">=")
 
-    # ------------------------------------------------------------------
-    # casez / casex wildcard matching
-    # ------------------------------------------------------------------
     def matches(self, pattern: "Bits", wild_x: bool) -> bool:
         """casez (wild_x=False): z bits in either side are wildcards.
         casex (wild_x=True): x and z bits in either side are wildcards."""
-        self._same_width(self, pattern)
-        m = _mask(self.width)
-        if wild_x:
-            wild = self.bval | pattern.bval
-        else:
-            z_self = ~self.aval & self.bval
-            z_pat = ~pattern.aval & pattern.bval
-            wild = (z_self | z_pat) & m
-        care = ~wild & m
-        return (self.aval & care) == (pattern.aval & care) and \
-            (self.bval & care) == (pattern.bval & care)
+        return matches(self.aval, self.bval, pattern.aval, pattern.bval,
+                       _mask(self._same_width(pattern)), wild_x)
+
+
+# ----------------------------------------------------------------------
+# Plane-level 4-state rules
+# ----------------------------------------------------------------------
+# Every x/z rule of IEEE 1364-2005 §4-§5 is written here once, over the
+# (aval, bval) planes of operands already extended to the operation's
+# width ``w`` (mask ``m``).  Each returns the result's planes as a
+# tuple.  The Bits methods above and the interpreter's lowered closures
+# (:mod:`repro.verilog.eval`) both call these; a closure inlines at most
+# the all-known fast path.
+XZ1 = (1, 1)          # a 1-bit x
+ONE = (1, 0)
+ZERO = (0, 0)
+
+
+def x_planes(width: int):
+    """A ``width``-bit all-x value."""
+    m = (1 << width) - 1
+    return m, m
+
+
+def signed_value(a: int, w: int) -> int:
+    """A known ``w``-bit plane read as two's complement."""
+    return a - (1 << w) if a >> (w - 1) & 1 else a
+
+
+def extend(a: int, b: int, w: int, cw: int, signed: bool):
+    """Planes of a ``w``-bit value at width ``cw``: truncated, or padded
+    with its sign bit when ``signed``, else with an x/z MSB (literal
+    semantics), else zero."""
+    if cw <= w:
+        m = (1 << cw) - 1
+        return a & m, b & m
+    msb_a = a >> (w - 1) & 1
+    pad = ((1 << (cw - w)) - 1) << w
+    if b >> (w - 1) & 1:
+        return (a | pad if msb_a else a), b | pad
+    if signed and msb_a:
+        return a | pad, b
+    return a, b
+
+
+def part(a: int, b: int, w: int, low: int, width: int):
+    """Bits ``[low, low + width)`` of a ``w``-bit value; positions
+    outside ``[0, w)`` read as x."""
+    m = (1 << width) - 1
+    if low >= 0 and low + width <= w:
+        return a >> low & m, b >> low & m
+    lo = max(low, 0) - low
+    hi = min(low + width, w) - low
+    if hi <= lo:
+        return m, m
+    inr = ((1 << (hi - lo)) - 1) << lo
+    if low >= 0:
+        a, b = a >> low, b >> low
+    else:
+        a, b = a << -low, b << -low
+    xs = m & ~inr
+    return (a & inr) | xs, (b & inr) | xs
+
+
+def set_part(a: int, b: int, w: int, low: int, width: int, va: int,
+             vb: int):
+    """A ``w``-bit value with bits ``[low, low + width)`` replaced by the
+    low ``width`` bits of ``(va, vb)``; positions outside ``[0, w)`` are
+    not written (IEEE 1364-2005 §5.2.1)."""
+    field = (1 << width) - 1
+    va &= field
+    vb &= field
+    if low >= 0:
+        field, va, vb = field << low, va << low, vb << low
+    else:
+        field, va, vb = field >> -low, va >> -low, vb >> -low
+    field &= (1 << w) - 1
+    keep = ~field
+    return (a & keep) | (va & field), (b & keep) | (vb & field)
+
+
+def merge(ta: int, tb: int, ea: int, eb: int, m: int):
+    """``c ? t : e`` with an x/z condition: bits both arms agree on and
+    know keep their value, the rest are x (§5.1.13)."""
+    agree = ~(ta ^ ea) & ~(tb | eb)
+    differ = ~agree & m
+    return (ta & agree) | differ, (tb & agree) | differ
+
+
+def matches(a: int, b: int, pa: int, pb: int, m: int, wild_x: bool) -> bool:
+    """casez (``wild_x`` false): z bits on either side are wildcards;
+    casex: x and z bits are."""
+    if wild_x:
+        wild = b | pb
+    else:
+        wild = ((~a & b) | (~pa & pb)) & m
+    care = ~wild & m
+    return (a & care) == (pa & care) and (b & care) == (pb & care)
+
+
+# -- bitwise, per bit --------------------------------------------------
+def and_(xa, xb, ya, yb, m):
+    r1 = xa & ~xb & ya & ~yb
+    r0 = (~xa & ~xb | ~ya & ~yb) & m
+    rx = ~(r0 | r1) & m
+    return r1 | rx, rx
+
+
+def or_(xa, xb, ya, yb, m):
+    r1 = (xa & ~xb) | (ya & ~yb)
+    r0 = ~xa & ~xb & ~ya & ~yb & m
+    rx = ~(r0 | r1) & m
+    return r1 | rx, rx
+
+
+def xor_(xa, xb, ya, yb, m):
+    rx = xb | yb
+    return ((xa ^ ya) & ~rx & m) | rx, rx
+
+
+def xnor_(xa, xb, ya, yb, m):
+    return not_(*xor_(xa, xb, ya, yb, m), m)
+
+
+def not_(a, b, m):
+    return (~a & ~b & m) | b, b
+
+
+# -- reductions and logical operators -> 1 bit -------------------------
+def reduce_and(a, b, m):
+    if ~a & ~b & m:
+        return ZERO
+    return XZ1 if b else ONE
+
+
+def reduce_or(a, b, m):
+    if a & ~b:
+        return ONE
+    return XZ1 if b else ZERO
+
+
+def reduce_xor(a, b, m):
+    return XZ1 if b else (bin(a).count("1") & 1, 0)
+
+
+def reduce_nand(a, b, m):
+    return not_(*reduce_and(a, b, m), 1)
+
+
+def reduce_nor(a, b, m):
+    return not_(*reduce_or(a, b, m), 1)
+
+
+def reduce_xnor(a, b, m):
+    return not_(*reduce_xor(a, b, m), 1)
+
+
+def truth(a: int, b: int) -> int:
+    """1 with a known-1 bit, 0 when all known and zero, else 2 (x)."""
+    if a & ~b:
+        return 1
+    return 2 if b else 0
+
+
+def log_not(a, b):
+    return (ONE, ZERO, XZ1)[truth(a, b)]
+
+
+def log_and(xa, xb, ya, yb):
+    x, y = truth(xa, xb), truth(ya, yb)
+    if x == 0 or y == 0:
+        return ZERO
+    return ONE if x == y == 1 else XZ1
+
+
+def log_or(xa, xb, ya, yb):
+    x, y = truth(xa, xb), truth(ya, yb)
+    if x == 1 or y == 1:
+        return ONE
+    return ZERO if x == y == 0 else XZ1
+
+
+# -- arithmetic: an x/z bit in any operand makes the result all x ------
+def add(xa, xb, ya, yb, m):
+    return (m, m) if xb | yb else ((xa + ya) & m, 0)
+
+
+def sub(xa, xb, ya, yb, m):
+    return (m, m) if xb | yb else ((xa - ya) & m, 0)
+
+
+def mul(xa, xb, ya, yb, m):
+    return (m, m) if xb | yb else ((xa * ya) & m, 0)
+
+
+def _quotient_operands(xa, xb, ya, yb, m, signed):
+    """Division operands as ints, None for an x/z operand or a zero
+    divisor (both give all x)."""
+    if xb | yb or not ya:
+        return None
+    if signed:
+        w = m.bit_length()
+        return signed_value(xa, w), signed_value(ya, w)
+    return xa, ya
+
+
+def div(xa, xb, ya, yb, m, signed):
+    """Truncates toward zero; by zero, all x."""
+    ops = _quotient_operands(xa, xb, ya, yb, m, signed)
+    if ops is None:
+        return m, m
+    x, y = ops
+    q = abs(x) // abs(y)
+    return (-q if (x < 0) != (y < 0) else q) & m, 0
+
+
+def mod(xa, xb, ya, yb, m, signed):
+    """The remainder takes the dividend's sign; by zero, all x."""
+    ops = _quotient_operands(xa, xb, ya, yb, m, signed)
+    if ops is None:
+        return m, m
+    x, y = ops
+    r = abs(x) % abs(y)
+    return (-r if x < 0 else r) & m, 0
+
+
+def pow_(xa, xb, ya, yb, w, signed, yw, ysigned):
+    """``x ** y`` at width ``w``; the exponent is ``yw`` bits wide, read
+    with its own sign."""
+    m = (1 << w) - 1
+    if xb | yb:
+        return m, m
+    base = signed_value(xa, w) if signed else xa
+    exp = signed_value(ya, yw) if ysigned else ya
+    if exp < 0:
+        if base in (1, -1):
+            return base ** (-exp & 1 or 2) & m, 0
+        return (m, m) if base == 0 else ZERO
+    return pow(base, exp, 1 << w), 0
+
+
+def neg(a, b, m):
+    return (m, m) if b else (-a & m, 0)
+
+
+def plus(a, b, m):
+    return (m, m) if b else (a, 0)
+
+
+# -- shifts by an unsigned, self-determined amount (na, nb) ------------
+def shl(a, b, m, na, nb):
+    if nb:
+        return m, m
+    if na >= m.bit_length():
+        return ZERO
+    return (a << na) & m, (b << na) & m
+
+
+def shr(a, b, m, na, nb):
+    if nb:
+        return m, m
+    return a >> na, b >> na
+
+
+def ashr(a, b, m, na, nb):
+    """Signed ``>>>``: the MSB, known or not, fills the vacated bits."""
+    if nb:
+        return m, m
+    w = m.bit_length()
+    n = min(na, w)
+    fill = m & ~(m >> n)
+    a2, b2 = a >> n, b >> n
+    if a >> (w - 1) & 1:
+        a2 |= fill
+    if b >> (w - 1) & 1:
+        b2 |= fill
+    return a2, b2
+
+
+# -- comparisons -> 1 bit ----------------------------------------------
+def eq(xa, xb, ya, yb):
+    if xb | yb:
+        return XZ1
+    return ONE if xa == ya else ZERO
+
+
+def neq(xa, xb, ya, yb):
+    if xb | yb:
+        return XZ1
+    return ZERO if xa == ya else ONE
+
+
+def case_eq(xa, xb, ya, yb):
+    return ONE if xa == ya and xb == yb else ZERO
+
+
+def case_neq(xa, xb, ya, yb):
+    return ZERO if xa == ya and xb == yb else ONE
+
+
+RELATIONS = {"<": int.__lt__, "<=": int.__le__, ">": int.__gt__,
+              ">=": int.__ge__}
+
+
+def compare(xa, xb, ya, yb, w, signed, op):
+    """``<``, ``<=``, ``>`` or ``>=``: x when either side has x/z."""
+    if xb | yb:
+        return XZ1
+    if signed:
+        xa, ya = signed_value(xa, w), signed_value(ya, w)
+    return ONE if RELATIONS[op](xa, ya) else ZERO
+
+
+# Slot writers: Bits overrides __setattr__ to stay immutable.
+_set_width = Bits.width.__set__
+_set_aval = Bits.aval.__set__
+_set_bval = Bits.bval.__set__
+_set_signed = Bits.signed.__set__
+_new = object.__new__
+
+
+def box(width: int, aval: int, bval: int, signed: bool) -> Bits:
+    """A Bits over planes already masked to ``width`` (no checks: the
+    fast path for values computed on planes)."""
+    v = _new(Bits)
+    _set_width(v, width)
+    _set_aval(v, aval)
+    _set_bval(v, bval)
+    _set_signed(v, signed)
+    return v
 
 
 # Intern tables for from_int / xes (bounded: values < 256, widths
-# <= 64) and the two 1-bit logical results.
+# <= 64).
 _interned: dict = {}
 _interned_xes: dict = {}
-_FALSE = Bits(1, 0, 0)
-_TRUE = Bits(1, 1, 0)
 
 
 # ----------------------------------------------------------------------

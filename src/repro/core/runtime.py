@@ -30,7 +30,6 @@ from ..backend.hardware import FastSoftwareEngine, HardwareEngine
 from ..backend.pycompile import compile_design  # noqa: F401
 from ..common.bits import Bits
 from ..common.errors import CascadeError, SynthesisError
-from ..interp.engine import read_set_of
 from ..ir.build import IRProgram, Subprogram, build_ir
 from ..obs import Counter, MetricsRegistry, tracer
 from ..perf.timemodel import PerfTrace, TimeModel

@@ -9,36 +9,54 @@ interface it implements.
 
 Implementation notes
 --------------------
-* Procedural code (always/initial bodies) runs on Python generators so a
-  process can suspend on ``#delay`` and ``@(...)`` event controls and be
-  resumed later — the mechanism behind unsynthesizable testbench code.
+* Nothing is walked at run time.  Each continuous assign, process body
+  and function is lowered once, the first time it runs, into closures
+  over ``(aval, bval)`` int planes (:mod:`repro.verilog.eval` lowers the
+  expressions).  A statement with no ``#``/``@``/``forever`` inside is
+  one closure call.  A process keeps a Python generator only over the
+  statements that contain such a wait, so it can suspend on ``#delay``
+  and ``@(...)`` event controls and be resumed later — the mechanism
+  behind unsynthesizable testbench code.
+* A plain ``case`` whose labels are all constant is a dict lookup on
+  the selector's planes: ``case`` compares all four states, so an x/z
+  selector matches only an identical label, else the default.
+* Storage stays :class:`Bits`: ``values``/``arrays`` hold one per
+  variable or memory word, boxed afresh only when a write changes its
+  planes.  The ABI, state transfer and ``$display`` see Bits as before.
 * Continuous assigns are re-evaluated lazily from a dependency map
   (paper: "Cascade computes data dependencies at compile-time and uses a
   lazy evaluation strategy ... to reduce the overhead of recomputing
   outputs").
-* Nonblocking assigns resolve their l-value indices eagerly and queue
-  primitive write operations, applied atomically by :meth:`update`.
+* Nonblocking assigns resolve their l-value positions eagerly and queue
+  primitive writes, applied atomically by :meth:`update`.
+* A runaway loop is caught by a budget of statement steps per
+  :meth:`evaluate`: each loop iteration charges one step plus the
+  statements of its body.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from ..common.bits import Bits
+from ..common.bits import (Bits, box, case_eq, matches, set_part,
+                           x_planes)
 from ..common.errors import EvalError
 from ..verilog import ast
-from ..verilog.elaborate import Design, Function
-from ..verilog.eval import ExprEvaluator
+from ..verilog.elaborate import Design
+from ..verilog.eval import Lowering, Scope, closure, coerce
 from ..verilog.sizing import size_expr
-from ..verilog.visitor import find_all, walk
+from ..verilog.visitor import (find_all, read_set_of,
+                               read_set_of_lvalue_indices, walk)
 from .fmt import format_display
 
-__all__ = ["SoftwareEngine", "EngineServices", "read_set_of"]
+__all__ = ["SoftwareEngine", "EngineServices"]
 
 _LOOP_CAP = 1_000_000    # statement steps per activation
 _EVAL_CAP = 1_000_000    # events per evaluate() drain
+_MASK64 = (1 << 64) - 1
 
 
 class EngineServices:
@@ -76,13 +94,9 @@ class _FinishSignal(Exception):
         self.code = code
 
 
-def _edge_cat(value: Bits) -> int:
+def _edge_cat(planes: Tuple[int, int]) -> int:
     """0, 1 or 2(x/z) category of a value's LSB, for edge detection."""
-    a = value.aval & 1
-    b = value.bval & 1
-    if b:
-        return 2
-    return a
+    return 2 if planes[1] & 1 else planes[0] & 1
 
 
 def _is_posedge(old: int, new: int) -> bool:
@@ -94,77 +108,41 @@ def _is_negedge(old: int, new: int) -> bool:
     return (old == 1 and new != 1) or (old == 2 and new == 0)
 
 
-def read_set_of(node: ast.Node) -> Set[str]:
-    """Names read by a statement/expression subtree.
+def _nop(fr) -> None:
+    return None
 
-    Assignment targets contribute their index expressions but not the
-    written name itself (used to synthesise @(*) sensitivity lists).
-    """
-    reads: Set[str] = set()
 
-    def visit_expr(e: ast.Expr) -> None:
-        for n in walk(e):
-            if isinstance(n, ast.Ident):
-                reads.add(n.name)
+def _fail(message: str):
+    """A statement or expression that raises when it runs."""
+    def fail(*_args):
+        raise EvalError(message)
+    return fail
 
-    def visit_lvalue(e: ast.Expr) -> None:
-        if isinstance(e, ast.Ident):
-            return
-        if isinstance(e, ast.IndexExpr):
-            visit_lvalue(e.base)
-            visit_expr(e.index)
-        elif isinstance(e, ast.RangeExpr):
-            visit_lvalue(e.base)
-            visit_expr(e.left)
-            visit_expr(e.right)
-        elif isinstance(e, ast.Concat):
-            for p in e.parts:
-                visit_lvalue(p)
 
-    def visit_stmt(s: ast.Node) -> None:
-        if isinstance(s, (ast.BlockingAssign, ast.NonblockingAssign)):
-            visit_lvalue(s.lhs)
-            visit_expr(s.rhs)
-        elif isinstance(s, ast.Block):
-            for sub in s.stmts:
-                visit_stmt(sub)
-        elif isinstance(s, ast.If):
-            visit_expr(s.cond)
-            if s.then:
-                visit_stmt(s.then)
-            if s.els:
-                visit_stmt(s.els)
-        elif isinstance(s, ast.Case):
-            visit_expr(s.expr)
-            for item in s.items:
-                for e in item.exprs or []:
-                    visit_expr(e)
-                if item.body:
-                    visit_stmt(item.body)
-        elif isinstance(s, ast.For):
-            visit_stmt(s.init)
-            visit_expr(s.cond)
-            visit_stmt(s.step)
-            visit_stmt(s.body)
-        elif isinstance(s, ast.While):
-            visit_expr(s.cond)
-            visit_stmt(s.body)
-        elif isinstance(s, ast.RepeatStmt):
-            visit_expr(s.count)
-            visit_stmt(s.body)
-        elif isinstance(s, ast.Forever):
-            visit_stmt(s.body)
-        elif isinstance(s, (ast.DelayStmt, ast.EventStmt)):
-            if s.stmt:
-                visit_stmt(s.stmt)
-        elif isinstance(s, ast.SysTask):
-            for a in s.args:
-                visit_expr(a)
-        elif isinstance(s, ast.Expr):
-            visit_expr(s)
+def _steps(stmt: Optional[ast.Stmt]) -> int:
+    """The budget one pass over a loop body charges: an iteration step
+    plus the statements in the body."""
+    return 1 + (len(find_all(stmt, ast.Stmt)) if stmt is not None else 0)
 
-    visit_stmt(node)
-    return reads
+
+def _waits(stmt: ast.Stmt) -> bool:
+    """Whether a statement can suspend its process (or never ends)."""
+    return any(isinstance(n, (ast.DelayStmt, ast.EventStmt, ast.Forever))
+               for n in walk(stmt))
+
+
+class _Lazy(dict):
+    """A table that builds each entry on its first lookup."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build: Callable):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
 
 
 class _Process:
@@ -184,52 +162,502 @@ class _WaitEntry:
 
     __slots__ = ("process", "items", "names")
 
-    def __init__(self, process: "_Process",
-                 items: List[Tuple[Optional[str], ast.Expr, Bits]],
-                 names: Set[str]):
+    def __init__(self, process: "_Process", items: List[list],
+                 names: Tuple[str, ...]):
         self.process = process
-        self.items = items   # (edge, expr, previous value)
+        self.items = items   # [edge, closure, previous planes, names]
         self.names = names
 
 
-class _Scope:
-    """The evaluator scope over an engine's live state."""
+class _EngineScope(Scope):
+    """Binds names to an engine's storage.  ``slots`` maps the names of
+    the function frame being lowered (ports, locals and result) to
+    their frame positions; other names are module variables."""
 
-    def __init__(self, engine: "SoftwareEngine"):
+    def __init__(self, engine: "SoftwareEngine",
+                 slots: Optional[Dict[str, int]] = None):
         self.engine = engine
-        self.frames: List[Dict[str, Bits]] = []
+        self.slots = slots or {}
 
-    # -- frame management (function calls) ------------------------------
-    def push_frame(self, frame: Dict[str, Bits]) -> None:
-        self.frames.append(frame)
+    def read(self, e: ast.Ident):
+        slot = self.slots.get(e.name)
+        if slot is not None:
+            return itemgetter(slot)
+        values, name = self.engine.values, e.name
+        if name not in values:
+            return _fail(f"undeclared identifier {name!r}")
 
-    def pop_frame(self) -> None:
-        self.frames.pop()
+        def read(fr):
+            v = values[name]
+            return v.aval, v.bval
+        return read
 
-    def _frame_lookup(self, name: str) -> Optional[Bits]:
-        if self.frames and name in self.frames[-1]:
-            return self.frames[-1][name]
-        return None
+    def read_word(self, e: ast.IndexExpr, low):
+        words = self.engine.arrays[e.base.name]
+        n, xs = len(words), x_planes(e.width)
+        if type(low) is int:
+            if not 0 <= low < n:
+                return xs
 
-    # -- Scope protocol ---------------------------------------------------
-    def read(self, name: str) -> Bits:
-        v = self._frame_lookup(name)
-        if v is not None:
-            return v
-        return self.engine.values[name]
+            def fixed(fr):
+                v = words[low]
+                return v.aval, v.bval
+            return fixed
 
-    def read_word(self, name: str, offset: int) -> Bits:
-        words = self.engine.arrays[name]
-        if 0 <= offset < len(words):
-            return words[offset]
-        return Bits.xes(self.engine.design.vars[name].width)
+        def word(fr):
+            lo = low(fr)
+            if lo is None or not 0 <= lo < n:
+                return xs
+            v = words[lo]
+            return v.aval, v.bval
+        return word
 
-    def call_function(self, name: str, args: List[Bits]) -> Bits:
-        return self.engine.call_function(name, args)
+    def call(self, e: ast.Call, args):
+        ports = self.engine.design.functions[e.name].ports
+        # An argument is assigned to its input port.
+        args = [coerce(a, arg.ctx_width, port.width, port.signed)
+                for a, arg, port in zip(args, e.args, ports)]
+        functions, name = self.engine._functions, e.name
+        if len(args) == 1:
+            (a0,) = args
+            return lambda fr: functions[name]([a0(fr)])
+        if len(args) == 2:
+            a0, a1 = args
+            return lambda fr: functions[name]([a0(fr), a1(fr)])
+        return lambda fr: functions[name]([a(fr) for a in args])
 
-    def sys_func(self, name: str, args: List[ast.Expr],
-                 evaluator: ExprEvaluator) -> Bits:
-        return self.engine.sys_func(name, args, evaluator)
+    def sys_call(self, e: ast.Call, args):
+        engine, name = self.engine, e.name
+        if name in ("$time", "$stime"):
+            now = engine.services.now
+            return lambda fr: (now() & _MASK64, 0)
+        if name == "$random":
+            seed = args[0] if args else None
+
+            def random(fr):
+                if seed is not None:
+                    a, b = seed(fr)
+                    if not b:
+                        engine._rand_state = a & 0xFFFFFFFF or 1
+                # xorshift32: deterministic, decent spectral behaviour.
+                s = engine._rand_state
+                s ^= (s << 13) & 0xFFFFFFFF
+                s ^= s >> 17
+                s ^= (s << 5) & 0xFFFFFFFF
+                engine._rand_state = s
+                return s, 0
+            return random
+        return _fail(f"unknown system function {name!r}")
+
+
+class _Program:
+    """Lowers the statements of one scope — module code, or one function
+    body — into closures ``f(frame)`` over an engine."""
+
+    def __init__(self, engine: "SoftwareEngine",
+                 slots: Optional[Dict[str, int]] = None):
+        self.engine = engine
+        self.scope = _EngineScope(engine, slots)
+        self.lower = Lowering(self.scope)
+        self.in_function = slots is not None
+
+    # -- statements that never suspend -----------------------------------
+    def stmt(self, s: Optional[ast.Stmt]) -> Callable:
+        """A closure running ``s`` to completion."""
+        if s is None:
+            return _nop
+        if self.in_function and not isinstance(s, _FUNCTION_STMTS):
+            return _fail(f"{type(s).__name__} not allowed in function body")
+        rule = _STMTS.get(type(s))
+        if rule is None:
+            raise EvalError(f"cannot execute {type(s).__name__}")
+        return rule(self, s)
+
+    def _block(self, s: ast.Block):
+        steps = tuple(f for f in map(self.stmt, s.stmts) if f is not _nop)
+        if not steps:
+            return _nop
+        if len(steps) == 1:
+            return steps[0]
+
+        def block(fr):
+            for f in steps:
+                f(fr)
+        return block
+
+    def _blocking(self, s: ast.BlockingAssign):
+        return self.assign(s.lhs, s.rhs, None)
+
+    def _nonblocking(self, s: ast.NonblockingAssign):
+        return self.assign(s.lhs, s.rhs, self.engine._update_queue)
+
+    def _if(self, s: ast.If):
+        cond = self.lower.expr(s.cond)
+        then, els = self.stmt(s.then), self.stmt(s.els)
+
+        def if_(fr):
+            a, b = cond(fr)
+            if a & ~b:
+                then(fr)
+            else:
+                els(fr)
+        return if_
+
+    def _case(self, s: ast.Case):
+        pick = self.arms(s, self.stmt)
+        return lambda fr: pick(fr)(fr)
+
+    def _for(self, s: ast.For):
+        init, step = self.stmt(s.init), self.stmt(s.step)
+        loop = self._while(ast.While(s.cond, s.body), step)
+
+        def for_(fr):
+            init(fr)
+            loop(fr)
+        return for_
+
+    def _while(self, s: ast.While, step: Callable = _nop):
+        cond, body = self.lower.expr(s.cond), self.stmt(s.body)
+        budget, cost = self.engine._budget, _steps(s.body)
+
+        def while_(fr):
+            while True:
+                a, b = cond(fr)
+                if not a & ~b:
+                    return
+                budget(cost)
+                body(fr)
+                step(fr)
+        return while_
+
+    def _repeat(self, s: ast.RepeatStmt):
+        count, body = self.lower.expr(s.count), self.stmt(s.body)
+        budget, cost = self.engine._budget, _steps(s.body)
+
+        def repeat(fr):
+            a, b = count(fr)
+            for _ in range(0 if b else a):
+                budget(cost)
+                body(fr)
+        return repeat
+
+    def _systask(self, s: ast.SysTask):
+        engine, name = self.engine, s.name
+        if name in ("$display", "$write"):
+            render, newline = self.render(s.args), name == "$display"
+            return lambda fr: engine.services.display(render(fr),
+                                                      newline=newline)
+        if name == "$monitor":
+            render = self.render(s.args)
+            return lambda fr: engine._monitors.append([render, None])
+        if name in ("$finish", "$stop"):
+            code = self.lower.expr(s.args[0]) if s.args else None
+
+            def finish(fr):
+                c = 0
+                if code is not None:
+                    a, b = code(fr)
+                    c = 0 if b else a
+                engine._finished = c
+                engine.services.finish(c)
+            return finish
+        if name in ("$readmemh", "$readmemb"):
+            base = 16 if name == "$readmemh" else 2
+            return lambda fr: engine._do_readmem(s, base)
+        return _fail(f"unknown system task {name!r}")
+
+    def render(self, args: List[ast.Expr]) -> Callable[[list], str]:
+        """A closure formatting ``$display``-style arguments."""
+        parts: List[object] = []
+        for a in args:
+            if isinstance(a, ast.StringLit):
+                parts.append(a.value)
+            else:
+                parts.append((self.lower.expr(a), a.ctx_width, a.ctx_signed))
+        engine = self.engine
+
+        def render(fr):
+            return format_display(
+                [p if type(p) is str else box(p[1], *p[0](fr), p[2])
+                 for p in parts],
+                engine.design.name, engine.services.now())
+        return render
+
+    def arms(self, s: ast.Case, lower: Callable) -> Callable:
+        """A closure returning the lowered body (by ``lower``) of the
+        arm ``s`` takes, or of its default."""
+        sel = self.lower.expr(s.expr)
+        default = None
+        arms = []
+        for item in s.items:
+            if item.exprs is None:
+                default = item.body
+            else:
+                arms.append(([self.lower.node(e) for e in item.exprs],
+                             lower(item.body)))
+        default = lower(default)
+        if s.kind == "case" and all(type(label) is tuple
+                                    for labels, _ in arms
+                                    for label in labels):
+            table: Dict[Tuple[int, int], Callable] = {}
+            for labels, body in arms:
+                for label in labels:
+                    table.setdefault(label, body)
+            get = table.get
+            return lambda fr: get(sel(fr), default)
+        arms = [([closure(label) for label in labels], body)
+                for labels, body in arms]
+        plain, wild_x = s.kind == "case", s.kind == "casex"
+        m = (1 << s.expr.ctx_width) - 1
+
+        def pick(fr):
+            a, b = sel(fr)
+            for labels, body in arms:
+                for label in labels:
+                    la, lb = label(fr)
+                    if case_eq(a, b, la, lb)[0] if plain else \
+                            matches(a, b, la, lb, m, wild_x):
+                        return body
+            return default
+        return pick
+
+    # -- assignments ---------------------------------------------------------
+    def assign(self, lhs: ast.Expr, rhs: ast.Expr,
+               queue: Optional[list]) -> Callable:
+        """A blocking assignment, or a nonblocking one queueing its
+        writes on ``queue``."""
+        node, rw = self.lower.node(rhs), rhs.ctx_width
+        if isinstance(lhs, ast.Concat):
+            return self._assign_concat(lhs, closure(coerce(
+                node, rw, lhs.width, rhs.ctx_signed)), queue)
+        low, write = self.target(lhs, rhs.ctx_signed)
+        value = closure(coerce(node, rw, lhs.width, lhs.signed))
+        if low is None:
+            if queue is None:
+                return lambda fr: write(fr, 0, *value(fr))
+            push = queue.append
+            return lambda fr: push((write, 0, *value(fr)))
+        # The value is evaluated before the position, as written.
+        if queue is None:
+            def put(fr):
+                a, b = value(fr)
+                lo = low(fr)
+                if lo is not None:
+                    write(fr, lo, a, b)
+            return put
+        push = queue.append
+
+        def post(fr):
+            a, b = value(fr)
+            lo = low(fr)
+            if lo is not None:
+                push((write, lo, a, b))
+        return post
+
+    def _assign_concat(self, lhs: ast.Concat, value, queue):
+        parts = []
+        pos = lhs.width
+        for p in lhs.parts:
+            pos -= p.width
+            low, write = self.target(p, False)
+            parts.append((low, write, pos, (1 << p.width) - 1))
+
+        def resolve(fr) -> List[tuple]:
+            a, b = value(fr)
+            ops = []
+            for low, write, shift, m in parts:
+                lo = 0 if low is None else low(fr)
+                if lo is not None:
+                    ops.append((write, lo, a >> shift & m, b >> shift & m))
+            return ops
+        if queue is not None:
+            return lambda fr: queue.extend(resolve(fr))
+
+        def put(fr):
+            for write, lo, a, b in resolve(fr):
+                write(fr, lo, a, b)
+        return put
+
+    def target(self, lhs: ast.Expr, signed: bool):
+        """``(low, write)`` for one l-value.  ``write(frame, low, a, b)``
+        stores planes already fitted to the target; ``low`` is None for
+        a whole variable, else a closure returning the select's physical
+        position, or None when the write is lost: an x/z index, or no
+        bit or word in range.  A memory word keeps the value's sign
+        ``signed``."""
+        engine = self.engine
+        if isinstance(lhs, ast.Ident):
+            slot = self.scope.slots.get(lhs.name)
+            if slot is None:
+                return None, engine._var_writers[lhs.name]
+
+            def frame_put(fr, low, a, b):
+                fr[slot] = (a, b)
+            return None, frame_put
+        if not isinstance(lhs, (ast.IndexExpr, ast.RangeExpr)):
+            raise EvalError(f"invalid l-value {type(lhs).__name__}")
+        if not isinstance(lhs.base, ast.Ident):
+            raise EvalError("unsupported nested l-value")
+        sel, width, name = lhs.select, lhs.width, lhs.base.name
+        low = self.lower.low(sel, lhs.index if isinstance(
+            lhs, ast.IndexExpr) else lhs.left)
+        first, span = (0 if sel.word else 1 - width), sel.span
+        if type(low) is int:
+            low = (lambda fr, c=low if first <= low < span else None: c)
+        else:
+            position = low
+
+            def low(fr):
+                lo = position(fr)
+                return lo if lo is not None and first <= lo < span \
+                    else None
+        if sel.word:
+            return low, engine._word_writer(name, signed)
+        slot = self.scope.slots.get(name)
+        w = lhs.base.width
+        if slot is None:
+            return low, engine._part_writer(name, width)
+
+        def frame_part(fr, lo, a, b):
+            fr[slot] = set_part(*fr[slot], w, lo, width, a, b)
+        return low, frame_part
+
+    # -- statements that may suspend -------------------------------------
+    def gen(self, s: Optional[ast.Stmt]) -> Callable:
+        """A generator function running ``s``; it yields ``("delay",
+        n)`` and ``("wait", ...)`` requests to the scheduler."""
+        if s is None or not _waits(s):
+            f = self.stmt(s)
+
+            def plain(fr):
+                f(fr)
+                yield from ()
+            return plain
+        return _GENS[type(s)](self, s)
+
+    def _gen_block(self, s: ast.Block):
+        steps = []
+        for sub in s.stmts:
+            if _waits(sub):
+                steps.append((True, self.gen(sub)))
+            else:
+                f = self.stmt(sub)
+                if f is not _nop:
+                    steps.append((False, f))
+
+        def block(fr):
+            for waits, f in steps:
+                if waits:
+                    yield from f(fr)
+                else:
+                    f(fr)
+        return block
+
+    def _gen_if(self, s: ast.If):
+        cond = self.lower.expr(s.cond)
+        then, els = self.gen(s.then), self.gen(s.els)
+
+        def if_(fr):
+            a, b = cond(fr)
+            yield from (then if a & ~b else els)(fr)
+        return if_
+
+    def _gen_case(self, s: ast.Case):
+        pick = self.arms(s, self.gen)
+
+        def case(fr):
+            yield from pick(fr)(fr)
+        return case
+
+    def _gen_for(self, s: ast.For):
+        init, step = self.stmt(s.init), self.stmt(s.step)
+        loop = self._gen_while(ast.While(s.cond, s.body), step)
+
+        def for_(fr):
+            init(fr)
+            yield from loop(fr)
+        return for_
+
+    def _gen_while(self, s: ast.While, step: Callable = _nop):
+        cond, body = self.lower.expr(s.cond), self.gen(s.body)
+        budget, cost = self.engine._budget, _steps(s.body)
+
+        def while_(fr):
+            while True:
+                a, b = cond(fr)
+                if not a & ~b:
+                    return
+                budget(cost)
+                yield from body(fr)
+                step(fr)
+        return while_
+
+    def _gen_repeat(self, s: ast.RepeatStmt):
+        count, body = self.lower.expr(s.count), self.gen(s.body)
+        budget, cost = self.engine._budget, _steps(s.body)
+
+        def repeat(fr):
+            a, b = count(fr)
+            for _ in range(0 if b else a):
+                budget(cost)
+                yield from body(fr)
+        return repeat
+
+    def _gen_forever(self, s: ast.Forever):
+        body, budget = self.gen(s.body), self.engine._budget
+        cost = _steps(s.body)
+
+        def forever(fr):
+            while True:
+                budget(cost)
+                yield from body(fr)
+        return forever
+
+    def _gen_delay(self, s: ast.DelayStmt):
+        amount, then = self.lower.expr(s.amount), self.gen(s.stmt)
+
+        def delay(fr):
+            a, b = amount(fr)
+            yield ("delay", 1 if b else a)
+            yield from then(fr)
+        return delay
+
+    def _gen_event(self, s: ast.EventStmt):
+        request = ("wait", self.engine._wait_meta(s.ctrl))
+        then = self.gen(s.stmt)
+
+        def event(fr):
+            yield request
+            yield from then(fr)
+        return event
+
+
+_STMTS = {
+    ast.Block: _Program._block,
+    ast.BlockingAssign: _Program._blocking,
+    ast.NonblockingAssign: _Program._nonblocking,
+    ast.If: _Program._if,
+    ast.Case: _Program._case,
+    ast.For: _Program._for,
+    ast.While: _Program._while,
+    ast.RepeatStmt: _Program._repeat,
+    ast.SysTask: _Program._systask,
+    ast.NullStmt: lambda self, s: _nop,
+}
+_FUNCTION_STMTS = (ast.Block, ast.BlockingAssign, ast.If, ast.Case,
+                   ast.For, ast.While, ast.RepeatStmt, ast.SysTask,
+                   ast.NullStmt)
+_GENS = {
+    ast.Block: _Program._gen_block,
+    ast.If: _Program._gen_if,
+    ast.Case: _Program._gen_case,
+    ast.For: _Program._gen_for,
+    ast.While: _Program._gen_while,
+    ast.RepeatStmt: _Program._gen_repeat,
+    ast.Forever: _Program._gen_forever,
+    ast.DelayStmt: _Program._gen_delay,
+    ast.EventStmt: _Program._gen_event,
+}
 
 
 class SoftwareEngine:
@@ -244,9 +672,6 @@ class SoftwareEngine:
         self.arrays: Dict[str, List[Bits]] = {}
         self._rand_state = random_seed & 0xFFFFFFFF or 1
 
-        self.scope = _Scope(self)
-        self.evaluator = ExprEvaluator(self.scope)
-
         # Event machinery.
         self._dirty_assigns: deque = deque()
         self._dirty_set: Set[int] = set()
@@ -255,15 +680,17 @@ class SoftwareEngine:
         self._sleeping: List[Tuple[int, int, _Process]] = []  # heap
         self._sleep_seq = 0
         self._waits_by_name: Dict[str, List[_WaitEntry]] = {}
-        # Per-event-control activation metadata, computed once per ctrl
-        # (keyed by identity: ctrl nodes live as long as the design).
-        # Re-walking the expression tree on every wait registration and
-        # every _check_waits call dominated the scheduler hot path.
-        self._wait_meta: Dict[int, Tuple] = {}
-        self._monitors: List[Tuple[List[ast.Expr], Optional[str]]] = []
+        self._monitors: List[list] = []     # [render, last text]
         self._changed_outputs: Set[str] = set()
         self._finished: Optional[int] = None
         self._stmt_budget = _LOOP_CAP
+
+        # Lowered code, built on first use.
+        self._module = _Program(self)
+        self._assigns = _Lazy(self._lower_assign)
+        self._functions = _Lazy(self._lower_function)
+        self._notifiers = _Lazy(self._make_notifier)
+        self._var_writers = _Lazy(self._make_var_writer)
 
         self._init_state()
         self._build_assign_deps()
@@ -306,7 +733,7 @@ class SoftwareEngine:
             pid += 1
 
     def _run_initial(self, block: ast.InitialBlock):
-        yield from self._exec(block.body)
+        yield from self._module.gen(block.body)(None)
 
     def _run_always(self, block: ast.AlwaysBlock):
         ctrl = block.ctrl
@@ -317,10 +744,44 @@ class SoftwareEngine:
             for item in items:
                 size_expr(item.expr, self.design)
             ctrl = ast.EventControl(False, items, block.ctrl.loc)
+        if ctrl is None:
+            # Nothing to wait on: each pass is charged to the budget.
+            body, budget = self._module.gen(block.body), self._budget
+            cost = _steps(block.body)
+            while True:
+                budget(cost)
+                yield from body(None)
+        request = ("wait", self._wait_meta(ctrl))
+        if _waits(block.body):
+            body = self._module.gen(block.body)
+            while True:
+                yield request
+                yield from body(None)
+        body = self._module.stmt(block.body)
         while True:
-            if ctrl is not None:
-                yield ("wait", ctrl)
-            yield from self._exec(block.body)
+            yield request
+            body(None)
+
+    def _lower_assign(self, idx: int) -> Callable:
+        assign = self.design.assigns[idx]
+        return self._module.assign(assign.lhs, assign.rhs, None)
+
+    def _lower_function(self, name: str) -> Callable[[list], tuple]:
+        """A function as one callable over its argument planes (already
+        fitted to the ports).  The frame holds ports, then locals, then
+        the result; locals and result start at x on every call."""
+        fn = self.design.functions[name]
+        slots = {v.name: i for i, v in enumerate(fn.ports + fn.locals_)}
+        ret = len(fn.ports) + len(fn.locals_)
+        slots[fn.ret.name] = slots[fn.name] = ret
+        tail = [x_planes(v.width) for v in fn.locals_ + [fn.ret]]
+        body = _Program(self, slots).stmt(fn.body)
+
+        def call(frame: list) -> tuple:
+            frame += tail
+            body(frame)
+            return frame[ret]
+        return call
 
     # ------------------------------------------------------------------
     # Value access and change notification
@@ -339,47 +800,106 @@ class SoftwareEngine:
         if old.aval == value.aval and old.bval == value.bval:
             return
         self.values[name] = value
-        self._notify(name, old, value)
+        self._notifiers[name]()
 
-    def _set_word(self, name: str, offset: int, value: Bits) -> None:
-        old = self.arrays[name][offset]
-        if old.aval == value.aval and old.bval == value.bval:
-            return
-        self.arrays[name][offset] = value
-        self._notify(name, old, value)
+    def _make_var_writer(self, name: str) -> Callable:
+        """Whole-variable writes of ``name``."""
+        values, notify = self.values, self._notifiers[name]
+        var = self.design.vars[name]
+        width, signed = var.width, var.signed
 
-    def _notify(self, name: str, old: Bits, new: Bits) -> None:
+        def write(fr, low, a, b):
+            old = values[name]
+            if old.aval != a or old.bval != b:
+                values[name] = box(width, a, b, signed)
+                notify()
+        return write
+
+    def _part_writer(self, name: str, width: int) -> Callable:
+        """Writes of ``width`` bits at a physical position of ``name``;
+        the variable keeps its sign."""
+        values, notify = self.values, self._notifiers[name]
+        w = self.design.vars[name].width
+
+        def write(fr, low, a, b):
+            old = values[name]
+            na, nb = set_part(old.aval, old.bval, w, low, width, a, b)
+            if na != old.aval or nb != old.bval:
+                values[name] = box(w, na, nb, old.signed)
+                notify()
+        return write
+
+    def _word_writer(self, name: str, signed: bool) -> Callable:
+        words, notify = self.arrays[name], self._notifiers[name]
+        w = self.design.vars[name].width
+
+        def write(fr, low, a, b):
+            old = words[low]
+            if old.aval != a or old.bval != b:
+                words[low] = box(w, a, b, signed)
+                notify()
+        return write
+
+    def _make_notifier(self, name: str) -> Callable[[], None]:
+        """Propagates a change of ``name``: marks the assigns reading it
+        and checks the processes waiting on it."""
         var = self.design.vars.get(name)
-        if var is not None and var.direction == "output":
-            self._changed_outputs.add(name)
-        for idx in self._assign_deps.get(name, ()):
-            self._mark_assign(idx)
-        entries = self._waits_by_name.get(name)
-        if entries:
-            self._check_waits(name, list(entries))
+        is_output = var is not None and var.direction == "output"
+        deps = tuple(self._assign_deps.get(name, ()))
+        dirty, dirty_set = self._dirty_assigns, self._dirty_set
+        waits, check = self._waits_by_name, self._check_waits
+
+        def notify() -> None:
+            if is_output:
+                self._changed_outputs.add(name)
+            for idx in deps:
+                if idx not in dirty_set:
+                    dirty_set.add(idx)
+                    dirty.append(idx)
+            entries = waits.get(name)
+            if entries:
+                check(name, list(entries))
+        return notify
 
     def _mark_assign(self, idx: int) -> None:
         if idx not in self._dirty_set:
             self._dirty_set.add(idx)
             self._dirty_assigns.append(idx)
 
+    def _wait_meta(self, ctrl: ast.EventControl) -> Tuple:
+        """An event control lowered: per item its edge, value closure
+        (None for a bare memory, tracked by change notification alone)
+        and names read; plus every name read."""
+        lower = self._module.lower
+        items = []
+        names: Set[str] = set()
+        for item in ctrl.items:
+            item_names = frozenset(read_set_of(item.expr))
+            is_mem = isinstance(item.expr, ast.Ident) and \
+                item.expr.name in self.arrays
+            items.append((item.edge,
+                          None if is_mem else lower.expr(item.expr),
+                          item_names))
+            names |= item_names
+        return items, tuple(names)
+
     def _check_waits(self, changed: str, entries: List[_WaitEntry]) -> None:
         for entry in entries:
             satisfied = False
-            for i, (edge, expr, prev, names) in enumerate(entry.items):
+            for item in entry.items:
+                edge, fn, prev, names = item
                 if changed not in names:
                     continue
-                if prev is None:
+                if fn is None:
                     # Memory sensitivity (eg @(*) over a reg array):
                     # element writes are change-filtered before
                     # notification, so any notification is a change.
                     if edge is None:
                         satisfied = True
                     continue
-                new = self.evaluator.eval(expr)
-                entry.items[i] = (edge, expr, new, names)
+                new = item[2] = fn(None)
                 if edge is None:
-                    if new.aval != prev.aval or new.bval != prev.bval:
+                    if new != prev:
                         satisfied = True
                 else:
                     old_c, new_c = _edge_cat(prev), _edge_cat(new)
@@ -397,320 +917,25 @@ class SoftwareEngine:
             if lst and entry in lst:
                 lst.remove(entry)
 
-    def _register_wait(self, process: _Process,
-                       ctrl: ast.EventControl) -> None:
-        meta = self._wait_meta.get(id(ctrl))
-        if meta is None:
-            item_meta = []
-            all_names: Set[str] = set()
-            for item in ctrl.items:
-                item_names = frozenset(read_set_of(item.expr))
-                # A bare signal reference — the overwhelmingly common
-                # case (@(posedge clk)) — can skip the evaluator and
-                # read the value dict directly on every registration.
-                ident = item.expr.name \
-                    if isinstance(item.expr, ast.Ident) else None
-                # A bare memory reference has no scalar value to
-                # snapshot; it is tracked purely by change
-                # notification (prev sentinel None).
-                is_mem = ident is not None and ident in self.arrays
-                item_meta.append((item.edge, item.expr, item_names,
-                                  ident, is_mem))
-                all_names |= item_names
-            meta = (item_meta, tuple(all_names))
-            self._wait_meta[id(ctrl)] = meta
+    def _register_wait(self, process: _Process, meta: Tuple) -> None:
         item_meta, names = meta
-        values = self.values
-        items = []
-        for edge, expr, item_names, ident, is_mem in item_meta:
-            if is_mem:
-                items.append((edge, expr, None, item_names))
-                continue
-            current = values.get(ident) if ident is not None else None
-            if current is None:
-                current = self.evaluator.eval(expr)
-            items.append((edge, expr, current, item_names))
+        items = [[edge, fn, None if fn is None else fn(None), item_names]
+                 for edge, fn, item_names in item_meta]
         entry = _WaitEntry(process, items, names)
         waits = self._waits_by_name
         for name in names:
             waits.setdefault(name, []).append(entry)
 
-    # ------------------------------------------------------------------
-    # Statement execution (generator-based)
-    # ------------------------------------------------------------------
-    def _budget(self) -> None:
-        self._stmt_budget -= 1
+    def _budget(self, cost: int) -> None:
+        self._stmt_budget -= cost
         if self._stmt_budget <= 0:
             raise EvalError(
                 "statement budget exhausted (runaway loop in procedural "
                 "code?)")
 
-    def _exec(self, stmt: Optional[ast.Stmt]):
-        if stmt is None:
-            return
-        self._budget()
-        if isinstance(stmt, ast.Block):
-            for sub in stmt.stmts:
-                yield from self._exec(sub)
-        elif isinstance(stmt, ast.BlockingAssign):
-            self._do_blocking(stmt)
-        elif isinstance(stmt, ast.NonblockingAssign):
-            self._do_nonblocking(stmt)
-        elif isinstance(stmt, ast.If):
-            if self.evaluator.eval_bool(stmt.cond):
-                yield from self._exec(stmt.then)
-            else:
-                yield from self._exec(stmt.els)
-        elif isinstance(stmt, ast.Case):
-            yield from self._exec_case(stmt)
-        elif isinstance(stmt, ast.For):
-            self._do_blocking(stmt.init)
-            while self.evaluator.eval_bool(stmt.cond):
-                self._budget()
-                yield from self._exec(stmt.body)
-                self._do_blocking(stmt.step)
-        elif isinstance(stmt, ast.While):
-            while self.evaluator.eval_bool(stmt.cond):
-                self._budget()
-                yield from self._exec(stmt.body)
-        elif isinstance(stmt, ast.RepeatStmt):
-            count = self.evaluator.eval(stmt.count)
-            n = 0 if count.has_xz else count.to_uint()
-            for _ in range(n):
-                self._budget()
-                yield from self._exec(stmt.body)
-        elif isinstance(stmt, ast.Forever):
-            while True:
-                self._budget()
-                yield from self._exec(stmt.body)
-        elif isinstance(stmt, ast.DelayStmt):
-            amount = self.evaluator.eval(stmt.amount)
-            n = 1 if amount.has_xz else max(amount.to_uint(), 0)
-            yield ("delay", n)
-            yield from self._exec(stmt.stmt)
-        elif isinstance(stmt, ast.EventStmt):
-            yield ("wait", stmt.ctrl)
-            yield from self._exec(stmt.stmt)
-        elif isinstance(stmt, ast.SysTask):
-            self._do_systask(stmt)
-        elif isinstance(stmt, ast.NullStmt):
-            pass
-        else:
-            raise EvalError(f"cannot execute {type(stmt).__name__}")
-
-    def _select_case_arm(self, stmt: ast.Case) -> Optional[ast.Stmt]:
-        """The body of the matching case arm (or default), or None."""
-        wild_x = stmt.kind == "casex"
-        is_plain = stmt.kind == "case"
-        selector = self.evaluator.eval(stmt.expr)
-        default_body = None
-        for item in stmt.items:
-            if item.exprs is None:
-                default_body = item.body
-                continue
-            for e in item.exprs:
-                label = self.evaluator.eval(e)
-                if is_plain:
-                    hit = bool(selector.case_eq(label))
-                else:
-                    hit = selector.matches(label, wild_x)
-                if hit:
-                    return item.body
-        return default_body
-
-    def _exec_case(self, stmt: ast.Case):
-        body = self._select_case_arm(stmt)
-        if body is not None:
-            yield from self._exec(body)
-
     # ------------------------------------------------------------------
-    # Assignment machinery
+    # System tasks
     # ------------------------------------------------------------------
-    def _do_blocking(self, stmt: ast.BlockingAssign) -> None:
-        value = self.evaluator.eval(stmt.rhs)
-        for op in self._resolve_targets(stmt.lhs, value):
-            self._apply_write(op)
-
-    def _do_nonblocking(self, stmt: ast.NonblockingAssign) -> None:
-        value = self.evaluator.eval(stmt.rhs)
-        self._update_queue.extend(self._resolve_targets(stmt.lhs, value))
-
-    def run_continuous(self, assign: ast.ContinuousAssign) -> None:
-        """(Re-)evaluate one continuous assign."""
-        value = self.evaluator.eval(assign.rhs)
-        for op in self._resolve_targets(assign.lhs, value):
-            self._apply_write(op)
-
-    def _resolve_targets(self, lhs: ast.Expr, value: Bits) -> List[Tuple]:
-        """Lower an l-value + value into primitive write operations.
-
-        Ops: ("var", name, bits) | ("word", name, offset, bits) |
-        ("bits", name, hi, lo, bits), at physical positions.
-        """
-        ops: List[Tuple] = []
-        self._resolve_into(lhs, value, ops)
-        return ops
-
-    def _resolve_into(self, lhs: ast.Expr, value: Bits,
-                      ops: List[Tuple]) -> None:
-        if isinstance(lhs, ast.Concat):
-            total = lhs.width
-            v = value.resize(total) if value.width >= total \
-                else value.extend(total)
-            pos = total
-            for part in lhs.parts:
-                w = part.width
-                chunk = v.part(pos - 1, pos - w)
-                self._resolve_into(part, chunk, ops)
-                pos -= w
-            return
-        if isinstance(lhs, ast.Ident):
-            ops.append(("var", lhs.name, _fit(value, lhs.width, lhs.signed)))
-            return
-        if not isinstance(lhs, (ast.IndexExpr, ast.RangeExpr)):
-            raise EvalError(f"invalid l-value {type(lhs).__name__}")
-        if not isinstance(lhs.base, ast.Ident):
-            raise EvalError("unsupported nested l-value")
-        sel = lhs.select
-        low = self.evaluator.low(sel, lhs.index if isinstance(
-            lhs, ast.IndexExpr) else lhs.left)
-        width = lhs.width
-        # An x index, or no bit or word in range: the write is lost.
-        if low is None:
-            return
-        if sel.word:
-            if 0 <= low < sel.span:
-                ops.append(("word", lhs.base.name, low,
-                            value.extend(width) if value.width < width
-                            else value.resize(width)))
-        elif -width < low < sel.span:
-            ops.append(("bits", lhs.base.name, low + width - 1, low, value))
-
-    def _apply_write(self, op: Tuple) -> None:
-        """Apply one write, to the current function frame when it holds
-        the name."""
-        kind, name = op[0], op[1]
-        if kind == "word":
-            self._set_word(name, op[2], op[3])
-            return
-        frames = self.scope.frames
-        frame = frames[-1] if frames and name in frames[-1] else None
-        if kind == "var":
-            value = op[2]
-        else:
-            old = self.values[name] if frame is None else frame[name]
-            value = old.set_part(op[2], op[3], op[4])
-        if frame is None:
-            self._set_var(name, value)
-        else:
-            frame[name] = value
-
-    # ------------------------------------------------------------------
-    # Functions and system tasks
-    # ------------------------------------------------------------------
-    def call_function(self, name: str, args: List[Bits]) -> Bits:
-        fn: Function = self.design.functions[name]
-        frame: Dict[str, Bits] = {
-            port.name: _fit(value, port.width, port.signed)
-            for port, value in zip(fn.ports, args)}
-        for var in fn.locals_ + [fn.ret]:
-            frame[var.name] = Bits.xes(var.width)
-        self.scope.push_frame(frame)
-        try:
-            self._exec_function_body(fn)
-        finally:
-            self.scope.pop_frame()
-        result = frame[fn.ret.name]
-        return result.as_signed() if fn.ret.signed else result
-
-    def _exec_function_body(self, fn: Function) -> None:
-        def run(stmt: Optional[ast.Stmt]) -> None:
-            if stmt is None:
-                return
-            self._budget()
-            if isinstance(stmt, ast.Block):
-                for sub in stmt.stmts:
-                    run(sub)
-            elif isinstance(stmt, ast.BlockingAssign):
-                self._do_blocking(stmt)
-            elif isinstance(stmt, ast.If):
-                if self.evaluator.eval_bool(stmt.cond):
-                    run(stmt.then)
-                else:
-                    run(stmt.els)
-            elif isinstance(stmt, ast.Case):
-                run(self._select_case_arm(stmt))
-            elif isinstance(stmt, ast.For):
-                run(stmt.init)
-                while self.evaluator.eval_bool(stmt.cond):
-                    self._budget()
-                    run(stmt.body)
-                    run(stmt.step)
-            elif isinstance(stmt, ast.While):
-                while self.evaluator.eval_bool(stmt.cond):
-                    self._budget()
-                    run(stmt.body)
-            elif isinstance(stmt, ast.RepeatStmt):
-                count = self.evaluator.eval(stmt.count)
-                for _ in range(0 if count.has_xz else count.to_uint()):
-                    run(stmt.body)
-            elif isinstance(stmt, ast.SysTask):
-                self._do_systask(stmt)
-            elif isinstance(stmt, ast.NullStmt):
-                pass
-            else:
-                raise EvalError(
-                    f"{type(stmt).__name__} not allowed in function body")
-
-        run(fn.body)
-
-    def sys_func(self, name: str, args: List[ast.Expr],
-                 evaluator: ExprEvaluator) -> Bits:
-        if name in ("$time", "$stime"):
-            return Bits.from_int(self.services.now(), 64)
-        if name == "$random":
-            if args:
-                seed = evaluator.eval(args[0])
-                if not seed.has_xz:
-                    self._rand_state = seed.to_uint() & 0xFFFFFFFF or 1
-            # xorshift32: deterministic, decent spectral behaviour.
-            s = self._rand_state
-            s ^= (s << 13) & 0xFFFFFFFF
-            s ^= s >> 17
-            s ^= (s << 5) & 0xFFFFFFFF
-            self._rand_state = s
-            return Bits.from_int(s, 32, signed=True)
-        raise EvalError(f"unknown system function {name!r}")
-
-    def _do_systask(self, stmt: ast.SysTask) -> None:
-        name = stmt.name
-        if name in ("$display", "$write"):
-            rendered = self._render_args(stmt.args)
-            self.services.display(rendered, newline=name == "$display")
-        elif name == "$monitor":
-            self._monitors.append((stmt.args, None))
-        elif name in ("$finish", "$stop"):
-            code = 0
-            if stmt.args:
-                v = self.evaluator.eval(stmt.args[0])
-                code = 0 if v.has_xz else v.to_uint()
-            self._finished = code
-            self.services.finish(code)
-        elif name in ("$readmemh", "$readmemb"):
-            self._do_readmem(stmt, base=16 if name == "$readmemh" else 2)
-        else:
-            raise EvalError(f"unknown system task {name!r}")
-
-    def _render_args(self, args: List[ast.Expr]) -> str:
-        rendered: List[object] = []
-        for a in args:
-            if isinstance(a, ast.StringLit):
-                rendered.append(a.value)
-            else:
-                rendered.append(self.evaluator.eval(a))
-        return format_display(rendered, self.design.name,
-                              self.services.now())
-
     def _do_readmem(self, stmt: ast.SysTask, base: int) -> None:
         if len(stmt.args) < 2 or not isinstance(stmt.args[0],
                                                 ast.StringLit):
@@ -732,8 +957,7 @@ class SoftwareEngine:
         storage = self.arrays[target.name]
         for i, word in enumerate(words[:len(storage)]):
             storage[i] = word
-        self._notify(target.name, Bits.xes(var.width),
-                     Bits.zeros(var.width))
+        self._notifiers[target.name]()
 
     # ------------------------------------------------------------------
     # ABI surface (Figure 7)
@@ -745,18 +969,19 @@ class SoftwareEngine:
         """Drain all active evaluation events."""
         steps = 0
         self._stmt_budget = _LOOP_CAP
-        while self._dirty_assigns or self._runnable:
+        dirty, dirty_set = self._dirty_assigns, self._dirty_set
+        runnable, assigns = self._runnable, self._assigns
+        while dirty or runnable:
             steps += 1
             if steps > _EVAL_CAP:
                 raise EvalError("evaluation did not converge "
                                 "(combinational loop?)")
-            if self._dirty_assigns:
-                idx = self._dirty_assigns.popleft()
-                self._dirty_set.discard(idx)
-                self.run_continuous(self.design.assigns[idx])
+            if dirty:
+                idx = dirty.popleft()
+                dirty_set.discard(idx)
+                assigns[idx](None)
                 continue
-            proc = self._runnable.popleft()
-            self._resume(proc)
+            self._resume(runnable.popleft())
 
     def _resume(self, proc: _Process) -> None:
         if proc.done:
@@ -788,9 +1013,11 @@ class SoftwareEngine:
 
     def update(self) -> None:
         """Apply all queued nonblocking updates atomically."""
-        queue, self._update_queue = self._update_queue, []
-        for op in queue:
-            self._apply_write(op)
+        queue = self._update_queue
+        ops = queue[:]
+        queue.clear()
+        for write, low, a, b in ops:
+            write(None, low, a, b)
 
     def end_step(self) -> None:
         """Called between time steps: wake delayed processes whose time
@@ -799,10 +1026,10 @@ class SoftwareEngine:
         while self._sleeping and self._sleeping[0][0] <= now:
             _, _, proc = heapq.heappop(self._sleeping)
             self._runnable.append(proc)
-        for i, (args, last) in enumerate(self._monitors):
-            text = self._render_args(args)
-            if text != last:
-                self._monitors[i] = (args, text)
+        for monitor in self._monitors:
+            text = monitor[0](None)
+            if text != monitor[1]:
+                monitor[1] = text
                 self.services.display(text)
 
     def next_wake_time(self) -> Optional[int]:
@@ -847,19 +1074,3 @@ class SoftwareEngine:
         out = self._changed_outputs
         self._changed_outputs = set()
         return out
-
-
-def read_set_of_lvalue_indices(lhs: ast.Expr) -> Set[str]:
-    """Names read by the index sub-expressions of an l-value."""
-    reads: Set[str] = set()
-    if isinstance(lhs, ast.IndexExpr):
-        reads |= read_set_of(lhs.index)
-        reads |= read_set_of_lvalue_indices(lhs.base)
-    elif isinstance(lhs, ast.RangeExpr):
-        reads |= read_set_of(lhs.left)
-        reads |= read_set_of(lhs.right)
-        reads |= read_set_of_lvalue_indices(lhs.base)
-    elif isinstance(lhs, ast.Concat):
-        for p in lhs.parts:
-            reads |= read_set_of_lvalue_indices(p)
-    return reads

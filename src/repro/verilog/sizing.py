@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import Callable, Dict, NamedTuple, Optional, Set, Tuple
 
 from ..common.bits import Bits
-from ..common.errors import ElaborationError, EvalError, TypeError_
+from ..common.errors import ElaborationError, TypeError_
 from . import ast
 
 __all__ = ["Select", "size_design", "size_expr", "size_constant"]
@@ -285,12 +285,9 @@ class _Sizer:
 
     def _value(self, e: ast.Expr) -> Optional[Bits]:
         """Size ``e`` self-determined; its value when it is constant."""
-        from .eval import ConstScope, ExprEvaluator
+        from .eval import fold
         self.root(e)
-        try:
-            return ExprEvaluator(ConstScope(self.constants)).eval(e)
-        except EvalError:
-            return None
+        return fold(e, self.constants)
 
     def fold(self, e: ast.Expr, what: str) -> int:
         """The integer value of a constant sub-expression."""

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List
+from typing import Callable, Iterator, List, Set
 
 from . import ast
 
@@ -59,3 +59,78 @@ def map_exprs(node: ast.Node,
     if isinstance(node, ast.Expr):
         return fn(node)
     return node
+
+
+def read_set_of(node: ast.Node) -> Set[str]:
+    """Names read by a statement/expression subtree.
+
+    Assignment targets contribute their index expressions but not the
+    written name itself (used to synthesise @(*) sensitivity lists).
+    """
+    reads: Set[str] = set()
+
+    def visit_expr(e: ast.Expr) -> None:
+        for n in walk(e):
+            if isinstance(n, ast.Ident):
+                reads.add(n.name)
+
+    def visit_stmt(s: ast.Node) -> None:
+        if isinstance(s, (ast.BlockingAssign, ast.NonblockingAssign)):
+            reads.update(read_set_of_lvalue_indices(s.lhs))
+            visit_expr(s.rhs)
+        elif isinstance(s, ast.Block):
+            for sub in s.stmts:
+                visit_stmt(sub)
+        elif isinstance(s, ast.If):
+            visit_expr(s.cond)
+            if s.then:
+                visit_stmt(s.then)
+            if s.els:
+                visit_stmt(s.els)
+        elif isinstance(s, ast.Case):
+            visit_expr(s.expr)
+            for item in s.items:
+                for e in item.exprs or []:
+                    visit_expr(e)
+                if item.body:
+                    visit_stmt(item.body)
+        elif isinstance(s, ast.For):
+            visit_stmt(s.init)
+            visit_expr(s.cond)
+            visit_stmt(s.step)
+            visit_stmt(s.body)
+        elif isinstance(s, ast.While):
+            visit_expr(s.cond)
+            visit_stmt(s.body)
+        elif isinstance(s, ast.RepeatStmt):
+            visit_expr(s.count)
+            visit_stmt(s.body)
+        elif isinstance(s, ast.Forever):
+            visit_stmt(s.body)
+        elif isinstance(s, (ast.DelayStmt, ast.EventStmt)):
+            if s.stmt:
+                visit_stmt(s.stmt)
+        elif isinstance(s, ast.SysTask):
+            for a in s.args:
+                visit_expr(a)
+        elif isinstance(s, ast.Expr):
+            visit_expr(s)
+
+    visit_stmt(node)
+    return reads
+
+
+def read_set_of_lvalue_indices(lhs: ast.Expr) -> Set[str]:
+    """Names read by the index sub-expressions of an l-value."""
+    reads: Set[str] = set()
+    if isinstance(lhs, ast.IndexExpr):
+        reads |= read_set_of(lhs.index)
+        reads |= read_set_of_lvalue_indices(lhs.base)
+    elif isinstance(lhs, ast.RangeExpr):
+        reads |= read_set_of(lhs.left)
+        reads |= read_set_of(lhs.right)
+        reads |= read_set_of_lvalue_indices(lhs.base)
+    elif isinstance(lhs, ast.Concat):
+        for p in lhs.parts:
+            reads |= read_set_of_lvalue_indices(p)
+    return reads

@@ -200,6 +200,29 @@ class TestXZPropagation:
         assert eval_expr("reg [3:0] a;", "a & 4'b0000", "%b") == "0000"
 
 
+class TestXResultSign:
+    """An x result keeps its expression's sign, so ``>>>`` fills with
+    its (unknown) MSB (IEEE 1364-2005 §5.1.13, §5.5)."""
+
+    DECL = ("reg signed [7:0] a = -8, b = -16, z = 0, xs = 8'bx; "
+            "reg c = 1'bx;")
+
+    def test_ambiguous_ternary_merge(self):
+        assert eval_expr(self.DECL, "(c ? a : b) >>> 1", "%b") \
+            == "11111x00"
+
+    def test_arithmetic_on_merge(self):
+        assert eval_expr(self.DECL, "((c ? a : b) + 8'sd0) >>> 1", "%b") \
+            == "xxxxxxxx"
+
+    def test_negated_x(self):
+        assert eval_expr(self.DECL, "(-xs) >>> 1", "%b") == "xxxxxxxx"
+
+    def test_division_by_zero(self):
+        assert eval_expr(self.DECL, "(a / z) >>> 1", "%b") == "xxxxxxxx"
+        assert eval_expr(self.DECL, "(a % z) >>> 1", "%b") == "xxxxxxxx"
+
+
 class TestSystemFunctions:
     def test_clog2(self):
         assert eval_expr("", "$clog2(256)") == "8"

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.errors import EvalError
+from repro.core.runtime import Runtime
 from repro.interp.sim import Simulator, simulate_source
 
 
@@ -100,6 +101,81 @@ module t;
   reg [7:0] n = 0;
   initial while (1) n = n + 1;
 endmodule""")
+
+    def test_runaway_loop_detected_on_runtime(self):
+        rt = Runtime()
+        with pytest.raises(EvalError, match="budget"):
+            rt.eval_source("reg [7:0] n = 0;\n"
+                           "initial while (1) n = n + 1;\n")
+            rt.run(iterations=5)
+
+    def test_delay_nested_in_loop_if_and_case(self):
+        out = simulate_source("""
+module t;
+  integer i;
+  reg [1:0] k = 0;
+  initial begin
+    for (i = 0; i < 3; i = i + 1) begin
+      if (i != 1) #1 $display("a%0d t=%0d", i, $time);
+      else begin
+        case (k)
+          2'd0: #1 $display("case t=%0d", $time);
+          default: $display("never");
+        endcase
+      end
+    end
+    $finish;
+  end
+  initial begin
+    #1 $display("b1 t=%0d", $time);
+    #1 $display("b2 t=%0d", $time);
+  end
+endmodule""")
+        assert out == ["a0 t=1", "b1 t=1", "case t=2", "b2 t=2", "a2 t=3"]
+
+    def test_function_locals_start_at_x_on_every_call(self):
+        out = simulate_source("""
+module t;
+  reg [7:0] r1, r2;
+  function [7:0] f;
+    input [7:0] a;
+    reg [7:0] acc;
+    begin
+      f = acc;
+      acc = a;
+    end
+  endfunction
+  initial begin
+    r1 = f(8'd3);
+    r2 = f(8'd4);
+    $display("%b %b", r1, r2);
+    $finish;
+  end
+endmodule""")
+        assert out == ["xxxxxxxx xxxxxxxx"]
+
+    def test_function_writes_local_through_dynamic_select(self):
+        out = simulate_source("""
+module t;
+  function [7:0] setbit;
+    input [7:0] v;
+    input [2:0] i;
+    reg [7:0] tmp;
+    begin
+      tmp = v;
+      tmp[i] = 1'b1;
+      tmp[i + 1 +: 2] = 2'b00;
+      setbit = tmp;
+    end
+  endfunction
+  initial begin
+    $display("%b %b %b", setbit(8'h00, 3'd2), setbit(8'hff, 3'd7),
+             setbit(8'hf0, 3'bx01));
+    $finish;
+  end
+endmodule""")
+        # In range; past the top (lost); an x index (lost).
+        assert out == ["00000100 11111111 11110000"]
 
     def test_named_block(self):
         out = simulate_source("""
@@ -343,6 +419,25 @@ module t;
   end
 endmodule""")
         assert out[:3] == ["n=0", "n=1", "n=2"]
+
+    def test_monitor_prints_each_change_once(self):
+        out = simulate_source("""
+module t;
+  reg clk = 0;
+  reg [3:0] n = 0;
+  reg signed [3:0] s = -2;
+  always #1 clk = ~clk;
+  always @(posedge clk) begin
+    n <= n + 1;
+    s <= s + 1;
+  end
+  initial begin
+    $monitor("n=%0d s=%0d x=%b", n, s, n[3] ? 1'bx : n[0]);
+    #17 $finish;
+  end
+endmodule""")
+        assert out == [f"n={n} s={n - 2} x={'x' if n > 7 else n & 1}"
+                       for n in range(10)]
 
 
 class TestSimulatorDriver:
