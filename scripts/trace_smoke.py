@@ -10,7 +10,9 @@ source (a cache hit) — and checks that:
 * every required event kind appeared
   (:data:`repro.obs.REQUIRED_EVENT_KINDS`);
 * the Chrome export parses and carries its thread-name metadata;
-* virtual time is bit-identical to the same session with tracing off.
+* virtual time is bit-identical to the same session with tracing off;
+* every compile, cache and migration count that ``:time`` and
+  ``:stats`` print equals the value in ``Runtime.metrics_snapshot()``.
 
 Exit status is non-zero on any failure, so CI fails loudly.
 
@@ -20,6 +22,7 @@ Usage::
 """
 
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -39,6 +42,47 @@ always @(posedge clk) begin
   if (n == 5) $display("n=%d", n);
 end
 """
+
+
+#: Each count ``:time`` and ``:stats`` print: a pattern over their
+#: output and the registry names of its groups, in order.
+PRINTED_COUNTS = (
+    (r"compiles (\d+) \((\d+) cancelled, (\d+) failed\), "
+     r"cache (\d+) hit / (\d+) miss",
+     ("compile.attempted", "compile.cancelled", "compile.failed",
+      "compile.cache_hits", "compile.cache_misses")),
+    (r"compiles: (\d+) attempted, (\d+) failed, (\d+) cancelled",
+     ("compile.attempted", "compile.failed", "compile.cancelled")),
+    (r"bitstream cache: (\d+) hit / (\d+) miss \((\d+) entries\)",
+     ("compile.cache_hits", "compile.cache_misses", "cache.entries")),
+    (r"cross-tenant: (\d+) cache hits, (\d+) single-flight joins",
+     ("compile.cross_tenant_hits", "compile.single_flight_joins")),
+    (r"placement cache: (\d+) warm starts \((\d+) entries\)",
+     ("compile.warm_starts", "placement.entries")),
+    (r"migrations: (\d+) sw-fast, (\d+) hardware; "
+     r"fast-path compile failures: (\d+)",
+     ("runtime.sw_migrations", "runtime.hw_migrations",
+      "runtime.fastpath_failures")),
+    (r"reliability: (\d+) bridge races, (\d+) corrupt disk entries",
+     ("cache.bridge_races", "cache.disk_corrupt")),
+)
+
+
+def check_printed_counts(repl):
+    """Failures where ``:time``/``:stats`` disagree with the registry."""
+    printed = repl.command(":time") + "\n" + repl.command(":stats")
+    snapshot = repl.runtime.metrics_snapshot()
+    failures = []
+    for pattern, names in PRINTED_COUNTS:
+        match = re.search(pattern, printed)
+        if match is None:
+            failures.append(f"no line matches {pattern!r}")
+            continue
+        for name, text in zip(names, match.groups()):
+            if int(text) != snapshot[name]:
+                failures.append(f"printed {name} = {text}, registry "
+                                f"holds {snapshot[name]}")
+    return failures
 
 
 def session():
@@ -67,8 +111,12 @@ def main() -> int:
     tr = tracer()
     tr.clear()
     tr.enable()
-    _, traced_ns = session()
+    repl, traced_ns = session()
     tr.disable()
+    printed = check_printed_counts(repl)
+    failures.extend(printed)
+    if not printed:
+        print(":time and :stats agree with the registry")
 
     jsonl = outdir / "smoke.jsonl"
     chrome = outdir / "smoke.json"

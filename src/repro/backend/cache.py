@@ -8,7 +8,7 @@ that here:
 * :class:`BitstreamCache` — the *bitstream* cache.  Key: SHA-256 of the
   canonical printed Verilog of a subprogram (the round-trip-tested
   printer makes the text a faithful content address), the
-  instrumentation flag, and the device/flow configuration.  Value: the
+  instrumentation flag, and the flow configuration.  Value: the
   :class:`~repro.backend.pycompile.CompiledDesign`, the resource
   estimate, the error string for deterministic failures, and the
   placement the flow produced.  In-memory LRU with an optional on-disk
@@ -59,12 +59,11 @@ Coord = Tuple[int, int]
 
 
 def design_cache_key(source: str, instrumented: bool,
-                     device_name: str, full_flow_max_luts: int) -> str:
+                     full_flow_max_luts: int) -> str:
     """The content address of one compilation request."""
     h = hashlib.sha256()
     h.update(source.encode("utf-8"))
     h.update(b"|instrumented=1|" if instrumented else b"|instrumented=0|")
-    h.update(device_name.encode("utf-8"))
     h.update(b"|flow=%d" % full_flow_max_luts)
     h.update(b"|codegen=%d" % CODEGEN_VERSION)
     return h.hexdigest()
@@ -182,6 +181,10 @@ class BitstreamCache:
         self._c_evictions = self.metrics.counter("cache.evictions")
         self._c_joins = self.metrics.counter("cache.single_flight_joins")
         self._c_bridge_races = self.metrics.counter("cache.bridge_races")
+        #: Entries in memory and keys with a compile in flight, set
+        #: under the lock wherever they change.
+        self._g_entries = self.metrics.gauge("cache.entries")
+        self._g_inflight = self.metrics.gauge("cache.in_flight")
 
     # ------------------------------------------------------------------
     def get(self, key: str, design: Optional[Design] = None
@@ -213,6 +216,7 @@ class BitstreamCache:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self._c_evictions.inc()
+        self._g_entries.set(len(self._entries))
 
     def __len__(self) -> int:
         with self._lock:
@@ -221,18 +225,7 @@ class BitstreamCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {"entries": len(self._entries),
-                    "hits": self._c_hits.value,
-                    "misses": self._c_misses.value,
-                    "disk_hits": self._c_disk_hits.value,
-                    "disk_corrupt": self._c_disk_corrupt.value,
-                    "evictions": self._c_evictions.value,
-                    "in_flight": len(self._inflight),
-                    "single_flight_joins": self._c_joins.value,
-                    "bridge_races": self._c_bridge_races.value}
+            self._g_entries.set(0)
 
     # -- single-flight registry -----------------------------------------
     def inflight_begin(self, key: str
@@ -254,6 +247,7 @@ class BitstreamCache:
                 return False, entry
             entry = InflightCompile(key, races=self._c_bridge_races)
             self._inflight[key] = entry
+            self._g_inflight.set(len(self._inflight))
             return True, entry
 
     def inflight_finish(self, key: str,
@@ -269,6 +263,7 @@ class BitstreamCache:
             if current is not None and \
                     (entry is None or current is entry):
                 del self._inflight[key]
+                self._g_inflight.set(len(self._inflight))
 
     def inflight_leave(self, entry: InflightCompile) -> None:
         """A follower stopped waiting on ``entry`` (its program
@@ -287,6 +282,7 @@ class BitstreamCache:
             if self._inflight.get(key) is entry and \
                     entry.joiners == 0:
                 del self._inflight[key]
+                self._g_inflight.set(len(self._inflight))
                 return True
             return False
 
@@ -375,6 +371,7 @@ class PlacementCache:
             else MetricsRegistry()
         self._c_hits = self.metrics.counter("placement.hits")
         self._c_misses = self.metrics.counter("placement.misses")
+        self._g_entries = self.metrics.gauge("placement.entries")
 
     @staticmethod
     def signature(netlist: Netlist, device) -> str:
@@ -408,9 +405,4 @@ class PlacementCache:
             self._entries.move_to_end(signature)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {"entries": len(self._entries),
-                    "hits": self._c_hits.value,
-                    "misses": self._c_misses.value}
+            self._g_entries.set(len(self._entries))

@@ -54,7 +54,6 @@ from .cache import BitstreamCache, CacheEntry, PlacementCache, \
 from .compilequeue import CompileQueue, default_place_starts, \
     shared_flow_queue, shared_queue
 from .estimate import estimate_resources, instrumentation_overhead
-from .fabric import Device
 from .pycompile import CompiledDesign, compile_design
 from .synthcheck import check_design
 
@@ -62,21 +61,20 @@ __all__ = ["CompilerModel", "CompileJob", "CompileService"]
 
 
 class CompilerModel:
-    """Latency + area model for the blackbox toolchain.
+    """Latency model for the blackbox toolchain.
 
     Calibration anchors (paper §6): a ~50-line user-study program
     compiles in ~1.5 minutes; the SHA-256 proof-of-work design takes
     ~10 minutes; Cascade's instrumented bitstream is ~2.9x larger.
     """
 
-    def __init__(self, base_s: float = 40.0, per_lut: float = 0.9,
-                 exponent: float = 0.8):
-        self.base_s = base_s
-        self.per_lut = per_lut
-        self.exponent = exponent
+    base_s = 40.0
+    per_lut = 0.9
+    exponent = 0.8
 
-    def duration_s(self, luts: int) -> float:
-        return self.base_s + self.per_lut * (max(luts, 1) ** self.exponent)
+    @classmethod
+    def duration_s(cls, luts: int) -> float:
+        return cls.base_s + cls.per_lut * (max(luts, 1) ** cls.exponent)
 
 
 class CompileJob:
@@ -224,15 +222,16 @@ class CompileService:
     instantaneous, useful in tests).
     """
 
-    def __init__(self, model: Optional[CompilerModel] = None,
-                 latency_scale: float = 1.0,
+    #: Virtual seconds a cache hit still costs: the device must be
+    #: reprogrammed with the cached bitstream, but nothing is
+    #: recompiled (mirrors real Cascade's compilation cache).
+    cache_hit_latency_s = 1.0
+
+    def __init__(self, latency_scale: float = 1.0,
                  full_flow_max_luts: int = 0,
                  cache: Optional[BitstreamCache] = None,
                  placements: Optional[PlacementCache] = None,
                  queue: Optional[CompileQueue] = None,
-                 device: Optional[Device] = None,
-                 cache_hit_latency_s: float = 1.0,
-                 warm_start_effort: float = 0.35,
                  flow_queue: Optional[CompileQueue] = None,
                  place_starts: Optional[int] = None,
                  isolate_virtual_time: bool = False,
@@ -243,7 +242,6 @@ class CompileService:
         #: substrate) keep the registry they were built with.
         self.metrics = registry if registry is not None \
             else MetricsRegistry()
-        self.model = model or CompilerModel()
         self.latency_scale = latency_scale
         #: When positive, designs whose estimated LUT count is at or
         #: below this run the *real* synth/place/route/timing flow —
@@ -266,12 +264,6 @@ class CompileService:
         #: the best by ``(cost, seed)``; warm starts stay single-start.
         self.place_starts = place_starts if place_starts is not None \
             else default_place_starts()
-        self.device = device
-        #: Virtual seconds a cache hit still costs: the device must be
-        #: reprogrammed with the cached bitstream, but nothing is
-        #: recompiled (mirrors real Cascade's compilation cache).
-        self.cache_hit_latency_s = cache_hit_latency_s
-        self.warm_start_effort = warm_start_effort
         #: Multi-tenant virtual-time isolation (DESIGN.md §4.6).  When
         #: this service shares its caches with other tenants' services,
         #: a key *this* service has never submitted may be resolved by
@@ -294,8 +286,8 @@ class CompileService:
         self._c_warm_starts = m.counter("compile.warm_starts")
         self._c_cross_tenant = m.counter("compile.cross_tenant_hits")
         self._c_joins = m.counter("compile.single_flight_joins")
-        # Per-phase host seconds: totals as counters (the historical
-        # ``host_seconds`` dict), distributions as p50/p99 histograms.
+        # Per-phase host seconds: totals as counters, distributions as
+        # p50/p99 histograms.
         for phase in ("submit_s", "codegen_s", "flow_s", "wait_s"):
             m.counter("compile.host." + phase)
         self._session_keys: Set[str] = set()
@@ -326,7 +318,7 @@ class CompileService:
 
     def estimate(self, design: Design,
                  instrumented: bool = True) -> Dict[str, int]:
-        base = estimate_resources(design, metrics=self.metrics)
+        base = estimate_resources(design)
         if instrumented:
             extra = instrumentation_overhead(design)
             return {k: base.get(k, 0) + extra.get(k, 0) for k in
@@ -356,10 +348,8 @@ class CompileService:
                 + "; ".join(sorted(set(violations))))
         resources = self.estimate(design, instrumented=instrumented)
         source = module_to_str(subprogram.module_ast)
-        key = design_cache_key(
-            source, instrumented,
-            self.device.name if self.device else "auto",
-            self.full_flow_max_luts)
+        key = design_cache_key(source, instrumented,
+                               self.full_flow_max_luts)
         entry = self.cache.get(key, design)
         if entry is not None:
             # Cache hit: no host work.  A *session-local* hit (this
@@ -384,7 +374,7 @@ class CompileService:
                               "cross_tenant": not local,
                               "failed_entry": entry.error is not None})
             if self.isolate_virtual_time and not local:
-                duration = self.model.duration_s(resources["luts"]) \
+                duration = CompilerModel.duration_s(resources["luts"]) \
                     * self.latency_scale
             else:
                 duration = self.cache_hit_latency_s * self.latency_scale
@@ -401,7 +391,7 @@ class CompileService:
                         virtual_ns=now_s * 1e9, tid="compile",
                         args={"subprogram": subprogram.name,
                               "key": key[:12]})
-            duration = self.model.duration_s(resources["luts"]) \
+            duration = CompilerModel.duration_s(resources["luts"]) \
                 * self.latency_scale
             job = CompileJob(subprogram, design, now_s, duration,
                              resources, service=self)
@@ -510,9 +500,8 @@ class CompileService:
         error: Optional[str] = None
         t1 = time.perf_counter()
         try:
-            report = run_flow(job.design, device=self.device,
+            report = run_flow(job.design,
                               placement_cache=self.placements,
-                              warm_effort=self.warm_start_effort,
                               starts=self.place_starts,
                               pool=self.flow_queue)
             if report.placement.warm_started:
@@ -522,8 +511,7 @@ class CompileService:
                 # flow-lane worker that ran the phase.
                 self._trace_phase(job, phase.rsplit("_", 1)[0], seconds)
             overhead = resources["luts"] - \
-                estimate_resources(job.design,
-                                   metrics=self.metrics)["luts"]
+                estimate_resources(job.design)["luts"]
             resources = dict(resources)
             resources["luts"] = report.luts + max(overhead, 0)
             resources["fmax_mhz"] = report.fmax_mhz
@@ -601,28 +589,8 @@ class CompileService:
         """Abandon every undelivered job of this service."""
         self.cancel(self.jobs)
 
-    # ------------------------------------------------------------------
-    def stats(self) -> Dict[str, object]:
-        """Counters and per-phase host times for introspection."""
-        value = self.metrics.value
-        host = {phase: value("compile.host." + phase)
-                for phase in ("submit_s", "codegen_s", "flow_s",
-                              "wait_s")}
-        return {
-            "attempted": value("compile.attempted"),
-            "failed": value("compile.failed"),
-            "cancelled": value("compile.cancelled"),
-            "cache_hits": value("compile.cache_hits"),
-            "cache_misses": value("compile.cache_misses"),
-            "warm_starts": value("compile.warm_starts"),
-            "cross_tenant_hits": value("compile.cross_tenant_hits"),
-            "single_flight_joins": value("compile.single_flight_joins"),
-            "estimate_fallbacks": int(value("estimate.fallbacks")),
-            "in_flight": sum(1 for j in self.jobs
-                             if not j.delivered and not j.host_done),
-            "host_seconds": host,
-            "bitstream_cache": self.cache.stats(),
-            "placement_cache": self.placements.stats(),
-            "flow_lane": dict(self.flow_queue.stats(),
-                              place_starts=self.place_starts),
-        }
+    def in_flight(self) -> int:
+        """Undelivered jobs whose host work is still running: state read
+        from the job list at call time, not a count in the registry."""
+        return sum(1 for job in self.jobs
+                   if not job.delivered and not job.host_done)

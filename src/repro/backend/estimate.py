@@ -12,9 +12,8 @@ on small designs.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-from ..obs import MetricsRegistry, global_registry, tracer
 from ..verilog import ast
 from ..verilog.elaborate import Design
 from ..verilog.visitor import walk
@@ -22,49 +21,12 @@ from ..verilog.visitor import walk
 __all__ = ["estimate_resources", "instrumentation_overhead"]
 
 
-class _FallbackLog:
-    """Counts width fallbacks instead of hiding them.
-
-    Widths come from the sizing pass's annotations.  A node that
-    reaches the estimator unsized (built after elaboration) is charged
-    a default width, and each such fallback increments
-    ``estimate.fallbacks`` in the caller's metrics registry (the
-    process-wide one when no registry is in reach) and, when tracing is
-    on, emits an ``estimate_fallback`` event naming the node type and
-    the error.
-    """
-
-    __slots__ = ("counter", "design_name")
-
-    def __init__(self, registry: Optional[MetricsRegistry],
-                 design_name: str):
-        registry = registry if registry is not None \
-            else global_registry()
-        self.counter = registry.counter("estimate.fallbacks")
-        self.design_name = design_name
-
-    def note(self, node: object, exc: Exception) -> None:
-        self.counter.inc()
-        tr = tracer()
-        if tr.enabled:
-            tr.emit("estimate_fallback", "compile", args={
-                "design": self.design_name,
-                "node": type(node).__name__,
-                "error": f"{type(exc).__name__}: {exc}"})
-
-    def width_of(self, node: ast.Expr, default: int) -> int:
-        try:
-            return node.width
-        except AttributeError as exc:
-            self.note(node, exc)
-            return default
-
-
-def _expr_luts(expr: ast.Expr, log: _FallbackLog) -> int:
-    """LUT cost of one expression tree."""
+def _expr_luts(expr: ast.Expr) -> int:
+    """LUT cost of one expression tree, from the widths the sizing pass
+    annotated (an unsized node raises ``AttributeError``)."""
     total = 0
     for node in walk(expr):
-        width = log.width_of(node, 32) if isinstance(node, ast.Expr) else 0
+        width = node.width if isinstance(node, ast.Expr) else 0
         if isinstance(node, ast.Binary):
             op = node.op
             if op in ("+", "-"):
@@ -74,8 +36,7 @@ def _expr_luts(expr: ast.Expr, log: _FallbackLog) -> int:
             elif op in ("/", "%"):
                 total += width * width
             elif op in ("==", "!=", "===", "!==", "<", "<=", ">", ">="):
-                w = max(log.width_of(node.lhs, 32),
-                        log.width_of(node.rhs, 32))
+                w = max(node.lhs.width, node.rhs.width)
                 total += max(w // 2, 1)
             elif op in ("&", "|", "^", "^~", "~^"):
                 total += (width + 1) // 2
@@ -90,7 +51,7 @@ def _expr_luts(expr: ast.Expr, log: _FallbackLog) -> int:
                 total += width * width
         elif isinstance(node, ast.Unary):
             if node.op in ("&", "~&", "|", "~|", "^", "~^", "^~", "!"):
-                w = log.width_of(node.operand, 32)
+                w = node.operand.width
                 total += max(w // 3, 1)
             # ~ and - on top of other logic usually fold into LUTs.
         elif isinstance(node, ast.Ternary):
@@ -98,17 +59,8 @@ def _expr_luts(expr: ast.Expr, log: _FallbackLog) -> int:
     return total
 
 
-def estimate_resources(design: Design,
-                       metrics: Optional[MetricsRegistry] = None
-                       ) -> Dict[str, int]:
-    """Estimated {luts, ffs, mem_bits} for a design.
-
-    Unsized nodes do not vanish into silent defaults: each one is
-    counted as ``estimate.fallbacks`` in ``metrics`` (the process-wide
-    registry when none is given) and traced, so a build whose estimate
-    is mostly guesswork is visible in ``:stats``.
-    """
-    log = _FallbackLog(metrics, design.name)
+def estimate_resources(design: Design) -> Dict[str, int]:
+    """Estimated {luts, ffs, mem_bits} for a design."""
     luts = 0
     ffs = 0
     mem_bits = 0
@@ -120,7 +72,7 @@ def estimate_resources(design: Design,
                 ffs += var.width
 
     for assign in design.assigns:
-        luts += _expr_luts(assign.rhs, log)
+        luts += _expr_luts(assign.rhs)
     for block in design.always:
         mux_penalty = 0
         for node in walk(block):
@@ -130,14 +82,14 @@ def estimate_resources(design: Design,
                 mux_penalty += 1
             if isinstance(node, (ast.BlockingAssign,
                                  ast.NonblockingAssign)):
-                luts += _expr_luts(node.rhs, log)
-                w = log.width_of(node.lhs, 8)
+                luts += _expr_luts(node.rhs)
+                w = node.lhs.width
                 # Each conditional level adds enable/select muxing.
                 luts += (w * max(mux_penalty, 1) + 1) // 2
     for fn in design.functions.values():
         for node in walk(fn.body):
             if isinstance(node, ast.BlockingAssign):
-                luts += _expr_luts(node.rhs, log)
+                luts += _expr_luts(node.rhs)
     return {"luts": luts, "ffs": ffs, "mem_bits": mem_bits}
 
 

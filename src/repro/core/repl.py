@@ -19,7 +19,7 @@ import time as _time
 from typing import List, Optional
 
 from ..common.errors import CascadeError
-from ..obs import merge_registries, tracer
+from ..obs import tracer
 from .runtime import Runtime
 
 __all__ = ["Repl", "main"]
@@ -109,14 +109,15 @@ class Repl:
             self.runtime.run(iterations=count)
             return f"ran {count} iterations"
         if name == ":time":
-            s = self.runtime.compiler.stats()
+            m = self.runtime.metrics_snapshot()
             tiers = self.runtime.time_model.tier_events
             return (f"virtual time {self.runtime.time_model.now_seconds:.6f}s, "
                     f"{self.runtime.virtual_clock_ticks} clock ticks, "
-                    f"compiles {s['attempted']} "
-                    f"({s['cancelled']} cancelled, {s['failed']} failed), "
-                    f"cache {s['cache_hits']} hit / "
-                    f"{s['cache_misses']} miss, "
+                    f"compiles {m['compile.attempted']} "
+                    f"({m['compile.cancelled']} cancelled, "
+                    f"{m['compile.failed']} failed), "
+                    f"cache {m['compile.cache_hits']} hit / "
+                    f"{m['compile.cache_misses']} miss, "
                     f"events {tiers['interpreted']} interpreted / "
                     f"{tiers['sw-fast']} sw-fast / "
                     f"{tiers['hardware']} hardware")
@@ -148,28 +149,29 @@ class Repl:
                 return status
             return "usage: :trace on|off|status|dump <path>"
         if name == ":stats":
-            s = self.runtime.compiler.stats()
-            host = s["host_seconds"]
-            lines = [
-                f"compiles: {s['attempted']} attempted, "
-                f"{s['failed']} failed, {s['cancelled']} cancelled, "
-                f"{s['in_flight']} in flight",
-                f"bitstream cache: {s['cache_hits']} hit / "
-                f"{s['cache_misses']} miss "
-                f"({s['bitstream_cache']['entries']} entries)",
-                f"cross-tenant: {s['cross_tenant_hits']} cache hits, "
-                f"{s['single_flight_joins']} single-flight joins",
-                f"placement cache: {s['warm_starts']} warm starts "
-                f"({s['placement_cache']['entries']} entries)",
-                f"flow lane: {s['flow_lane']['kind']} x"
-                f"{s['flow_lane']['workers']}, "
-                f"{s['flow_lane']['place_starts']} place starts"
-                + (" (degraded)" if s['flow_lane']['degraded'] else ""),
-                "host seconds: " + ", ".join(
-                    f"{k.rsplit('_', 1)[0]} {v:.3f}"
-                    for k, v in sorted(host.items())),
-            ]
             rt = self.runtime
+            m = rt.metrics_snapshot()
+            lane = rt.compiler.flow_queue.stats()
+            lines = [
+                f"compiles: {m['compile.attempted']} attempted, "
+                f"{m['compile.failed']} failed, "
+                f"{m['compile.cancelled']} cancelled, "
+                f"{rt.compiler.in_flight()} in flight",
+                f"bitstream cache: {m['compile.cache_hits']} hit / "
+                f"{m['compile.cache_misses']} miss "
+                f"({m['cache.entries']} entries)",
+                f"cross-tenant: {m['compile.cross_tenant_hits']} cache "
+                f"hits, {m['compile.single_flight_joins']} single-flight "
+                f"joins",
+                f"placement cache: {m['compile.warm_starts']} warm starts "
+                f"({m['placement.entries']} entries)",
+                f"flow lane: {lane['kind']} x{lane['workers']}, "
+                f"{rt.compiler.place_starts} place starts"
+                + (" (degraded)" if lane['degraded'] else ""),
+                "host seconds: " + ", ".join(
+                    f"{phase} {m['compile.host.' + phase + '_s']:.3f}"
+                    for phase in ("codegen", "flow", "submit", "wait")),
+            ]
             counts = rt.tier_counts()
             tiers = rt.time_model.tier_events
             lines.append(
@@ -181,31 +183,19 @@ class Repl:
                 f"tier events: {tiers['interpreted']} interpreted, "
                 f"{tiers['sw-fast']} sw-fast, "
                 f"{tiers['hardware']} hardware")
-            value = rt.metrics.value
             lines.append(
-                f"migrations: {value('runtime.sw_migrations')} sw-fast, "
-                f"{value('runtime.hw_migrations')} hardware; "
+                f"migrations: {m['runtime.sw_migrations']} sw-fast, "
+                f"{m['runtime.hw_migrations']} hardware; "
                 f"fast-path compile failures: "
-                f"{value('runtime.fastpath_failures')}")
-            # The merged-registry view: every registry in reach,
-            # deduplicated by identity (DESIGN.md §4.7).
-            merged = merge_registries(
-                rt.metrics, rt.compiler.metrics,
-                rt.compiler.cache.metrics,
-                rt.compiler.placements.metrics)
+                f"{m['runtime.fastpath_failures']}")
             lines.append(
-                "reliability: "
-                f"{int(merged.get('estimate.fallbacks', 0))} estimate "
-                f"fallbacks, "
-                f"{int(merged.get('cache.bridge_races', 0))} bridge "
-                f"races, "
-                f"{int(merged.get('cache.disk_corrupt', 0))} corrupt "
-                f"disk entries")
+                f"reliability: {m['cache.bridge_races']} bridge races, "
+                f"{m['cache.disk_corrupt']} corrupt disk entries")
             tr = tracer()
             lines.append(
                 f"tracing: {'on' if tr.enabled else 'off'} "
                 f"({len(tr)} events buffered); "
-                f"{len(merged)} metrics registered")
+                f"{len(m)} metrics registered")
             return "\n".join(lines)
         return f"unknown command {name!r}"
 

@@ -31,7 +31,7 @@ from ..backend.pycompile import compile_design  # noqa: F401
 from ..common.bits import Bits
 from ..common.errors import CascadeError, SynthesisError
 from ..ir.build import IRProgram, Subprogram, build_ir
-from ..obs import Counter, MetricsRegistry, tracer
+from ..obs import Counter, MetricsRegistry, merge_registries, tracer
 from ..perf.timemodel import PerfTrace, TimeModel
 from ..stdlib.board import VirtualBoard
 from ..stdlib.components import (IMPLICIT_INSTANCES, STDLIB_MODULE_NAMES,
@@ -132,7 +132,7 @@ class Runtime:
         self._jobs: Dict[str, CompileJob] = {}
         #: This runtime's own counters: a compile service may be shared
         #: by several runtimes, so they cannot live in its registry.
-        #: ``:stats`` and session snapshots merge the two.
+        #: :meth:`metrics_snapshot` merges the two.
         self.metrics = MetricsRegistry()
         self._c_hw_migrations = self.metrics.counter(
             "runtime.hw_migrations")
@@ -738,6 +738,15 @@ class Runtime:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    def metrics_snapshot(self) -> Dict[str, object]:
+        """Every compile-path count in reach: this runtime's registry,
+        its compile service's and both caches' (shared ones are the
+        server's), merged (DESIGN.md §4.7)."""
+        service = self.compiler
+        return merge_registries(self.metrics, service.metrics,
+                                service.cache.metrics,
+                                service.placements.metrics)
+
     @property
     def virtual_clock_ticks(self) -> int:
         return self.iterations // 2

@@ -664,13 +664,12 @@ class SoftwareEngine:
     """Event-driven interpreter engine for one elaborated Design."""
 
     def __init__(self, design: Design,
-                 services: Optional[EngineServices] = None,
-                 random_seed: int = 1):
+                 services: Optional[EngineServices] = None):
         self.design = design
         self.services = services or EngineServices()
         self.values: Dict[str, Bits] = {}
         self.arrays: Dict[str, List[Bits]] = {}
-        self._rand_state = random_seed & 0xFFFFFFFF or 1
+        self._rand_state = 1  # $random's fixed seed
 
         # Event machinery.
         self._dirty_assigns: deque = deque()

@@ -56,10 +56,9 @@ class Simulator:
     """Drives one engine per the Figure 2 reference scheduler."""
 
     def __init__(self, design: Design,
-                 services: Optional[CollectingServices] = None,
-                 random_seed: int = 1):
+                 services: Optional[CollectingServices] = None):
         self.services = services or CollectingServices()
-        self.engine = SoftwareEngine(design, self.services, random_seed)
+        self.engine = SoftwareEngine(design, self.services)
         self.steps = 0
 
     @classmethod

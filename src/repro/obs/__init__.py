@@ -3,10 +3,12 @@
 Two halves:
 
 * :mod:`repro.obs.metrics` — counters, gauges and p50/p99 histograms
-  in named :class:`MetricsRegistry` instances.  These *are* the
-  pipeline's counters now: ``BitstreamCache``, ``CompileService``,
-  ``Runtime`` and ``CascadeServer`` register their metrics here and
-  expose the historical attribute names as read-only views.
+  in named :class:`MetricsRegistry` instances.  They are the only
+  store of the pipeline's counts: ``BitstreamCache``,
+  ``PlacementCache``, ``CompileService``, ``Runtime`` and
+  ``CascadeServer`` register their metrics here, and every view
+  (``:time``, ``:stats``, the server's ``stats``/``metrics`` ops)
+  reads a registry snapshot.
 * :mod:`repro.obs.trace` — a process-wide structured event stream
   (eval windows, engine admissions, tier swaps, compile phases, cache
   hits, scheduler slices) carrying both virtual and host timestamps,
@@ -26,13 +28,4 @@ __all__ = [
     "merge_registries",
     "REQUIRED_EVENT_KINDS", "TraceEvent", "Tracer", "tracer",
     "validate_jsonl",
-    "global_registry",
 ]
-
-#: A process-wide fallback registry for call sites with no component
-#: registry in reach (e.g. bare ``estimate_resources()`` calls).
-_GLOBAL_REGISTRY = MetricsRegistry()
-
-
-def global_registry() -> MetricsRegistry:
-    return _GLOBAL_REGISTRY

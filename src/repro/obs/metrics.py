@@ -1,13 +1,12 @@
 """The metrics half of the observability layer (DESIGN.md §4.7).
 
-Before this module existed every subsystem grew its own ad-hoc
-counters — ``BitstreamCache.hits``, ``CompileService.cache_hits``,
-``Runtime.sw_migrations``, the ``CascadeServer.stats()`` totals — each
-with its own locking discipline and no way to read them uniformly.  A
-:class:`MetricsRegistry` replaces that: components create named
-counters/gauges/histograms in a registry and callers read them by name
-(``registry.value("cache.hits")``), so one ``snapshot()`` sees
-everything and ``:stats`` renders from a single merged dictionary.
+Components create named counters/gauges/histograms in a
+:class:`MetricsRegistry` and callers read them by name
+(``registry.value("cache.hits")``).  Each count has one store: no
+component keeps a copy of a registry value in an attribute or a
+``stats()`` dict.  ``Runtime.metrics_snapshot()`` merges the
+registries one runtime can reach, and ``:time``, ``:stats`` and the
+server's ops render from such snapshots.
 
 Conventions:
 

@@ -80,8 +80,7 @@ def measure_pow_timeline(target_zeros: int = 12,
 
     # --- Quartus arm --------------------------------------------------
     native_hz = rt.time_model.fabric_mhz * 1e6
-    quartus_model = CompilerModel()
-    quartus_compile_s = quartus_model.duration_s(base["luts"])
+    quartus_compile_s = CompilerModel.duration_s(base["luts"])
 
     # --- iVerilog arm ---------------------------------------------------
     # An interpreted simulator without Cascade's module inlining or
@@ -169,7 +168,7 @@ def measure_regex_timeline(pattern: str = "GET (/[a-z0-9]*)+ HTTP",
     job = jit.compiler.jobs[0]
     base = jit.compiler.estimate(job.design, instrumented=False)
     spatial_overhead = job.resources["luts"] / max(base["luts"], 1)
-    quartus_compile_s = CompilerModel().duration_s(base["luts"])
+    quartus_compile_s = CompilerModel.duration_s(base["luts"])
 
     return RegimeRates(
         startup_s=startup_s,

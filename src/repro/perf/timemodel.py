@@ -7,11 +7,11 @@ fabric.  We have neither device, so the runtime advances a discrete
 virtual clock whose per-operation costs are calibrated to the paper's
 platform:
 
-* a software engine charges ``sw_event_ns`` per event it processes
+* a software engine charges ``SW_EVENT_NS`` per event it processes
   (calibrated so a small design simulates at roughly the 1 kHz range
   the paper reports for interpreted simulation);
 * every data/control-plane message to a hardware-located engine charges
-  one MMIO round trip (``mmio_ns``) — the §4.4 observation that even one
+  one MMIO round trip (``MMIO_NS``) — the §4.4 observation that even one
   message per iteration caps the virtual clock far below fabric rate;
 * a hardware engine processes any ABI request in a single fabric clock
   tick (§5.2), and open-loop batches charge one tick per iteration plus
@@ -24,34 +24,35 @@ replay deterministically in milliseconds of host time.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 __all__ = ["TimeModel", "PerfTrace"]
 
 NS_PER_SEC = 1_000_000_000
 
 
-class TimeModel:
-    """Accumulates virtual nanoseconds for runtime operations."""
+#: Calibration constants of the virtual clock.  Module globals are
+#: the cheapest read on the per-event charging path.
+SW_EVENT_NS = 120_000
+MMIO_NS = 1_800
+RUNTIME_OVERHEAD_NS = 4_000
 
-    def __init__(self,
-                 fabric_mhz: float = 50.0,
-                 sw_event_ns: int = 120_000,
-                 mmio_ns: int = 1_800,
-                 runtime_overhead_ns: int = 4_000,
-                 sw_fast_event_ns: Optional[int] = None):
+
+class TimeModel:
+    """Accumulates virtual nanoseconds for runtime operations.
+
+    Every per-operation cost is a calibration constant; only the
+    fabric clock is a deployment setting.  Events on the software fast
+    path (the compiled-Python middle JIT tier) are charged at the
+    interpreter's ``SW_EVENT_NS`` — the documented deviation in
+    DESIGN.md §4.4 — so paper timelines (Figures 11/12) are
+    bit-identical whether or not the fast path engaged; only host
+    wall-clock changes.
+    """
+
+    def __init__(self, fabric_mhz: float = 50.0):
         self.fabric_mhz = fabric_mhz
         self.fabric_tick_ns = 1_000.0 / fabric_mhz
-        self.sw_event_ns = sw_event_ns
-        self.mmio_ns = mmio_ns
-        self.runtime_overhead_ns = runtime_overhead_ns
-        #: Virtual cost of an event processed by the *software fast
-        #: path* (the compiled-Python middle JIT tier).  ``None`` — the
-        #: default, and the documented deviation in DESIGN.md §4.4 —
-        #: charges it at the interpreter's ``sw_event_ns`` so paper
-        #: timelines (Figures 11/12) are bit-identical whether or not
-        #: the fast path engaged; only host wall-clock changes.
-        self.sw_fast_event_ns = sw_fast_event_ns
         self.now_ns: float = 0.0
         #: Events charged per execution tier, for :stats / :time.
         self.tier_events: Dict[str, int] = {
@@ -59,24 +60,18 @@ class TimeModel:
 
     # -- charging --------------------------------------------------------
     def charge_sw_events(self, count: int, fast: bool = False) -> None:
-        if fast:
-            rate = self.sw_event_ns if self.sw_fast_event_ns is None \
-                else self.sw_fast_event_ns
-            self.now_ns += count * rate
-            self.tier_events["sw-fast"] += count
-        else:
-            self.now_ns += count * self.sw_event_ns
-            self.tier_events["interpreted"] += count
+        self.now_ns += count * SW_EVENT_NS
+        self.tier_events["sw-fast" if fast else "interpreted"] += count
 
     def charge_mmio(self, messages: int = 1) -> None:
-        self.now_ns += messages * self.mmio_ns
+        self.now_ns += messages * MMIO_NS
 
     def charge_hw_ticks(self, ticks: int) -> None:
         self.now_ns += ticks * self.fabric_tick_ns
         self.tier_events["hardware"] += ticks
 
     def charge_runtime(self) -> None:
-        self.now_ns += self.runtime_overhead_ns
+        self.now_ns += RUNTIME_OVERHEAD_NS
 
     def charge_ns(self, ns: float) -> None:
         self.now_ns += ns

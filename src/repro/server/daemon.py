@@ -113,10 +113,11 @@ class CascadeServer:
             "server.sessions_rejected")
         self._c_sessions_evicted = self.metrics.counter(
             "server.sessions_evicted")
+        #: Sums no registry keeps server-wide, carried over from
+        #: sessions that have closed.
         self._closed_totals = {"frames_in": 0, "frames_out": 0,
                                "dropped_outputs": 0,
-                               "cross_tenant_hits": 0,
-                               "single_flight_joins": 0}
+                               "cross_tenant_hits": 0}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -306,11 +307,8 @@ class CascadeServer:
             self._closed_totals["frames_out"] += session.frames_out
             self._closed_totals["dropped_outputs"] += \
                 session.dropped_outputs
-            value = session.service.metrics.value
             self._closed_totals["cross_tenant_hits"] += \
-                value("compile.cross_tenant_hits")
-            self._closed_totals["single_flight_joins"] += \
-                value("compile.single_flight_joins")
+                session.service.metrics.value("compile.cross_tenant_hits")
         session.closed.set()
 
     # ------------------------------------------------------------------
@@ -341,37 +339,26 @@ class CascadeServer:
     # Introspection
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
-        sessions = self.live_sessions()
+        # One lock section: a session that finalizes concurrently is
+        # either still live here or already in the closed totals.
         with self._lock:
+            sessions = list(self._sessions.values())
             totals = dict(self._closed_totals)
-            rejected = self._c_sessions_rejected.value
-            evicted = self._c_sessions_evicted.value
-            total = self._c_sessions_total.value
         per_session = [s.stats() for s in sessions]
-        frames_in = totals["frames_in"] + \
-            sum(s["frames_in"] for s in per_session)
-        frames_out = totals["frames_out"] + \
-            sum(s["frames_out"] for s in per_session)
-        dropped = totals["dropped_outputs"] + \
-            sum(s["dropped_outputs"] for s in per_session)
-        cross = totals["cross_tenant_hits"] + \
-            sum(s["cross_tenant_hits"] for s in per_session)
-        joins = totals["single_flight_joins"] + \
-            sum(s["single_flight_joins"] for s in per_session)
+        for key in totals:
+            totals[key] += sum(s[key] for s in per_session)
         return {
             "uptime_s": time.monotonic() - self.started_at,
             "sessions_active": len(sessions),
-            "sessions_total": total,
-            "sessions_rejected": rejected,
-            "sessions_evicted": evicted,
+            "sessions_total": self._c_sessions_total.value,
+            "sessions_rejected": self._c_sessions_rejected.value,
+            "sessions_evicted": self._c_sessions_evicted.value,
             "max_sessions": self.max_sessions,
-            "frames_in": frames_in,
-            "frames_out": frames_out,
-            "dropped_outputs": dropped,
-            "cross_tenant_hits": cross,
-            "single_flight_joins": joins,
-            "bitstream_cache": self.cache.stats(),
-            "placement_cache": self.placements.stats(),
+            **totals,
+            # The shared cache counts each join once, whichever
+            # session made it.
+            "single_flight_joins":
+                self.metrics.value("cache.single_flight_joins"),
             "scheduler": {
                 "turns": self.scheduler.turns,
                 "work_items": self.scheduler.work_items,

@@ -9,7 +9,11 @@ Client → server frames (``type`` field):
 
 * ``eval``    — ``{"type": "eval", "id": N, "src": <verilog>}``
 * ``command`` — ``{"type": "command", "id": N, "line": ":stats"}``
-* ``server-stats`` — ``{"type": "server-stats", "id": N}``
+* ``server-stats`` — ``{"type": "server-stats", "id": N}`` — server
+  totals, per-session summaries and the server registry's snapshot
+  under ``metrics``, which carries every ``cache.*`` and
+  ``placement.*`` value of the shared caches (the former
+  ``bitstream_cache``/``placement_cache`` sub-dicts are gone)
 * ``metrics`` — ``{"type": "metrics", "id": N}`` — this session's
   merged metrics-registry snapshot (DESIGN.md §4.7)
 * ``trace``   — ``{"type": "trace", "id": N, "mode": "on"|"off"|

@@ -27,7 +27,6 @@ from typing import Deque, Dict, List, Optional, Tuple
 from ..backend.compiler import CompileService
 from ..core.repl import Repl
 from ..core.runtime import Runtime, View
-from ..obs import merge_registries
 
 __all__ = ["Session", "SessionView", "default_max_sessions",
            "default_session_queue"]
@@ -202,17 +201,14 @@ class Session:
     def metrics_snapshot(self) -> Dict[str, object]:
         """This tenant's registries, merged (the shared caches'
         registry is the server's)."""
-        return merge_registries(self.runtime.metrics,
-                                self.service.metrics,
-                                self.service.cache.metrics,
-                                self.service.placements.metrics)
+        return self.runtime.metrics_snapshot()
 
     def stats(self) -> Dict[str, object]:
         rt = self.runtime
         with self._out_lock:
             queued = len(self._out)
             dropped = self.dropped_outputs
-        s = self.service.stats()
+        m = rt.metrics_snapshot()
         return {
             "id": self.id,
             "peer": self.peer,
@@ -224,9 +220,9 @@ class Session:
             "clock_ticks": rt.virtual_clock_ticks,
             "tiers": rt.tier_counts(),
             "tier_events": dict(rt.time_model.tier_events),
-            "compiles_attempted": s["attempted"],
-            "cache_hits": s["cache_hits"],
-            "cross_tenant_hits": s["cross_tenant_hits"],
-            "single_flight_joins": s["single_flight_joins"],
-            "in_flight": s["in_flight"],
+            "compiles_attempted": m["compile.attempted"],
+            "cache_hits": m["compile.cache_hits"],
+            "cross_tenant_hits": m["compile.cross_tenant_hits"],
+            "single_flight_joins": m["compile.single_flight_joins"],
+            "in_flight": self.service.in_flight(),
         }

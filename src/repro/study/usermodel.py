@@ -83,7 +83,7 @@ class StudyConfig:
         self.slow_batch_think_factor = slow_batch_think_factor
         self.slow_batch_fix_factor = slow_batch_fix_factor
         if quartus_compile_s is None:
-            quartus_compile_s = CompilerModel().duration_s(300)
+            quartus_compile_s = CompilerModel.duration_s(300)
         self.quartus_compile_s = quartus_compile_s
         self.cascade_compile_s = cascade_compile_s
 

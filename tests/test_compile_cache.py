@@ -75,8 +75,9 @@ class TestAsyncSubmission:
         total_s = submit_s + (time.perf_counter() - t1)
         # The front-end is a small fraction of the whole compile.
         assert submit_s < total_s / 3
-        host = service.stats()["host_seconds"]
-        assert host["codegen_s"] + host["flow_s"] > host["submit_s"]
+        host = service.metrics.value
+        assert host("compile.host.codegen_s") + \
+            host("compile.host.flow_s") > host("compile.host.submit_s")
 
     def test_results_deterministic_under_concurrent_submission(self):
         """A burst of concurrent compiles produces bit-identical
@@ -114,7 +115,8 @@ class TestAsyncSubmission:
         assert job.compiled is None
         assert "cancelled" in job.error
 
-    def test_virtual_timeline_identical_across_runs(self):
+    def test_virtual_timeline_identical_across_runs(
+            self, fixed_compile_latency):
         """Host-side asynchrony must not leak into virtual time: two
         fresh runtimes replaying the same program agree exactly."""
         source = """
@@ -124,8 +126,6 @@ assign led.val = n;
 """
         def run_once():
             service = CompileService()
-            service.model.base_s = 0.002
-            service.model.per_lut = 0.0
             rt = Runtime(compile_service=service,
                          enable_open_loop=False)
             rt.eval_source(source)
@@ -134,16 +134,17 @@ assign led.val = n;
                     rt.metrics.value("runtime.hw_migrations"),
                     rt.board.leds.value)
 
+        fixed_compile_latency(0.002)
         assert run_once() == run_once()
 
 
 class TestSharedService:
-    def test_rebuild_cancels_only_its_own_jobs(self):
+    def test_rebuild_cancels_only_its_own_jobs(self,
+                                               fixed_compile_latency):
         """Two runtimes on one service: an eval in one must not cancel
         the other's compile, which would strand it on sw-fast."""
+        fixed_compile_latency(0.002)
         service = CompileService()
-        service.model.base_s = 0.002
-        service.model.per_lut = 0.0
         source = ("reg [7:0] n = 0;\n"
                   "always @(posedge clk.val) n <= n + {step};\n"
                   "assign led.val = n;\n")
@@ -194,10 +195,11 @@ class TestBitstreamCache:
         job2 = service.submit(sub_of(ALU8), now_s=0.0)
         assert job2.compiled is not None
         warm_s = time.perf_counter() - t0
-        host = service.stats()["host_seconds"]
+        host = service.metrics.value
         # The second submit did no codegen/flow at all.
         assert job2._future is None
-        assert warm_s < host["codegen_s"] + host["flow_s"] + 0.05
+        assert warm_s < host("compile.host.codegen_s") + \
+            host("compile.host.flow_s") + 0.05
         assert job2.resources == job1.resources
 
     def test_cached_model_still_works(self):
@@ -281,24 +283,18 @@ assign led.val = n;
         assert service.metrics.value("compile.cache_hits") == 0
 
     def test_key_covers_configuration(self):
-        base = design_cache_key("module m; endmodule", True, "auto", 0)
-        assert base != design_cache_key("module m; endmodule", False,
-                                        "auto", 0)
-        assert base != design_cache_key("module m; endmodule", True,
-                                        "CycloneV-SoC", 0)
-        assert base != design_cache_key("module m; endmodule", True,
-                                        "auto", 500)
-        assert base == design_cache_key("module m; endmodule", True,
-                                        "auto", 0)
+        base = design_cache_key("module m; endmodule", True, 0)
+        assert base != design_cache_key("module m; endmodule", False, 0)
+        assert base != design_cache_key("module m; endmodule", True, 500)
+        assert base == design_cache_key("module m; endmodule", True, 0)
 
     def test_key_covers_codegen_version(self, monkeypatch):
         """Entries written by an older code generator miss."""
         import repro.backend.cache as cache_mod
-        base = design_cache_key("module m; endmodule", True, "auto", 0)
+        base = design_cache_key("module m; endmodule", True, 0)
         monkeypatch.setattr(cache_mod, "CODEGEN_VERSION",
                             cache_mod.CODEGEN_VERSION + 1)
-        assert base != design_cache_key("module m; endmodule", True,
-                                        "auto", 0)
+        assert base != design_cache_key("module m; endmodule", True, 0)
 
 
 class TestFailureDelivery:
@@ -419,8 +415,8 @@ class TestSingleFlight:
         assert s2.metrics.value("compile.single_flight_joins") == 1
         # The follower submitted nothing: one worker, one flow run.
         assert queue.submitted == 1
-        assert cache.stats()["in_flight"] == 1
-        assert cache.stats()["single_flight_joins"] == 1
+        assert cache.metrics.value("cache.in_flight") == 1
+        assert cache.metrics.value("cache.single_flight_joins") == 1
         queue.gate.set()
         assert job1.compiled is not None
         assert job2.compiled is job1.compiled
@@ -428,7 +424,7 @@ class TestSingleFlight:
         # Full virtual price for both: host work is deduped, virtual
         # compile time is not (the join is invisible in the timeline).
         assert job2.duration_s == job1.duration_s
-        assert cache.stats()["in_flight"] == 0
+        assert cache.metrics.value("cache.in_flight") == 0
 
     def test_leader_with_joiners_is_not_cancelled(self):
         cache, queue, s1, s2 = self._pair()
@@ -509,13 +505,16 @@ class TestServiceStats:
         service = CompileService()
         service.submit(sub_of(COUNTER), 0.0).compiled
         service.submit(sub_of(COUNTER), 0.0)
-        s = service.stats()
-        assert s["attempted"] == 2
-        assert s["cache_hits"] == 1 and s["cache_misses"] == 1
-        assert s["cancelled"] == 0
-        assert set(s["host_seconds"]) >= {"submit_s", "codegen_s",
-                                          "flow_s", "wait_s"}
-        assert s["bitstream_cache"]["entries"] == 1
+        m = service.metrics.snapshot()
+        assert m["compile.attempted"] == 2
+        assert m["compile.cache_hits"] == 1
+        assert m["compile.cache_misses"] == 1
+        assert m["compile.cancelled"] == 0
+        assert {"compile.host.submit_s", "compile.host.codegen_s",
+                "compile.host.flow_s", "compile.host.wait_s"} <= set(m)
+        assert m["cache.entries"] == 1
+        assert m["cache.in_flight"] == 0
+        assert service.in_flight() == 0
 
     def test_repl_reports_compile_stats(self):
         from repro.core.repl import Repl

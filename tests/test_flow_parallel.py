@@ -227,7 +227,7 @@ class TestPlacementStoreGating:
         assert report.routing.routed
         assert not report.timing.meets_timing
         assert not report.success
-        assert cache.stats()["entries"] == 0
+        assert cache.metrics.value("placement.entries") == 0
         again = run_flow(design, placement_cache=cache)
         assert not again.placement.warm_started
 
@@ -243,14 +243,14 @@ class TestPlacementStoreGating:
         report = run_flow(design, device=starved, placement_cache=cache)
         if report.routing.routed:
             pytest.skip("design routed even at channel capacity 1")
-        assert cache.stats()["entries"] == 0
+        assert cache.metrics.value("placement.entries") == 0
 
     def test_successful_flow_stores_placement(self):
         cache = PlacementCache()
         design = design_of(ALU8)
         report = run_flow(design, placement_cache=cache)
         assert report.success
-        assert cache.stats()["entries"] == 1
+        assert cache.metrics.value("placement.entries") == 1
         warm = run_flow(design, placement_cache=cache)
         assert warm.placement.warm_started
 
@@ -306,9 +306,9 @@ class TestServiceFlowLane:
             hints_a = list(inline.placements._entries.values())
             hints_b = list(process.placements._entries.values())
             assert hints_a == hints_b and len(hints_a) == 1
-            stats = process.stats()["flow_lane"]
-            assert stats["place_starts"] == 2
-            assert stats["submitted"] >= 2  # one per start
+            assert process.place_starts == 2
+            # One job per start.
+            assert process.flow_queue.stats()["submitted"] >= 2
         finally:
             process.flow_queue.shutdown(wait=False)
 

@@ -16,11 +16,13 @@ registers must agree, and the fast path's virtual time must equal the
 interpreter's bit for bit.
 """
 
+from unittest import mock
+
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
 from repro.backend.compilequeue import CompileQueue
-from repro.backend.compiler import CompileService
+from repro.backend.compiler import CompileService, CompilerModel
 from repro.core.runtime import Runtime
 
 _ITERATIONS = 40
@@ -271,12 +273,11 @@ def test_tiers_agree_on_generated_programs(program):
     assert got == ref
     assert fast.time_model.now_ns == interp.time_model.now_ns
 
-    service = _inline_service()
-    service.model.base_s = hw_latency_s
-    service.model.per_lut = 0.0
     # Open loop would run past the iteration bound in one batch.
-    hw = Runtime(compile_service=service, enable_sw_fastpath=False,
-                 enable_open_loop=False)
-    got = _run(hw, src)
+    hw = Runtime(compile_service=_inline_service(),
+                 enable_sw_fastpath=False, enable_open_loop=False)
+    with mock.patch.multiple(CompilerModel, base_s=hw_latency_s,
+                             per_lut=0.0):
+        got = _run(hw, src)
     assert hw.engine_tiers()["main"] == "hardware"
     assert got == ref

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.backend.compiler import CompileService
+from repro.backend.compiler import CompileService, CompilerModel
 from repro.core.runtime import Runtime
 
 
@@ -52,7 +52,7 @@ assign led.val = n;
 
 
 class TestMidStreamMigration:
-    def test_fifo_stream_survives_migration(self):
+    def test_fifo_stream_survives_migration(self, fixed_compile_latency):
         """Bytes streamed while the matcher is in software are counted;
         migration to hardware mid-stream loses none (state transfer
         plus a board-resident FIFO)."""
@@ -63,9 +63,8 @@ class TestMidStreamMigration:
         want = reference_match_count(pattern, data)
         # Compile finishes after ~30 virtual ms: the stream starts in
         # software and finishes in hardware.
+        fixed_compile_latency(0.03)
         service = CompileService()
-        service.model.base_s = 0.03
-        service.model.per_lut = 0.0
         rt = Runtime(compile_service=service)
         text, _ = regex_program(pattern)
         rt.eval_source(text)
@@ -82,12 +81,13 @@ class TestMidStreamMigration:
         assert rt.user_engine_location() == "hardware"
         assert rt.board.leds.value == (want & 0xFF)
 
-    def test_counter_value_continuous_across_migration(self):
+    def test_counter_value_continuous_across_migration(
+            self, fixed_compile_latency):
         """The counter never restarts: the led trace is strictly the
         +1 sequence across the software->hardware boundary."""
+        # Migrate after a few sw cycles.
+        fixed_compile_latency(0.002)
         service = CompileService()
-        service.model.base_s = 0.002  # migrate after a few sw cycles
-        service.model.per_lut = 0.0
         # Open loop samples the LED only at batch boundaries; disable
         # it so the trace captures every cycle across the handover.
         rt = Runtime(compile_service=service, enable_open_loop=False)
@@ -125,11 +125,12 @@ assign led.val = n;
 
     @pytest.mark.parametrize("sw_fast", [False, True])
     @pytest.mark.parametrize("open_loop", [False, True])
-    def test_migrating_run_matches_interpreter(self, sw_fast, open_loop):
+    def test_migrating_run_matches_interpreter(self, sw_fast, open_loop,
+                                               fixed_compile_latency):
         ref = self._run(Runtime(enable_jit=False))
+        # Lands on a clock-high window.
+        fixed_compile_latency(0.003)
         service = CompileService()
-        service.model.base_s = 0.003  # lands on a clock-high window
-        service.model.per_lut = 0.0
         rt = self._run(Runtime(compile_service=service,
                                enable_sw_fastpath=sw_fast,
                                enable_open_loop=open_loop))
@@ -158,11 +159,12 @@ assign led.val = total[7:0];
         rt.run(iterations=100)
         assert rt.metrics.value("runtime.hw_migrations") >= 5
 
-    def test_generation_guard_drops_stale_compiles(self):
+    def test_generation_guard_drops_stale_compiles(self, monkeypatch):
         """A compile finishing after the program changed must not be
         installed (stale generation)."""
+        # Never completes in this test.
+        monkeypatch.setattr(CompilerModel, "base_s", 1000.0)
         service = CompileService()
-        service.model.base_s = 1000.0  # never completes in this test
         rt = Runtime(compile_service=service)
         rt.eval_source("reg [3:0] a = 0; "
                        "always @(posedge clk.val) a <= a + 1;")

@@ -7,7 +7,8 @@ import pytest
 
 from repro.common.bits import Bits
 from repro.core.interrupts import Interrupt, InterruptQueue
-from repro.perf.timemodel import NS_PER_SEC, PerfTrace, TimeModel
+from repro.perf.timemodel import MMIO_NS, NS_PER_SEC, SW_EVENT_NS, \
+    PerfTrace, TimeModel
 
 
 class TestPublicApi:
@@ -48,7 +49,7 @@ class TestTimeModel:
         tm.charge_sw_events(2)
         tm.charge_mmio(3)
         tm.charge_hw_ticks(50)
-        expected = (2 * tm.sw_event_ns + 3 * tm.mmio_ns
+        expected = (2 * SW_EVENT_NS + 3 * MMIO_NS
                     + 50 * tm.fabric_tick_ns)
         assert tm.now_ns == pytest.approx(expected)
 

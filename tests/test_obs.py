@@ -268,7 +268,6 @@ class TestTracedSession:
         repl.command(":run 20")
         stats = repl.command(":stats")
         assert "reliability:" in stats
-        assert "estimate fallbacks" in stats
         assert "bridge races" in stats
         assert "corrupt disk entries" in stats
         assert "tracing: off" in stats
@@ -331,15 +330,17 @@ class TestRegistryWiring:
         assert second.metrics.value("runtime.sw_migrations") == 0
         assert second.metrics.value("runtime.hw_migrations") == 0
 
-    def test_stats_dict_keys_preserved(self):
+    def test_snapshot_names_registered(self):
+        """A fresh runtime's merged snapshot already names every value
+        ``:stats`` renders, the cache gauges included."""
         service = CompileService(latency_scale=0.0,
                                  queue=CompileQueue(max_workers=0))
-        s = service.stats()
-        assert set(s["host_seconds"]) == {"submit_s", "codegen_s",
-                                          "flow_s", "wait_s"}
-        assert "estimate_fallbacks" in s
-        assert "bridge_races" in s["bitstream_cache"]
-        assert "disk_corrupt" in s["bitstream_cache"]
+        snap = Runtime(compile_service=service).metrics_snapshot()
+        assert {"compile.host.submit_s", "compile.host.codegen_s",
+                "compile.host.flow_s", "compile.host.wait_s",
+                "cache.bridge_races", "cache.disk_corrupt",
+                "cache.entries", "cache.in_flight",
+                "placement.entries"} <= set(snap)
 
 
 # ----------------------------------------------------------------------
@@ -401,7 +402,6 @@ class TestDiskCorruption:
         # The next lookup is an honest miss, not a re-parse/re-fail.
         assert reader.get("key1", design) is None
         assert reader.metrics.value("cache.disk_corrupt") == 1
-        assert reader.stats()["disk_corrupt"] == 1
 
     def test_unreadable_file_is_not_quarantined(self, tmp_path):
         design = self._design()
@@ -422,40 +422,17 @@ class TestDiskCorruption:
 
 
 # ----------------------------------------------------------------------
-# Satellite: estimator fallbacks are counted, not silent
+# The estimator reads sizing's widths; it has no fallback
 # ----------------------------------------------------------------------
-class TestEstimateFallbacks:
-    def _poisoned(self):
+class TestEstimateWidths:
+    def test_unsized_node_raises(self):
         design = elaborate_leaf(parse_module(
             "module t(input wire [7:0] a, output wire [7:0] b);\n"
             "  assign b = a + 1;\nendmodule\n"))
-        # An assign whose rhs names a variable the design never
-        # declared: width inference raises KeyError on every walk.
+        assert estimate_resources(design)["luts"] > 0
+        # An assign built after elaboration was never sized.
         design.assigns.append(ast.ContinuousAssign(
-            ast.Ident(["ghost"]),
-            ast.Binary("+", ast.Ident(["ghost"]),
-                       ast.Ident(["ghost"]))))
-        return design
-
-    def test_poisoned_design_counts_fallbacks(self):
-        reg = MetricsRegistry()
-        out = estimate_resources(self._poisoned(), metrics=reg)
-        assert out["luts"] > 0           # still produces an estimate
-        assert reg.value("estimate.fallbacks") > 0
-
-    def test_healthy_design_has_zero_fallbacks(self):
-        reg = MetricsRegistry()
-        design = elaborate_leaf(parse_module(
-            "module t(input wire [7:0] a, output wire [7:0] b);\n"
-            "  assign b = a + 1;\nendmodule\n"))
-        estimate_resources(design, metrics=reg)
-        assert reg.value("estimate.fallbacks") == 0
-
-    def test_fallbacks_traced_and_in_stats(self, clean_tracer):
-        clean_tracer.enable()
-        service = CompileService(latency_scale=0.0,
-                                 queue=CompileQueue(max_workers=0))
-        service.estimate(self._poisoned())
-        clean_tracer.disable()
-        assert service.stats()["estimate_fallbacks"] > 0
-        assert "estimate_fallback" in clean_tracer.kinds()
+            ast.Ident(["a"]),
+            ast.Binary("+", ast.Ident(["a"]), ast.Ident(["a"]))))
+        with pytest.raises(AttributeError):
+            estimate_resources(design)

@@ -4,6 +4,8 @@ import io
 
 import pytest
 
+from repro.backend.compilequeue import CompileQueue
+from repro.backend.compiler import CompileService
 from repro.common.bits import Bits
 from repro.common.errors import ElaborationError
 from repro.core.repl import Repl
@@ -276,3 +278,48 @@ endmodule""")
         assert stats["always_blocks"] == 2
         assert stats["nonblocking_assigns"] == 1
         assert stats["display_statements"] == 1
+
+
+class TestPrintedCounters:
+    """What ``:time`` and ``:stats`` print, pinned for a fixed solo
+    session: a cold compile through the real flow, a new-constant edit
+    that warm-starts placement, and a revert that hits the cache.  Every
+    stage runs inline, so the session is deterministic."""
+
+    @staticmethod
+    def bank(a, b):
+        return (f"reg [7:0] a = {a};\nreg [7:0] b = {b};\n"
+                "always @(posedge clk.val) a <= a ^ (b >> 1);\n"
+                "always @(posedge clk.val) b <= b ^ (a + 8'd1);\n"
+                "assign led.val = a ^ b;\n")
+
+    def session(self):
+        service = CompileService(latency_scale=0.0,
+                                 full_flow_max_luts=10_000,
+                                 queue=CompileQueue(max_workers=0),
+                                 flow_queue=CompileQueue(max_workers=0),
+                                 place_starts=1)
+        for src in (self.bank(3, 5), self.bank(9, 12), self.bank(3, 5)):
+            repl = Repl(Runtime(compile_service=service,
+                                enable_open_loop=False))
+            assert repl.feed(src) == []
+            repl.command(":run 40")
+            assert repl.runtime.engine_tiers()["main"] == "hardware"
+        return repl
+
+    def test_time_and_stats_lines(self):
+        repl = self.session()
+        assert repl.command(":time") == (
+            "virtual time 0.001926s, 52 clock ticks, compiles 3 "
+            "(0 cancelled, 0 failed), cache 1 hit / 2 miss, events "
+            "4 interpreted / 0 sw-fast / 309 hardware")
+        lines = repl.command(":stats").splitlines()
+        for expected in (
+                "compiles: 3 attempted, 0 failed, 0 cancelled, "
+                "0 in flight",
+                "bitstream cache: 1 hit / 2 miss (2 entries)",
+                "cross-tenant: 0 cache hits, 0 single-flight joins",
+                "placement cache: 1 warm starts (1 entries)",
+                "migrations: 0 sw-fast, 1 hardware; fast-path compile "
+                "failures: 0"):
+            assert expected in lines

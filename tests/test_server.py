@@ -347,7 +347,7 @@ class TestServerSessions:
         stats = server.stats()
         assert stats["cross_tenant_hits"] + \
             stats["single_flight_joins"] >= tenants - 1
-        assert stats["bitstream_cache"]["in_flight"] == 0
+        assert stats["metrics"]["cache.in_flight"] == 0
 
     def test_sliced_run_keeps_sessions_responsive(self, server_factory):
         """A long :run is sliced by the virtual-time budget: another
@@ -444,6 +444,28 @@ class TestServerSessions:
                     "cross_tenant_hits",
                     "single_flight_joins"} <= set(per_session)
 
+    def test_stats_count_a_closing_session_once(self, server_factory):
+        """A session that finalizes while stats() is reading the
+        session table lands in the live list or the closed totals,
+        never both."""
+        server = server_factory()
+        with connect(server.address) as client:
+            assert client.eval("reg r = 0;", timeout=30) == []
+            assert "virtual time" in client.command(":time", timeout=30)
+            live = server.live_sessions
+            (session,) = live()
+
+            def live_then_finalize():
+                sessions = live()
+                server._finalize(session)
+                return sessions
+            server.live_sessions = live_then_finalize
+            try:
+                stats = server.stats()
+            finally:
+                del server.live_sessions
+        assert stats["frames_in"] == 2
+
 
 # ----------------------------------------------------------------------
 # Graceful drain of a real daemon process
@@ -522,20 +544,26 @@ class TestCacheThreadSafety:
                             cache.inflight_finish(key, entry)
                         else:
                             cache.inflight_leave(entry)
-                    cache.stats()
+                    cache.metrics.snapshot()
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
         threads = [threading.Thread(target=worker, args=(i,))
                    for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert errors == []
-        stats = cache.stats()
-        assert stats["entries"] <= 16
-        assert stats["in_flight"] == 0
+        # The gauges are set under the cache lock: no lost update.
+        assert len(cache) == cache.metrics.value("cache.entries") <= 16
+        assert cache.metrics.value("cache.in_flight") == 0
 
     def test_concurrent_placement_cache_churn(self):
         cache = PlacementCache(capacity=8)
@@ -559,4 +587,4 @@ class TestCacheThreadSafety:
         for t in threads:
             t.join(timeout=60)
         assert errors == []
-        assert cache.stats()["entries"] <= 8
+        assert cache.metrics.value("placement.entries") <= 8

@@ -486,7 +486,8 @@ assign led.val = n;
         assert service.metrics.value("compile.cache_hits") == 1
         assert hit.engine_tiers()["main"] == "sw-fast"
 
-    def test_failed_closure_still_runs_sw_fast(self, monkeypatch):
+    def test_failed_closure_still_runs_sw_fast(self, monkeypatch,
+                                               fixed_compile_latency):
         """The codegen result survives a flow that misses closure; the
         error reaches the user at ready_at_s, not before."""
         def failing_flow(design, **kwargs):
@@ -498,9 +499,8 @@ assign led.val = n;
                 summary=lambda: "missed timing")
 
         monkeypatch.setattr(flow_mod, "run_flow", failing_flow)
+        fixed_compile_latency(0.05)
         service = _inline_service(full_flow_max_luts=10_000)
-        service.model.base_s = 0.05
-        service.model.per_lut = 0.0
         rt = Runtime(compile_service=service)
         rt.eval_source(self.COUNTER)
         rt.run(iterations=4)
