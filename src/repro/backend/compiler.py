@@ -47,7 +47,9 @@ from typing import Dict, Iterable, List, Optional, Set
 from ..common.errors import SynthesisError
 from ..ir.build import Subprogram
 from ..obs import MetricsRegistry, tracer
-from ..verilog.elaborate import Design, elaborate_leaf
+# elaborate_leaf is not called here (the subprogram carries its design),
+# but still bound: perfbench/tracing.py instruments this name.
+from ..verilog.elaborate import Design, elaborate_leaf  # noqa: F401
 from ..verilog.printer import module_to_str
 from .cache import BitstreamCache, CacheEntry, PlacementCache, \
     design_cache_key
@@ -327,20 +329,18 @@ class CompileService:
 
     # ------------------------------------------------------------------
     def submit(self, subprogram: Subprogram, now_s: float,
-               design: Optional[Design] = None,
                instrumented: bool = True) -> CompileJob:
-        """Begin a background compilation of a subprogram.
+        """Begin a background compilation of a subprogram's design.
 
         Raises :class:`SynthesisError` immediately when the subprogram
         is not synthesizable at all (those stay in software forever).
         Everything slow — code generation and the real flow — runs on
-        the worker pool; this call costs only elaboration, the
-        synthesizability check and the resource estimate.
+        the worker pool; this call costs only the synthesizability
+        check, the resource estimate and the cache key.
         """
         t0 = time.perf_counter()
         self._c_attempted.inc()
-        if design is None:
-            design = elaborate_leaf(subprogram.module_ast)
+        design = subprogram.design
         violations = check_design(design)
         if violations:
             raise SynthesisError(

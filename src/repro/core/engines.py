@@ -7,12 +7,14 @@ engines when background compilation finishes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, Set
 
 from ..common.bits import Bits
 from ..interp.engine import EngineServices, SoftwareEngine
 from ..ir.build import Subprogram
-from ..verilog.elaborate import Design, elaborate_leaf
+# Not called here (the subprogram carries its design), but still bound:
+# perfbench/tracing.py instruments this name.
+from ..verilog.elaborate import elaborate_leaf  # noqa: F401
 from .abi import SOFTWARE, CollectedTasks, Engine, EngineTask
 
 __all__ = ["SoftwareEngineAdapter"]
@@ -40,15 +42,12 @@ class SoftwareEngineAdapter(CollectedTasks, Engine):
 
     location = SOFTWARE
 
-    def __init__(self, subprogram: Subprogram,
-                 design: Optional[Design] = None):
+    def __init__(self, subprogram: Subprogram):
         CollectedTasks.__init__(self)
         self.subprogram = subprogram
         self.services = _RuntimeServices(self)
-        if design is None:
-            design = elaborate_leaf(subprogram.module_ast)
-        self.design = design
-        self.core = SoftwareEngine(design, self.services)
+        self.design = subprogram.design
+        self.core = SoftwareEngine(self.design, self.services)
 
     # -- state ----------------------------------------------------------
     def get_state(self) -> Dict[str, object]:

@@ -38,7 +38,7 @@ from ..stdlib.components import (IMPLICIT_INSTANCES, STDLIB_MODULE_NAMES,
                                  stdlib_modules)
 from ..stdlib.engines import ClockEngine, StdlibEngine, make_stdlib_engine
 from ..verilog import ast
-from ..verilog.elaborate import ModuleLibrary, elaborate_leaf
+from ..verilog.elaborate import ModuleLibrary
 from ..verilog.parser import parse_source, parse_statement_text
 from .abi import HARDWARE, SOFTWARE, Engine
 from .engines import SoftwareEngineAdapter
@@ -194,12 +194,9 @@ class Runtime:
         src = parse_source(text, source_name)
         for module in src.modules:
             self.library.declare(module)
-        if src.root_items:
+        if src.root_items:  # declarations alone change no running code
             self.root_items.extend(src.root_items)
             self._invalidate()
-        elif src.modules:
-            # Declarations alone do not change the running program.
-            pass
 
     def eval_statement(self, text: str) -> None:
         """Eval a single statement: wrapped in an initial process at the
@@ -314,8 +311,7 @@ class Runtime:
             for sub in program.user_subprograms():
                 try:
                     job = self.compiler.submit(
-                        sub, self.time_model.now_seconds,
-                        self.engines[sub.name].design)  # type: ignore
+                        sub, self.time_model.now_seconds)
                     self._jobs[sub.name] = job
                     if tr.enabled:
                         tr.emit("admission", "runtime",
@@ -450,7 +446,7 @@ class Runtime:
             engine.end_step()
         if self.plane is not None:
             self.plane.propagate(self.engines, self.absorbed)
-        if getattr(self, "_had_transients", False):
+        if self._had_transients:
             # The one-shot initial processes have now executed; rebuild
             # without them so the subprogram becomes synthesizable.
             self._had_transients = False

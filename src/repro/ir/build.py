@@ -21,6 +21,11 @@ Because Verilog has no pointers and no dynamic module allocation, the
 analysis is tractable, sound and complete — exactly the property the
 paper relies on (§3.3, §3.5).
 
+Each user subprogram also carries the sized :class:`Design` its engines
+run, built in the same pass from the instance tree, so the printed
+module (a stand-alone leaf, and the compile cache's key) is never
+elaborated again.
+
 Standard-library components (Clock, Led, FIFO, ...) are *external*:
 they are never inlined, and their subprograms are realised by
 pre-compiled engines (:mod:`repro.stdlib.engines`) rather than by
@@ -29,15 +34,15 @@ compiling their Verilog.
 
 from __future__ import annotations
 
-import copy
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..common.bits import Bits
 from ..common.errors import ElaborationError, TypeError_
 from ..verilog import ast
-from ..verilog.elaborate import (Instance, ModuleLibrary, build_tree,
-                                 substitute_params)
-from ..verilog.visitor import map_exprs, walk
+from ..verilog.elaborate import (Design, Instance, ModuleLibrary, Var,
+                                 build_tree, declare_net, elaborate_leaf,
+                                 elaborate_owned, substitute_params)
+from ..verilog.visitor import rebuild, walk
 
 __all__ = ["Net", "Subprogram", "IRProgram", "build_ir"]
 
@@ -70,6 +75,12 @@ class Subprogram:
         self.external = external
         self.source_module = source_module
         self.params = params
+        #: The sized design a user subprogram's engines run: build_ir
+        #: builds it with the module; a module given alone is elaborated.
+        self.design: Optional[Design] = None if external or \
+            module_ast is None else elaborate_leaf(module_ast)
+        #: An external subprogram's port widths, for its engine.
+        self.port_widths: Dict[str, int] = {}
         # port name -> (net name, "in" | "out")
         self.bindings: Dict[str, Tuple[str, str]] = {}
 
@@ -163,8 +174,17 @@ def _lvalue_base_idents(lhs: ast.Expr) -> List[ast.Ident]:
     return []
 
 
+def _range(width: int) -> Optional[ast.Range]:
+    """``[width-1:0]``, or none for a single bit."""
+    return ast.Range(_num(width - 1), _num(0)) if width > 1 else None
+
+
 class _GroupBuilder:
-    """Builds the transformed stand-alone module for one group."""
+    """Builds the transformed stand-alone module for one group and its
+    sized design.  Each item is copied once while it is renamed, and the
+    module and the design share the copies; the design's variables are
+    the instance tree's, as :func:`declare_vars` would read the module.
+    """
 
     def __init__(self, program: IRProgram, leader: Instance,
                  members: List[Instance]):
@@ -174,26 +194,20 @@ class _GroupBuilder:
         self.used_names: Set[str] = set()
         self.local_names: Dict[Tuple[int, str], str] = {}
         self.ports: List[ast.Port] = []
-        self.port_dirs: Dict[str, str] = {}
         self.items: List[ast.Item] = []
+        self.port_vars: Dict[str, Var] = {}
+        #: (sized variable, declaring item) of every net declared.
+        self.net_decls: List[Tuple[Var, ast.NetDecl]] = []
         self.sub = Subprogram(_sub_name(leader), None, False,
                               leader.module.name, dict(leader.params))
 
     # -- naming ---------------------------------------------------------
     def local_name(self, inst: Instance, var: str) -> str:
         key = (id(inst), var)
-        if key in self.local_names:
-            return self.local_names[key]
-        rel = inst.path[len(self.leader.path):]
-        base = "_".join((*rel, var)) if rel else var
-        name = base
-        n = 0
-        while name in self.used_names:
-            n += 1
-            name = f"{base}__{n}"
-        self.used_names.add(name)
-        self.local_names[key] = name
-        return name
+        if key not in self.local_names:
+            rel = inst.path[len(self.leader.path):]
+            self.local_names[key] = self.fresh_name("_".join((*rel, var)))
+        return self.local_names[key]
 
     def fresh_name(self, base: str) -> str:
         name = base
@@ -203,6 +217,17 @@ class _GroupBuilder:
             name = f"{base}__{n}"
         self.used_names.add(name)
         return name
+
+    # -- declarations -----------------------------------------------------
+    def add_port(self, port: ast.Port, width: int) -> None:
+        """Append a port ``width`` bits wide (1 when it has no range)."""
+        if port.name in self.port_vars:
+            raise ElaborationError(
+                f"duplicate declaration of {port.name!r}", port.loc)
+        self.ports.append(port)
+        self.port_vars[port.name] = Var(
+            port.name, port.net_kind, width, port.signed, width - 1, 0,
+            port.direction, loc=port.loc)
 
     # -- port promotion ---------------------------------------------------
     def promote(self, owner: Instance, var: str, direction: str) -> str:
@@ -217,85 +242,65 @@ class _GroupBuilder:
         base = "_".join((*owner.path, var))
         name = self.fresh_name(base)
         io = "output" if direction == "out" else "input"
-        rng = ast.Range(_num(sig.width - 1), _num(0)) \
-            if sig.width > 1 else None
-        self.ports.append(ast.Port(name, io, "wire", sig.signed, rng))
-        self.port_dirs[name] = io
+        self.add_port(ast.Port(name, io, "wire", sig.signed,
+                               _range(sig.width)), sig.width)
         self.program.bind(self.sub, name, net, direction)
         return name
 
     # -- member processing ---------------------------------------------
     def add_member(self, inst: Instance) -> None:
-        items = copy.deepcopy(inst.module.items)
-        is_leader = inst is self.leader
-
+        params = inst.params
         # Register this member's names so mangling is deterministic.
         for name in inst.vars:
             self.local_name(inst, name)
 
-        if is_leader:
-            # The leader's declared ports remain real subprogram ports.
-            for port in copy.deepcopy(inst.module.ports):
-                substitute_params(port, inst.params)
-                var = inst.vars[port.name]
+        for port in inst.module.ports:
+            var = inst.vars[port.name]
+            if inst is self.leader:
+                # The leader's declared ports remain real subprogram
+                # ports.
+                ported = substitute_params(port, params)
                 if port.range_ is not None:
-                    port.range_ = ast.Range(_num(var.width - 1), _num(0))
-                self.ports.append(port)
-                self.port_dirs[port.name] = port.direction
+                    ported.range_ = ast.Range(_num(var.width - 1), _num(0))
+                self.add_port(ported, 1 if port.range_ is None else var.width)
                 net = self.program.net(_net_name(inst, port.name),
                                        var.width, var.signed)
                 self.program.bind(
                     self.sub, port.name, net,
                     "in" if port.direction == "input" else "out")
-        else:
+                continue
             # Non-leader member: its ports become plain local variables.
-            for port in inst.module.ports:
-                name = self.local_name(inst, port.name)
-                var = inst.vars[port.name]
-                rng = ast.Range(_num(var.width - 1), _num(0)) \
-                    if var.width > 1 else None
-                kind = "reg" if var.kind == "reg" else "wire"
-                init = None
-                if port.init is not None and kind == "reg":
-                    init = substitute_params(copy.deepcopy(port.init),
-                                             inst.params)
-                self.items.append(ast.NetDecl(
-                    kind, var.signed, rng,
-                    [ast.Declarator(name, (), init)], inst.module.loc))
+            name = self.local_name(inst, port.name)
+            kind = "reg" if var.kind == "reg" else "wire"
+            init = None
+            if port.init is not None and kind == "reg":
+                init = substitute_params(port.init, params)
+            decl = ast.NetDecl(kind, var.signed, _range(var.width),
+                               [ast.Declarator(name, (), init)],
+                               inst.module.loc)
+            self.items.append(decl)
+            self.net_decls.append((Var(name, kind, var.width, var.signed,
+                                       var.width - 1, 0), decl))
 
-        for item in items:
+        for item in inst.module.items:
             if isinstance(item, ast.ParamDecl):
                 continue  # parameters are baked into the source
             if isinstance(item, ast.Instantiation):
                 self._lower_instantiation(inst, item)
-                continue
-            substitute_params(item, inst.params)
-            if isinstance(item, ast.FunctionDecl):
+            elif isinstance(item, ast.FunctionDecl):
                 self._process_function(inst, item)
-                continue
-            self._lower_hierarchical_writes(inst, item)
-            self._rename(inst, item)
-            if isinstance(item, ast.NetDecl):
-                self._emit_net_decl(inst, item, is_leader)
-            else:
+            elif isinstance(item, ast.NetDecl):
+                item = self._rename(inst, item)
+                for decl in item.decls:
+                    var = inst.vars[decl.name]
+                    decl.name = self.local_name(inst, decl.name)
+                    self.net_decls.append((Var(
+                        decl.name, var.kind, var.width, var.signed, var.msb,
+                        var.lsb, None, var.init, var.array, decl.loc), item))
                 self.items.append(item)
-
-    def _emit_net_decl(self, inst: Instance, item: ast.NetDecl,
-                       is_leader: bool) -> None:
-        keep: List[ast.Declarator] = []
-        for decl in item.decls:
-            new_name = self.local_name(inst, decl.name)
-            if is_leader and decl.name in self.port_dirs:
-                # Non-ANSI reg/width redeclaration of a port: keep it so
-                # elaborate_leaf merges the attributes.
-                decl.name = decl.name
-                keep.append(decl)
-                continue
-            decl.name = new_name
-            keep.append(decl)
-        if keep:
-            item.decls = keep
-            self.items.append(item)
+            else:
+                self.items.append(self._rename(
+                    inst, item, self._lower_hierarchical_writes(inst, item)))
 
     def _process_function(self, inst: Instance,
                           item: ast.FunctionDecl) -> None:
@@ -303,19 +308,17 @@ class _GroupBuilder:
         local.update(p.name for p in item.ports)
         for decl_item in item.locals_:
             local.update(d.name for d in decl_item.decls)
-        self._rename(inst, item, frozenset(local))
+        item = self._rename(inst, item, exclude=frozenset(local))
         old = item.name
         new_name = self.local_name(inst, old)
         if new_name != old:
             # The function's return variable shares its name; keep the
             # convention intact under mangling (recursion included).
-            def fix(e: ast.Expr) -> ast.Expr:
-                if isinstance(e, ast.Ident) and e.parts == (old,):
-                    return ast.Ident((new_name,), e.loc)
-                if isinstance(e, ast.Call) and e.name == old:
-                    e.name = new_name
-                return e
-            map_exprs(item, fix)
+            for node in walk(item):
+                if isinstance(node, ast.Ident) and node.parts == (old,):
+                    node.parts = (new_name,)
+                elif isinstance(node, ast.Call) and node.name == old:
+                    node.name = new_name
         item.name = new_name
         self.items.append(item)
 
@@ -327,9 +330,10 @@ class _GroupBuilder:
             expr = child.connections.get(port.name)
             if expr is None:
                 continue
+            lowered: Dict[int, str] = {}
             if port.direction == "output":
-                self._lower_hierarchical_writes_lhs(inst, expr)
-            expr = self._rename(inst, expr)
+                self._lower_hierarchical_writes_lhs(inst, expr, lowered)
+            expr = self._rename(inst, expr, lowered)
             if child_in_group:
                 target: ast.Expr = ast.Ident(
                     (self.local_name(child, port.name),), item.loc)
@@ -347,16 +351,20 @@ class _GroupBuilder:
 
     # -- hierarchical writes ---------------------------------------------
     def _lower_hierarchical_writes(self, inst: Instance,
-                                   item: ast.Item) -> None:
-        """Rewrite assignment targets that refer to foreign input ports
-        (e.g. ``assign led.val = cnt``) into promoted output ports."""
+                                   item: ast.Item) -> Dict[int, str]:
+        """Promote an output port for each assignment target that
+        refers to a foreign input port (e.g. ``assign led.val = cnt``);
+        returns the port of each such identifier, by identity."""
+        lowered: Dict[int, str] = {}
         for node in walk(item):
             if isinstance(node, (ast.ContinuousAssign, ast.BlockingAssign,
                                  ast.NonblockingAssign)):
-                self._lower_hierarchical_writes_lhs(inst, node.lhs)
+                self._lower_hierarchical_writes_lhs(inst, node.lhs,
+                                                    lowered)
+        return lowered
 
-    def _lower_hierarchical_writes_lhs(self, inst: Instance,
-                                       lhs: ast.Expr) -> None:
+    def _lower_hierarchical_writes_lhs(self, inst: Instance, lhs: ast.Expr,
+                                       lowered: Dict[int, str]) -> None:
         for ident in _lvalue_base_idents(lhs):
             if len(ident.parts) == 1:
                 continue
@@ -373,50 +381,61 @@ class _GroupBuilder:
                 raise TypeError_(
                     f"hierarchical write to {ident.name!r} is only "
                     "allowed when the target is an input port", ident.loc)
-            port = self.promote(owner, var, "out")
-            ident.parts = (port,)
+            lowered[id(ident)] = self.promote(owner, var, "out")
 
     # -- renaming -----------------------------------------------------------
     def _rename(self, inst: Instance, node: ast.Node,
+                lowered: Optional[Dict[int, str]] = None,
                 exclude: frozenset = frozenset()) -> ast.Node:
-        builder = self
+        """A copy of ``node`` in the group's namespace: ``inst``'s
+        parameters substituted, its names mangled, foreign names
+        promoted to ports, and each identifier in ``lowered`` bound to
+        its output port.  Names in ``exclude`` stay as they are."""
+        params = inst.params
+        lowered = lowered or {}
 
-        def fn(e: ast.Expr) -> ast.Expr:
+        def fn(old: ast.Expr, e: ast.Expr) -> ast.Expr:
             if isinstance(e, ast.Ident):
+                if id(old) in lowered:
+                    return ast.Ident((lowered[id(old)],), e.loc)
+                if len(e.parts) == 1 and e.parts[0] in params:
+                    value = params[e.parts[0]]
+                    return ast.Number(value, value.to_verilog(), True,
+                                      loc=e.loc)
                 if e.parts[0] in exclude:
                     return e
-                return builder._rename_ident(inst, e)
-            if isinstance(e, ast.Call) and not e.name.startswith("$"):
-                if e.name not in exclude:
-                    e.name = builder.local_name(inst, e.name)
-                return e
+                return self._rename_ident(inst, e)
+            if isinstance(e, ast.Call) and not e.name.startswith("$") \
+                    and e.name not in exclude:
+                e.name = self.local_name(inst, e.name)
             return e
 
-        return map_exprs(node, fn)
+        return rebuild(node, fn)
 
     def _rename_ident(self, inst: Instance, e: ast.Ident) -> ast.Expr:
         resolved = inst.resolve(e.parts)
         if resolved is None:
-            if len(e.parts) == 1 and e.parts[0] in self.port_dirs:
-                # Already lowered to a promoted port (hierarchical
-                # write targets are rewritten before renaming).
-                return e
             raise TypeError_(
                 f"cannot resolve {e.name!r} in {inst.module.name}", e.loc)
         owner, var = resolved
         if id(owner) in self.member_set:
-            return ast.Ident((self.local_name(owner, var),), e.loc)
-        name = self.promote(owner, var, "in")
-        return ast.Ident((name,), e.loc)
+            e.parts = (self.local_name(owner, var),)
+        else:
+            e.parts = (self.promote(owner, var, "in"),)
+        return e
 
     # -- finish -------------------------------------------------------------
-    def finish(self) -> Subprogram:
+    def finish(self) -> None:
+        """Set the subprogram's module and its sized design."""
         suffix = "_".join(self.leader.path) if self.leader.path else "root"
         module = ast.Module(f"{self.leader.module.name}__{suffix}",
                             self.ports, self.items,
                             self.leader.module.loc)
         self.sub.module_ast = module
-        return self.sub
+        variables = dict(self.port_vars)
+        for var, item in self.net_decls:
+            declare_net(variables, var.name, var, item)
+        self.sub.design = elaborate_owned(module, variables)
 
 
 # ----------------------------------------------------------------------
@@ -425,10 +444,11 @@ class _GroupBuilder:
 def _build_external(program: IRProgram, inst: Instance) -> None:
     """External (stdlib) instance: the subprogram keeps its module
     verbatim; every port binds to a net named after the instance path."""
-    sub = Subprogram(_sub_name(inst), copy.deepcopy(inst.module), True,
-                     inst.module.name, dict(inst.params))
+    sub = Subprogram(_sub_name(inst), inst.module, True, inst.module.name,
+                     dict(inst.params))
     for port in inst.module.ports:
         sig = inst.vars[port.name]
+        sub.port_widths[port.name] = sig.width
         net = program.net(_net_name(inst, port.name), sig.width,
                           sig.signed)
         program.bind(sub, port.name, net,
@@ -437,45 +457,25 @@ def _build_external(program: IRProgram, inst: Instance) -> None:
 
 
 def _promote_internal_outputs(program: IRProgram,
-                              builders: Dict[str, _GroupBuilder]) -> None:
+                              instances: List[Instance],
+                              group_of: Dict[Instance, _GroupBuilder]
+                              ) -> None:
     """Any net with readers but no driver names an internal variable of
     some user group: expose it there as an extra output port."""
+    by_name = {_sub_name(inst): inst for inst in instances}
     for net in list(program.nets.values()):
         if net.driver is not None or not net.readers:
             continue
         owner_path, var = net.name.rsplit(".", 1)
-        for builder in builders.values():
-            leader = builder.leader
-            inst = _find_instance(leader, owner_path)
-            if inst is None or id(inst) not in builder.member_set:
-                continue
-            local = builder.local_names.get((id(inst), var))
-            if local is None:
-                continue
+        inst = by_name[owner_path]
+        builder = group_of.get(inst)
+        local = None if builder is None \
+            else builder.local_names.get((id(inst), var))
+        if local is not None:
             sig = inst.vars[var]
-            rng = ast.Range(_num(sig.width - 1), _num(0)) \
-                if sig.width > 1 else None
-            module = builder.sub.module_ast
-            module.ports.append(
-                ast.Port(local, "output", "wire", sig.signed, rng))
+            builder.add_port(ast.Port(local, "output", "wire", sig.signed,
+                                      _range(sig.width)), sig.width)
             program.bind(builder.sub, local, net, "out")
-            break
-
-
-def _find_instance(leader: Instance, path_str: str) -> Optional[Instance]:
-    target = () if path_str == "main" else tuple(path_str.split("."))
-    if leader.path == target:
-        return leader
-    if len(target) <= len(leader.path) or \
-            target[:len(leader.path)] != leader.path:
-        return None
-    node = leader
-    for part in target[len(leader.path):]:
-        child = node.children.get(part)
-        if child is None:
-            return None
-        node = child
-    return node
 
 
 # ----------------------------------------------------------------------
@@ -501,30 +501,33 @@ def build_ir(root_module: ast.Module, library: ModuleLibrary,
         When True, user logic is merged into a single subprogram
         (the §4.2 optimisation, Figure 9.2); when False every instance
         is its own subprogram (the baseline IR, Figure 9.1).
+
+    The parse tree is only read: ``root_module`` and ``library`` may be
+    built again, by the next eval, as they are.
     """
     external = external or set()
     program = IRProgram()
     root = build_tree(root_module, library, external)
     instances = _collect_instances(root)
 
-    groups: Dict[int, List[Instance]] = {}
-    leaders: Dict[int, Instance] = {}
+    groups: Dict[Instance, List[Instance]] = {}   # leader -> members
     for inst in instances:
-        leader = _group_of(inst, inlined)
-        groups.setdefault(id(leader), []).append(inst)
-        leaders[id(leader)] = leader
+        groups.setdefault(_group_of(inst, inlined), []).append(inst)
 
-    builders: Dict[str, _GroupBuilder] = {}
-    for leader_id, members in groups.items():
-        leader = leaders[leader_id]
+    builders: List[_GroupBuilder] = []
+    group_of: Dict[Instance, _GroupBuilder] = {}   # member -> builder
+    for leader, members in groups.items():
         if leader.external:
             _build_external(program, leader)
             continue
         builder = _GroupBuilder(program, leader, members)
         for member in sorted(members, key=lambda m: len(m.path)):
             builder.add_member(member)
-        program.add(builder.finish())
-        builders[builder.sub.name] = builder
+            group_of[member] = builder
+        program.add(builder.sub)
+        builders.append(builder)
 
-    _promote_internal_outputs(program, builders)
+    _promote_internal_outputs(program, instances, group_of)
+    for builder in builders:
+        builder.finish()
     return program

@@ -10,11 +10,10 @@ performance model charges them fabric-side costs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from ..common.bits import Bits
 from ..ir.build import Subprogram
-from ..verilog.elaborate import declare_vars
 from .board import VirtualBoard
 from ..core.abi import HARDWARE, CollectedTasks, Engine
 
@@ -32,15 +31,11 @@ class StdlibEngine(CollectedTasks, Engine):
         CollectedTasks.__init__(self)
         self.subprogram = subprogram
         self.board = board
-        self.ports: Dict[str, Bits] = {}
-        self.widths: Dict[str, int] = {}
+        self.widths = subprogram.port_widths
+        self.ports: Dict[str, Bits] = {
+            port: Bits.zeros(width) for port, width in self.widths.items()}
         self._changed: Set[str] = set()
         self.time = 0
-        table = declare_vars(subprogram.module_ast, subprogram.params)
-        for port in subprogram.module_ast.ports:
-            width = table[port.name].width
-            self.widths[port.name] = width
-            self.ports[port.name] = Bits.zeros(width)
 
     # -- helpers ----------------------------------------------------------
     def _param(self, name: str, default: int) -> int:
@@ -193,7 +188,6 @@ class MemoryEngine(StdlibEngine):
         self.words: List[int] = [0] * (1 << self._param("ADDR", 8))
         self._mask = (1 << self._param("WIDTH", 32)) - 1
         self._last_clk = 0
-        self._write_back: Optional[int] = None
 
     def on_input(self, port: str, value: Bits) -> None:
         if port != "clk":

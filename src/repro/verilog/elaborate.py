@@ -18,28 +18,32 @@ relies on (paper §3.3):
 * sizing: :func:`repro.verilog.sizing.size_design` annotates every
   expression with its width and sign, once, for every tier.
 
+A design owns its nodes, which sizing annotates: each item is copied
+once from the parse tree while it is rewritten, and the parse tree is
+never changed.
+
 :func:`elaborate` flattens a whole hierarchy into a single
 :class:`Design` (this is what the reference simulator and the baseline
 "iVerilog" engine execute).  :func:`elaborate_leaf` elaborates a single
-module without descending into instantiations (the Cascade IR calls this
-per-subprogram after its own flattening).
+module without descending into instantiations; :func:`elaborate_owned`
+takes over a module the IR already flattened and copied.
 """
 
 from __future__ import annotations
 
-import copy
-from typing import Collection, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 from ..common.bits import Bits
 from ..common.errors import ElaborationError
 from . import ast
 from .eval import const_eval
 from .sizing import size_design
-from .visitor import map_exprs
+from .visitor import rebuild
 
 __all__ = ["Var", "Function", "Design", "ModuleLibrary", "Instance",
-           "build_tree", "bind_params", "declare_vars", "resolve_range",
-           "substitute_params", "elaborate", "elaborate_leaf"]
+           "build_tree", "bind_params", "declare_net", "declare_vars",
+           "resolve_range", "substitute_params", "elaborate",
+           "elaborate_leaf", "elaborate_owned"]
 
 MAX_WIDTH = 1 << 20  # sanity bound on declared widths
 
@@ -70,11 +74,7 @@ class Var:
         return self.array is not None
 
     def default_value(self) -> Bits:
-        if self.init is not None:
-            return self.init
-        if self.kind == "reg":
-            return Bits.xes(self.width)
-        return Bits.xes(self.width)
+        return Bits.xes(self.width) if self.init is None else self.init
 
     def __repr__(self) -> str:
         return (f"Var({self.name}, {self.kind}, [{self.msb}:{self.lsb}]"
@@ -108,19 +108,12 @@ class Design:
         self.assigns: List[ast.ContinuousAssign] = []
         self.always: List[ast.AlwaysBlock] = []
         self.initials: List[ast.InitialBlock] = []
-        self.params: Dict[str, Bits] = {}
 
     def add_var(self, var: Var) -> None:
         if var.name in self.vars:
             raise ElaborationError(f"duplicate declaration of {var.name!r}",
                                    var.loc)
         self.vars[var.name] = var
-
-    def inputs(self) -> List[Var]:
-        return [v for v in self.vars.values() if v.direction == "input"]
-
-    def outputs(self) -> List[Var]:
-        return [v for v in self.vars.values() if v.direction == "output"]
 
     def stats(self) -> Dict[str, int]:
         """Aggregate statistics (used by the class-study analysis)."""
@@ -163,41 +156,35 @@ class ModuleLibrary:
             raise ElaborationError(f"unknown module {name!r}", loc) \
                 from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.modules
-
 
 # ----------------------------------------------------------------------
 # Expression rewriting: parameter substitution + prefixing
 # ----------------------------------------------------------------------
 def _rewrite(node: ast.Node, params: Dict[str, Bits], prefix: str,
              local_names: frozenset = frozenset()) -> ast.Node:
-    """Substitute parameters and apply the instance prefix, in place;
-    returns the (possibly replaced) root for expression nodes."""
+    """A copy of ``node`` with parameters substituted and the instance
+    prefix applied (names in ``local_names`` are left alone)."""
+    head = tuple(prefix.split(".")) if prefix else ()
 
-    def fn(e: ast.Expr) -> ast.Expr:
+    def fn(old: ast.Expr, e: ast.Expr) -> ast.Expr:
         if isinstance(e, ast.Ident):
-            head = e.parts[0]
-            if head in local_names:
+            if e.parts[0] in local_names:
                 return e
-            if len(e.parts) == 1 and head in params:
-                value = params[head]
+            if len(e.parts) == 1 and e.parts[0] in params:
+                value = params[e.parts[0]]
                 return ast.Number(value, value.to_verilog(), True, loc=e.loc)
-            if prefix:
-                return ast.Ident((*prefix.split("."), *e.parts), e.loc)
-            return e
-        if isinstance(e, ast.Call) and not e.name.startswith("$"):
-            if e.name not in local_names and prefix:
-                e.name = f"{prefix}.{e.name}"
-            return e
+            e.parts = head + e.parts
+        elif isinstance(e, ast.Call) and prefix and \
+                not e.name.startswith("$") and e.name not in local_names:
+            e.name = f"{prefix}.{e.name}"
         return e
 
-    return map_exprs(node, fn)
+    return rebuild(node, fn)
 
 
 def substitute_params(node: ast.Node, params: Dict[str, Bits]) -> ast.Node:
-    """Replace parameter names in ``node`` by their values, in place;
-    returns the (possibly replaced) root."""
+    """A copy of ``node`` with parameter names replaced by their
+    values."""
     return _rewrite(node, params, "")
 
 
@@ -213,7 +200,7 @@ def resolve_range(range_: Optional[ast.Range], params: Dict[str, Bits],
     """(width, msb, lsb) of a declared range; defaults to 1 bit."""
     if range_ is None:
         return 1, 0, 0
-    range_ = substitute_params(copy.deepcopy(range_), params)
+    range_ = substitute_params(range_, params)
     msb_v = const_eval(range_.msb)
     lsb_v = const_eval(range_.lsb)
     if msb_v.has_xz or lsb_v.has_xz:
@@ -241,8 +228,7 @@ def bind_params(module: ast.Module,
         if not item.local and item.name in overrides:
             value = overrides[item.name]
         else:
-            value = const_eval(
-                substitute_params(copy.deepcopy(item.value), params))
+            value = const_eval(substitute_params(item.value, params))
         if item.range_ is not None:
             width, _, _ = resolve_range(item.range_, params,
                                         f"parameter {item.name!r}")
@@ -293,35 +279,43 @@ def declare_vars(module: ast.Module, params: Dict[str, Bits],
                 _, a_msb, a_lsb = resolve_range(
                     decl.dims[0], params, f"array {decl.name!r}")
                 array = (abs(a_msb - a_lsb) + 1, a_msb, a_lsb)
-            existing = table.get(decl.name)
-            if existing is not None:
-                # A net decl may re-declare a port to set reg-ness/width.
-                if existing.direction is not None and array is None:
-                    existing.kind = kind if kind == "reg" else existing.kind
-                    if item.range_ is not None:
-                        existing.width, existing.msb, existing.lsb = \
-                            width, msb, lsb
-                    existing.signed = existing.signed or item.signed
-                    continue
-                raise ElaborationError(f"duplicate declaration of {full!r}",
-                                       decl.loc)
             init = None
             if item.kind == "supply0":
                 init = Bits.zeros(width)
             elif item.kind == "supply1":
                 init = Bits.ones(width)
-            table[decl.name] = Var(full, kind, width, item.signed, msb, lsb,
-                                   None, init, array, decl.loc)
+            declare_net(table, decl.name, Var(
+                full, kind, width, item.signed, msb, lsb, None, init, array,
+                decl.loc), item)
     return table
 
 
-def _is_lvalue(expr: ast.Expr) -> bool:
+def declare_net(table: Dict[str, Var], name: str, var: Var,
+                item: ast.NetDecl) -> None:
+    """Enter the variable ``item`` declares as ``name``.  A net may
+    re-declare a port, to make it a reg or set its range or sign: it
+    then merges into the port's variable."""
+    port = table.get(name)
+    if port is None:
+        table[name] = var
+    elif port.direction is not None and var.array is None:
+        if var.kind == "reg":
+            port.kind = "reg"
+        if item.range_ is not None:
+            port.width, port.msb, port.lsb = var.width, var.msb, var.lsb
+        port.signed = port.signed or item.signed
+    else:
+        raise ElaborationError(f"duplicate declaration of {var.name!r}",
+                               var.loc)
+
+
+def _is_lvalue(expr: ast.Expr, params: Dict[str, Bits]) -> bool:
     if isinstance(expr, ast.Ident):
-        return True
+        return len(expr.parts) > 1 or expr.parts[0] not in params
     if isinstance(expr, (ast.IndexExpr, ast.RangeExpr)):
-        return _is_lvalue(expr.base)
+        return _is_lvalue(expr.base, params)
     if isinstance(expr, ast.Concat):
-        return all(_is_lvalue(p) for p in expr.parts)
+        return all(_is_lvalue(p, params) for p in expr.parts)
     return False
 
 
@@ -337,19 +331,21 @@ class Instance:
     bound, its declarations sized and its ports connected."""
 
     def __init__(self, path: Tuple[str, ...], module: ast.Module,
-                 params: Dict[str, Bits], external: bool = False,
+                 params: Dict[str, Bits], vars_: Dict[str, Var],
+                 external: bool = False,
                  parent: Optional["Instance"] = None,
                  connections: Optional[Dict[str, ast.Expr]] = None):
         self.path = path
         self.module = module
         self.params = params
+        self.vars = vars_
         self.external = external
         self.parent = parent
-        #: port -> connected expression, in the parent's scope with the
-        #: parent's parameters substituted (unconnected ports absent).
+        #: port -> connected expression as parsed, in the parent's scope
+        #: (unconnected ports absent); consumers substitute the parent's
+        #: parameters as they copy it.
         self.connections = connections or {}
         self.children: Dict[str, "Instance"] = {}
-        self.vars = declare_vars(module, params, ".".join(path))
 
     def resolve(self, parts: Sequence[str]
                 ) -> Optional[Tuple["Instance", str]]:
@@ -390,14 +386,13 @@ def _param_overrides(item: ast.Instantiation, child: ast.Module,
     for name, conn in pairs:
         if conn.expr is not None:
             overrides[name] = const_eval(
-                substitute_params(copy.deepcopy(conn.expr), params))
+                substitute_params(conn.expr, params))
     return overrides
 
 
 def _port_connections(item: ast.Instantiation, child: ast.Module,
                       params: Dict[str, Bits]) -> Dict[str, ast.Expr]:
-    """Port name -> connected expression of ``item``, with the parent's
-    parameters substituted."""
+    """Port name -> connected expression of ``item``, as parsed."""
     port_names = [p.name for p in child.ports]
     conns: Dict[str, Optional[ast.Expr]] = {}
     positional = [c for c in item.connections if c.name is None]
@@ -423,8 +418,7 @@ def _port_connections(item: ast.Instantiation, child: ast.Module,
         expr = conns.get(port.name)
         if expr is None:
             continue
-        expr = substitute_params(copy.deepcopy(expr), params)
-        if port.direction == "output" and not _is_lvalue(expr):
+        if port.direction == "output" and not _is_lvalue(expr, params):
             raise ElaborationError(
                 f"output port {port.name!r} must connect to an "
                 "l-value", item.loc)
@@ -450,8 +444,9 @@ def build_tree(root: ast.Module, library: ModuleLibrary,
                 f"instantiation depth exceeds {max_depth} "
                 "(recursive module?)", module.loc)
         params = bind_params(module, overrides)
-        inst = Instance(path, module, params, module.name in external,
-                        parent, connections)
+        inst = Instance(path, module, params,
+                        declare_vars(module, params, ".".join(path)),
+                        module.name in external, parent, connections)
         if inst.external:
             return inst
         for item in module.items:
@@ -474,45 +469,46 @@ def build_tree(root: ast.Module, library: ModuleLibrary,
 # ----------------------------------------------------------------------
 # Flattening an instance tree into a Design
 # ----------------------------------------------------------------------
-def _initial_value(expr: ast.Expr, params: Dict[str, Bits], prefix: str,
-                   var: Var) -> Bits:
-    value = const_eval(_rewrite(copy.deepcopy(expr), params, prefix))
-    return _fit(value, var.width, var.signed)
-
-
-def _elaborate(inst: Instance, design: Design) -> None:
+def _elaborate(inst: Instance, design: Design, own: bool = False) -> None:
+    """Register ``inst``'s variables, functions and processes in
+    ``design``, then its children's.  Each item is copied once with the
+    instance's parameters and prefix applied; with ``own`` the module is
+    already rewritten and ``design`` takes its nodes as they are."""
     module, params = inst.module, inst.params
     prefix = ".".join(inst.path)
-    if not prefix:
-        design.params.update(params)
+
+    def rewrite(node: ast.Node, local_names: frozenset = frozenset()):
+        return node if own else _rewrite(node, params, prefix, local_names)
+
+    def initial_value(expr: ast.Expr, var: Var) -> Bits:
+        return _fit(const_eval(rewrite(expr)), var.width, var.signed)
+
     for var in inst.vars.values():
         design.add_var(var)
     for port in module.ports:
         if port.init is not None and port.net_kind == "reg":
             var = inst.vars[port.name]
-            var.init = _initial_value(port.init, params, "", var)
+            var.init = initial_value(port.init, var)
 
-    items = copy.deepcopy(module.items)
     # Functions next (bodies may be referenced by any process).
-    for item in items:
+    for item in module.items:
         if isinstance(item, ast.FunctionDecl):
-            _declare_function(item, design, prefix, params)
+            _declare_function(item, design, prefix, params, rewrite)
 
     # Behaviour: rewrite and register.
-    for item in items:
+    for item in module.items:
         if isinstance(item, (ast.NetDecl, ast.ParamDecl,
                              ast.FunctionDecl)):
             continue
         if isinstance(item, ast.Instantiation):
             _elaborate_instance(inst, item, design)
             continue
-        _rewrite(item, params, prefix)
         if isinstance(item, ast.ContinuousAssign):
-            design.assigns.append(item)
+            design.assigns.append(rewrite(item))
         elif isinstance(item, ast.AlwaysBlock):
-            design.always.append(item)
+            design.always.append(rewrite(item))
         elif isinstance(item, ast.InitialBlock):
-            design.initials.append(item)
+            design.initials.append(rewrite(item))
         else:
             raise ElaborationError(
                 f"unsupported module item {type(item).__name__}",
@@ -520,7 +516,7 @@ def _elaborate(inst: Instance, design: Design) -> None:
 
     # Initializers on regs become initial state; on wires they are
     # continuous assigns (wire w = expr).
-    for item in items:
+    for item in module.items:
         if not isinstance(item, ast.NetDecl):
             continue
         for decl in item.decls:
@@ -528,15 +524,16 @@ def _elaborate(inst: Instance, design: Design) -> None:
                 continue
             var = inst.vars[decl.name]
             if var.kind == "reg":
-                var.init = _initial_value(decl.init, params, prefix, var)
+                var.init = initial_value(decl.init, var)
             else:
                 design.assigns.append(ast.ContinuousAssign(
                     ast.Ident(var.name.split("."), decl.loc),
-                    _rewrite(decl.init, params, prefix), decl.loc))
+                    rewrite(decl.init), decl.loc))
 
 
 def _declare_function(fn: ast.FunctionDecl, design: Design, prefix: str,
-                      params: Dict[str, Bits]) -> None:
+                      params: Dict[str, Bits],
+                      rewrite: Callable[..., ast.Node]) -> None:
     def frame_var(name: str, range_, signed: bool, what: str) -> Var:
         width, msb, lsb = resolve_range(range_, params, what)
         return Var(name, "reg", width, signed, msb, lsb)
@@ -547,11 +544,11 @@ def _declare_function(fn: ast.FunctionDecl, design: Design, prefix: str,
     locals_ = [frame_var(d.name, item.range_, item.signed, "function local")
                for item in fn.locals_ for d in item.decls]
     local_names = frozenset([fn.name] + [v.name for v in ports + locals_])
-    _rewrite(fn.body, params, prefix, local_names)
+    body = rewrite(fn.body, local_names)
     full = _full(prefix, fn.name)
     if full in design.functions:
         raise ElaborationError(f"duplicate function {full!r}", fn.loc)
-    design.functions[full] = Function(full, ret, ports, locals_, fn.body,
+    design.functions[full] = Function(full, ret, ports, locals_, body,
                                       fn.loc)
 
 
@@ -571,7 +568,7 @@ def _elaborate_instance(inst: Instance, item: ast.Instantiation,
         expr = child.connections.get(port.name)
         if expr is None:
             continue
-        expr = _rewrite(expr, {}, prefix)
+        expr = _rewrite(expr, inst.params, prefix)
         port_ident = ast.Ident((*child.path, port.name), item.loc)
         if port.direction == "input":
             design.assigns.append(
@@ -584,22 +581,29 @@ def _elaborate_instance(inst: Instance, item: ast.Instantiation,
 # ----------------------------------------------------------------------
 # Public entry points
 # ----------------------------------------------------------------------
+def _sized(top: Instance, own: bool = False) -> Design:
+    design = Design(top.module.name)
+    _elaborate(top, design, own)
+    size_design(design)
+    return design
+
+
 def elaborate(top: ast.Module, library: Optional[ModuleLibrary] = None,
               overrides: Optional[Dict[str, Bits]] = None) -> Design:
     """Fully elaborate ``top``, flattening the whole hierarchy."""
-    design = Design(top.name)
-    _elaborate(build_tree(top, library or ModuleLibrary(),
-                          overrides=overrides), design)
-    size_design(design)
-    return design
+    return _sized(build_tree(top, library or ModuleLibrary(),
+                             overrides=overrides))
 
 
-def elaborate_leaf(module: ast.Module,
-                   overrides: Optional[Dict[str, Bits]] = None) -> Design:
+def elaborate_leaf(module: ast.Module) -> Design:
     """Elaborate a single module; instantiations inside it are an error
     (Cascade's IR flattens hierarchy before engines see a subprogram)."""
-    design = Design(module.name)
-    _elaborate(Instance((), module, bind_params(module, overrides or {})),
-               design)
-    size_design(design)
-    return design
+    params = bind_params(module, {})
+    return _sized(Instance((), module, params, declare_vars(module, params)))
+
+
+def elaborate_owned(module: ast.Module, vars_: Dict[str, Var]) -> Design:
+    """The design of a module with no parameters or instantiations that
+    nobody else holds, given its sized variables: the design takes the
+    module's nodes over as they are."""
+    return _sized(Instance((), module, {}, vars_), own=True)

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Set
+import functools
+from typing import Callable, Iterator, List, Set, Tuple
 
 from . import ast
 
@@ -22,43 +23,44 @@ def find_all(node: ast.Node, *types) -> List[ast.Node]:
     return [n for n in walk(node) if isinstance(n, types)]
 
 
-def map_exprs(node: ast.Node,
-              fn: Callable[[ast.Expr], ast.Expr]) -> ast.Node:
-    """Rewrite every expression-valued field in the subtree, bottom-up.
+#: Expression slots that sizing fills in; a copy starts without them.
+_SIZING_SLOTS = {"width", "signed", "ctx_width", "ctx_signed", "select",
+                 "times"}
 
-    ``fn`` receives each expression after its own children have been
-    rewritten and returns the replacement (possibly the same object).
-    Mutates the tree in place and returns the (possibly replaced) root:
-    when ``node`` is itself an expression the caller must use the return
-    value, since the root cannot be replaced in place.
+
+@functools.cache
+def _copied_slots(cls: type) -> Tuple[str, ...]:
+    names = [s for c in reversed(cls.__mro__)
+             for s in vars(c).get("__slots__", ())]
+    if issubclass(cls, ast.Expr):
+        names = [s for s in names if s not in _SIZING_SLOTS]
+    return tuple(names)
+
+
+def rebuild(node: ast.Node,
+            fn: Callable[[ast.Expr, ast.Expr], ast.Node]) -> ast.Node:
+    """A copy of ``node`` that shares no node with it: every node of the
+    subtree is copied once, without sizing annotations.
+
+    ``fn(old, new)`` is called for each expression, bottom-up, with the
+    original and its copy (whose children are already rebuilt), and
+    returns the node that takes its place: ``new``, possibly changed,
+    or a replacement.  Non-node fields (names, operators, values) are
+    immutable and shared.
     """
-
-    def rewrite(e: ast.Expr) -> ast.Expr:
-        _rewrite_children(e)
-        return fn(e)
-
-    def _rewrite_children(n: ast.Node) -> None:
-        for field in n._fields:
-            value = getattr(n, field)
-            if isinstance(value, ast.Expr):
-                setattr(n, field, rewrite(value))
-            elif isinstance(value, ast.Node):
-                _rewrite_children(value)
-            elif isinstance(value, list):
-                new_list = []
-                for item in value:
-                    if isinstance(item, ast.Expr):
-                        new_list.append(rewrite(item))
-                    else:
-                        if isinstance(item, ast.Node):
-                            _rewrite_children(item)
-                        new_list.append(item)
-                value[:] = new_list
-
-    _rewrite_children(node)
+    cls = type(node)
+    new = cls.__new__(cls)
+    for slot in _copied_slots(cls):
+        setattr(new, slot, getattr(node, slot))
+    for field in cls._fields:
+        value = getattr(node, field)
+        if isinstance(value, ast.Node):
+            setattr(new, field, rebuild(value, fn))
+        elif isinstance(value, list):
+            setattr(new, field, [rebuild(v, fn) for v in value])
     if isinstance(node, ast.Expr):
-        return fn(node)
-    return node
+        return fn(node, new)
+    return new
 
 
 def read_set_of(node: ast.Node) -> Set[str]:
