@@ -15,9 +15,13 @@ Mapping to Figure 7: the paper's ``read``/``write`` broadcast and
 discover input/output changes across the data/control plane.  Here the
 plane is in-process, so ``write(port, value)`` delivers an input-change
 event to the engine and ``read(port)`` / :meth:`drain_output_changes`
-discover output-change events.  ``display``/``finish`` notifications
-travel in the opposite direction (engine to runtime) through the
-:class:`EngineTask` objects returned by :meth:`Engine.drain_tasks`.
+discover output-change events.  A two-state engine (the compiled model,
+the standard library) also takes writes as plain ints through
+``poke_int``, so a value is boxed into :class:`Bits` only where a
+four-state reader or the plane's net table needs one.
+``display``/``finish`` notifications travel in the opposite direction
+(engine to runtime) through the :class:`EngineTask` objects returned by
+:meth:`Engine.drain_tasks`.
 
 This is **not** a user-exposed interface (§3.5): Verilog programmers
 never see it.
@@ -61,6 +65,13 @@ class Engine(abc.ABC):
     #: SOFTWARE or HARDWARE — where ABI requests are processed, which
     #: determines their cost in the performance model.
     location: str = SOFTWARE
+    #: False for an engine whose there_are_evals (there_are_updates) is
+    #: always False; the scheduler then never asks it.
+    raises_evals: bool = True
+    raises_updates: bool = True
+    #: True for an engine that holds two-state values and implements
+    #: :meth:`poke_int`.
+    two_state: bool = False
 
     # -- state migration (get_state / set_state) -------------------------
     @abc.abstractmethod
@@ -82,9 +93,16 @@ class Engine(abc.ABC):
     def read(self, port: str) -> Bits:
         """Current value of an output port."""
 
+    def poke_int(self, port: str, value: int) -> None:
+        """Two-state engines: ``write`` of a fully known value, given as
+        an int in two's complement (masked to the port's width here)."""
+        raise NotImplementedError
+
     @abc.abstractmethod
     def drain_output_changes(self) -> Set[str]:
-        """Output ports whose values changed since the last drain."""
+        """Output ports whose values changed since the last drain.  Only
+        evaluate/update, a write and end_step change outputs, so the
+        plane drains only engines that did one of those."""
 
     # -- scheduling (Figure 6) ---------------------------------------------
     @abc.abstractmethod
@@ -103,9 +121,12 @@ class Engine(abc.ABC):
     def update(self) -> None:
         """Perform all activated update events atomically."""
 
-    def end_step(self) -> None:
+    def end_step(self) -> bool:
         """Optional: called between time steps, when the interrupt queue
-        is empty (how the standard clock re-queues its tick)."""
+        is empty (how the standard clock re-queues its tick).  Returns
+        True when the step may have changed an output or queued a task,
+        so the runtime drains this engine."""
+        return False
 
     def set_time(self, time: int) -> None:
         """Inform the engine of the current logical time (drives $time

@@ -79,8 +79,11 @@ class SoftwareEngineAdapter(CollectedTasks, Engine):
     def update(self) -> None:
         self.core.update()
 
-    def end_step(self) -> None:
+    def end_step(self) -> bool:
+        # Wakes delayed processes (events, not outputs) and refreshes
+        # $monitor, which queues a task.
         self.core.end_step()
+        return self.has_tasks
 
     def set_time(self, time: int) -> None:
         self.services.time = time

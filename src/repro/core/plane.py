@@ -10,7 +10,8 @@ each remove.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from heapq import heappop, heappush
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ..common.bits import Bits
 from ..ir.build import IRProgram
@@ -37,20 +38,23 @@ class DataPlane:
                     self.readers.setdefault(net, []).append(
                         (sub.name, port))
         self.messages_sent = 0
-        #: Per polled engine: (engine, on the fabric?, {out port: (net,
-        #: ((reader, reader port, reader on the fabric?), ...))}).
-        self._routes: Optional[List[Tuple[Engine, bool, Dict]]] = None
+        #: Per attached engine, in scheduling order: (engine, on the
+        #: fabric?, {out port: (net, ((reader index, reader, reader port,
+        #: reader on the fabric?, reader two-state?), ...))}).
+        self._routes: List[Tuple[Engine, bool, Dict]] = []
+        #: Route indices of the engines whose outputs may have changed
+        #: since they were last drained: the scheduler adds the engines
+        #: that ran or stepped, and a delivery adds its reader.
+        self.pending: Set[int] = set()
 
-    def invalidate_routes(self) -> None:
-        """The engine set or the absorbed set changed."""
-        self._routes = None
-
-    def _route_table(self, engines: Dict[str, Engine],
-                     absorbed: Set[str]) -> List[Tuple[Engine, bool, Dict]]:
+    def attach(self, engines: Sequence[Tuple[str, Engine]]) -> None:
+        """Tabulate the routes between ``engines`` (the active ones, in
+        scheduling order; engines absorbed by ABI forwarding are left
+        out, so the plane neither drains nor delivers to them).  Every
+        engine starts pending."""
+        index = {name: i for i, (name, _) in enumerate(engines)}
         routes = []
-        for name, engine in engines.items():
-            if name in absorbed:
-                continue
+        for name, engine in engines:
             ports = {}
             bindings = self.program.subprograms[name].bindings
             for port, (net, direction) in bindings.items():
@@ -58,34 +62,49 @@ class DataPlane:
                     continue
                 readers = []
                 for reader_name, reader_port in self.readers.get(net, ()):
-                    reader = engines.get(reader_name)
-                    if reader_name not in absorbed and reader is not None:
-                        readers.append((reader, reader_port,
-                                        reader.location == HARDWARE))
+                    i = index.get(reader_name)
+                    if i is not None:
+                        reader = engines[i][1]
+                        readers.append((i, reader, reader_port,
+                                        reader.location == HARDWARE,
+                                        reader.two_state))
                 ports[port] = (net, tuple(readers))
             routes.append((engine, engine.location == HARDWARE, ports))
-        return routes
+        self._routes = routes
+        self.pending.clear()
+        self.pending.update(range(len(routes)))
 
     # ------------------------------------------------------------------
-    def propagate(self, engines: Dict[str, Engine],
-                  absorbed: Optional[Set[str]] = None) -> bool:
-        """Drain output changes from every engine and deliver them to
-        readers.  ``absorbed`` names subprograms currently handled by
-        ABI forwarding — the plane neither polls nor delivers to them.
-        Returns True when any message was delivered.
+    def propagate(self) -> bool:
+        """Drain output changes from the pending engines and deliver them
+        to readers.  Returns True when any message was delivered.
 
-        Routes are tabulated per engine on first use and kept until
-        :meth:`invalidate_routes`.  Every message counts in
-        ``messages_sent``; one to or from the fabric is charged as MMIO,
-        a heap-local one costs nothing."""
+        Engines are drained in scheduling order; a reader later in that
+        order is drained in the same call, an earlier one on the next
+        (exactly as if every engine were drained in turn).  Every
+        message counts in ``messages_sent``; one to or from the fabric
+        is charged as MMIO, a heap-local one costs nothing.  A changed
+        value is read (boxed) once, for :attr:`values` and four-state
+        readers; two-state readers take it as an int."""
+        pending = self.pending
+        if not pending:
+            return False
+        if len(pending) == 1:
+            queue = [pending.pop()]
+        else:
+            queue = sorted(pending)
+            pending.clear()
         routes = self._routes
-        if routes is None:
-            routes = self._routes = self._route_table(engines,
-                                                      absorbed or set())
         values = self.values
         time_model = self.time_model
         delivered = False
-        for engine, hardware, ports in routes:
+        last = -1
+        while queue:
+            i = heappop(queue)
+            if i == last:
+                continue
+            last = i
+            engine, hardware, ports = routes[i]
             changed = engine.drain_output_changes()
             if not changed:
                 continue
@@ -94,19 +113,31 @@ class DataPlane:
                 if route is None:
                     continue
                 net, readers = route
-                value = engine.read(port)
                 self.messages_sent += 1
                 if hardware:
                     time_model.charge_mmio()
+                value = engine.read(port)
                 old = values.get(net)
                 if old is not None and old.aval == value.aval \
                         and old.bval == value.bval:
                     continue
                 values[net] = value
-                for reader, reader_port, reader_hardware in readers:
+                # What ``write`` would take from it: x/z bits as 0, the
+                # value as two's complement when signed.
+                number = value.to_int_xz(0) if value.signed \
+                    else value.aval & ~value.bval
+                for j, reader, reader_port, reader_hardware, reader_ints \
+                        in readers:
                     self.messages_sent += 1
                     if reader_hardware:
                         time_model.charge_mmio()
-                    reader.write(reader_port, value)
+                    if reader_ints:
+                        reader.poke_int(reader_port, number)
+                    else:
+                        reader.write(reader_port, value)
+                    if j > i:
+                        heappush(queue, j)
+                    else:
+                        pending.add(j)
                     delivered = True
         return delivered

@@ -146,16 +146,28 @@ class Runtime:
         self.obs_tid = "main"
         self.unsynthesizable: Dict[str, str] = {}
         self._engines_cache: Optional[List[Tuple[str, Engine]]] = None
-        #: Per active engine: (engine, its there_are_evals and
-        #: there_are_updates, charged over MMIO?, tallied as sw-fast?).
-        self._schedule: List[tuple] = []
+        #: Per active engine that can raise evaluation (update) events:
+        #: (its plane route index, engine, its there_are_evals
+        #: (there_are_updates), charged over MMIO?, tallied as sw-fast?).
+        self._evaluators: List[tuple] = []
+        self._updaters: List[tuple] = []
+        #: Engines whose end_step queued a task; drained with the next
+        #: engines that run.
+        self._stepped: Set[Engine] = set()
+        #: The logical time every active engine was last given.
+        self._engine_time: Optional[int] = None
+        #: The JIT needs polling only once a job can be due or a codegen
+        #: stage has resolved (set from the compile worker's thread).
+        self._next_due_s = 0.0
+        self._models_ready = False
+        self._open_loop_stale = True
 
     def _engines_changed(self) -> None:
         """The engine set changed (rebuild, migration, forwarding or
         absorption): drop everything derived from it."""
         self._engines_cache = None
-        if self.plane is not None:
-            self.plane.invalidate_routes()
+        self._engine_time = None
+        self._open_loop_stale = True
 
     def _install(self, name: str, engine: Engine, migrations: Counter,
                  from_tier: str, to_tier: str, **extra) -> None:
@@ -305,6 +317,7 @@ class Runtime:
         # shared with other runtimes.
         self.compiler.cancel(self._jobs.values())
         self._jobs = {}
+        self._next_due_s = 0.0
         self.unsynthesizable = {}
         tr = tracer()
         if self.enable_jit:
@@ -313,6 +326,7 @@ class Runtime:
                     job = self.compiler.submit(
                         sub, self.time_model.now_seconds)
                     self._jobs[sub.name] = job
+                    job.codegen.add_done_callback(self._codegen_resolved)
                     if tr.enabled:
                         tr.emit("admission", "runtime",
                                 virtual_ns=self.time_model.now_ns,
@@ -365,38 +379,48 @@ class Runtime:
             cache = [(name, e) for name, e in self.engines.items()
                      if name not in self.absorbed]
             self._engines_cache = cache
+            self.plane.attach(cache)
             # A call to an engine is charged over MMIO to the fabric or
             # at software rates (by default the interpreter's own rate —
             # DESIGN.md §4.4), tallied under the fast tier for sw-fast.
-            self._schedule = [
-                (e, e.there_are_evals, e.there_are_updates,
-                 e.location == HARDWARE, isinstance(e, FastSoftwareEngine))
-                for _, e in cache]
+            schedule = [(i, e, e.location == HARDWARE,
+                         isinstance(e, FastSoftwareEngine))
+                        for i, (_, e) in enumerate(cache)]
+            self._evaluators = [(i, e, e.there_are_evals, hw, fast)
+                                for i, e, hw, fast in schedule
+                                if e.raises_evals]
+            self._updaters = [(i, e, e.there_are_updates, hw, fast)
+                              for i, e, hw, fast in schedule
+                              if e.raises_updates]
         return cache
 
     def _drain_tasks(self) -> None:
         for name, engine in self._active_engines():
-            if not engine.has_tasks:
-                continue
-            for task in engine.drain_tasks():
-                if task.kind == "display":
-                    self.interrupts.push_display(task.text, task.newline)
-                else:
-                    self.interrupts.push_finish(task.code)
+            if engine.has_tasks:
+                self._queue_tasks(engine)
+
+    def _queue_tasks(self, engine: Engine) -> None:
+        for task in engine.drain_tasks():
+            if task.kind == "display":
+                self.interrupts.push_display(task.text, task.newline)
+            else:
+                self.interrupts.push_finish(task.code)
 
     def _phase_loop(self) -> None:
         """Drain evaluation/update events to an observable state.  One
         engine's evaluate or update cannot raise another's events (they
-        meet only through the plane), so each engine is checked and run
-        in turn."""
+        meet only through the plane), so each engine that can raise
+        events is checked and run in turn.  The plane then drains the
+        engines that ran, and their tasks are queued."""
         plane = self.plane
-        assert plane is not None
-        self._active_engines()
-        schedule = self._schedule
+        if self._engines_cache is None:
+            self._active_engines()
+        evaluators, updaters = self._evaluators, self._updaters
+        pending = plane.pending
         tm = self.time_model
         for _ in range(100_000):
-            ran = False
-            for engine, evals, _, hardware, fast in schedule:
+            ran = []
+            for index, engine, evals, hardware, fast in evaluators:
                 if evals():
                     if hardware:
                         tm.charge_mmio()
@@ -404,9 +428,10 @@ class Runtime:
                     else:
                         tm.charge_sw_events(1, fast)
                     engine.evaluate()
-                    ran = True
+                    pending.add(index)
+                    ran.append(engine)
             if not ran:
-                for engine, _, updates, hardware, fast in schedule:
+                for index, engine, updates, hardware, fast in updaters:
                     if updates():
                         if hardware:
                             tm.charge_mmio()
@@ -414,12 +439,26 @@ class Runtime:
                         else:
                             tm.charge_sw_events(1, fast)
                         engine.update()
-                        ran = True
+                        pending.add(index)
+                        ran.append(engine)
                 if not ran:
                     return
-            plane.propagate(self.engines, self.absorbed)
-            self._drain_tasks()
+            plane.propagate()
+            if self._stepped:
+                ran = self._with_stepped(ran)
+            for engine in ran:
+                if engine.has_tasks:
+                    self._queue_tasks(engine)
         raise CascadeError("scheduler did not reach an observable state")
+
+    def _with_stepped(self, ran: List[Engine]) -> List[Engine]:
+        """``ran`` plus the engines whose end_step queued a task, in
+        scheduling order."""
+        stepped = self._stepped
+        merged = [engine for _, engine in self._engines_cache
+                  if engine in stepped or engine in ran]
+        stepped.clear()
+        return merged
 
     def _service_interrupts(self) -> None:
         """Apply queued interrupts in arrival order (§3.4)."""
@@ -440,12 +479,21 @@ class Runtime:
         self._service_interrupts()
         self.iterations += 1
         self.time_model.charge_runtime()
+        # The phase loop just brought the engine list up to date.
+        active = self._engines_cache
         logical_time = self.iterations // 2
-        for name, engine in self._active_engines():
-            engine.set_time(logical_time)
-            engine.end_step()
-        if self.plane is not None:
-            self.plane.propagate(self.engines, self.absorbed)
+        if logical_time != self._engine_time:
+            self._engine_time = logical_time
+            for _, engine in active:
+                engine.set_time(logical_time)
+        pending = self.plane.pending
+        for index, (_, engine) in enumerate(active):
+            if engine.end_step():
+                pending.add(index)
+                if engine.has_tasks:
+                    self._stepped.add(engine)
+        if pending:
+            self.plane.propagate()
         if self._had_transients:
             # The one-shot initial processes have now executed; rebuild
             # without them so the subprogram becomes synthesizable.
@@ -466,14 +514,32 @@ class Runtime:
     # ------------------------------------------------------------------
     # JIT: engine replacement, forwarding, open loop
     # ------------------------------------------------------------------
+    def _codegen_resolved(self, _future) -> None:
+        # Runs on the compile worker's thread (or at once on a hit).
+        self._models_ready = True
+
     def _poll_jit(self) -> None:
+        """Scan the jobs once one can be due or a codegen stage has
+        resolved; reconsider open loop once the engine set changed."""
+        now_s = self.time_model.now_seconds
+        if self._models_ready or now_s >= self._next_due_s:
+            self._scan_jobs(now_s)
+        if self._open_loop_stale:
+            self._maybe_enter_open_loop()
+
+    def _scan_jobs(self, now_s: float) -> None:
         """Deliver each job that is due, then install the software fast
         path for each job whose codegen stage has resolved.  Delivery
         comes first, so when a bitstream and a model land in the same
         window the fabric wins."""
-        now_s = self.time_model.now_seconds
+        # Cleared before the scan: a stage resolving during it sets the
+        # flag again and is seen on the next window.
+        self._models_ready = False
+        next_due_s = float("inf")
         for name, job in self._jobs.items():
-            if not job.delivered and job.state(now_s) != CompileJob.PENDING:
+            if not job.delivered and job.state(now_s) == CompileJob.PENDING:
+                next_due_s = min(next_due_s, job.ready_at_s)
+            elif not job.delivered:
                 job.delivered = True
                 if job.compiled is None:
                     # §6.4: a program that is correct in simulation can
@@ -487,22 +553,24 @@ class Runtime:
                 else:
                     self._swap_to_hardware(job)
             engine = self.engines[name]
+            if not (self.enable_sw_fastpath
+                    and isinstance(engine, SoftwareEngineAdapter)
+                    and job.codegen.done()):
+                continue
             # The handover must not consume or duplicate pending events,
             # so an engine this window's edge woke waits for the next.
-            if self.enable_sw_fastpath \
-                    and isinstance(engine, SoftwareEngineAdapter) \
-                    and job.codegen.done() \
-                    and not engine.there_are_evals() \
-                    and not engine.there_are_updates():
-                try:
-                    model = job.take_model()
-                    if model is not None:
-                        self._swap_to_fastpath(name, model)
-                except Exception:
-                    # This tier is a pure optimisation: a failed codegen
-                    # or handover degrades silently to the interpreter.
-                    self._c_fastpath_failures.inc()
-        self._maybe_enter_open_loop()
+            if engine.there_are_evals() or engine.there_are_updates():
+                self._models_ready = True
+                continue
+            try:
+                model = job.take_model()
+                if model is not None:
+                    self._swap_to_fastpath(name, model)
+            except Exception:
+                # This tier is a pure optimisation: a failed codegen or
+                # handover degrades silently to the interpreter.
+                self._c_fastpath_failures.inc()
+        self._next_due_s = next_due_s
 
     @staticmethod
     def _settle_handover(engine: HardwareEngine) -> None:
@@ -579,6 +647,9 @@ class Runtime:
                            f"{sub.name}")
 
     def _maybe_enter_open_loop(self) -> None:
+        # Whether open loop can start depends only on the program and
+        # the engine set, so it is decided once per change to them.
+        self._open_loop_stale = False
         if not self.enable_open_loop or self._open_loop_active:
             return
         users = self.program.user_subprograms()

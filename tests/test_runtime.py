@@ -240,3 +240,118 @@ assign led.val = n;
         rt.board.reset = 1
         rt.run(iterations=8)
         assert rt.board.leds.value == 0
+
+
+MEMORY_LOG = """
+Memory#(4, 8) ram();
+reg [3:0] phase = 0;
+assign ram.clk = clk.val;
+assign ram.wen = (phase < 6);
+assign ram.waddr = phase;
+assign ram.wdata = {4'd0, phase} * 8'd3 + 8'd10;
+assign ram.raddr = phase - 4'd1;
+always @(posedge clk.val) begin
+  phase <= phase + 1;
+  $display("phase %0d rdata %0d", phase, ram.rdata);
+end
+assign led.val = ram.rdata;
+"""
+
+
+def memory_log_lines(count):
+    """``phase p rdata r`` for the first ``count`` ticks: phases 0..5
+    write 3p+10 at address p, and the display at phase p shows the word
+    at p-2 (read on the previous edge)."""
+    lines = []
+    for tick in range(count):
+        phase = tick % 16
+        rdata = 3 * (phase - 2) + 10 if 2 <= phase <= 7 else 0
+        lines.append(f"phase {phase} rdata {rdata}")
+    return lines
+
+
+class TestChargeInvariance:
+    """Virtual time, per-tier event counts, plane messages and output
+    are a function of the program alone: these pins were taken with a
+    scheduler that polled and drained every engine in every round, and
+    however the scheduler polls, drains or boxes, they must hold."""
+
+    def check(self, rt, now_ns, tier_events, messages, lines):
+        assert rt.time_model.now_ns == now_ns
+        assert rt.time_model.tier_events == tier_events
+        assert rt.plane.messages_sent == messages
+        assert rt.output_lines == lines
+
+    def test_pow_on_sw_fast(self):
+        from repro.apps.pow import pow_program
+        rt = Runtime(compile_service=CompileService(latency_scale=1e-3))
+        rt.eval_source(pow_program(2, None, 8))
+        rt.run(iterations=0)
+        # Swap at the first window, whatever the host's codegen speed.
+        rt._jobs["main"].codegen.result()
+        rt.run(iterations=1400)
+        assert rt.engine_tiers()["main"] == "sw-fast"
+        self.check(rt, 298627500.0,
+                   {"interpreted": 4, "sw-fast": 2408, "hardware": 1205},
+                   2416, [
+                       "nonce          5 digest 147fe6ae9563650b702c98006a"
+                       "3aa55c9aca91a64d90c8164264dace18a6ec20",
+                       "nonce          8 digest 14c6e4af1308421efb1a7c4ac9"
+                       "e8a639155aa319e9a3e744cd9cfba6a9ffe1f7",
+                       "max nonce reached"])
+        assert rt.board.led_trace() == [(401, 5), (602, 8)]
+
+    def test_interpreted_memory_changes_on_write(self):
+        rt = instant_runtime(enable_jit=False)
+        rt.eval_source(MEMORY_LOG)
+        rt.run(iterations=60)
+        self.check(rt, 16993800.0,
+                   {"interpreted": 135, "sw-fast": 0, "hardware": 60},
+                   494, memory_log_lines(30))
+        assert [v for _, v in rt.board.led_trace()] == \
+            [10, 13, 16, 19, 22, 25, 0] * 2
+
+    def test_closed_loop_hardware_with_forwarding(self):
+        rt = instant_runtime(enable_open_loop=False)
+        rt.eval_source(MEMORY_LOG)
+        rt.run(iterations=60)
+        assert rt.engine_tiers()["main"] == "hardware"
+        assert rt.absorbed == {"led", "pad", "ram", "rst"}
+        self.check(rt, 1574940.0,
+                   {"interpreted": 4, "sw-fast": 0, "hardware": 177},
+                   307, memory_log_lines(30))
+
+    def test_interpreted_subprograms_meet_on_the_plane(self):
+        rt = instant_runtime(enable_jit=False, inline_user_logic=False)
+        rt.eval_source(RUNNING + '\nalways @(posedge clk.val) '
+                       '$display("cnt %0d", cnt);\n')
+        rt.run(iterations=30)
+        rt.board.pad.press(0)
+        rt.run(iterations=6)
+        rt.board.pad.release(0)
+        rt.run(iterations=10)
+        rotation = [f"cnt {1 << i}" for i in range(8)]
+        self.check(rt, 10711920.0,
+                   {"interpreted": 86, "sw-fast": 0, "hardware": 46},
+                   222, rotation * 2 + ["cnt 1"] * 4 + rotation[1:4])
+
+    def test_monitor_of_an_engine_that_never_runs(self):
+        """``m`` only monitors an input: its text is queued at end_step
+        and must come out with the next engines that run."""
+        rt = instant_runtime(enable_jit=False, inline_user_logic=False)
+        rt.eval_source("""
+module Mon(input wire [7:0] v);
+  initial $monitor("mon %0d", v);
+endmodule
+reg [7:0] cnt = 0;
+always @(posedge clk.val) begin
+  cnt <= cnt + 1;
+  $display("cnt %0d", cnt);
+end
+Mon m(.v(cnt));
+""")
+        rt.run(iterations=12)
+        self.check(rt, 2491440.0,
+                   {"interpreted": 20, "sw-fast": 0, "hardware": 12}, 38,
+                   [line for n in range(6)
+                    for line in (f"cnt {n}", f"mon {n + 1}")])

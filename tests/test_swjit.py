@@ -527,3 +527,37 @@ assign led.val = n;
         assert service.metrics.value("compile.cancelled") == 6
         # The service holds no abandoned jobs either.
         assert service.jobs == list(rt._jobs.values())
+
+
+class TestCodegenWakeups:
+    def test_every_runtime_swaps_when_its_codegen_lands(self):
+        """A codegen stage flags its runtime from the worker's thread,
+        and the runtime scans its jobs only when flagged (the fabric is
+        never due here).  A lost flag would leave a runtime interpreted
+        for good; more workers than cores and a short switch interval
+        make such interleavings likely."""
+        import sys
+        import time
+        queue = CompileQueue(max_workers=4)
+        service = CompileService(latency_scale=_NEVER, queue=queue)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runtimes = []
+            for i in range(8):
+                rt = Runtime(compile_service=service)
+                rt.eval_source(f"reg [7:0] r = {i};\n"
+                               f"always @(posedge clk.val) r <= r + {i + 1};")
+                rt.run(iterations=0)
+                runtimes.append(rt)
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline and any(
+                    rt.engine_tiers()["main"] != "sw-fast"
+                    for rt in runtimes):
+                for rt in runtimes:
+                    rt.run(iterations=2)
+        finally:
+            sys.setswitchinterval(interval)
+            queue.shutdown()
+        assert [rt.engine_tiers()["main"] for rt in runtimes] == \
+            ["sw-fast"] * len(runtimes)
