@@ -82,14 +82,14 @@ class TestStdlibEngines:
         values = []
         for _ in range(6):
             rt.run(iterations=1)
-            values.append(clk.ports["val"].to_int_xz())
+            values.append(clk.values["val"])
         assert values[:4] in ([0, 1, 0, 1], [1, 0, 1, 0])
 
     def test_pad_follows_board(self):
         rt, pad = self.make("Pad", "p", "#(4)")
         rt.board.pad.press(1)
         rt.run(iterations=2)
-        assert pad.ports["val"].to_int_xz() == 0b10
+        assert pad.values["val"] == 0b10
 
     def test_led_writes_board(self):
         rt, led = self.make("Led", "l", "#(8)")
