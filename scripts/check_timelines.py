@@ -7,10 +7,6 @@ pinned value below.  Virtual time is a function of the program and the
 performance model alone, so a scheduler or data-plane change that moves
 any of these numbers has changed what the runtime charges.
 
-Two fields are left out: ``cascade_hw_hz`` and ``cascade_hw_io_s`` come
-from open-loop batches whose size follows host speed, so they differ
-from one process to the next.
-
 Exit status is non-zero on any mismatch.
 
 Usage::
@@ -22,13 +18,11 @@ import sys
 
 from repro.perf.figures import measure_pow_timeline, measure_regex_timeline
 
-#: Follow host speed (open-loop batch sizes), so not compared.
-HOST_DEPENDENT = {"cascade_hw_hz", "cascade_hw_io_s"}
-
 PINNED = {
     "fig11": {
         "startup_s": 0.00061704,
         "cascade_sim_hz": 2019.2230029884504,
+        "cascade_hw_hz": 24344216.24964089,
         "cascade_compile_s": 1298.390413724951,
         "iverilog_hz": 1156.2832431432403,
         "native_hz": 50000000.0,
@@ -41,6 +35,7 @@ PINNED = {
     "fig12": {
         "startup_s": 0.00050604,
         "cascade_sim_io_s": 56.82509227432625,
+        "cascade_hw_io_s": 542108.1086550818,
         "cascade_compile_s": 570.2981818265032,
         "quartus_io_s": 555000.0,
         "quartus_compile_s": 439.7387868050688,
@@ -58,8 +53,7 @@ def main() -> int:
                 "fig12": measure_regex_timeline().as_dict()}
     failures = []
     for figure, pinned in PINNED.items():
-        fields = {k: v for k, v in measured[figure].items()
-                  if k not in HOST_DEPENDENT}
+        fields = measured[figure]
         if set(fields) != set(pinned):
             failures.append(f"{figure}: fields {sorted(fields)} != "
                             f"{sorted(pinned)}")

@@ -56,6 +56,9 @@ class HardwareEngine(CollectedTasks, Engine):
             name: getattr(self.model, attr) for name, attr in self._outputs}
         # Forwarding state.
         self.inner: List[Engine] = []
+        #: Whether an absorbed engine has a ``clk`` port, which open
+        #: loop must then step every half tick.
+        self._clocked_inner = False
         self._to_inner: List[Tuple[str, Engine, str]] = []
         self._from_inner: List[Tuple[Engine, str, str, int]] = []
         self.clock_engine: Optional[Engine] = None
@@ -228,6 +231,7 @@ class HardwareEngine(CollectedTasks, Engine):
                 width = self.design.vars[my_port].width
                 self._from_inner.append((inner, port, attr, width))
         self.inner.append(inner)
+        self._clocked_inner |= "clk" in sub.port_widths
         self._exchange()
 
     def _exchange(self) -> None:
@@ -265,14 +269,11 @@ class HardwareEngine(CollectedTasks, Engine):
     # ------------------------------------------------------------------
     # Open-loop scheduling (§4.4)
     # ------------------------------------------------------------------
-    def open_loop(self, clock_port: str, steps: int) -> int:
+    def open_loop(self, steps: int) -> int:
         model = self.model
-        attr = self.clock_attr or _attr(clock_port)
+        attr = self.clock_attr
         done = 0
-        clocked = [inner for inner in self.inner
-                   if inner is not self.clock_engine
-                   and "clk" in getattr(inner, "ports", {})]
-        if not clocked:
+        if not self._clocked_inner:
             # Fast path: no absorbed component is clocked, so sources
             # (Pad/Reset) stay constant during the batch and sinks
             # (Led/GPIO) only need the final values — run the compiled

@@ -152,11 +152,12 @@ class Engine(abc.ABC):
         raise NotImplementedError(
             f"{type(self).__name__} does not support ABI forwarding")
 
-    def open_loop(self, clock_port: str, steps: int) -> int:
+    def open_loop(self, steps: int) -> int:
         """Open-loop scheduling (§4.4): run up to ``steps`` full
-        scheduler iterations internally, toggling ``clock_port`` each
-        iteration; stop early when a system task needs runtime
-        intervention.  Returns the number of iterations performed."""
+        scheduler iterations internally, toggling the clock this engine
+        absorbed each iteration; stop early when a system task needs
+        runtime intervention.  Returns the number of iterations
+        performed."""
         raise NotImplementedError(
             f"{type(self).__name__} does not support open loop")
 

@@ -32,7 +32,7 @@ from ..common.bits import Bits
 from ..common.errors import CascadeError, SynthesisError
 from ..ir.build import IRProgram, Subprogram, build_ir
 from ..obs import Counter, MetricsRegistry, merge_registries, tracer
-from ..perf.timemodel import PerfTrace, TimeModel
+from ..perf.timemodel import TimeModel
 from ..stdlib.board import VirtualBoard
 from ..stdlib.components import (IMPLICIT_INSTANCES, STDLIB_MODULE_NAMES,
                                  stdlib_modules)
@@ -47,8 +47,11 @@ from .plane import DataPlane
 
 __all__ = ["Runtime", "View"]
 
+#: Open-loop batch sizes, in scheduler iterations (§4.4): a batch
+#: after open-loop entry or after a task runs at least ``_OLOOP_MIN``,
+#: and task-free batches double up to ``_OLOOP_MAX``.
 _OLOOP_MIN = 256
-_OLOOP_REAL_CAP = 200_000   # max ticks actually executed per batch
+_OLOOP_MAX = 1 << 14
 
 
 class View:
@@ -105,7 +108,6 @@ class Runtime:
         # can observe output as it is produced rather than polling
         # ``output_lines`` — any View subclass works.
         self.view = view if view is not None else View(echo)
-        self.perf = PerfTrace()
         self.interrupts = InterruptQueue()
 
         self.library = ModuleLibrary(stdlib_modules())
@@ -123,7 +125,6 @@ class Runtime:
         self._needs_rebuild = True
         self._had_transients = False
         self._oloop_limit = _OLOOP_MIN
-        self._oloop_exec_cap = _OLOOP_REAL_CAP
         self._open_loop_active = False
         #: The current compile job of each user subprogram.  A rebuild
         #: replaces the whole map, so it is both the generation guard
@@ -284,7 +285,6 @@ class Runtime:
         self._engines_changed()
         self._open_loop_active = False
         self._oloop_limit = _OLOOP_MIN
-        self._oloop_exec_cap = _OLOOP_REAL_CAP
         self.plane = DataPlane(program, self.time_model)
         for net, value in old_nets.items():
             if net in self.plane.values:
@@ -502,11 +502,11 @@ class Runtime:
         if self.enable_jit:
             self._poll_jit()
 
-    def _iteration(self, fast_forward: bool = False) -> None:
+    def _iteration(self) -> None:
         if self._needs_rebuild:
             self._rebuild()
         if self._open_loop_active and not self.interrupts:
-            self._run_open_loop(fast_forward)
+            self._run_open_loop()
             return
         self._phase_loop()
         self._window()
@@ -697,7 +697,7 @@ class Runtime:
         self.view.info(f"[cascade] entering open-loop scheduling "
                        f"(clock={clock_port})")
 
-    def _run_open_loop(self, fast_forward: bool) -> None:
+    def _run_open_loop(self) -> None:
         users = self.program.user_subprograms()
         hw = self.engines[users[0].name]
         assert isinstance(hw, HardwareEngine) and \
@@ -707,35 +707,20 @@ class Runtime:
         # than the next one.
         hw.end_step()
         limit = self._oloop_limit
-        execute = min(limit, self._oloop_exec_cap)
-        host_start = _time.perf_counter()
-        done = hw.open_loop(hw.clock_attr or "", execute)
-        host_elapsed = _time.perf_counter() - host_start
-        # Adapt the *executed* batch size to host speed so control
-        # returns to the runtime regularly (the §4.4 profiling, applied
-        # to our simulated fabric).
-        if host_elapsed > 1e-4 and done:
-            rate = done / host_elapsed
-            self._oloop_exec_cap = int(
-                min(max(rate * 0.25, _OLOOP_MIN), _OLOOP_REAL_CAP))
+        done = hw.open_loop(limit)
         had_tasks = hw.has_tasks
         self._drain_tasks()
-        if fast_forward and done == execute and not had_tasks \
-                and limit > execute:
-            # Steady task-free state: account the rest of the batch
-            # analytically without executing it (rate is identical).
-            done = limit
         self.time_model.charge_hw_ticks(done)
         self.time_model.charge_mmio(2)  # one request/response round trip
         self.time_model.charge_runtime()
         self.iterations += done
-        # Adaptive iteration limit (§4.4): grow while the engine runs
-        # full batches without runtime intervention; shrink on tasks.
+        # Adaptive iteration limit (§4.4), decided from virtual state
+        # alone so virtual time never depends on the host: grow while
+        # batches run without runtime intervention, fall back on a task.
         if had_tasks:
             self._oloop_limit = max(_OLOOP_MIN, done)
         else:
-            target = int(0.5 * self.time_model.fabric_mhz * 1e6)
-            self._oloop_limit = min(max(limit * 2, _OLOOP_MIN), target)
+            self._oloop_limit = min(limit * 2, _OLOOP_MAX)
         # Service interrupts and let absorbed peripherals see the host.
         self._service_interrupts()
         hw.end_step()
@@ -750,21 +735,19 @@ class Runtime:
     # ------------------------------------------------------------------
     def run(self, iterations: Optional[int] = None,
             virtual_seconds: Optional[float] = None,
-            until_finish: bool = False,
-            fast_forward: bool = False,
-            sample_every: int = 64) -> None:
+            until_finish: bool = False) -> None:
         """Dispatch scheduler iterations until a bound is hit.
 
         ``virtual_seconds`` bounds *additional* virtual time from now;
-        ``iterations`` bounds additional scheduler iterations;
-        ``until_finish`` stops at $finish.
+        ``iterations`` bounds additional scheduler iterations (an
+        open-loop batch in flight finishes first, so a run may end past
+        it); ``until_finish`` stops at $finish.
         """
         if self._needs_rebuild:
             self._rebuild()
         start_s = self.time_model.now_seconds
         start_iter = self.iterations
         _t_host = _time.perf_counter()
-        since_sample = 0
         while self.finished is None:
             if iterations is not None and \
                     self.iterations - start_iter >= iterations:
@@ -773,17 +756,9 @@ class Runtime:
                     self.time_model.now_seconds - start_s \
                     >= virtual_seconds:
                 break
-            before = self.iterations
-            self._iteration(fast_forward)
-            since_sample += self.iterations - before
-            if since_sample >= sample_every or self._open_loop_active:
-                self.perf.sample(self.time_model.now_seconds,
-                                 self.iterations // 2)
-                since_sample = 0
+            self._iteration()
             if until_finish and self.finished is not None:
                 break
-        self.perf.sample(self.time_model.now_seconds,
-                         self.iterations // 2)
         tr = tracer()
         if tr.enabled:
             tr.emit("scheduler_slice", "runtime",
@@ -796,10 +771,9 @@ class Runtime:
                           "finished": self.finished is not None})
         self.view.flush()
 
-    def run_until_finish(self, max_virtual_seconds: float = 3600.0,
-                         fast_forward: bool = False) -> Optional[int]:
-        self.run(virtual_seconds=max_virtual_seconds, until_finish=True,
-                 fast_forward=fast_forward)
+    def run_until_finish(
+            self, max_virtual_seconds: float = 3600.0) -> Optional[int]:
+        self.run(virtual_seconds=max_virtual_seconds, until_finish=True)
         return self.finished
 
     # ------------------------------------------------------------------

@@ -24,9 +24,9 @@ replay deterministically in milliseconds of host time.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
-__all__ = ["TimeModel", "PerfTrace"]
+__all__ = ["TimeModel"]
 
 NS_PER_SEC = 1_000_000_000
 
@@ -84,41 +84,3 @@ class TimeModel:
     def __repr__(self) -> str:
         return f"TimeModel(now={self.now_seconds:.6f}s)"
 
-
-class PerfTrace:
-    """Samples (virtual seconds, virtual clock ticks) over a run, from
-    which benchmarks derive frequency-vs-time series (Figure 11/12)."""
-
-    def __init__(self):
-        self.samples: List[Tuple[float, int]] = [(0.0, 0)]
-
-    def sample(self, seconds: float, ticks: int) -> None:
-        self.samples.append((seconds, ticks))
-
-    def rate_series(self, window: int = 1) -> List[Tuple[float, float]]:
-        """(time, Hz) computed over consecutive sample windows."""
-        out: List[Tuple[float, float]] = []
-        for i in range(window, len(self.samples)):
-            t0, c0 = self.samples[i - window]
-            t1, c1 = self.samples[i]
-            if t1 > t0:
-                out.append((t1, (c1 - c0) / (t1 - t0)))
-        return out
-
-    def final_rate(self) -> float:
-        """Steady-state rate: over the last 10% of the run."""
-        if len(self.samples) < 2:
-            return 0.0
-        t_end, c_end = self.samples[-1]
-        cutoff = t_end * 0.9
-        for t0, c0 in reversed(self.samples):
-            if t0 <= cutoff:
-                if t_end > t0:
-                    return (c_end - c0) / (t_end - t0)
-                break
-        t0, c0 = self.samples[0]
-        return (c_end - c0) / (t_end - t0) if t_end > t0 else 0.0
-
-    def average_rate(self) -> float:
-        t_end, c_end = self.samples[-1]
-        return c_end / t_end if t_end > 0 else 0.0

@@ -16,8 +16,9 @@ total (closed-loop scheduling advances one iteration at a time, so
 slice boundaries cannot change the sum); and the shared compile caches
 are virtual-time-isolated (DESIGN.md §4.6), so another tenant's
 activity can change host latency but never this session's virtual
-timeline.  Open-loop batch segmentation keeps the same host-adaptive
-behaviour a solo runtime has.
+timeline.  An open-loop batch always runs to its end, and its size
+depends only on the session's own virtual state, so slices split the
+batch sequence without changing it.
 """
 
 from __future__ import annotations

@@ -58,13 +58,6 @@ class StdlibEngine(CollectedTasks, Engine):
         self._changed.add(port)
         return True
 
-    @property
-    def ports(self) -> Dict[str, Bits]:
-        """Every port's value as Bits; ``HardwareEngine.open_loop``
-        looks for a ``clk`` port here to tell clocked engines apart."""
-        return {port: Bits.from_int(value, self.widths[port])
-                for port, value in self.values.items()}
-
     # -- ABI ---------------------------------------------------------------
     def get_state(self) -> Dict[str, object]:
         return {}

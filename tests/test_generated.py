@@ -11,9 +11,9 @@ dynamic bit, ``+:`` and ``-:`` selects with signed and unsigned indices,
 and a clocked register set (with if/else, case and a blocking loop)
 that ``$display``s every cycle.  Each program runs interpreter-only,
 on the software fast path and on the hardware engine (which lands at a
-drawn iteration); the ``$display`` streams, tick counts and final
-registers must agree, and the fast path's virtual time must equal the
-interpreter's bit for bit.
+drawn iteration), closed loop and open loop; the ``$display`` streams,
+tick counts and final registers must agree, and the fast path's virtual
+time must equal the interpreter's bit for bit.
 """
 
 from unittest import mock
@@ -250,6 +250,10 @@ def _inline_service(**kwargs):
 def _run(rt, src):
     rt.eval_source(src)
     rt.run(iterations=_ITERATIONS)
+    return _snapshot(rt)
+
+
+def _snapshot(rt):
     state = {name: (v.aval, v.bval) if not isinstance(v, list)
              else [(w.aval, w.bval) for w in v]
              for name, v in rt.engines["main"].get_state().items()}
@@ -273,7 +277,6 @@ def test_tiers_agree_on_generated_programs(program):
     assert got == ref
     assert fast.time_model.now_ns == interp.time_model.now_ns
 
-    # Open loop would run past the iteration bound in one batch.
     hw = Runtime(compile_service=_inline_service(),
                  enable_sw_fastpath=False, enable_open_loop=False)
     with mock.patch.multiple(CompilerModel, base_s=hw_latency_s,
@@ -281,3 +284,14 @@ def test_tiers_agree_on_generated_programs(program):
         got = _run(hw, src)
     assert hw.engine_tiers()["main"] == "hardware"
     assert got == ref
+
+    # An open-loop batch may end past the iteration bound, so the
+    # interpreter is run on to the same iteration count.
+    ol = Runtime(compile_service=_inline_service(),
+                 enable_sw_fastpath=False)
+    with mock.patch.multiple(CompilerModel, base_s=hw_latency_s,
+                             per_lut=0.0):
+        got = _run(ol, src)
+    assert ol._open_loop_active
+    interp.run(iterations=ol.iterations - interp.iterations)
+    assert got == _snapshot(interp)

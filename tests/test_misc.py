@@ -1,14 +1,12 @@
 """The remaining subsystems: data plane, interrupts, time model,
-figures harness helpers, VCD dumping, $readmemh, public API."""
-
-import io
+figures harness helpers, $readmemh, public API."""
 
 import pytest
 
 from repro.common.bits import Bits
 from repro.core.interrupts import Interrupt, InterruptQueue
 from repro.perf.timemodel import MMIO_NS, NS_PER_SEC, SW_EVENT_NS, \
-    PerfTrace, TimeModel
+    TimeModel
 
 
 class TestPublicApi:
@@ -64,19 +62,6 @@ class TestTimeModel:
 
 
 class TestPerfTrace:
-    def test_rate_series(self):
-        trace = PerfTrace()
-        trace.sample(1.0, 100)
-        trace.sample(2.0, 300)
-        series = trace.rate_series()
-        assert series[-1] == (2.0, pytest.approx(200.0))
-
-    def test_final_rate_uses_tail(self):
-        trace = PerfTrace()
-        trace.sample(1.0, 10)        # slow phase
-        trace.sample(10.0, 1_000_010)  # fast phase
-        assert trace.final_rate() > trace.average_rate() / 2
-
     def test_piecewise_series(self):
         from repro.perf.figures import piecewise_series
         series = piecewise_series([(0.0, 10.0), (5.0, 100.0)], 10.0, 10)
@@ -101,32 +86,6 @@ class TestDataPlane:
         busy = rt.plane.messages_sent - base - quiet
         assert busy > quiet  # pad/led changes add plane messages
         assert rt.board.leds.value == 1
-
-
-class TestVcd:
-    def test_vcd_dump(self, tmp_path):
-        from repro.interp.sim import Simulator
-        from repro.interp.vcd import VcdWriter
-        sim = Simulator.from_source("""
-module t;
-  reg clk = 0;
-  reg [3:0] n = 0;
-  always #1 clk = ~clk;
-  always @(posedge clk) n <= n + 1;
-  initial #8 $finish;
-endmodule""")
-        vcd = VcdWriter(sim, signals=["clk", "n"])
-        sim.run()
-        out = io.StringIO()
-        vcd.dump(out)
-        text = out.getvalue()
-        assert "$enddefinitions" in text
-        assert "$var wire 4" in text
-        assert "#2" in text and "b0001" in text
-        assert vcd.change_count > 6
-        path = tmp_path / "t.vcd"
-        vcd.write(str(path))
-        assert path.read_text().startswith("$date")
 
 
 class TestReadmem:

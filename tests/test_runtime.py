@@ -1,9 +1,13 @@
 """The runtime: JIT lifecycle, state transfer, eval window, scheduler."""
 
+import time
+from unittest import mock
+
 import pytest
 
 from repro.backend.compiler import CompileService
-from repro.core.runtime import Runtime
+from repro.backend.hardware import HardwareEngine
+from repro.core.runtime import _OLOOP_MAX, _OLOOP_MIN, Runtime
 
 RUNNING = """
 module Rol(input wire [7:0] x, output wire [7:0] y);
@@ -189,13 +193,6 @@ class TestPerformanceModel:
                 rt.time_model.now_seconds - t0)
         assert rate(True) > 100 * rate(False)
 
-    def test_perf_trace_samples(self):
-        rt = instant_runtime()
-        rt.eval_source(RUNNING)
-        rt.run(iterations=500)
-        assert len(rt.perf.samples) >= 2
-        assert rt.perf.final_rate() > 0
-
 
 class TestStdlibIntegration:
     def test_gpio_loopback(self):
@@ -355,3 +352,71 @@ Mon m(.v(cnt));
                    {"interpreted": 20, "sw-fast": 0, "hardware": 12}, 38,
                    [line for n in range(6)
                     for line in (f"cnt {n}", f"mon {n + 1}")])
+
+
+# A counter that prints twice, close together, well after open loop
+# has grown its batches to the ceiling.
+COUNTER = """
+reg [31:0] n = 0;
+always @(posedge clk.val) begin
+  n <= n + 1;
+  if (n == 30000 || n == 30050)
+    $display("n=%0d", n);
+end
+assign led.val = n[7:0];
+"""
+
+
+class TestOpenLoopBatches:
+    """Open-loop batch sizes follow virtual state alone (§4.4): the host
+    may be slow or fast, virtual time and output stay the same."""
+
+    def run_counter(self, open_loop):
+        calls = []
+
+        def record(engine, steps):
+            done = open_loop(engine, steps)
+            calls.append((steps, done))
+            return done
+
+        rt = instant_runtime()
+        rt.eval_source(COUNTER)
+        with mock.patch.object(HardwareEngine, "open_loop", record):
+            rt.run(iterations=200_000)
+        assert rt._open_loop_active
+        return rt, calls
+
+    def test_virtual_time_ignores_host_speed(self):
+        real = HardwareEngine.open_loop
+
+        def slow(engine, steps):
+            time.sleep(0.05)
+            return real(engine, steps)
+
+        fast, _ = self.run_counter(real)
+        slowed, _ = self.run_counter(slow)
+        for rt in (fast, slowed):
+            assert rt.output_lines == ["n=30000", "n=30050"]
+        assert slowed.time_model.now_ns == fast.time_model.now_ns
+        assert slowed.iterations == fast.iterations
+        assert slowed.board.leds.value == fast.board.leds.value
+
+    def test_batches_double_then_fall_back_after_a_task(self):
+        _, calls = self.run_counter(HardwareEngine.open_loop)
+        steps = [s for s, _ in calls]
+        growth = [_OLOOP_MIN]
+        while growth[-1] < _OLOOP_MAX:
+            growth.append(min(2 * growth[-1], _OLOOP_MAX))
+        assert steps[:len(growth) + 1] == growth + [_OLOOP_MAX]
+        # Each task stops its batch early and the next one runs what it
+        # did (at least the minimum); every other batch doubles.
+        short = [i for i, (s, done) in enumerate(calls) if done < s]
+        assert len(short) == 2
+        # The first task lands deep in a batch, the second early on.
+        assert calls[short[0]][1] > _OLOOP_MIN > calls[short[1]][1]
+        for i in short:
+            assert steps[i + 1] == max(_OLOOP_MIN, calls[i][1])
+        for i, (s, done) in enumerate(calls[:-1]):
+            if i not in short:
+                assert done == s
+                assert steps[i + 1] == min(2 * s, _OLOOP_MAX)

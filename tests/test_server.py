@@ -39,10 +39,11 @@ assign led.val = n;
 """
 
 # Configuration every determinism-sensitive test shares.  The sw fast
-# path hot-swaps on *host* future completion and the open loop adapts
-# batch sizes to *host* speed; both are virtual-time-exact but not
-# bit-deterministic in their tier tallies, so the comparisons below
-# turn them off in both arms (see DESIGN.md §4.6).
+# path hot-swaps on *host* future completion, so it is virtual-time-exact
+# but not bit-deterministic in its tier tallies, and the comparisons
+# below turn it off in both arms (see DESIGN.md §4.6).  Open loop is off
+# by default too: a 4000-iteration open-loop run would fit in a single
+# slice of the sliced-run test.
 RUNTIME_KW = {"enable_sw_fastpath": False, "enable_open_loop": False}
 SERVICE_KW = {"latency_scale": 1e-4}
 
@@ -292,15 +293,19 @@ class TestServerSessions:
         assert session.command(":quit", timeout=30) == "bye"
         assert session.wait_goodbye(timeout=10) == "client"
 
+    @pytest.mark.parametrize("open_loop", [False, True],
+                             ids=["closed-loop", "open-loop"])
     def test_multiplexed_sessions_match_solo_virtual_time(
-            self, server_factory):
+            self, server_factory, open_loop):
         """The acceptance criterion: N tenants running the same script
         concurrently each see virtual-time figures (and program
         output) bit-identical to a solo in-process run — cross-tenant
         cache hits and single-flight joins dedup *host* work only."""
+        runtime_kw = dict(RUNTIME_KW, enable_open_loop=open_loop)
+
         def script_solo():
             service = CompileService(**SERVICE_KW)
-            repl = Repl(Runtime(compile_service=service, **RUNTIME_KW),
+            repl = Repl(Runtime(compile_service=service, **runtime_kw),
                         run_between_inputs=64)
             out = []
             assert repl.feed(TENANT_SRC) == []
@@ -327,7 +332,7 @@ class TestServerSessions:
                 results[index] = (figures, session.drain_output())
 
         expected = script_solo()
-        server = server_factory()
+        server = server_factory(runtime_kwargs=runtime_kw)
         tenants = 4
         results = [None] * tenants
         threads = [threading.Thread(target=script_client,
