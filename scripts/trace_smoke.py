@@ -63,8 +63,8 @@ PRINTED_COUNTS = (
      r"fast-path compile failures: (\d+)",
      ("runtime.sw_migrations", "runtime.hw_migrations",
       "runtime.fastpath_failures")),
-    (r"reliability: (\d+) bridge races, (\d+) corrupt disk entries",
-     ("cache.bridge_races", "cache.disk_corrupt")),
+    (r"reliability: (\d+) corrupt disk entries",
+     ("cache.disk_corrupt",)),
 )
 
 

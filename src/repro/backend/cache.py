@@ -33,8 +33,8 @@ after construction (entries are replaced, never edited in place).
 
 The :class:`BitstreamCache` additionally hosts the **single-flight
 registry**: while a compile of some key is in flight, later submissions
-of the same key (typically from other tenants) attach to the leader's
-result future instead of running the flow again.
+of the same key (typically from other tenants) read the leader's
+futures instead of running the flow again.
 """
 
 from __future__ import annotations
@@ -44,10 +44,11 @@ import json
 import os
 import threading
 from collections import OrderedDict
-from concurrent.futures import Future, InvalidStateError
+from concurrent.futures import Future
 from typing import Dict, Optional, Tuple
 
-from ..obs import Counter, MetricsRegistry, tracer
+from ..common.errors import SynthesisError
+from ..obs import MetricsRegistry, tracer
 from ..verilog.elaborate import Design
 from .netlist import Netlist
 from .pycompile import CODEGEN_VERSION, CompiledDesign
@@ -107,51 +108,34 @@ def _rehydrate(design: Design, payload: Dict) -> CacheEntry:
 
 
 class InflightCompile:
-    """One in-flight compilation in the single-flight registry.
+    """The two futures that hold one compile's outcome.
 
-    The leader's result future is bridged onto ``proxy`` (a bare
-    :class:`~concurrent.futures.Future` resolving to the job's
-    ``(model, resources, error)`` tuple) so followers can attach
-    before the leader's real future even exists; ``codegen`` is the
-    leader's codegen-stage future itself, which followers share.
-    ``joiners`` counts attached followers; a leader with joiners must
-    not be cancelled — its result is somebody else's compile.
+    ``codegen`` resolves to the codegen stage's model (or its error),
+    ``result`` to the whole compile's ``(model, resources, error)``.
+    The leader's stages resolve them; the leader's job and every
+    follower that joins it in the single-flight registry read the same
+    pair.  ``joiners`` counts attached followers; a leader with joiners
+    must not be cancelled — its result is somebody else's compile.
     """
 
-    def __init__(self, key: str, races: Optional[Counter] = None):
+    def __init__(self, key: str):
         self.key = key
-        self.proxy: Future = Future()
         self.codegen: Future = Future()
+        self.result: Future = Future()
         self.joiners = 0
-        #: Counts already-resolved-proxy races swallowed by bridge()
-        #: (normally the registering cache's ``cache.bridge_races``).
-        self._races = races
 
-    def bridge(self, future: Future) -> None:
-        """Forward the worker future's outcome to the proxy.
-
-        The only benign failure here is the already-resolved-proxy
-        race (a cancelled leader re-claimed by a new submit while the
-        old worker finishes): exactly that — ``InvalidStateError``
-        from the ``set_*``/``cancel`` calls — is swallowed and
-        counted.  Anything else (e.g. a broken future whose
-        ``exception()`` raises) propagates to the executor's callback
-        handler instead of disappearing.
-        """
-        def _done(f: Future) -> None:
-            try:
-                if f.cancelled():
-                    self.proxy.cancel()
-                elif f.exception() is not None:
-                    self.proxy.set_exception(f.exception())
-                else:
-                    self.proxy.set_result(f.result())
-            except InvalidStateError:
-                # Proxy already resolved: the benign race, not an
-                # error — but visible in the metrics registry.
-                if self._races is not None:
-                    self._races.inc()
-        future.add_done_callback(_done)
+    @classmethod
+    def settled(cls, key: str, entry: CacheEntry) -> "InflightCompile":
+        """The pair a cache hit reads: resolved from ``entry`` at once
+        and never registered."""
+        flight = cls(key)
+        if entry.compiled is not None:
+            flight.codegen.set_result(entry.compiled)
+        else:
+            flight.codegen.set_exception(SynthesisError(entry.error))
+        flight.result.set_result(
+            (entry.compiled, entry.resources, entry.error))
+        return flight
 
 
 class BitstreamCache:
@@ -180,7 +164,6 @@ class BitstreamCache:
         self._c_disk_corrupt = self.metrics.counter("cache.disk_corrupt")
         self._c_evictions = self.metrics.counter("cache.evictions")
         self._c_joins = self.metrics.counter("cache.single_flight_joins")
-        self._c_bridge_races = self.metrics.counter("cache.bridge_races")
         #: Entries in memory and keys with a compile in flight, set
         #: under the lock wherever they change.
         self._g_entries = self.metrics.gauge("cache.entries")
@@ -233,11 +216,11 @@ class BitstreamCache:
         """Atomically claim or join the in-flight compile of ``key``.
 
         Returns ``(True, entry)`` when the caller is the *leader* (it
-        must run the compile, bridge its worker future onto
-        ``entry.proxy``, and eventually call :meth:`inflight_finish`);
-        ``(False, entry)`` when a compile of the same key is already in
-        flight — the caller attaches to ``entry.proxy`` and does no
-        host work of its own.
+        must run the compile, resolve ``entry``'s futures, and
+        eventually call :meth:`inflight_finish`); ``(False, entry)``
+        when a compile of the same key is already in flight — the
+        caller reads ``entry``'s futures and does no host work of its
+        own.
         """
         with self._lock:
             entry = self._inflight.get(key)
@@ -245,23 +228,17 @@ class BitstreamCache:
                 entry.joiners += 1
                 self._c_joins.inc()
                 return False, entry
-            entry = InflightCompile(key, races=self._c_bridge_races)
+            entry = InflightCompile(key)
             self._inflight[key] = entry
             self._g_inflight.set(len(self._inflight))
             return True, entry
 
-    def inflight_finish(self, key: str,
-                        entry: Optional[InflightCompile] = None) -> None:
-        """Remove ``key`` from the registry (idempotent).
-
-        When ``entry`` is given, only that exact entry is removed — a
-        cancelled leader and the worker's ``finally`` may both call
-        this, possibly after a new leader has claimed the key.
-        """
+    def inflight_finish(self, key: str, entry: InflightCompile) -> None:
+        """Remove ``entry`` from the registry if it still leads ``key``
+        (idempotent): once its leader was cancelled, a new leader may
+        have claimed the key while the old worker still runs."""
         with self._lock:
-            current = self._inflight.get(key)
-            if current is not None and \
-                    (entry is None or current is entry):
+            if self._inflight.get(key) is entry:
                 del self._inflight[key]
                 self._g_inflight.set(len(self._inflight))
 

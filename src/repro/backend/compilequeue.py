@@ -158,17 +158,23 @@ class CompileQueue:
         try:
             return self._pool().submit(fn, *args, **kwargs)
         except (OSError, RuntimeError):
-            if self.kind != "process" or self.degraded:
+            if not self.degrade():
                 raise
-            # The process pool died (or could not start a worker):
-            # degrade to threads and retry once.
-            with self._lock:
-                broken, self._executor = self._executor, None
-                self.kind = "thread"
-                self.degraded = True
-            if broken is not None:
-                broken.shutdown(wait=False)
-            return self._pool().submit(fn, *args, **kwargs)
+            return self._pool().submit(fn, *args, **kwargs)  # retry once
+
+    def degrade(self) -> bool:
+        """Switch a process lane whose pool died (or could not start a
+        worker) to threads, for good.  False when there is nothing to
+        switch: the lane already runs threads."""
+        with self._lock:
+            if self.kind != "process" or self.degraded:
+                return False
+            broken, self._executor = self._executor, None
+            self.kind = "thread"
+            self.degraded = True
+        if broken is not None:
+            broken.shutdown(wait=False)
+        return True
 
     def cancel(self, future: Future) -> bool:
         """Best-effort cancellation: queued work is dropped; running

@@ -41,8 +41,8 @@ finished, delivery waits for the worker — host speed can never change
 from __future__ import annotations
 
 import time
-from concurrent.futures import CancelledError, Future
-from typing import Dict, Iterable, List, Optional, Set
+from concurrent.futures import Future
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..common.errors import SynthesisError
 from ..ir.build import Subprogram
@@ -51,8 +51,8 @@ from ..obs import MetricsRegistry, tracer
 # but still bound: perfbench/tracing.py instruments this name.
 from ..verilog.elaborate import Design, elaborate_leaf  # noqa: F401
 from ..verilog.printer import module_to_str
-from .cache import BitstreamCache, CacheEntry, PlacementCache, \
-    design_cache_key
+from .cache import BitstreamCache, CacheEntry, InflightCompile, \
+    PlacementCache, design_cache_key
 from .compilequeue import CompileQueue, default_place_starts, \
     shared_flow_queue, shared_queue
 from .estimate import estimate_resources, instrumentation_overhead
@@ -84,13 +84,17 @@ class CompileJob:
     the real flow covers) a flow stage.
 
     The *virtual* schedule (``submitted_s``, ``duration_s``,
-    ``ready_at_s``) is fixed at submission.  ``codegen`` is a future for
-    the generated model; it resolves as soon as the codegen stage does
-    and survives a failed flow, so a design that misses closure still
-    runs as compiled software.  ``compiled`` / ``resources`` / ``error``
-    are the whole job's result and wait for the worker when accessed
-    before it finishes — the virtual clock, not host progress, decides
-    when the job is delivered.
+    ``ready_at_s``) is fixed at submission.  The outcome lives in two
+    futures, the :class:`~repro.backend.cache.InflightCompile` pair this
+    job reads: ``codegen`` resolves to the generated model as soon as
+    the codegen stage does and survives a failed flow, so a design that
+    misses closure still runs as compiled software; ``result`` resolves
+    to the whole compile's ``(model, resources, error)``.  The leader's
+    stages resolve both, a single-flight follower reads the leader's
+    pair, and a cache hit gets a pair that is already resolved.
+    ``compiled`` / ``resources`` / ``error`` wait for the worker when
+    read before it finishes — the virtual clock, not host progress,
+    decides when the job is delivered.
     """
 
     PENDING = "pending"
@@ -99,67 +103,43 @@ class CompileJob:
 
     def __init__(self, subprogram: Subprogram, design: Design,
                  submitted_s: float, duration_s: float,
-                 resources: Dict[str, int],
-                 compiled: Optional[CompiledDesign] = None,
-                 error: Optional[str] = None,
-                 cache_hit: bool = False,
-                 service: Optional["CompileService"] = None):
+                 estimate: Dict[str, int], flight: InflightCompile,
+                 service: "CompileService", cache_hit: bool = False):
         self.subprogram = subprogram
         self.design = design
         self.submitted_s = submitted_s
         self.duration_s = duration_s
+        #: The submission-time resource estimate: the stages start
+        #: from it, and ``resources`` reports it for a compile that was
+        #: cancelled or crashed.
+        self.estimate = estimate
         self.cache_hit = cache_hit
         #: True when this job attached to another in-flight compile of
         #: the same key (single-flight dedup) instead of running its
         #: own worker.  Its futures are the leader's.
         self.single_flight = False
         self.delivered = False
-        #: The codegen stage's model (a cache hit already holds it).
-        self.codegen: Future = Future()
-        if compiled is not None:
-            self.codegen.set_result(compiled)
-        elif error is not None:
-            self.codegen.set_exception(SynthesisError(error))
+        self.codegen: Future = flight.codegen
+        self.result: Future = flight.result
         self._model_taken = False
-        self._resources = dict(resources)
-        self._model = compiled
-        self._error = error
-        #: Resolves to ``(model, resources, error)`` once every stage
-        #: has run; None for a cache hit, which has nothing to run.
-        self._future: Optional[Future] = None
         self._task: Optional[Future] = None  # the queued codegen stage
-        self._resolved = cache_hit or compiled is not None \
-            or error is not None
+        #: Set on a leader its service cancelled: its stages then
+        #: resolve the futures as cancelled and cache nothing.
         self._cancel_requested = False
         self._service = service
-        self._cache_key: Optional[str] = None
-        self._inflight = None  # InflightCompile while leader/follower
+        self._flight = flight
 
     # -- host-side results ---------------------------------------------
-    def _resolve(self) -> None:
-        """Adopt the worker's result, waiting for it if necessary."""
-        if self._resolved:
-            return
-        future = self._future
-        if future is None:
-            self._resolved = True
-            return
+    def _outcome(self) -> Tuple[Optional[CompiledDesign], Dict[str, int],
+                                Optional[str]]:
+        """``(model, resources, error)``, waiting for the worker if it
+        is still running (host time charged as ``wait_s``)."""
+        if self.result.done():
+            return self.result.result()
         t0 = time.perf_counter()
-        try:
-            outcome = future.result()
-        except CancelledError:
-            outcome = (None, None, "compilation cancelled")
-        except Exception as exc:  # a stage itself crashed
-            outcome = (None, None, str(exc) or type(exc).__name__)
-        if self._service is not None:
-            self._service._charge_host("wait_s",
-                                       time.perf_counter() - t0)
-        model, resources, error = outcome
-        self._model = model
-        if resources is not None:
-            self._resources = dict(resources)
-        self._error = error
-        self._resolved = True
+        outcome = self.result.result()
+        self._service._charge_host("wait_s", time.perf_counter() - t0)
+        return outcome
 
     def take_model(self) -> Optional[CompiledDesign]:
         """Hand the codegen stage's model to its one consumer (the
@@ -174,24 +154,21 @@ class CompileJob:
     @property
     def host_done(self) -> bool:
         """True once no host-side work remains (does not wait)."""
-        return self._resolved or self._future is None \
-            or self._future.done()
+        return self.result.done()
 
     @property
     def compiled(self) -> Optional[CompiledDesign]:
         """The hardware artifact: the model, unless the job failed."""
-        self._resolve()
-        return self._model if self._error is None else None
+        model, _, error = self._outcome()
+        return model if error is None else None
 
     @property
     def resources(self) -> Dict[str, int]:
-        self._resolve()
-        return self._resources
+        return self._outcome()[1]
 
     @property
     def error(self) -> Optional[str]:
-        self._resolve()
-        return self._error
+        return self._outcome()[2]
 
     # -- virtual-time schedule -----------------------------------------
     @property
@@ -208,8 +185,7 @@ class CompileJob:
         """
         if now_s < self.ready_at_s:
             return self.PENDING
-        self._resolve()
-        return self.FAILED if self._error is not None else self.DONE
+        return self.FAILED if self.error is not None else self.DONE
 
     def __repr__(self) -> str:
         return (f"CompileJob({self.subprogram.name}, "
@@ -379,10 +355,9 @@ class CompileService:
             else:
                 duration = self.cache_hit_latency_s * self.latency_scale
             job = CompileJob(subprogram, design, now_s, duration,
-                             entry.resources, compiled=entry.compiled,
-                             error=entry.error, cache_hit=True,
-                             service=self)
-            job._cache_key = key
+                             entry.resources,
+                             InflightCompile.settled(key, entry), self,
+                             cache_hit=True)
         else:
             self._c_cache_misses.inc()
             tr = tracer()
@@ -393,17 +368,14 @@ class CompileService:
                               "key": key[:12]})
             duration = CompilerModel.duration_s(resources["luts"]) \
                 * self.latency_scale
+            leader, flight = self.cache.inflight_begin(key)
             job = CompileJob(subprogram, design, now_s, duration,
-                             resources, service=self)
-            job._cache_key = key
-            leader, inflight = self.cache.inflight_begin(key)
-            job._inflight = inflight
-            job.codegen = inflight.codegen
+                             resources, flight, self)
             if not leader:
                 # Single-flight join: an identical compile is already
                 # in flight (the cross-tenant hot path — but also a
                 # same-session resubmit racing an uncancellable
-                # worker).  Attach to the leader's futures instead of
+                # worker).  Read the leader's futures instead of
                 # compiling twice; virtual duration stays the full
                 # modeled cost, so under isolation the timeline is
                 # exactly a solo cold compile's.
@@ -414,10 +386,7 @@ class CompileService:
                             args={"subprogram": subprogram.name,
                                   "key": key[:12]})
                 job.single_flight = True
-                job._future = inflight.proxy
             else:
-                job._future = Future()
-                inflight.bridge(job._future)
                 flow_eligible = bool(
                     self.full_flow_max_luts
                     and resources["luts"] <= self.full_flow_max_luts)
@@ -425,18 +394,20 @@ class CompileService:
                 try:
                     job._task = self.queue.submit(
                         self._stage, job, self._codegen_stage,
-                        resources, flow_eligible, prev)
+                        flow_eligible, prev)
                 except BaseException:
-                    self.cache.inflight_finish(key, inflight)
+                    self.cache.inflight_finish(key, flight)
                     raise
                 if flow_eligible:
-                    self._flow_tail = job._future
+                    self._flow_tail = job.result
         self._session_keys.add(key)
         self.jobs.append(job)
         self._charge_host("submit_s", time.perf_counter() - t0)
         return job
 
     # -- the stages ----------------------------------------------------
+    # Only the leader's stages resolve a compile's futures; every job
+    # of the compile reads them.
     def _stage(self, job: CompileJob, body, *args) -> None:
         """Run one stage of ``job``.  A stage that crashes fails the
         job — the error reaches the user at ``ready_at_s`` — instead of
@@ -445,16 +416,17 @@ class CompileService:
         try:
             body(job, *args)
         except BaseException as exc:
-            self.cache.inflight_finish(job._cache_key, job._inflight)
-            for future in (job.codegen, job._future):
-                if not future.done():
-                    future.set_exception(exc)
+            self.cache.inflight_finish(job._flight.key, job._flight)
+            if not job.codegen.done():
+                job.codegen.set_exception(exc)
+            if not job.result.done():
+                job.result.set_result(
+                    (None, job.estimate, str(exc) or type(exc).__name__))
 
-    def _codegen_stage(self, job: CompileJob, resources: Dict[str, int],
-                       flow_eligible: bool,
+    def _codegen_stage(self, job: CompileJob, flow_eligible: bool,
                        prev: Optional[Future]) -> None:
         if job._cancel_requested:
-            self._settle(job, None, resources, None)
+            self._settle(job, None, job.estimate, None)
             return
         t0 = time.perf_counter()
         try:
@@ -467,11 +439,11 @@ class CompileService:
         self._trace_phase(job, "codegen", codegen_s)
         if failure is not None:
             job.codegen.set_exception(failure)
-            self._settle(job, None, resources, str(failure))
+            self._settle(job, None, job.estimate, str(failure))
             return
         job.codegen.set_result(model)
         if not flow_eligible:
-            self._settle(job, model, resources, None)
+            self._settle(job, model, job.estimate, None)
             return
 
         # Flow stages run in submission order, so warm-start placement
@@ -479,21 +451,19 @@ class CompileService:
         # produced by earlier submissions, never a racy subset of them.
         # A continuation keeps the order; no worker waits for it.
         if prev is None:
-            self._submit_flow(job, model, resources)
+            self._submit_flow(job, model)
         else:
             prev.add_done_callback(lambda _prev: self._stage(
-                job, self._submit_flow, model, resources))
+                job, self._submit_flow, model))
 
-    def _submit_flow(self, job: CompileJob, model: CompiledDesign,
-                     resources: Dict[str, int]) -> None:
-        self.queue.submit(self._stage, job, self._flow_stage, model,
-                          resources)
+    def _submit_flow(self, job: CompileJob, model: CompiledDesign) -> None:
+        self.queue.submit(self._stage, job, self._flow_stage, model)
 
-    def _flow_stage(self, job: CompileJob, model: CompiledDesign,
-                    resources: Dict[str, int]) -> None:
+    def _flow_stage(self, job: CompileJob, model: CompiledDesign) -> None:
         if job._cancel_requested:
-            self._settle(job, None, resources, None)
+            self._settle(job, None, job.estimate, None)
             return
+        resources = job.estimate
         from .flow import run_flow
         placement = None
         flow_summary = None
@@ -542,13 +512,13 @@ class CompileService:
                 self._c_failed.inc()
             # Deterministic results are worth caching either way: a
             # failure recompiles to the same failure (§6.4).
-            self.cache.put(job._cache_key, CacheEntry(
+            self.cache.put(job._flight.key, CacheEntry(
                 model, resources, error, placement, flow_summary))
         # Leave the single-flight registry only after the cache is
         # populated, so a concurrent submit either joins this job or
         # hits the cache — it can never fall between the two.
-        self.cache.inflight_finish(job._cache_key, job._inflight)
-        job._future.set_result((model, resources, error))
+        self.cache.inflight_finish(job._flight.key, job._flight)
+        job.result.set_result((model, resources, error))
 
     # ------------------------------------------------------------------
     def cancel(self, jobs: Iterable[CompileJob]) -> None:
@@ -568,12 +538,9 @@ class CompileService:
             if job.single_flight:
                 # Follower: just stop waiting; release our seat so the
                 # leader can become cancellable again.
-                job._cancel_requested = True
-                self.cache.inflight_leave(job._inflight)
-            elif job._inflight is None:
-                job._cancel_requested = True  # a cache hit: no work
-            elif self.cache.inflight_cancellable(job._cache_key,
-                                                 job._inflight):
+                self.cache.inflight_leave(job._flight)
+            elif not job.cache_hit and self.cache.inflight_cancellable(
+                    job._flight.key, job._flight):
                 # Leader: only cancellable while nobody has joined (the
                 # check atomically unregisters the key, so no one can
                 # join a job that is about to be cancelled).
@@ -582,7 +549,8 @@ class CompileService:
                     # The stage will never run; resolve what it would
                     # have, releasing any flow stage chained behind.
                     job.codegen.cancel()
-                    job._future.cancel()
+                    job.result.set_result(
+                        (None, job.estimate, "compilation cancelled"))
         self.jobs = [job for job in self.jobs if job not in dropped]
 
     def cancel_all(self) -> None:

@@ -21,6 +21,7 @@ the hint.
 from __future__ import annotations
 
 import time
+from concurrent.futures import BrokenExecutor
 from typing import Dict, List, Optional, Tuple
 
 from ..verilog.elaborate import Design
@@ -173,19 +174,21 @@ def _run_candidates(netlist: Netlist, device: Device,
                     ) -> List[Tuple[Placement, RoutingResult,
                                     TimingReport, Dict[str, float]]]:
     """Fan the candidate plan across ``pool`` (or run inline)."""
-    if pool is None:
-        np_, dp = netlist.to_payload(), device.to_payload()
-        return [_pr_candidate(np_, dp, s, e, h) for s, e, h in plan]
     np_, dp = netlist.to_payload(), device.to_payload()
+    if pool is None:
+        return [_pr_candidate(np_, dp, s, e, h) for s, e, h in plan]
     futures = [pool.submit(_pr_candidate, np_, dp, s, e, h)
                for s, e, h in plan]
     outcomes = []
     for future, (s, e, h) in zip(futures, plan):
         try:
             outcomes.append(future.result())
-        except Exception:
-            # A broken pool (killed worker, sandboxed fork) must not
-            # fail the compile: the candidate is a pure function, so
-            # recompute it inline.
-            outcomes.append(_pr_candidate(np_, dp, s, e, h))
+        except BrokenExecutor:
+            # A killed worker breaks the whole process pool.  The
+            # candidate is a pure function: degrade the lane to threads
+            # and run it there, once.  Any other exception is a bug in
+            # the candidate and fails the compile.
+            pool.degrade()
+            outcomes.append(pool.submit(_pr_candidate, np_, dp, s, e,
+                                        h).result())
     return outcomes

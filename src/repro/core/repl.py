@@ -22,7 +22,7 @@ from ..common.errors import CascadeError
 from ..obs import tracer
 from .runtime import Runtime
 
-__all__ = ["Repl", "main"]
+__all__ = ["Repl", "main", "run_count"]
 
 _BANNER = """\
 Cascade REPL (Python reproduction).  Implicit components: clk, rst, pad, led.
@@ -36,6 +36,15 @@ _OPEN_KEYWORDS = frozenset((
     "module", "begin", "case", "casez", "casex", "function"))
 _CLOSE_KEYWORDS = frozenset((
     "endmodule", "end", "endcase", "endfunction"))
+
+
+def run_count(parts: List[str]) -> int:
+    """The iteration bound of a ``:run`` command split into words
+    (1000 when omitted); a ValueError carries the usage message."""
+    try:
+        return int(parts[1]) if len(parts) > 1 else 1000
+    except ValueError:
+        raise ValueError(f"usage: :run N (got {parts[1]!r})") from None
 
 
 class Repl:
@@ -103,11 +112,10 @@ class Repl:
             return None
         if name == ":run":
             try:
-                count = int(parts[1]) if len(parts) > 1 else 1000
-            except ValueError:
-                return f"usage: :run N (got {parts[1]!r})"
-            self.runtime.run(iterations=count)
-            return f"ran {count} iterations"
+                count = run_count(parts)
+            except ValueError as exc:
+                return str(exc)
+            return f"ran {self.runtime.run(iterations=count)} iterations"
         if name == ":time":
             m = self.runtime.metrics_snapshot()
             tiers = self.runtime.time_model.tier_events
@@ -189,8 +197,8 @@ class Repl:
                 f"fast-path compile failures: "
                 f"{m['runtime.fastpath_failures']}")
             lines.append(
-                f"reliability: {m['cache.bridge_races']} bridge races, "
-                f"{m['cache.disk_corrupt']} corrupt disk entries")
+                f"reliability: {m['cache.disk_corrupt']} corrupt disk "
+                f"entries")
             tr = tracer()
             lines.append(
                 f"tracing: {'on' if tr.enabled else 'off'} "

@@ -735,8 +735,9 @@ class Runtime:
     # ------------------------------------------------------------------
     def run(self, iterations: Optional[int] = None,
             virtual_seconds: Optional[float] = None,
-            until_finish: bool = False) -> None:
-        """Dispatch scheduler iterations until a bound is hit.
+            until_finish: bool = False) -> int:
+        """Dispatch scheduler iterations until a bound is hit; returns
+        how many were dispatched.
 
         ``virtual_seconds`` bounds *additional* virtual time from now;
         ``iterations`` bounds additional scheduler iterations (an
@@ -770,6 +771,7 @@ class Runtime:
                               self.time_model.now_seconds - start_s,
                           "finished": self.finished is not None})
         self.view.flush()
+        return self.iterations - start_iter
 
     def run_until_finish(
             self, max_virtual_seconds: float = 3600.0) -> Optional[int]:

@@ -12,13 +12,13 @@ Determinism contract: a session's virtual-time figures are a pure
 function of its own work-item sequence.  Every eval runs exactly the
 same ``feed + run(run_between_inputs)`` path a solo in-process Repl
 runs; a sliced ``:run N`` dispatches exactly N scheduler iterations in
-total (closed-loop scheduling advances one iteration at a time, so
-slice boundaries cannot change the sum); and the shared compile caches
-are virtual-time-isolated (DESIGN.md §4.6), so another tenant's
-activity can change host latency but never this session's virtual
-timeline.  An open-loop batch always runs to its end, and its size
-depends only on the session's own virtual state, so slices split the
-batch sequence without changing it.
+total in closed loop (which advances one iteration at a time, so slice
+boundaries cannot change the sum); and the shared compile caches are
+virtual-time-isolated (DESIGN.md §4.6), so another tenant's activity can
+change host latency but never this session's virtual timeline.  An
+open-loop batch always runs to its end, and its size depends only on the
+session's own virtual state, so slices split the batch sequence without
+changing it.  Either way ``:run`` replies with what it dispatched.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import threading
 import time as _time
 from typing import Optional
 
+from ..core.repl import run_count
 from ..obs import tracer
 from .session import Session
 
@@ -151,11 +152,11 @@ class SessionScheduler:
             # Sliced execution: record the target and let successive
             # turns advance it under the virtual-time budget.
             try:
-                count = int(parts[1]) if len(parts) > 1 else 1000
-            except ValueError:
+                count = run_count(parts)
+            except ValueError as exc:
                 session.push_frame({
                     "type": "result", "id": request_id, "ok": False,
-                    "errors": [f"usage: :run N (got {parts[1]!r})"]})
+                    "errors": [str(exc)]})
                 return
             session.pending_run = (request_id, count, count)
             self._run_slice(session)
@@ -207,11 +208,9 @@ class SessionScheduler:
     def _run_slice(self, session: Session) -> None:
         request_id, requested, remaining = session.pending_run
         runtime = session.runtime
-        before = runtime.iterations
         t0 = _time.perf_counter()
-        runtime.run(iterations=remaining,
-                    virtual_seconds=self.window_budget_s)
-        did = runtime.iterations - before
+        did = runtime.run(iterations=remaining,
+                          virtual_seconds=self.window_budget_s)
         tr = tracer()
         if tr.enabled:
             tr.emit("scheduler_slice", "server",
@@ -223,11 +222,11 @@ class SessionScheduler:
         remaining -= did
         if remaining <= 0 or did == 0:
             # did == 0 means the program is finished ($finish) or has
-            # nothing to do — report what actually ran.
+            # nothing to do.  Report what actually ran: an open-loop
+            # batch may end past the bound.
             session.pending_run = None
             session.push_frame({
                 "type": "result", "id": request_id, "ok": True,
-                "text": f"ran {requested - max(remaining, 0)} "
-                        f"iterations"})
+                "text": f"ran {requested - remaining} iterations"})
         else:
             session.pending_run = (request_id, requested, remaining)

@@ -1,196 +1,127 @@
-"""A hand-written lexer for the Verilog subset.
+"""The lexer for the Verilog subset: one compiled master pattern.
 
-The lexer is line/column aware (for error reporting), strips both comment
-forms, and merges sized literals written with whitespace between the size
-and the base (``8 'hFF``) into a single NUMBER token, which keeps the
-parser simple.
+Each token is one match of :data:`_TOKEN`, whose named alternatives are
+tried in order at the current offset; trivia (whitespace, both comment
+forms and compiler directives) matches too and is dropped.  Sized
+literals written with whitespace between the size and the base
+(``8 'hFF``) become a single NUMBER token, which keeps the parser
+simple.  Locations come from the offset and a table of line starts.
+Where no alternative matches, :func:`_error` names what is malformed.
 """
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from typing import List
 
 from ..common.errors import LexError, SourceLocation
 from .tokens import (EOF, IDENT, KEYWORD, KEYWORDS, NUMBER, OP, OPERATORS,
                      STRING, SYSIDENT, Token)
 
-_IDENT_START = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | frozenset("0123456789$")
-_DIGITS = frozenset("0123456789")
-_BASED_DIGITS = frozenset("0123456789abcdefABCDEFxzXZ?_")
+#: ``'[s]<base>[ws]<digits>``: the based part of a literal.
+_BASED = r"'[sS]?[bBoOdDhH][ \t]*[0-9a-fA-FxzXZ?_]+"
+
+_TOKEN = re.compile("|".join((
+    r"(?P<trivia>[ \t\r\n]+|//[^\n]*|`[^\n]*|/\*[\s\S]*?\*/)",
+    r"(?P<ident>[A-Za-z_][A-Za-z0-9_$]*)",
+    rf"(?P<number>[0-9][0-9_]*(?:[ \t]*{_BASED})?|{_BASED})",
+    r'"(?P<string>(?:[^"\\\n]|\\[\s\S])*)"',
+    r"(?P<sysident>\$[A-Za-z_][A-Za-z0-9_$]*)",
+    r"\\(?P<escaped>[^ \t\r\n]+)",
+    # "/" never starts "/*": an unclosed comment is an error.
+    "(?P<op>" + "|".join(r"/(?!\*)" if op == "/" else re.escape(op)
+                         for op in OPERATORS) + ")",
+)))
+
+#: A based literal split for its canonical text: size, sign, base, digits.
+_NUMBER_PARTS = re.compile(
+    r"([0-9_]*)[ \t]*'([sS]?)([bBoOdDhH])[ \t]*([\s\S]*)")
+_STRING_PREFIX = re.compile(r'"(?:[^"\\\n]|\\[\s\S])*')
+_ESCAPE = re.compile(r"\\([\s\S])")
+_ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", '"': '"', "0": "\0"}
 
 
-class Lexer:
-    """Tokenizes one source buffer."""
+def _number(text: str) -> str:
+    """Drop the whitespace inside a literal and lower its sign and
+    base letters (the digits keep their case)."""
+    if "'" not in text:
+        return text
+    size, sign, base, digits = _NUMBER_PARTS.fullmatch(text).groups()
+    return f"{size}'{sign.lower()}{base.lower()}{digits}"
 
-    def __init__(self, text: str, source_name: str = "<input>"):
-        self.text = text
-        self.source_name = source_name
-        self.pos = 0
-        self.line = 1
-        self.col = 1
 
-    # ------------------------------------------------------------------
-    def _loc(self) -> SourceLocation:
-        return SourceLocation(self.source_name, self.line, self.col)
-
-    def _peek(self, offset: int = 0) -> str:
-        """The character at pos+offset, or NUL at end of input (a real
-        character, so ``in``-string membership tests stay False)."""
-        i = self.pos + offset
-        return self.text[i] if i < len(self.text) else "\0"
-
-    def _advance(self, n: int = 1) -> str:
-        out = self.text[self.pos:self.pos + n]
-        for ch in out:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += n
-        return out
-
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.text):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.text) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                loc = self._loc()
-                self._advance(2)
-                while self.pos < len(self.text):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise LexError("unterminated block comment", loc)
-            elif ch == "`":
-                # Compiler directives (`timescale, `define-free subset):
-                # skip to end of line; we do not implement the preprocessor.
-                while self.pos < len(self.text) and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
-
-    # ------------------------------------------------------------------
-    def _lex_string(self) -> Token:
-        loc = self._loc()
-        self._advance()  # opening quote
-        out = []
-        while True:
-            if self.pos >= len(self.text):
-                raise LexError("unterminated string", loc)
-            ch = self._advance()
-            if ch == '"':
-                break
-            if ch == "\\":
-                esc = self._advance()
-                out.append({"n": "\n", "t": "\t", "\\": "\\", '"': '"',
-                            "0": "\0"}.get(esc, esc))
-            elif ch == "\n":
-                raise LexError("newline in string", loc)
-            else:
-                out.append(ch)
-        return Token(STRING, "".join(out), loc)
-
-    def _lex_based_tail(self) -> str:
-        """Consume ``'[s]b...`` digits after a ``'`` and return the text."""
-        out = ["'"]
-        self._advance()  # the quote
-        if self._peek() in "sS":
-            out.append(self._advance().lower())
-        base = self._peek()
+def _error(text: str, pos: int, where) -> LexError:
+    """The error for the malformed token at ``pos``; ``where(offset)``
+    gives the location of an offset."""
+    ch = text[pos]
+    if text.startswith("/*", pos):
+        return LexError("unterminated block comment", where(pos))
+    if ch == '"':
+        end = _STRING_PREFIX.match(text, pos).end()
+        if text.startswith("\n", end):
+            return LexError("newline in string", where(pos))
+        return LexError("unterminated string", where(pos))
+    if ch == "$":
+        return LexError("bad system identifier", where(pos))
+    if ch == "\\":
+        return LexError("empty escaped identifier", where(pos))
+    if ch == "'":
+        # A size always lexes, so only a based part fails.
+        at = pos + 1
+        if text.startswith(("s", "S"), at):
+            at += 1
+        base = text[at] if at < len(text) else "\0"
         if base not in "bBoOdDhH":
-            raise LexError(f"bad literal base {base!r}", self._loc())
-        out.append(self._advance().lower())
-        # Whitespace is allowed between base and digits.
-        while self._peek() in " \t":
-            self._advance()
-        digits = []
-        while self._peek() in _BASED_DIGITS:
-            digits.append(self._advance())
-        if not digits:
-            raise LexError("missing digits in based literal", self._loc())
-        out.append("".join(digits))
-        return "".join(out)
-
-    def _lex_number(self) -> Token:
-        loc = self._loc()
-        text = []
-        while self._peek() in _DIGITS or self._peek() == "_":
-            text.append(self._advance())
-        # Possible sized literal: digits [ws] ' base digits.
-        save = (self.pos, self.line, self.col)
-        while self._peek() in " \t":
-            self._advance()
-        if self._peek() == "'":
-            text.append(self._lex_based_tail())
-            return Token(NUMBER, "".join(text), loc)
-        self.pos, self.line, self.col = save
-        return Token(NUMBER, "".join(text), loc)
-
-    def _lex_ident(self) -> Token:
-        loc = self._loc()
-        out = []
-        while self._peek() in _IDENT_CONT:
-            out.append(self._advance())
-        word = "".join(out)
-        if word in KEYWORDS:
-            return Token(KEYWORD, word, loc)
-        return Token(IDENT, word, loc)
-
-    # ------------------------------------------------------------------
-    def next_token(self) -> Token:
-        self._skip_trivia()
-        if self.pos >= len(self.text):
-            return Token(EOF, "", self._loc())
-        loc = self._loc()
-        ch = self._peek()
-        if ch == '"':
-            return self._lex_string()
-        if ch == "$":
-            self._advance()
-            if self._peek() not in _IDENT_START:
-                raise LexError("bad system identifier", loc)
-            tok = self._lex_ident()
-            return Token(SYSIDENT, "$" + tok.value, loc)
-        if ch == "\\":
-            # Escaped identifier: backslash to next whitespace.
-            self._advance()
-            out = []
-            while self.pos < len(self.text) and self._peek() not in " \t\r\n":
-                out.append(self._advance())
-            if not out:
-                raise LexError("empty escaped identifier", loc)
-            return Token(IDENT, "".join(out), loc)
-        if ch in _DIGITS:
-            return self._lex_number()
-        if ch == "'":
-            return Token(NUMBER, self._lex_based_tail(), loc)
-        if ch in _IDENT_START:
-            return self._lex_ident()
-        for op in OPERATORS:
-            if self.text.startswith(op, self.pos):
-                self._advance(len(op))
-                return Token(OP, op, loc)
-        raise LexError(f"unexpected character {ch!r}", loc)
-
-    def tokenize(self) -> List[Token]:
-        """All tokens including the trailing EOF."""
-        out = []
-        while True:
-            tok = self.next_token()
-            out.append(tok)
-            if tok.kind == EOF:
-                return out
+            return LexError(f"bad literal base {base!r}", where(at))
+        at += 1
+        while text.startswith((" ", "\t"), at):
+            at += 1
+        return LexError("missing digits in based literal", where(at))
+    return LexError(f"unexpected character {ch!r}", where(pos))
 
 
 def tokenize(text: str, source_name: str = "<input>") -> List[Token]:
-    """Convenience wrapper: tokenize a whole buffer."""
-    return Lexer(text, source_name).tokenize()
+    """All tokens of one source buffer, including the trailing EOF."""
+    starts = [0]
+    newline = text.find("\n")
+    while newline >= 0:
+        starts.append(newline + 1)
+        newline = text.find("\n", newline + 1)
+
+    def where(offset: int) -> SourceLocation:
+        line = bisect_right(starts, offset)
+        return SourceLocation(source_name, line,
+                              offset - starts[line - 1] + 1)
+
+    out: List[Token] = []
+    append = out.append
+    match = _TOKEN.match
+    pos, end = 0, len(text)
+    while pos < end:
+        m = match(text, pos)
+        if m is None:
+            raise _error(text, pos, where)
+        kind = m.lastgroup
+        if kind != "trivia":
+            value = m.group(kind)
+            if kind == "ident":
+                append(Token(KEYWORD if value in KEYWORDS else IDENT,
+                             value, where(pos)))
+            elif kind == "op":
+                append(Token(OP, value, where(pos)))
+            elif kind == "number":
+                append(Token(NUMBER, _number(value), where(pos)))
+            elif kind == "string":
+                if "\\" in value:
+                    value = _ESCAPE.sub(
+                        lambda e: _ESCAPES.get(e.group(1), e.group(1)),
+                        value)
+                append(Token(STRING, value, where(pos)))
+            elif kind == "sysident":
+                append(Token(SYSIDENT, value, where(pos)))
+            else:  # escaped identifier
+                append(Token(IDENT, value, where(pos)))
+        pos = m.end()
+    append(Token(EOF, "", where(end)))
+    return out

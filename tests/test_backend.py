@@ -1,8 +1,13 @@
 """The compilation backend: netlists, placement, routing, timing,
 resource estimation and the compile service."""
 
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
+import repro.backend.flow as flow_mod
+from repro.backend.compilequeue import CompileQueue
 from repro.backend.compiler import CompileJob, CompilerModel, \
     CompileService
 from repro.backend.estimate import (estimate_resources,
@@ -16,6 +21,7 @@ from repro.backend.synth import synthesize
 from repro.backend.synthcheck import check_design, check_native
 from repro.backend.timing import analyze_timing
 from repro.common.errors import PlacementError, SynthesisError
+from repro.ir.build import Subprogram
 from repro.verilog.elaborate import elaborate_leaf
 from repro.verilog.parser import parse_module
 
@@ -248,3 +254,54 @@ class TestCompileService:
         overhead = instrumentation_overhead(job.design)["luts"]
         assert job.resources["luts"] == real + overhead
         assert "fmax_mhz" in job.resources
+
+
+class _BrokenFirstLane(CompileQueue):
+    """A process lane whose first submission comes back broken, as
+    when a flow worker is killed mid-candidate."""
+
+    def __init__(self):
+        super().__init__(max_workers=1, kind="process")
+        self.broke = False
+
+    def submit(self, fn, *args, **kwargs):
+        if self.broke:
+            return super().submit(fn, *args, **kwargs)
+        self.broke = True
+        future = Future()
+        future.set_exception(BrokenProcessPool("worker killed"))
+        return future
+
+
+class TestFlowLaneRecovery:
+    def test_broken_pool_degrades_and_retries_the_candidate(self):
+        design = design_of(COUNTER)
+        lane = _BrokenFirstLane()
+        try:
+            report = run_flow(design, pool=lane)
+        finally:
+            lane.shutdown(wait=False)
+        inline = run_flow(design, pool=None)
+        assert report.summary() == inline.summary()
+        assert report.placement.locations == inline.placement.locations
+        assert report.placement.cost == inline.placement.cost
+        assert lane.degraded and lane.kind == "thread"
+
+    def test_candidate_bug_fails_the_compile_once(self, monkeypatch):
+        calls = []
+
+        def buggy(*args):
+            calls.append(args[2])
+            raise ValueError("placer bug")
+
+        monkeypatch.setattr(flow_mod, "_pr_candidate", buggy)
+        service = CompileService(
+            latency_scale=0.0, full_flow_max_luts=10_000,
+            queue=CompileQueue(max_workers=0),
+            flow_queue=CompileQueue(max_workers=0), place_starts=2)
+        job = service.submit(
+            Subprogram("t", parse_module(COUNTER), False, "counter", {}),
+            now_s=0.0)
+        assert job.error == "placer bug"
+        assert calls == [1, 2]  # each candidate seed ran once
+        assert not service.flow_queue.degraded

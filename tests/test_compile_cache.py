@@ -188,16 +188,18 @@ class TestBitstreamCache:
         assert service.metrics.value("compile.cache_hits") == 2
 
     def test_hit_skips_host_work(self):
-        service = CompileService(full_flow_max_luts=10_000)
+        service = CompileService(full_flow_max_luts=10_000,
+                                 queue=CompileQueue(max_workers=1))
         job1 = service.submit(sub_of(ALU8), now_s=0.0)
         assert job1.compiled is not None
+        stages = service.queue.submitted
         t0 = time.perf_counter()
         job2 = service.submit(sub_of(ALU8), now_s=0.0)
         assert job2.compiled is not None
         warm_s = time.perf_counter() - t0
         host = service.metrics.value
         # The second submit did no codegen/flow at all.
-        assert job2._future is None
+        assert service.queue.submitted == stages
         assert warm_s < host("compile.host.codegen_s") + \
             host("compile.host.flow_s") + 0.05
         assert job2.resources == job1.resources
@@ -432,8 +434,9 @@ class TestSingleFlight:
         job2 = s2.submit(sub_of(COUNTER), 0.0)
         s1.cancel_all()  # tenant 1's program changed under the compile
         # The leader's result is tenant 2's compile: it must survive.
-        assert not job1._cancel_requested
+        assert cache.metrics.value("cache.in_flight") == 1
         queue.gate.set()
+        assert job1.error is None
         assert job2.compiled is not None
         assert job2.error is None
         # ...and the artifact still landed in the shared cache.
@@ -446,7 +449,8 @@ class TestSingleFlight:
         s2.submit(sub_of(COUNTER), 0.0)
         s2.cancel_all()  # the follower gives up its seat...
         s1.cancel_all()  # ...so the leader is cancellable again
-        assert job1._cancel_requested
+        # Cancelling unregistered the key: nobody can join it now.
+        assert cache.metrics.value("cache.in_flight") == 0
         queue.gate.set()
         assert job1.compiled is None
         assert "cancelled" in job1.error
@@ -466,6 +470,78 @@ class TestSingleFlight:
         assert job2.cache_hit and not job2.single_flight
         assert s2.metrics.value("compile.cross_tenant_hits") == 1
         assert s2.metrics.value("compile.single_flight_joins") == 0
+
+
+class _StagedQueue(CompileQueue):
+    """A queue whose first two submissions each wait on their own gate,
+    and flag when they have started running (so a cancel finds them
+    running, not queued)."""
+
+    def __init__(self):
+        super().__init__(max_workers=2, name="staged")
+        self.gates = [threading.Event(), threading.Event()]
+        self.started = [threading.Event(), threading.Event()]
+        self._calls = 0
+
+    def submit(self, fn, *args, **kwargs):
+        call, self._calls = self._calls, self._calls + 1
+        if call < len(self.gates):
+            inner, gate, started = fn, self.gates[call], \
+                self.started[call]
+
+            def fn(*a, **k):
+                started.set()
+                gate.wait(30)
+                return inner(*a, **k)
+        return super().submit(fn, *args, **kwargs)
+
+
+class TestSharedFutures:
+    """Every job of one compile reads the leader's futures, and only
+    the leader's stages resolve them."""
+
+    def test_crashed_stage_fails_leader_and_follower_alike(
+            self, monkeypatch):
+        cache, queue = BitstreamCache(), _GatedQueue()
+        s1 = CompileService(cache=cache, queue=queue)
+        s2 = CompileService(cache=cache, queue=queue)
+
+        def crash(job, *args):
+            raise RuntimeError("codegen stage crashed")
+
+        monkeypatch.setattr(s1, "_codegen_stage", crash)
+        job1 = s1.submit(sub_of(COUNTER), 0.0)
+        job2 = s2.submit(sub_of(COUNTER), 0.0)
+        assert job2.single_flight
+        queue.gate.set()
+        assert job1.error == job2.error == "codegen stage crashed"
+        assert job1.compiled is None and job2.compiled is None
+        assert cache.metrics.value("cache.in_flight") == 0
+        # A crash is not a deterministic toolchain result: not cached.
+        assert len(cache) == 0
+
+    def test_cancelled_leader_finishing_late_leaves_new_leader_alone(
+            self):
+        cache = BitstreamCache()
+        queue = _StagedQueue()
+        s1 = CompileService(cache=cache, queue=queue)
+        s2 = CompileService(cache=cache, queue=queue)
+        job1 = s1.submit(sub_of(COUNTER), 0.0)
+        assert queue.started[0].wait(30)
+        s1.cancel_all()  # running, so it finishes; the key is released
+        assert cache.metrics.value("cache.in_flight") == 0
+        job2 = s2.submit(sub_of(COUNTER), 0.0)
+        assert not job2.cache_hit and not job2.single_flight
+        assert cache.metrics.value("cache.in_flight") == 1
+        queue.gates[0].set()  # the old worker finishes first
+        assert job1.error == "compilation cancelled"
+        assert cache.metrics.value("cache.in_flight") == 1
+        assert len(cache) == 0
+        queue.gates[1].set()
+        assert job2.error is None
+        assert job2.compiled is not None
+        assert cache.metrics.value("cache.in_flight") == 0
+        assert s2.submit(sub_of(COUNTER), 1.0).cache_hit
 
 
 class TestVirtualTimeIsolation:

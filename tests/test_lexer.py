@@ -124,3 +124,37 @@ class TestStrings:
     def test_newline_in_string(self):
         with pytest.raises(LexError):
             tokenize('"a\nb"')
+
+
+class TestErrorLocations:
+    """Each malformed-token error, with its message and where it
+    points."""
+
+    @pytest.mark.parametrize("text,message,line,column", [
+        ("a\n  /* never ends", "unterminated block comment", 2, 3),
+        ('x = "never ends', "unterminated string", 1, 5),
+        ('x = "ends \\', "unterminated string", 1, 5),
+        ('\n"a\nb"', "newline in string", 2, 1),
+        ("$ display", "bad system identifier", 1, 1),
+        ("a $1", "bad system identifier", 1, 3),
+        ("a \\ b", "empty escaped identifier", 1, 3),
+        ("8'q0", "bad literal base 'q'", 1, 3),
+        ("x = 4 'sq1", "bad literal base 'q'", 1, 9),
+        ("8'", "bad literal base '\\x00'", 1, 3),
+        ("8'h ;", "missing digits in based literal", 1, 5),
+        ("\t'b\n1", "missing digits in based literal", 1, 4),
+        ("a £ b", "unexpected character '£'", 1, 3),
+        ("a\n\tb \f", "unexpected character '\\x0c'", 2, 4),
+    ])
+    def test_message_and_location(self, text, message, line, column):
+        with pytest.raises(LexError) as excinfo:
+            tokenize(text, "t.v")
+        err = excinfo.value
+        assert (err.message, err.loc.source_name, err.loc.line,
+                err.loc.column) == (message, "t.v", line, column)
+        assert str(err) == f"t.v:{line}:{column}: {message}"
+
+    def test_locations_after_multiline_trivia(self):
+        toks = tokenize('/* a\n b */ x "p\\\nq" // c\n  `d\n 8 \'h F')
+        assert [(t.value, t.loc.line, t.loc.column) for t in toks] == [
+            ("x", 2, 7), ("p\nq", 2, 9), ("8'hF", 5, 2), ("", 5, 8)]

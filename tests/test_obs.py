@@ -15,12 +15,10 @@ import json
 import os
 import threading
 import time
-from concurrent.futures import Future
 
 import pytest
 
-from repro.backend.cache import BitstreamCache, CacheEntry, \
-    InflightCompile
+from repro.backend.cache import BitstreamCache, CacheEntry
 from repro.backend.compilequeue import CompileQueue
 from repro.backend.compiler import CompileService
 from repro.backend.estimate import estimate_resources
@@ -268,7 +266,6 @@ class TestTracedSession:
         repl.command(":run 20")
         stats = repl.command(":stats")
         assert "reliability:" in stats
-        assert "bridge races" in stats
         assert "corrupt disk entries" in stats
         assert "tracing: off" in stats
         assert "metrics registered" in stats
@@ -338,43 +335,9 @@ class TestRegistryWiring:
         snap = Runtime(compile_service=service).metrics_snapshot()
         assert {"compile.host.submit_s", "compile.host.codegen_s",
                 "compile.host.flow_s", "compile.host.wait_s",
-                "cache.bridge_races", "cache.disk_corrupt",
+                "cache.disk_corrupt",
                 "cache.entries", "cache.in_flight",
                 "placement.entries"} <= set(snap)
-
-
-# ----------------------------------------------------------------------
-# Satellite: InflightCompile.bridge narrows its except clause
-# ----------------------------------------------------------------------
-class TestBridgeRace:
-    def test_resolved_proxy_race_is_counted_not_raised(self):
-        races = Counter("cache.bridge_races")
-        inflight = InflightCompile("k", races=races)
-        inflight.proxy.set_result("already-resolved")
-        worker: Future = Future()
-        inflight.bridge(worker)
-        worker.set_result("late")        # the benign race
-        assert races.value == 1
-        assert inflight.proxy.result() == "already-resolved"
-
-    def test_cancelled_worker_race_is_benign(self):
-        races = Counter("cache.bridge_races")
-        inflight = InflightCompile("k", races=races)
-        inflight.proxy.set_result("winner")
-        worker: Future = Future()
-        inflight.bridge(worker)
-        worker.cancel()
-        # Future.cancel() on a resolved proxy returns False instead of
-        # raising, so nothing is swallowed and nothing is counted.
-        assert races.value == 0
-
-    def test_exception_outcome_forwards(self):
-        inflight = InflightCompile("k")
-        worker: Future = Future()
-        inflight.bridge(worker)
-        worker.set_exception(RuntimeError("boom"))
-        with pytest.raises(RuntimeError, match="boom"):
-            inflight.proxy.result(timeout=1)
 
 
 # ----------------------------------------------------------------------

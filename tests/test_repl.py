@@ -323,3 +323,26 @@ class TestPrintedCounters:
                 "migrations: 0 sw-fast, 1 hardware; fast-path compile "
                 "failures: 0"):
             assert expected in lines
+
+
+class TestRunReply:
+    """``:run N`` answers with the iterations that actually ran."""
+
+    def test_open_loop_reply_counts_the_whole_batch(self):
+        repl = Repl(Runtime(compile_service=CompileService(
+            latency_scale=1e-4, queue=CompileQueue(max_workers=0)),
+            enable_sw_fastpath=False))
+        assert repl.feed("reg [7:0] n = 0;\n"
+                         "always @(posedge clk.val) n <= n + 1;\n"
+                         "assign led.val = n;\n") == []
+        rt = repl.runtime
+        before = rt.iterations
+        reply = repl.command(":run 300")
+        ran = rt.iterations - before
+        assert rt.engine_tiers()["main"] == "hardware"
+        assert ran > 300  # the open-loop batch ran past the bound
+        assert reply == f"ran {ran} iterations"
+
+    def test_usage(self):
+        assert Repl(Runtime()).command(":run lots") == \
+            "usage: :run N (got 'lots')"

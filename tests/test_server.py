@@ -303,6 +303,15 @@ class TestServerSessions:
         cache hits and single-flight joins dedup *host* work only."""
         runtime_kw = dict(RUNTIME_KW, enable_open_loop=open_loop)
 
+        def run(repl, count):
+            # Open loop may run past the bound; the reply says so.
+            before = repl.runtime.iterations
+            reply = repl.command(f":run {count}")
+            ran = repl.runtime.iterations - before
+            assert ran >= count if open_loop else ran == count
+            assert reply == f"ran {ran} iterations"
+            return reply
+
         def script_solo():
             service = CompileService(**SERVICE_KW)
             repl = Repl(Runtime(compile_service=service, **runtime_kw),
@@ -310,28 +319,28 @@ class TestServerSessions:
             out = []
             assert repl.feed(TENANT_SRC) == []
             out += repl.drain_output()
-            assert repl.command(":run 300") == "ran 300 iterations"
+            replies = [run(repl, 300)]
             out += repl.drain_output()
             assert repl.feed('$display("n=%0d", n);') == []
             out += repl.drain_output()
-            assert repl.command(":run 200") == "ran 200 iterations"
+            replies.append(run(repl, 200))
             out += repl.drain_output()
-            return virtual_figures(repl.command(":time")), out
+            return virtual_figures(repl.command(":time")), out, replies
 
         def script_client(address, results, index):
             with connect(address) as session:
                 assert session.eval(TENANT_SRC, timeout=60) == []
                 assert session.command(":run 300", timeout=60) == \
-                    "ran 300 iterations"
+                    replies[0]
                 assert session.eval('$display("n=%0d", n);',
                                     timeout=60) == []
                 assert session.command(":run 200", timeout=60) == \
-                    "ran 200 iterations"
+                    replies[1]
                 figures = virtual_figures(
                     session.command(":time", timeout=60))
                 results[index] = (figures, session.drain_output())
 
-        expected = script_solo()
+        *expected, replies = script_solo()
         server = server_factory(runtime_kwargs=runtime_kw)
         tenants = 4
         results = [None] * tenants
@@ -369,6 +378,23 @@ class TestServerSessions:
         # More turns than work items == some runs took several slices.
         assert stats["scheduler"]["turns"] > \
             stats["scheduler"]["work_items"]
+
+    def test_sliced_run_replies_with_what_ran(self, server_factory):
+        """A sliced open-loop :run answers with its session's own
+        iteration delta, batches that ran past the bound included."""
+        server = server_factory(
+            window_budget_s=1e-4,
+            runtime_kwargs=dict(RUNTIME_KW, enable_open_loop=True))
+        with connect(server.address) as session:
+            assert session.eval(TENANT_SRC, timeout=60) == []
+            runtime = server.live_sessions()[0].runtime
+            before = runtime.iterations
+            turns = server.stats()["scheduler"]["turns"]
+            reply = session.command(":run 3000", timeout=120)
+            ran = runtime.iterations - before
+            assert ran > 3000
+            assert reply == f"ran {ran} iterations"
+            assert server.stats()["scheduler"]["turns"] > turns + 1
 
     def test_admission_cap_rejects_with_goodbye(self, server_factory):
         server = server_factory(max_sessions=1)
