@@ -12,17 +12,21 @@ an interpreted simulator from fabric, which the virtual time model then
 scales to the paper's clock domains.
 
 The structure of the generated class mirrors the Figure 10 hardware
-transformation: current-value variables (``_vars``), shadow variables
-for nonblocking updates (``_nvars``), an update flag (``_umask``), a
-task queue (``_tmask``), and an ``open_loop`` entry point that toggles
-the clock internally (``_oloop``).
+transformation: one attribute per variable (``v_*``, arrays as lists
+with a generation counter ``g_*``), a shadow per nonblocking target
+(``n_*``) plus pending array words (``_nba_words``), the update flag
+(``_nba``), previous edge samples (``p_*``) and the task queue
+(``_tasks``).  Figure 10's open loop (``_oloop``) is a separate
+function printed from the same schedule on first request
+(:meth:`CompiledDesign.open_loop_kernel`): it toggles the clock itself
+and keeps all of that state in locals for a whole batch.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, \
-    Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, \
+    Set, Tuple
 
 from ..common.errors import SynthesisError
 from ..verilog import ast
@@ -35,13 +39,16 @@ __all__ = ["CODEGEN_VERSION", "CompiledDesign", "compile_design"]
 
 #: Bumped whenever the generated model changes shape, so on-disk cache
 #: entries written by an older code generator miss instead of loading.
-CODEGEN_VERSION = 4
+CODEGEN_VERSION = 5
 
 #: Pure single-port functions at most this wide become lookup tables.
 _TABLE_MAX_BITS = 8
 #: A combinational cone at least this costly is skipped while its
 #: inputs and outputs are unchanged (cheaper ones just recompute).
 _CONE_COST = 24
+#: A ``for`` loop over constants running at most this many iterations
+#: is unrolled.
+_UNROLL_MAX = 64
 
 _ARITH = {"+": "+", "-": "-", "*": "*"}
 _BITWISE = {"&": "&", "|": "|", "^": "^"}
@@ -57,6 +64,10 @@ _INT = re.compile(r"-?\d+")
 #: Code made only of literals and these operators evaluates at codegen
 #: time exactly as it would at run time (no shifts: they can explode).
 _FOLDABLE = re.compile(r"[\d()+\-*&|^~ ]+")
+#: Code made only of literals, arithmetic, comparisons and logic; an
+#: unrolled loop's test and step evaluate it at codegen time.
+_CONST_CODE = re.compile(
+    r"(?:[\d()+\-*&|^~<>=!%/ ]|\b(?:and|or|not|if|else)\b)+")
 #: Argument code cheap enough to repeat when a function is inlined.
 _SIMPLE = re.compile(r"-?\d+|[A-Za-z_][\w.]*(\[\d+\])?")
 
@@ -96,9 +107,29 @@ class CompiledDesign:
         self.edge_signals: List[str] = list(model_class._edge_signals)
         self.comb_wake: FrozenSet[str] = model_class._comb_wake
         self.edge_wake: Dict[str, FrozenSet[str]] = model_class._edge_wake
+        self._kernels: Dict[str, Callable[[object, int], int]] = {}
 
     def instantiate(self):
         return self.model_class()
+
+    def open_loop_kernel(self, clock_attr: str) -> Callable[[object, int],
+                                                            int]:
+        """The open-loop kernel for the clock held in model attribute
+        ``clock_attr``: ``kernel(model, steps)`` runs up to ``steps``
+        half ticks and returns how many ran.  Printed on first request
+        (only engines that reach open loop ask) and kept."""
+        kernel = self._kernels.get(clock_attr)
+        if kernel is None:
+            clock = next(name for name in self.design.vars
+                         if _attr(name) == clock_attr)
+            source = _DesignCompiler(self.design).kernel_source(clock)
+            namespace: Dict[str, object] = {}
+            exec(compile(source, f"<open-loop:{self.design.name}>", "exec"),
+                 namespace)
+            kernel = namespace["open_loop"]
+            kernel.source = source  # type: ignore[attr-defined]
+            self._kernels[clock_attr] = kernel
+        return kernel
 
     def wakes_on(self, name: str, old: int, new: int) -> bool:
         """Would the interpreter activate an evaluation event when
@@ -216,15 +247,17 @@ class _ExprCompiler:
             value = _lit(code)
             if value is not None:
                 return str(pyrt.to_signed(value, from_w) & _mask(ctx))
-            return (f"((pyrt.to_signed({code}, {from_w})) & {_mask(ctx)})")
+            return f"({self._signed(code, from_w)} & {_mask(ctx)})"
         return code  # zero extension is a no-op for unsigned ints
 
     @staticmethod
     def _signed(code: str, width: int) -> str:
+        """``code`` read as a two's-complement ``width``-bit value."""
         value = _lit(code)
         if value is not None:
             return str(pyrt.to_signed(value, width))
-        return f"pyrt.to_signed({code}, {width})"
+        half = 1 << (width - 1)
+        return f"((({code}) ^ {half}) - {half})"
 
     def _signed_pair(self, lcode: str, rcode: str, ctx: int
                      ) -> Tuple[str, str]:
@@ -387,7 +420,10 @@ class _ExprCompiler:
         if l is None:
             l, r = self._ctx(expr.lhs), self._ctx(expr.rhs)
         if expr.lhs.ctx_signed and expr.op in ("<", "<=", ">", ">="):
-            l, r = self._signed_pair(l, r, expr.lhs.ctx_width)
+            # Flipping the sign bit maps signed order onto unsigned
+            # order, and folds into a constant operand.
+            half = 1 << (expr.lhs.ctx_width - 1)
+            l, r = _fold(f"(({l}) ^ {half})"), _fold(f"(({r}) ^ {half})")
         return f"({l}) {_COMPARE[expr.op]} ({r})"
 
     def _concat(self, parts: Sequence[ast.Expr]) -> str:
@@ -452,14 +488,23 @@ class _ExprCompiler:
 
 
 class _StmtCompiler:
-    """Compiles statements inside always blocks (and functions)."""
+    """Compiles statements inside always blocks (and functions).
+
+    In the model's methods state is spelled as attributes of ``self``,
+    and a blocking store to a variable loaded into a local also writes
+    the attribute.  In the open-loop ``kernel`` every piece of state is
+    a local named like its attribute, so nothing is written through,
+    and a nonblocking array write goes to the array's pending copy."""
 
     def __init__(self, compiler: "_DesignCompiler", emitter: _Emitter,
-                 exprs: _ExprCompiler, nba_allowed: bool = True):
+                 exprs: _ExprCompiler, nba_allowed: bool = True,
+                 kernel: bool = False):
         self.c = compiler
         self.e = emitter
         self.x = exprs
         self.nba_allowed = nba_allowed
+        self.kernel = kernel
+        self.st = "" if kernel else "self."
         self._tmp = 0
 
     def tmp(self) -> str:
@@ -495,10 +540,11 @@ class _StmtCompiler:
         elif isinstance(stmt, ast.Case):
             self._case(stmt, indent)
         elif isinstance(stmt, ast.For):
-            self._compile(stmt.init, indent)
-            self.e.emit(indent, f"while {self.x.condition(stmt.cond)}:")
-            self._compile(stmt.body, indent + 1)
-            self._compile(stmt.step, indent + 1)
+            if not self._unroll(stmt, indent):
+                self._compile(stmt.init, indent)
+                self.e.emit(indent, f"while {self.x.condition(stmt.cond)}:")
+                self._compile(stmt.body, indent + 1)
+                self._compile(stmt.step, indent + 1)
         elif isinstance(stmt, ast.RepeatStmt):
             count, _, _ = self.x.rvalue(stmt.count)
             var = self.tmp()
@@ -510,11 +556,76 @@ class _StmtCompiler:
             raise SynthesisError(
                 f"{type(stmt).__name__} cannot be synthesized")
 
+    def _unroll(self, stmt: ast.For, indent: int) -> bool:
+        """Emit a loop whose variable only takes constant values (a
+        constant start, a constant step, a test of constants, and a body
+        that neither writes it nor calls a function that could see it)
+        once per iteration, with the variable folded into every
+        expression, then store its final value.  False, having emitted
+        nothing, when the loop does not qualify or runs more than
+        ``_UNROLL_MAX`` iterations."""
+        init, step = stmt.init, stmt.step
+        if not (isinstance(init, ast.BlockingAssign)
+                and isinstance(init.lhs, ast.Ident)
+                and isinstance(step, ast.BlockingAssign)
+                and isinstance(step.lhs, ast.Ident)
+                and step.lhs.name == init.lhs.name):
+            return False
+        name, width = init.lhs.name, init.lhs.width
+        for node in walk(stmt.body):
+            if isinstance(node, (ast.BlockingAssign, ast.NonblockingAssign)) \
+                    and name in _lvalue_names(node.lhs):
+                return False
+            if isinstance(node, ast.Call) and not node.name.startswith("$"):
+                info = self.c.function_info(node.name)
+                if name in info.reads or not info.side_effect_free:
+                    return False
+        frame = self.x.frame
+        saved = frame.get(name)
+
+        def const(expr: ast.Expr, value: int) -> Optional[int]:
+            frame[name] = str(value)
+            code = self.x.condition(expr) if expr is stmt.cond \
+                else self.x.rvalue(expr)[0]
+            if not _CONST_CODE.fullmatch(code):
+                return None
+            return eval(code, {"__builtins__": {}})
+
+        try:
+            value = _lit(self.x.rvalue(init.rhs)[0])
+            values: List[int] = []
+            while value is not None:
+                value &= _mask(width)
+                test = const(stmt.cond, value)
+                if test is None:
+                    return False
+                if not test:
+                    break
+                values.append(value)
+                if len(values) > _UNROLL_MAX:
+                    return False
+                value = const(step.rhs, value)
+            if value is None:
+                return False
+            for v in values:
+                frame[name] = str(v)
+                self._compile(stmt.body, indent)
+        finally:
+            if saved is None:
+                frame.pop(name, None)
+            else:
+                frame[name] = saved
+        self._store_ident(init.lhs, str(value), width, indent, blocking=True)
+        return True
+
     # -- assignments ---------------------------------------------------------
     def _assign(self, lhs: ast.Expr, rhs: ast.Expr, indent: int,
                 blocking: bool) -> None:
         code, ctx, _ = self.x.rvalue(rhs)
-        if _lit(code) is None:
+        # A plain read is stored directly, unless a concatenation's
+        # parts are stored one after another.
+        if not (_lit(code) is not None or _SIMPLE.fullmatch(code)
+                and not isinstance(lhs, ast.Concat)):
             tmp = self.tmp()
             self.e.emit(indent, f"{tmp} = {code}")
             code = tmp
@@ -544,7 +655,7 @@ class _StmtCompiler:
         else:
             low = self.x.low(lhs.select, lhs.left, lhs.width)
         if lhs.select.word:
-            self._store_word(lhs, low, value, indent, blocking)
+            self._store_word(lhs, low, value, value_w, indent, blocking)
         else:
             self._store_bits(lhs, low, value, indent, blocking)
 
@@ -554,18 +665,19 @@ class _StmtCompiler:
         if blocking:
             return self.x.local.get(name) or f"self.{_attr(name)}"
         self.c.nba_targets.add(name)
-        return f"self.n_{_attr(name)}"
+        return f"{self.st}n_{_attr(name)}"
 
     def _written(self, name: str, blocking: bool, indent: int) -> None:
         """Bookkeeping after a store to a design variable: a blocking
-        store through a local also writes the attribute back."""
+        store through a method's local also writes the attribute back,
+        and raises the dirty flag so combinational logic resettles."""
         if not blocking:
-            self.e.emit(indent, "self._nba = True")
+            self.e.emit(indent, f"{self.st}_nba = True")
             return
         local = self.x.local.get(name)
-        if local is not None:
+        if local is not None and not self.kernel:
             self.e.emit(indent, f"self.{_attr(name)} = {local}")
-        self.c.mark_written(name, self.e, indent)
+        self.e.emit(indent, f"{self.st}_dirty = True")
 
     def _store_ident(self, ident: ast.Ident, value: str, value_w: int,
                      indent: int, blocking: bool) -> None:
@@ -576,10 +688,11 @@ class _StmtCompiler:
             self._written(name, blocking, indent)
 
     def _store_word(self, lhs: ast.IndexExpr, off: str, value: str,
-                    indent: int, blocking: bool) -> None:
+                    value_w: int, indent: int, blocking: bool) -> None:
         name, nwords = lhs.base.name, lhs.select.span
         arr = self.x._read(name)
-        masked = _fold(f"(({value}) & {_mask(lhs.width)})")
+        masked = _fold(f"(({value}) & {_mask(lhs.width)})") \
+            if value_w > lhs.width else value
         k = _lit(off)
         if k is None:
             tmp = self.tmp()
@@ -595,8 +708,12 @@ class _StmtCompiler:
             # or a self-sensitive comb block never settles.
             self.e.emit(indent, f"if {arr}[{off}] != {masked}:")
             self.e.emit(indent + 1, f"{arr}[{off}] = {masked}")
-            self.e.emit(indent + 1, f"self.g_{_attr(name)} += 1")
-            self.c.mark_written(name, self.e, indent + 1)
+            self.e.emit(indent + 1, f"{self.st}g_{_attr(name)} += 1")
+            self.e.emit(indent + 1, f"{self.st}_dirty = True")
+        elif self.kernel:
+            self.c.nba_array_targets.add(name)
+            self.c.emit_pending_word(self.e, indent, name, off, masked)
+            self.e.emit(indent, "_nba = True")
         else:
             # Each pending word carries its array and whether a change
             # to it wakes combinational logic, so update() does no
@@ -747,24 +864,27 @@ class _FnInfo:
 
 
 class _DesignCompiler:
-    """Drives compilation of one design into a model class."""
+    """Drives compilation of one design: into a model class, or into
+    the open-loop kernel that runs the same model with its state in
+    locals.  Both print one schedule, sorted here."""
 
     def __init__(self, design: Design, class_name: str = "CompiledModel"):
         self.design = design
         self.class_name = class_name
         self.nba_targets: Set[str] = set()
         self.nba_array_targets: Set[str] = set()
-        self._fn_names: Dict[str, str] = {}
+        # Named by declaration order, so the model and a kernel built
+        # later from the same design agree on every method name.
+        self._fn_names = {name: "f_" + re.sub(r"\W", "_", name) + f"_{i}"
+                          for i, name in enumerate(design.functions)}
         self._fn_info: Dict[str, _FnInfo] = {}
         self._tables: List[str] = []
         self._fresh = 0
         #: Snapshot attributes of the gated combinational cones.
         self.cones: List[str] = []
+        self._schedule()
 
     def function_name(self, name: str) -> str:
-        if name not in self._fn_names:
-            self._fn_names[name] = "f_" + re.sub(r"\W", "_", name) \
-                + f"_{len(self._fn_names)}"
         return self._fn_names[name]
 
     def fresh(self, prefix: str) -> str:
@@ -835,53 +955,61 @@ class _DesignCompiler:
         self._tables.append(f"{name} = {values!r}")
         return name
 
-    def mark_written(self, name: str, emitter: _Emitter,
-                     indent: int) -> None:
-        """Blocking writes inside comb blocks participate in the
-        fixpoint change detection; sequential blocking writes set the
-        dirty flag so combinational logic resettles."""
-        emitter.emit(indent, "self._dirty = True")
-
     # ------------------------------------------------------------------
-    def compile(self) -> CompiledDesign:
+    def _schedule(self) -> None:
+        """Sort the design into the schedule both printers share: the
+        continuous assigns in dependency order (and whether one pass
+        settles them), the comb and sequential blocks, the edge
+        signals, and the activation structure."""
         design = self.design
-        comb_assigns: List[ast.ContinuousAssign] = list(design.assigns)
-        comb_blocks: List[ast.AlwaysBlock] = []
-        seq_blocks: List[ast.AlwaysBlock] = []
+        self.comb_blocks: List[ast.AlwaysBlock] = []
+        self.seq_blocks: List[ast.AlwaysBlock] = []
         for block in design.always:
             if block.ctrl is None:
                 raise SynthesisError(
                     "always without event control cannot be synthesized")
             if block.ctrl.star or all(i.edge is None
                                       for i in block.ctrl.items):
-                comb_blocks.append(block)
+                self.comb_blocks.append(block)
             elif all(i.edge is not None for i in block.ctrl.items):
-                seq_blocks.append(block)
+                self.seq_blocks.append(block)
             else:
                 raise SynthesisError(
                     "mixed edge/level sensitivity cannot be synthesized")
         if design.initials:
             raise SynthesisError("initial blocks cannot be synthesized")
+        self.edge_signals: List[str] = []
+        for block in self.seq_blocks:
+            for item in block.ctrl.items:
+                if not isinstance(item.expr, ast.Ident):
+                    raise SynthesisError(
+                        "edge expressions must be simple signals")
+                if item.expr.name not in self.edge_signals:
+                    self.edge_signals.append(item.expr.name)
 
         # Activation structure, mirroring the interpreter's sensitivity
         # registration (_build_assign_deps / _register_wait) exactly.
         self.comb_wake: Set[str] = set()
-        for assign in comb_assigns:
+        for assign in design.assigns:
             self.comb_wake |= read_set_of(assign.rhs)
             self.comb_wake |= read_set_of_lvalue_indices(assign.lhs)
-        for block in comb_blocks:
+        for block in self.comb_blocks:
             if block.ctrl.star:
                 self.comb_wake |= read_set_of(block.body)
             else:
                 for item in block.ctrl.items:
                     self.comb_wake |= read_set_of(item.expr)
         self.edge_wake: Dict[str, Set[str]] = {}
-        for block in seq_blocks:
+        for block in self.seq_blocks:
             for item in block.ctrl.items:
-                if isinstance(item.expr, ast.Ident):
-                    self.edge_wake.setdefault(
-                        item.expr.name, set()).add(item.edge)
+                self.edge_wake.setdefault(item.expr.name, set()).add(
+                    item.edge)
 
+        self.assigns, self.levelized = self._topo_sort_assigns(
+            list(design.assigns))
+        self.levelized = self.levelized and not self.comb_blocks
+
+    def compile(self) -> CompiledDesign:
         e = _Emitter()
         e.emit(0, f"class {self.class_name}:")
         # When _gate_wakes is True (the software fast path), update()
@@ -893,9 +1021,8 @@ class _DesignCompiler:
         e.emit(1, "_edge_wake = {" + ", ".join(
             f"{name!r}: frozenset({tuple(sorted(edges))!r})"
             for name, edges in sorted(self.edge_wake.items())) + "}")
-        e.emit(1, "_edge_signals = "
-               f"{tuple(sorted(self._edge_signal_names(seq_blocks)))!r}")
-        for i in range(len(comb_blocks)):
+        e.emit(1, f"_edge_signals = {tuple(sorted(self.edge_signals))!r}")
+        for i in range(len(self.comb_blocks)):
             # Comb-block snapshots start unset so every block runs once.
             e.emit(1, f"_comb_snap{i} = None")
 
@@ -903,22 +1030,28 @@ class _DesignCompiler:
         # snapshots that __init__ declares.
         body = _Emitter()
         self._compile_functions(body)
-        self._compile_comb(body, comb_assigns, comb_blocks)
-        self._compile_seq(body, seq_blocks)
-        self._emit_framework(body, seq_blocks)
-        self._emit_init(e, seq_blocks)
+        body.emit(1, "def _eval_comb(self):")
+        self._emit_comb(body, 2, {}, kernel=False)
+        body.blank()
+        self._compile_seq(body)
+        self._emit_framework(body)
+        self._emit_init(e)
         e.lines.extend(body.lines)
 
-        source = "\n".join(["from repro.backend import pyrt", ""]
-                           + self._tables + [""]) + e.source()
+        source = self._module(e)
         namespace: Dict[str, object] = {}
-        exec(compile(source, f"<compiled:{design.name}>", "exec"),
+        exec(compile(source, f"<compiled:{self.design.name}>", "exec"),
              namespace)
-        return CompiledDesign(design, source, namespace[self.class_name])
+        return CompiledDesign(self.design, source,
+                              namespace[self.class_name])
+
+    def _module(self, e: _Emitter) -> str:
+        """Generated code with the imports and lookup tables it uses."""
+        return "\n".join(["from repro.backend import pyrt", ""]
+                         + self._tables + [""]) + e.source()
 
     # ------------------------------------------------------------------
-    def _emit_init(self, e: _Emitter,
-                   seq_blocks: List[ast.AlwaysBlock]) -> None:
+    def _emit_init(self, e: _Emitter) -> None:
         e.emit(1, "def __init__(self):")
         for var in self.design.vars.values():
             attr = _attr(var.name)
@@ -938,7 +1071,7 @@ class _DesignCompiler:
         for key in self.cones:
             e.emit(2, f"self.{key} = None")
         # Previous samples for edge detection.
-        for sig in self._edge_signal_names(seq_blocks):
+        for sig in self.edge_signals:
             e.emit(2, f"self.p_{_attr(sig)} = self.{_attr(sig)}")
         e.emit(2, "self._tasks = []")
         e.emit(2, "self._nba = False")
@@ -946,17 +1079,6 @@ class _DesignCompiler:
         e.emit(2, "self._finished = None")
         e.emit(2, "self._time = 0")
         e.blank()
-
-    def _edge_signal_names(self, seq_blocks) -> List[str]:
-        names = []
-        for block in seq_blocks:
-            for item in block.ctrl.items:
-                if not isinstance(item.expr, ast.Ident):
-                    raise SynthesisError(
-                        "edge expressions must be simple signals")
-                if item.expr.name not in names:
-                    names.append(item.expr.name)
-        return names
 
     def _compile_functions(self, e: _Emitter) -> None:
         for fn in self.design.functions.values():
@@ -1044,90 +1166,97 @@ class _DesignCompiler:
                 reads |= self.function_info(node.name).reads
         return reads
 
-    def _compile_comb(self, e: _Emitter,
-                      assigns: List[ast.ContinuousAssign],
-                      blocks: List[ast.AlwaysBlock]) -> None:
-        assigns, levelized = self._topo_sort_assigns(assigns)
-        e.emit(1, "def _eval_comb(self):")
-        if levelized and not blocks:
-            self._emit_levelized(e, assigns)
+    def _emit_comb(self, e: _Emitter, indent: int, local: Dict[str, str],
+                   kernel: bool) -> None:
+        """One settle of the combinational network: the levelized pass,
+        or passes until nothing changes, with each comb block re-run
+        when a snapshot of what it reads changes."""
+        if self.levelized:
+            self._emit_levelized(e, indent, local, kernel)
             return
-        e.emit(2, "for _pass in range(128):")
-        e.emit(3, "self._dirty = False")
-        exprs = _ExprCompiler(self)
-        for assign in assigns:
+        st = "" if kernel else "self."
+        vars_ = self.design.vars
+        exprs = _ExprCompiler(self, local=local)
+        inner = indent + 1
+        e.emit(indent, "for _pass in range(128):")
+        e.emit(inner, f"{st}_dirty = False")
+        for assign in self.assigns:
             code, ctx, _ = exprs.rvalue(assign.rhs)
-            stmts = _StmtCompiler(self, e, exprs)
+            stmts = _StmtCompiler(self, e, exprs, kernel=kernel)
             tmp = stmts.tmp()
-            e.emit(3, f"{tmp} = {code}")
-            self._emit_comb_store(e, stmts, assign.lhs, tmp, ctx)
-        for i, block in enumerate(blocks):
-            reads = sorted(read_set_of(block.body))
-            snap_parts = []
-            for name in reads:
-                var = self.design.vars.get(name)
-                if var is None:
-                    continue
-                if var.is_array:
-                    snap_parts.append(f"self.g_{_attr(name)}")
-                else:
-                    snap_parts.append(f"self.{_attr(name)}")
-            snap = "(" + ", ".join(snap_parts) + ("," if snap_parts else "")\
-                + ")"
-            e.emit(3, f"_snap{i} = {snap}")
-            e.emit(3, f"if _snap{i} != self._comb_snap{i}:")
-            e.emit(4, f"self._comb_snap{i} = _snap{i}")
-            e.emit(4, f"self._comb_blk{i}()")
-            e.emit(4, "self._dirty = True")
-        e.emit(3, "if not self._dirty:")
-        e.emit(4, "return")
-        e.emit(2, "raise RuntimeError('combinational loop did not settle')")
-        e.blank()
-        for i, block in enumerate(blocks):
-            e.emit(1, f"def _comb_blk{i}(self):")
-            exprs_i = _ExprCompiler(self)
-            stmts = _StmtCompiler(self, e, exprs_i)
-            stmts.compile(block.body, 2)
-            e.blank()
+            e.emit(inner, f"{tmp} = {code}")
+            lhs = assign.lhs
+            if isinstance(lhs, ast.Ident) and lhs.name in vars_:
+                # Change detection on full-variable targets (the common
+                # case) for fast convergence.
+                width = vars_[lhs.name].width
+                target = exprs._read(lhs.name)
+                value = f"(({tmp}) & {_mask(width)})" if ctx > width \
+                    else tmp
+                e.emit(inner, f"if {target} != ({value}):")
+                e.emit(inner + 1, f"{target} = {value}")
+                e.emit(inner + 1, f"{st}_dirty = True")
+            else:
+                stmts._store(lhs, tmp, ctx, inner, blocking=True)
+        for i, block in enumerate(self.comb_blocks):
+            snap = [f"{st}g_{_attr(name)}" if vars_[name].is_array
+                    else exprs._read(name)
+                    for name in sorted(read_set_of(block.body))
+                    if name in vars_]
+            e.emit(inner, f"_snap{i} = ({', '.join(snap)},)"
+                   if snap else f"_snap{i} = ()")
+            e.emit(inner, f"if _snap{i} != {st}_comb_snap{i}:")
+            e.emit(inner + 1, f"{st}_comb_snap{i} = _snap{i}")
+            _StmtCompiler(self, e, exprs, kernel=kernel).compile(
+                block.body, inner + 1)
+            e.emit(inner + 1, f"{st}_dirty = True")
+        e.emit(inner, f"if not {st}_dirty:")
+        e.emit(inner + 1, "break")
+        e.emit(indent, "else:")
+        e.emit(inner,
+               "raise RuntimeError('combinational loop did not settle')")
 
-    def _emit_levelized(self, e: _Emitter,
-                        assigns: List[ast.ContinuousAssign]) -> None:
+    def _emit_levelized(self, e: _Emitter, indent: int,
+                        local: Dict[str, str], kernel: bool) -> None:
         """The whole network in one pass, in dependency order.
 
-        The variables the network only reads are loaded into locals up
-        front, and each fully driven variable is computed into a local
-        that later assigns read; its attribute is stored
-        unconditionally, which leaves the state a fixpoint would.
-        Assigns that share no variable form independent *cones*; a
-        large cone is skipped while a snapshot of everything it reads
-        and writes is unchanged, since recomputing it would change
-        nothing."""
+        In the model's method the variables the network only reads are
+        loaded into locals up front, and each fully driven variable is
+        computed into a local that later assigns read; its attribute is
+        stored unconditionally, which leaves the state a fixpoint would.
+        The kernel already holds every variable in a local.  Assigns
+        that share no variable form independent *cones*; a large cone
+        is skipped while a snapshot of everything it reads and writes is
+        unchanged, since recomputing it would change nothing."""
         vars_ = self.design.vars
+        assigns = self.assigns
+        st = "" if kernel else "self."
         reads = [self._assign_reads(a) for a in assigns]
         writes = [set(_lvalue_names(a.lhs)) for a in assigns]
         written = set().union(*writes)
-        local: Dict[str, str] = {}
-        for name in sorted(set().union(*reads) - written):
-            if name in vars_:
-                local[name] = _local(name)
-                e.emit(2, f"{local[name]} = self.{_attr(name)}")
+        if not kernel:
+            local = {}
+            for name in sorted(set().union(*reads) - written):
+                if name in vars_:
+                    local[name] = _local(name)
+                    e.emit(indent, f"{local[name]} = self.{_attr(name)}")
         exprs = _ExprCompiler(self, local=local)
         self.cones = []
         for cone in self._cones(assigns, reads, writes):
-            indent = 2
+            inner = indent
             gated = sum(_cost(assigns[i].rhs) for i in cone) >= _CONE_COST
             if gated:
-                snap = [f"self.g_{_attr(n)}" if vars_[n].is_array
-                        else local[n]
+                snap = [f"{st}g_{_attr(n)}" if vars_[n].is_array
+                        else exprs._read(n)
                         for n in sorted(set().union(*(reads[i] for i in cone))
                                         - written) if n in vars_]
-                snap += [f"self.{_attr(n)}" for n in
+                snap += [exprs._read(n) for n in
                          sorted(set().union(*(writes[i] for i in cone)))]
                 snap_code = "(" + ", ".join(snap) + ",)"
                 key = f"_cone{len(self.cones)}"
                 self.cones.append(key)
-                e.emit(2, f"if {snap_code} != self.{key}:")
-                indent = 3
+                e.emit(indent, f"if {snap_code} != {st}{key}:")
+                inner = indent + 1
             for i in cone:
                 a = assigns[i]
                 code, ctx, _ = exprs.rvalue(a.rhs)
@@ -1136,19 +1265,21 @@ class _DesignCompiler:
                     width = vars_[lhs.name].width
                     if ctx > width:
                         code = _fold(f"(({code}) & {_mask(width)})")
-                    e.emit(indent, f"{_local(lhs.name)} = {code}")
-                    e.emit(indent,
+                    if kernel:
+                        e.emit(inner, f"{local[lhs.name]} = {code}")
+                        continue
+                    e.emit(inner, f"{_local(lhs.name)} = {code}")
+                    e.emit(inner,
                            f"self.{_attr(lhs.name)} = {_local(lhs.name)}")
                     local[lhs.name] = _local(lhs.name)
                 else:
-                    stmts = _StmtCompiler(self, e, exprs)
+                    stmts = _StmtCompiler(self, e, exprs, kernel=kernel)
                     tmp = stmts.tmp()
-                    e.emit(indent, f"{tmp} = {code}")
-                    stmts._store(lhs, tmp, ctx, indent, blocking=True)
+                    e.emit(inner, f"{tmp} = {code}")
+                    stmts._store(lhs, tmp, ctx, inner, blocking=True)
             if gated:
-                e.emit(3, f"self.{key} = {snap_code}")
-        e.emit(2, "self._dirty = False")
-        e.blank()
+                e.emit(inner, f"{st}{key} = {snap_code}")
+        e.emit(indent, f"{st}_dirty = False")
 
     @staticmethod
     def _cones(assigns: List[ast.ContinuousAssign], reads: List[Set[str]],
@@ -1177,54 +1308,37 @@ class _DesignCompiler:
             cones.setdefault(find(i), []).append(i)
         return list(cones.values())
 
-    def _emit_comb_store(self, e: _Emitter, stmts: "_StmtCompiler",
-                         lhs: ast.Expr, tmp: str, ctx: int) -> None:
-        """Continuous assign store with change detection on full-var
-        targets (the common case) for fast fixpoint convergence."""
-        if isinstance(lhs, ast.Ident) and lhs.name in self.design.vars:
-            var = self.design.vars[lhs.name]
-            attr = _attr(lhs.name)
-            code = f"(({tmp}) & {_mask(var.width)})" \
-                if ctx > var.width else tmp
-            e.emit(3, f"if self.{attr} != ({code}):")
-            e.emit(4, f"self.{attr} = {code}")
-            e.emit(4, "self._dirty = True")
-        else:
-            stmts._store(lhs, tmp, ctx, 3, blocking=True)
-
-    def _compile_seq(self, e: _Emitter,
-                     blocks: List[ast.AlwaysBlock]) -> None:
-        e.emit(1, "def _seq(self):")
-        e.emit(2, "fired = False")
-        if not blocks:
-            e.emit(2, "return False")
-            e.blank()
-            return
-        conds = []
-        for i, block in enumerate(blocks):
+    def _emit_seq(self, e: _Emitter, indent: int, exprs: _ExprCompiler,
+                  kernel: bool) -> None:
+        """Run each sequential block whose edge fired, in order (a block
+        sees earlier blocks' blocking writes), into ``fired``; then
+        sample every edge signal."""
+        st = "" if kernel else "self."
+        e.emit(indent, "fired = False")
+        for i, block in enumerate(self.seq_blocks):
             tests = []
             for item in block.ctrl.items:
-                if not isinstance(item.expr, ast.Ident):
-                    raise SynthesisError(
-                        "edge expressions must be simple signals")
-                sig = _attr(item.expr.name)
-                cur = f"(self.{sig} & 1)"
-                prev = f"(self.p_{sig} & 1)"
-                if item.edge == "posedge":
-                    tests.append(f"({prev} == 0 and {cur} == 1)")
-                else:
-                    tests.append(f"({prev} == 1 and {cur} == 0)")
-            conds.append(" or ".join(tests))
-        for i, cond in enumerate(conds):
-            e.emit(2, f"if {cond}:")
-            e.emit(3, "fired = True")
-            e.emit(3, f"self._seq_blk{i}()")
-        for sig in self._edge_signal_names(blocks):
-            attr = _attr(sig)
-            e.emit(2, f"self.p_{attr} = self.{attr}")
+                cur = exprs._read(item.expr.name)
+                prev = f"{st}p_{_attr(item.expr.name)}"
+                tests.append(f"{cur} & ~{prev} & 1"
+                             if item.edge == "posedge"
+                             else f"{prev} & ~{cur} & 1")
+            e.emit(indent, f"if {' or '.join(tests)}:")
+            e.emit(indent + 1, "fired = True")
+            if kernel:
+                _StmtCompiler(self, e, exprs, kernel=True).compile(
+                    block.body, indent + 1)
+            else:
+                e.emit(indent + 1, f"self._seq_blk{i}()")
+        for sig in self.edge_signals:
+            e.emit(indent, f"{st}p_{_attr(sig)} = {exprs._read(sig)}")
+
+    def _compile_seq(self, e: _Emitter) -> None:
+        e.emit(1, "def _seq(self):")
+        self._emit_seq(e, 2, _ExprCompiler(self), kernel=False)
         e.emit(2, "return fired")
         e.blank()
-        for i, block in enumerate(blocks):
+        for i, block in enumerate(self.seq_blocks):
             e.emit(1, f"def _seq_blk{i}(self):")
             exprs = _ExprCompiler(self, local=self._block_locals(e, block))
             stmts = _StmtCompiler(self, e, exprs)
@@ -1252,8 +1366,7 @@ class _DesignCompiler:
                 e.emit(2, f"{local[name]} = self.{_attr(name)}")
         return local
 
-    def _emit_framework(self, e: _Emitter,
-                        seq_blocks: List[ast.AlwaysBlock]) -> None:
+    def _emit_framework(self, e: _Emitter) -> None:
         e.emit(1, "def evaluate(self):")
         e.emit(2, "_eval_comb, _seq = self._eval_comb, self._seq")
         e.emit(2, "for _round in range(64):")
@@ -1268,32 +1381,20 @@ class _DesignCompiler:
         for name in sorted(self.nba_targets):
             attr = _attr(name)
             e.emit(2, f"if self.{attr} != self.n_{attr}:")
-            edges = self.edge_wake.get(name)
+            match = self._edge_only_match(name, f"self.{attr}",
+                                          f"self.n_{attr}")
             if name in self.comb_wake:
                 e.emit(3, "wake = True")
-            elif edges:
+            elif match:
                 # Edge-only signal: activation requires the LSB
                 # transition to match a registered edge.  When it does
                 # not, keep the previous-sample variable in sync so a
                 # later matching edge is still detected (_seq will not
                 # run for this change).
-                if len(edges) == 2:
-                    e.emit(3, f"if (self.{attr} ^ self.n_{attr}) & 1:")
-                    e.emit(4, "wake = True")
-                    e.emit(3, "else:")
-                    e.emit(4, f"self.p_{attr} = self.n_{attr}")
-                elif "posedge" in edges:
-                    e.emit(3, f"if (self.{attr} & 1) == 0 and "
-                           f"(self.n_{attr} & 1) == 1:")
-                    e.emit(4, "wake = True")
-                    e.emit(3, "else:")
-                    e.emit(4, f"self.p_{attr} = self.n_{attr}")
-                else:
-                    e.emit(3, f"if (self.{attr} & 1) == 1 and "
-                           f"(self.n_{attr} & 1) == 0:")
-                    e.emit(4, "wake = True")
-                    e.emit(3, "else:")
-                    e.emit(4, f"self.p_{attr} = self.n_{attr}")
+                e.emit(3, f"if {match}:")
+                e.emit(4, "wake = True")
+                e.emit(3, "else:")
+                e.emit(4, f"self.p_{attr} = self.n_{attr}")
             e.emit(3, f"self.{attr} = self.n_{attr}")
             e.emit(3, "changed = True")
         e.emit(2, "if self._nba_words:")
@@ -1321,24 +1422,172 @@ class _DesignCompiler:
         e.emit(2, "self._tasks.append(('finish', code, True))")
         e.emit(2, "self._finished = code")
         e.blank()
-        e.emit(1, "def open_loop(self, clock_attr, steps):")
-        e.emit(2, "evaluate, update = self.evaluate, self.update")
-        e.emit(2, "done = 0")
-        e.emit(2, "while done < steps:")
-        e.emit(3, "setattr(self, clock_attr, "
-               "getattr(self, clock_attr) ^ 1)")
-        e.emit(3, "self._dirty = True")
-        e.emit(3, "evaluate()")
-        e.emit(3, "while self._nba:")
-        e.emit(4, "update()")
-        e.emit(4, "evaluate()")
-        e.emit(3, "done += 1")
-        e.emit(3, "if not (done & 1):")
-        e.emit(4, "self._time += 1")
-        e.emit(3, "if self._tasks:")
-        e.emit(4, "break")
-        e.emit(2, "return done")
-        e.blank()
+
+    def _edge_only_match(self, name: str, old: str, new: str
+                         ) -> Optional[str]:
+        """For a signal only edge controls read, a test that its change
+        ``old`` -> ``new`` matches a registered edge; else None."""
+        edges = self.edge_wake.get(name)
+        if not edges or name in self.comb_wake:
+            return None
+        if len(edges) == 2:
+            return f"({old} ^ {new}) & 1"
+        if "posedge" in edges:
+            return f"{new} & ~{old} & 1"
+        return f"{old} & ~{new} & 1"
+
+    # ------------------------------------------------------------------
+    # The open-loop kernel (Figure 10's _oloop)
+    # ------------------------------------------------------------------
+    def kernel_source(self, clock: str) -> str:
+        """Source of ``open_loop(self, steps)``, which toggles the
+        variable ``clock`` and settles the model ``steps`` half ticks
+        exactly as the model's own ``evaluate``/``update`` would, and
+        returns how many ran: it stops after a half tick that queued a
+        task.  The state lives in locals for the whole batch and is
+        stored back on exit.  A design that calls a function reading or
+        writing design variables steps its own methods instead, since
+        such a function sees the attributes."""
+        e = _Emitter()
+        e.emit(0, "def open_loop(self, steps):")
+        if self._calls_stateful_function():
+            e.emit(1, "evaluate, update = self.evaluate, self.update")
+            e.emit(1, "done = 0")
+            e.emit(1, "while done < steps:")
+            e.emit(2, f"self.{_attr(clock)} ^= 1")
+            e.emit(2, "self._dirty = True")
+            e.emit(2, "evaluate()")
+            e.emit(2, "while self._nba:")
+            e.emit(3, "update()")
+            e.emit(3, "evaluate()")
+            self._emit_kernel_tail(e, "self.")
+            e.emit(1, "return done")
+        else:
+            self._emit_local_kernel(e, clock)
+        return self._module(e)
+
+    def _calls_stateful_function(self) -> bool:
+        bodies = [a.lhs for a in self.assigns] \
+            + [a.rhs for a in self.assigns] \
+            + [b.body for b in self.design.always]
+        return any(isinstance(node, ast.Call)
+                   and not node.name.startswith("$")
+                   and (self.function_info(node.name).reads
+                        or not self.function_info(node.name)
+                        .side_effect_free)
+                   for body in bodies for node in walk(body))
+
+    def _emit_kernel_tail(self, e: _Emitter, st: str) -> None:
+        e.emit(2, "done += 1")
+        e.emit(2, "if not done & 1:")
+        e.emit(3, f"{st}_time += 1")
+        e.emit(2, f"if {st}_tasks:")
+        e.emit(3, "break")
+
+    def _emit_local_kernel(self, e: _Emitter, clock: str) -> None:
+        vars_ = self.design.vars
+        # Arrays some code also writes blocking: pending nonblocking
+        # writes to them are words, not a copy, so a blocking write
+        # after the copy is taken is not lost.
+        written = {name for a in self.assigns
+                   for name in _lvalue_names(a.lhs)}
+        for body in [b.body for b in self.design.always] \
+                + [fn.body for fn in self.design.functions.values()]:
+            for node in walk(body):
+                if isinstance(node, ast.BlockingAssign):
+                    written.update(_lvalue_names(node.lhs))
+        self.word_pending = {name for name in written
+                             if name in vars_ and vars_[name].is_array}
+        local = {name: _attr(name) for name in vars_}
+        exprs = _ExprCompiler(self, local=local)
+        # One half tick: evaluate rounds until no edge fires, then
+        # update and evaluate again while nonblocking writes are
+        # pending.  The body comes first: it finds the NBA targets and
+        # cones the state lists below name.
+        body = _Emitter()
+        body.emit(2, f"{local[clock]} ^= 1")
+        body.emit(2, "while True:")
+        body.emit(3, "for _round in range(64):")
+        self._emit_comb(body, 4, local, kernel=True)
+        self._emit_seq(body, 4, exprs, kernel=True)
+        body.emit(4, "if not fired:")
+        body.emit(5, "break")
+        body.emit(3, "else:")
+        body.emit(4, "raise RuntimeError('evaluation did not converge')")
+        body.emit(3, "if not _nba:")
+        body.emit(4, "break")
+        body.emit(3, "_nba = False")
+        self._emit_kernel_update(body, 3)
+
+        state = [_attr(name) for name in vars_]
+        state += [f"n_{_attr(name)}" for name in sorted(self.nba_targets)]
+        state += [f"p_{_attr(sig)}" for sig in self.edge_signals]
+        state += [f"g_{_attr(name)}" for name, var in vars_.items()
+                  if var.is_array]
+        state += self.cones
+        state += [f"_comb_snap{i}" for i in range(len(self.comb_blocks))]
+        state += ["_nba", "_dirty", "_time"]
+        arrays = sorted(self.nba_array_targets)
+        e.emit(1, "if steps <= 0:")
+        e.emit(2, "return 0")
+        for name in state:
+            e.emit(1, f"{name} = self.{name}")
+        e.emit(1, "_tasks = self._tasks")
+        for name in arrays:
+            e.emit(1, f"nw_{_attr(name)} = None")
+        if arrays:
+            # Words the model's own methods left pending join the
+            # pending copies.
+            e.emit(1, "if self._nba_words:")
+            e.emit(2, "for _arr, _off, _val, _wakes in self._nba_words:")
+            for i, name in enumerate(arrays):
+                e.emit(3, f"{'el' if i else ''}if _arr is {_attr(name)}:")
+                self.emit_pending_word(e, 4, name, "_off", "_val")
+            e.emit(2, "self._nba_words = []")
+        e.emit(1, "done = 0")
+        e.emit(1, "while done < steps:")
+        e.lines.extend(body.lines)
+        self._emit_kernel_tail(e, "")
+        for name in state:
+            e.emit(1, f"self.{name} = {name}")
+        e.emit(1, "return done")
+
+    def emit_pending_word(self, e: _Emitter, indent: int, name: str,
+                          off: str, value: str) -> None:
+        """A nonblocking write of word ``off`` of array ``name`` in the
+        kernel: into a copy of the array taken at the half tick's first
+        such write, or into a dict of words when code also writes the
+        array blocking."""
+        pending, arr = f"nw_{_attr(name)}", _attr(name)
+        e.emit(indent, f"if {pending} is None:")
+        e.emit(indent + 1, f"{pending} = {{}}" if name in self.word_pending
+               else f"{pending} = {arr}[:]")
+        e.emit(indent, f"{pending}[{off}] = {value}")
+
+    def _emit_kernel_update(self, e: _Emitter, indent: int) -> None:
+        """The kernel's ``update``: what the model's own leaves, less
+        what the evaluate that always follows overwrites (the change
+        and wake bookkeeping, and the edge samples)."""
+        for name in sorted(self.nba_targets):
+            e.emit(indent, f"{_attr(name)} = n_{_attr(name)}")
+        arrays = sorted(self.nba_array_targets)
+        if not arrays:
+            return
+        e.emit(indent, "if " + " or ".join(
+            f"nw_{_attr(name)} is not None" for name in arrays) + ":")
+        for name in arrays:
+            attr, inner = _attr(name), indent + 1
+            if len(arrays) > 1:
+                e.emit(inner, f"if nw_{attr} is not None:")
+                inner += 1
+            if name in self.word_pending:
+                e.emit(inner, f"for _off, _val in nw_{attr}.items():")
+                e.emit(inner + 1, f"{attr}[_off] = _val")
+            else:
+                e.emit(inner, f"{attr} = nw_{attr}")
+            e.emit(inner, f"nw_{attr} = None")
+        for name in arrays:
+            e.emit(indent + 1, f"g_{_attr(name)} += 1")
 
 
 def compile_design(design: Design,

@@ -101,14 +101,15 @@ class TestOnePassDesign:
             leaf = elaborate_leaf(sub.module_ast)
             assert _summary(handed) == _summary(leaf), sub.name
 
+    # The keys fold in CODEGEN_VERSION (5 here).
     @pytest.mark.parametrize("name, inlined, digests", [
-        ("pow", True, {"main": "258c7bbe67f50152"}),
-        ("pow", False, {"main": "1755f164713c3abd",
-                        "miner": "05b2a7824a274d34",
-                        "miner.core": "6a212d6191a97aba"}),
-        ("nw", True, {"main": "c1130e00a25ceb4a"}),
-        ("nw", False, {"main": "87bcec699fa2f7b6",
-                       "nw": "a40af85fdc17672a"}),
+        ("pow", True, {"main": "3233941b84c60934"}),
+        ("pow", False, {"main": "ffe6f90059d6cd4f",
+                        "miner": "fe613e5ace37f22e",
+                        "miner.core": "5e511d4bd33154bf"}),
+        ("nw", True, {"main": "b62df5cbe43ed612"}),
+        ("nw", False, {"main": "81322050d9a40b79",
+                       "nw": "3dbd6f8529cb0f61"}),
     ])
     def test_cache_keys_are_pinned(self, name, inlined, digests):
         rt = _built(PROGRAMS[name], inlined)

@@ -173,6 +173,35 @@ module p(input wire clk, input wire [15:0] v, input wire [1:0] sel,
 endmodule
 """
 
+# Loops over constants are unrolled; the last one is not (its bound is
+# a variable).  The loop variable keeps its final value.
+LOOPS = """
+module l(input wire clk, input wire [7:0] x, output reg [15:0] acc,
+         output reg [7:0] last, output reg [7:0] rev);
+  integer i;
+  reg [3:0] j;
+  reg [7:0] w [0:3];
+  function [15:0] plus_i;  // reads the loop variable: no unrolling
+    input [15:0] v;
+    plus_i = v + i;
+  endfunction
+  always @(posedge clk) begin
+    acc = 0;
+    for (i = 3; i >= 0; i = i - 1)
+      acc = acc + (x >> i);
+    for (j = 0; j != 9; j = j + 3)
+      rev[j[2:0]] <= x[j];
+    for (i = 0; i < 3; i = i + 1)
+      w[i + 1] <= x + i;
+    last <= x + i;
+    for (i = 0; i < x[1:0]; i = i + 1)
+      acc = acc + i;
+    for (i = 1; i < 3; i = i + 1)
+      acc = plus_i(acc);
+  end
+endmodule
+"""
+
 
 # Combinational rows share one port list; every row drives ``y``.
 PORTS = ("input wire [7:0] a, input wire [7:0] b, "
@@ -243,6 +272,7 @@ NETLIST_ROWS = {name for name, _ in COMB_ROWS} - {"signed-div", "signed-mod"}
     ("memory", MEMORY, {"addr": 4, "wen": 1, "din": 8}, ["dout"]),
     ("function", FUNCTION, {"x": 8}, ["y"]),
     ("partsel", PARTSEL, {"v": 16, "sel": 2}, ["nib", "spun"]),
+    ("loops", LOOPS, {"x": 8}, ["acc", "last", "rev"]),
 ] + [pytest.param(name, text, COMB_INPUTS, ["y"], id=name)
      for name, text in COMB_ROWS])
 def test_compiled_matches_interpreter(name, text, inputs, outputs):
@@ -280,8 +310,9 @@ module d(input wire clk);
       $finish;
   end
 endmodule""")
-    compiled = compile_design(elaborate_leaf(module)).instantiate()
-    done = compiled.open_loop("v_clk", 100)
+    design = compile_design(elaborate_leaf(module))
+    compiled = design.instantiate()
+    done = design.open_loop_kernel("v_clk")(compiled, 100)
     assert compiled._finished == 0
     assert done < 100
 
@@ -292,9 +323,10 @@ module c(input wire clk, output reg [15:0] q);
   always @(posedge clk) q <= q + 3;
 endmodule""")
     design = elaborate_leaf(module)
-    a = compile_design(design).instantiate()
+    compiled = compile_design(design)
+    a = compiled.instantiate()
     b = compile_design(design).instantiate()
-    a.open_loop("v_clk", 20)  # 20 half-cycles = 10 posedges
+    compiled.open_loop_kernel("v_clk")(a, 20)  # 20 half-cycles = 10 posedges
     for _ in range(10):
         for clk in (1, 0):
             b.v_clk = clk
@@ -373,3 +405,192 @@ module loop(input wire a, output wire [7:0] y);
 endmodule""")
     comb = _eval_comb_source(compile_design(elaborate_leaf(module)))
     assert "for _pass" in comb
+
+
+def _stepped(model, clock_attr, steps):
+    """Open loop on the model's own methods: what the kernel must do."""
+    done = 0
+    while done < steps:
+        setattr(model, clock_attr, getattr(model, clock_attr) ^ 1)
+        model._dirty = True
+        model.evaluate()
+        while model._nba:
+            model.update()
+            model.evaluate()
+        done += 1
+        if not done & 1:
+            model._time += 1
+        if model._tasks:
+            break
+    return done
+
+
+class TestOpenLoopKernel:
+    """The kernel against stepped evaluate/update execution, on the
+    model's complete state (every ``v_``/``n_``/``p_``/``g_`` value,
+    cone snapshots, ``_nba``, ``_dirty``, ``_time``, ``_tasks`` and
+    ``_finished``) after every batch."""
+
+    def run(self, text, batches, clock="v_clk", prepare=None):
+        compiled = compile_design(elaborate_leaf(parse_module(text)))
+        kernel = compiled.open_loop_kernel(clock)
+        a, b = compiled.instantiate(), compiled.instantiate()
+        if prepare is not None:
+            prepare(a)
+            prepare(b)
+        history = []
+        for steps in batches:
+            done = kernel(a, steps)
+            assert done == _stepped(b, clock, steps)
+            assert vars(a) == vars(b)
+            history.append((done, [t[0] for t in a._tasks]))
+            a._tasks, b._tasks = [], []
+        return kernel, a, history
+
+    def test_display_stops_on_the_posedge_and_resumes_at_the_negedge(self):
+        _, model, history = self.run("""
+module d(input wire clk, output reg [7:0] q = 0);
+  always @(posedge clk) begin
+    q <= q + 1;
+    if (q[1:0] == 2'd2)
+      $display("q %d", q);
+  end
+endmodule""", [100, 100, 7, 100])
+        # Posedges 3, 7 and 11 display, at half ticks 5, 13 and 21; a
+        # batch stops after that posedge half, and the next one starts
+        # at the negedge.
+        assert history == [(5, ["display"]), (8, ["display"]), (7, []),
+                           (1, ["display"])]
+        assert model.v_clk == 1 and model.v_q == 11
+
+    def test_odd_steps(self):
+        _, model, history = self.run("""
+module c(input wire clk, output reg [15:0] q = 0);
+  always @(posedge clk) q <= q + 3;
+endmodule""", [1, 3, 5, 0, 7])
+        assert [done for done, _ in history] == [1, 3, 5, 0, 7]
+        # ``_time`` counts each batch's own even half ticks (the
+        # runtime sets the time between batches).
+        assert model.v_q == 3 * 8 and model._time == 0 + 1 + 2 + 0 + 3
+
+    def test_negedge_block(self):
+        self.run("""
+module n(input wire clk, output reg [7:0] up = 0, output reg [7:0] dn = 0);
+  always @(posedge clk) up <= up + 1;
+  always @(negedge clk) dn <= up ^ dn;
+endmodule""", [9, 10, 33])
+
+    def test_edge_on_a_register_derived_clock(self):
+        # ``slow`` is a nonblocking target only edge controls read, on
+        # both edges; its edge samples must match the model's.
+        self.run("""
+module r(input wire clk, output reg [7:0] q = 0);
+  reg slow = 0;
+  reg [1:0] div = 0;
+  always @(posedge clk) begin
+    div <= div + 1;
+    if (div == 2'd3) slow <= ~slow;
+  end
+  always @(posedge slow) q <= q + 5;
+  always @(negedge slow) q <= q ^ 8'h0f;
+endmodule""", [17, 40, 64])
+
+    def test_comb_always_keeps_the_fixpoint(self):
+        kernel, _, _ = self.run("""
+module s(input wire clk, output reg [7:0] y, output wire [7:0] z);
+  reg [7:0] q = 1;
+  always @(posedge clk) q <= q + y;
+  always @* y = q + 1;
+  assign z = y ^ q;
+endmodule""", [6, 11, 30])
+        assert "for _pass in range(128):" in kernel.source
+
+    def test_array_shifted_by_a_nonblocking_loop(self):
+        kernel, model, _ = self.run("""
+module w(input wire clk, output wire [7:0] head);
+  reg [7:0] w [0:7];
+  integer i;
+  always @(posedge clk) begin
+    for (i = 0; i < 7; i = i + 1)
+      w[i] <= w[i + 1];
+    w[7] <= w[0] + 8'd3;
+  end
+  assign head = w[0];
+endmodule""", [10, 31, 64])
+        # Pending words go to a copy of the array, not to tuples.
+        assert "_nba_words.append" not in kernel.source
+        assert model.g_v_w == 53  # one per posedge
+
+    def test_array_written_both_ways(self):
+        self.run("""
+module b(input wire clk, output wire [7:0] out);
+  reg [7:0] m [0:3];
+  always @(posedge clk) begin
+    m[1] <= m[0] + 1;
+    m[0] = m[0] + 2;
+    m[2] <= m[0];
+    m[2] = m[3] ^ 8'h5a;
+  end
+  assign out = m[1] + m[2];
+endmodule""", [12, 25])
+
+    def test_pending_writes_at_entry(self):
+        # An evaluate the engine ran before the batch left nonblocking
+        # writes, array words among them, for the batch to apply.
+        def prepare(model):
+            model.v_clk = 1
+            model.evaluate()
+            assert model._nba and model._nba_words
+        self.run("""
+module p(input wire clk, output reg [7:0] q = 0);
+  reg [7:0] m [0:1];
+  always @(posedge clk) begin
+    m[0] <= q + 1;
+    q <= m[0] + m[1];
+    m[1] <= m[0];
+  end
+endmodule""", [8, 9], prepare=prepare)
+
+    def test_finish_mid_batch(self):
+        _, model, history = self.run("""
+module f(input wire clk);
+  reg [3:0] n = 0;
+  always @(posedge clk) begin
+    n <= n + 1;
+    if (n == 4'd5)
+      $finish;
+  end
+endmodule""", [100, 4])
+        assert history[0] == (11, ["finish"])
+        assert model._finished == 0
+
+    def test_function_reading_design_state_steps_the_methods(self):
+        kernel, _, _ = self.run("""
+module g(input wire clk, output reg [7:0] q = 0);
+  reg [7:0] base = 5;
+  integer k;
+  function [7:0] addb;
+    input [7:0] x;
+    addb = x + base;
+  endfunction
+  always @(posedge clk) begin
+    for (k = 0; k < 2; k = k + 1)
+      q <= addb(q);
+    base <= base + 1;
+  end
+endmodule""", [7, 20])
+        assert "evaluate()" in kernel.source
+
+    def test_built_on_request_and_kept(self):
+        compiled = compile_design(elaborate_leaf(parse_module("""
+module k(input wire clk, output reg q = 0);
+  always @(posedge clk) q <= ~q;
+endmodule""")))
+        assert not compiled._kernels
+        kernel = compiled.open_loop_kernel("v_clk")
+        assert compiled.open_loop_kernel("v_clk") is kernel
+        # The batch's state lives in locals: between loading and
+        # storing back, ``self`` is touched only to queue tasks.
+        body = kernel.source.split("while done < steps:")[1]
+        loop = body.split("\n    self.")[0]
+        assert "self." not in loop
