@@ -1315,16 +1315,22 @@ class _DesignCompiler:
         sample every edge signal."""
         st = "" if kernel else "self."
         e.emit(indent, "fired = False")
+        # While no block can write an edge signal, blocks in a row with
+        # the same test run under one.
+        grouped, last = not self._seq_writes_edges(), None
         for i, block in enumerate(self.seq_blocks):
             tests = []
             for item in block.ctrl.items:
                 cur = exprs._read(item.expr.name)
                 prev = f"{st}p_{_attr(item.expr.name)}"
-                tests.append(f"{cur} & ~{prev} & 1"
+                tests.append(f"not {prev} & 1 and {cur} & 1"
                              if item.edge == "posedge"
-                             else f"{prev} & ~{cur} & 1")
-            e.emit(indent, f"if {' or '.join(tests)}:")
-            e.emit(indent + 1, "fired = True")
+                             else f"{prev} & 1 and not {cur} & 1")
+            test = " or ".join(tests)
+            if test != last or not grouped:
+                e.emit(indent, f"if {test}:")
+                e.emit(indent + 1, "fired = True")
+            last = test
             if kernel:
                 _StmtCompiler(self, e, exprs, kernel=True).compile(
                     block.body, indent + 1)
@@ -1332,6 +1338,21 @@ class _DesignCompiler:
                 e.emit(indent + 1, f"self._seq_blk{i}()")
         for sig in self.edge_signals:
             e.emit(indent, f"{st}p_{_attr(sig)} = {exprs._read(sig)}")
+
+    def _seq_writes_edges(self) -> bool:
+        """Whether a sequential block may write an edge signal blocking
+        (directly or through a function), changing a later block's
+        edge test."""
+        for block in self.seq_blocks:
+            for node in walk(block.body):
+                if isinstance(node, ast.BlockingAssign) and set(
+                        _lvalue_names(node.lhs)) & set(self.edge_signals):
+                    return True
+                if isinstance(node, ast.Call) and \
+                        not node.name.startswith("$") and \
+                        not self.function_info(node.name).side_effect_free:
+                    return True
+        return False
 
     def _compile_seq(self, e: _Emitter) -> None:
         e.emit(1, "def _seq(self):")
