@@ -28,9 +28,11 @@ import re
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, \
     Set, Tuple
 
+from ..common.bits import Bits
 from ..common.errors import SynthesisError
 from ..verilog import ast
 from ..verilog.elaborate import Design, Function
+from ..verilog.eval import fold
 from ..verilog.sizing import Select
 from ..verilog.visitor import read_set_of, read_set_of_lvalue_indices, walk
 from . import pyrt
@@ -64,10 +66,6 @@ _INT = re.compile(r"-?\d+")
 #: Code made only of literals and these operators evaluates at codegen
 #: time exactly as it would at run time (no shifts: they can explode).
 _FOLDABLE = re.compile(r"[\d()+\-*&|^~ ]+")
-#: Code made only of literals, arithmetic, comparisons and logic; an
-#: unrolled loop's test and step evaluate it at codegen time.
-_CONST_CODE = re.compile(
-    r"(?:[\d()+\-*&|^~<>=!%/ ]|\b(?:and|or|not|if|else)\b)+")
 #: Argument code cheap enough to repeat when a function is inlined.
 _SIMPLE = re.compile(r"-?\d+|[A-Za-z_][\w.]*(\[\d+\])?")
 
@@ -505,6 +503,8 @@ class _StmtCompiler:
         self.nba_allowed = nba_allowed
         self.kernel = kernel
         self.st = "" if kernel else "self."
+        #: The variables of the loops being unrolled, by name.
+        self.loop_values: Dict[str, Bits] = {}
         self._tmp = 0
 
     def tmp(self) -> str:
@@ -580,37 +580,37 @@ class _StmtCompiler:
                 info = self.c.function_info(node.name)
                 if name in info.reads or not info.side_effect_free:
                     return False
-        frame = self.x.frame
+        # The start, test and step are evaluated as the interpreter
+        # would, over the values of the loops unrolled around this one.
+        consts, frame = self.loop_values, self.x.frame
         saved = frame.get(name)
 
-        def const(expr: ast.Expr, value: int) -> Optional[int]:
-            frame[name] = str(value)
-            code = self.x.condition(expr) if expr is stmt.cond \
-                else self.x.rvalue(expr)[0]
-            if not _CONST_CODE.fullmatch(code):
-                return None
-            return eval(code, {"__builtins__": {}})
+        def const(expr: ast.Expr) -> Optional[int]:
+            value = fold(expr, consts)
+            return None if value is None or value.has_xz \
+                else value.to_uint()
 
+        values: List[int] = []
+        value = const(init.rhs)
         try:
-            value = _lit(self.x.rvalue(init.rhs)[0])
-            values: List[int] = []
             while value is not None:
                 value &= _mask(width)
-                test = const(stmt.cond, value)
-                if test is None:
-                    return False
+                consts[name] = Bits.from_int(value, width, init.lhs.signed)
+                test = const(stmt.cond)
                 if not test:
                     break
                 values.append(value)
                 if len(values) > _UNROLL_MAX:
                     return False
-                value = const(step.rhs, value)
-            if value is None:
+                value = const(step.rhs)
+            if value is None or test is None:
                 return False
             for v in values:
+                consts[name] = Bits.from_int(v, width, init.lhs.signed)
                 frame[name] = str(v)
                 self._compile(stmt.body, indent)
         finally:
+            consts.pop(name, None)
             if saved is None:
                 frame.pop(name, None)
             else:
