@@ -7,6 +7,8 @@ printed module, and building it never sizes or mutates the parse tree
 the runtime keeps across evals.
 """
 
+import hashlib
+
 import pytest
 
 from repro.apps.nw import nw_program
@@ -15,6 +17,7 @@ from repro.apps.regex import regex_program
 from repro.backend.cache import design_cache_key
 from repro.backend.compilequeue import CompileQueue
 from repro.backend.compiler import CompileService
+from repro.backend.pycompile import _attr, compile_design
 from repro.backend.estimate import estimate_resources
 from repro.common.errors import CascadeError
 from repro.core.runtime import Runtime
@@ -117,6 +120,50 @@ class TestOnePassDesign:
                                            True, 0)[:16]
                 for sub in rt.program.user_subprograms()}
         assert keys == digests
+
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_generated_code_is_pinned(self, name):
+        """The sha256 (first 12 hex digits) of the compiled model's
+        source and then of the open-loop kernel for each edge signal,
+        as the code generator printed them before the model and the
+        kernel came to be printed from one schedule."""
+        rt = _built(PROGRAMS[name], True)
+        compiled = compile_design(rt.engines["main"].design)
+        sources = [compiled.source] + [
+            compiled.open_loop_kernel(_attr(sig)).source
+            for sig in compiled.edge_signals]
+        assert " ".join(hashlib.sha256(s.encode()).hexdigest()[:12]
+                        for s in sources) == _CODEGEN_DIGESTS[name]
+
+
+_CODEGEN_DIGESTS = {
+    "nw": "2ab87c30134a 3cfa7b7dfde0 4a2c129f006f",
+    "pow": "993a5e2cfae1 7af134fd846b d00adbef9e44",
+    "regex": "63e2aad0792e 3efaa678be7c 47001e0851b2",
+    "student0": "617ae6efe9f2 25f0705f01b9 a35d48b38ad3",
+    "student10": "e10e5877262c 9439b1cb0d55 b071437fd6f0",
+    "student11": "03d661372cae 004d0e26e9bb e7f014826897",
+    "student13": "d60d4ae1c060 3b28fc74651e dffbaf54d21c",
+    "student14": "a2e00fc9e2a2 73e46f92e26b f077804dac2d",
+    "student15": "5fbfb66150ff 2724b6d6960e 27388ceb9b41",
+    "student16": "764d6d88771e 1449194d4902 c8a7bd11322e",
+    "student17": "d7a7b911ce7c c2d6f47e5d58 406c10ccf8f2",
+    "student18": "357edfe16808 e3a68ecb6734 dda3525b06fa",
+    "student19": "b7093aaf2509 088f407d812d 33bcddb9d81a",
+    "student2": "6625442deab1 486b7a03c602 20be6e1c17fb",
+    "student22": "6e9b139974c8 acb921986fb7 c259dba4b6c2",
+    "student23": "f3a776a0256e c76946b9f724 c6cbbabc9a59",
+    "student24": "5ab767e814e3 b156171ec371 6bd9d5d9c086",
+    "student26": "70c1fd6bea3c ffa33520dc65 c2e86f0b7201",
+    "student28": "9b1d8521dedc 20ccfd4b42fc ae92e134fd3a",
+    "student29": "00e17e36ebcb 6f9fa662e0eb 3b3394f7414e",
+    "student3": "65455e1e0e7b 97c277e1d308 0b0558dbec92",
+    "student5": "a44979b74c8a 108cfd6e25fc 0e9f036af77c",
+    "student6": "49838a0f3882 07e5b415e378 b61a042316cf",
+    "student7": "35d10c2e406a 52abc9230e2d c1284c3b37a3",
+    "student8": "06c696fe2141 d97f31f52a18 b093e2c9e495",
+    "student9": "fc8aff702cb0 b0e4db27feb1 6fc95fb2d47e",
+}
 
 
 # ----------------------------------------------------------------------
