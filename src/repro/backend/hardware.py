@@ -16,7 +16,7 @@ supports the two optimisations that matter for performance:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..common.bits import Bits
 from ..core.abi import HARDWARE, SOFTWARE, CollectedTasks, Engine, \
@@ -63,7 +63,6 @@ class HardwareEngine(CollectedTasks, Engine):
         self._from_inner: List[Tuple[Engine, str, str, int]] = []
         self.clock_engine: Optional[Engine] = None
         self.clock_attr: Optional[str] = None
-        self._kernel: Optional[Callable[[object, int], int]] = None
 
     # ------------------------------------------------------------------
     # State migration
@@ -266,7 +265,6 @@ class HardwareEngine(CollectedTasks, Engine):
         ``_vars[0] <= _otick ? _vars[0]+1 : ...``)."""
         self.clock_engine = clock_engine
         self.clock_attr = _attr(clock_port)
-        self._kernel = None
 
     # ------------------------------------------------------------------
     # Open-loop scheduling (§4.4)
@@ -280,9 +278,7 @@ class HardwareEngine(CollectedTasks, Engine):
             # (Pad/Reset) stay constant during the batch and sinks
             # (Led/GPIO) only need the final values — run the design's
             # open-loop kernel and exchange once on exit.
-            if self._kernel is None:
-                self._kernel = self.compiled.open_loop_kernel(attr)
-            done = self._kernel(model, steps)
+            done = self.compiled.open_loop_kernel(attr)(model, steps)
             if self.inner:
                 self._exchange()
             self._collect_tasks()

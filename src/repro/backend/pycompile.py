@@ -17,16 +17,17 @@ with a generation counter ``g_*``), a shadow per nonblocking target
 (``n_*``) plus pending array words (``_nba_words``), the update flag
 (``_nba``), previous edge samples (``p_*``) and the task queue
 (``_tasks``).  Figure 10's open loop (``_oloop``) is a separate
-function printed from the same schedule on first request
-(:meth:`CompiledDesign.open_loop_kernel`): it toggles the clock itself
-and keeps all of that state in locals for a whole batch.
+function (:meth:`CompiledDesign.open_loop_kernel`) that toggles the
+clock itself and keeps all of that state in locals for a whole batch.
+Both print from one :class:`Schedule` of the design, and in both every
+block of a sequential pass tests the edge signals as the pass began.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, \
-    Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, \
+    Sequence, Set, Tuple
 
 from ..common.bits import Bits
 from ..common.errors import SynthesisError
@@ -41,7 +42,7 @@ __all__ = ["CODEGEN_VERSION", "CompiledDesign", "compile_design"]
 
 #: Bumped whenever the generated model changes shape, so on-disk cache
 #: entries written by an older code generator miss instead of loading.
-CODEGEN_VERSION = 5
+CODEGEN_VERSION = 6
 
 #: Pure single-port functions at most this wide become lookup tables.
 _TABLE_MAX_BITS = 8
@@ -95,13 +96,17 @@ class CompiledDesign:
     registered on it.  The software fast path uses them to charge the
     same number of ABI-level evaluate calls as the interpreter would.
     Both, like ``edge_signals``, are class attributes of the generated
-    model, so the source text alone is the whole artifact.
+    model, so the source text alone is the whole artifact: a model
+    rehydrated from it builds its ``schedule`` on the first kernel
+    request.
     """
 
-    def __init__(self, design: Design, source: str, model_class):
+    def __init__(self, design: Design, source: str, model_class,
+                 schedule: Optional["Schedule"] = None):
         self.design = design
         self.source = source
         self.model_class = model_class
+        self.schedule = schedule
         self.edge_signals: List[str] = list(model_class._edge_signals)
         self.comb_wake: FrozenSet[str] = model_class._comb_wake
         self.edge_wake: Dict[str, FrozenSet[str]] = model_class._edge_wake
@@ -118,9 +123,9 @@ class CompiledDesign:
         (only engines that reach open loop ask) and kept."""
         kernel = self._kernels.get(clock_attr)
         if kernel is None:
-            clock = next(name for name in self.design.vars
-                         if _attr(name) == clock_attr)
-            source = _DesignCompiler(self.design).kernel_source(clock)
+            if self.schedule is None:
+                self.schedule = Schedule(self.design)
+            source = _Printer(self.schedule).kernel(clock_attr)
             namespace: Dict[str, object] = {}
             exec(compile(source, f"<open-loop:{self.design.name}>", "exec"),
                  namespace)
@@ -180,10 +185,10 @@ class _ExprCompiler:
     and shift guards.
     """
 
-    def __init__(self, compiler: "_DesignCompiler",
+    def __init__(self, printer: "_Printer",
                  frame: Optional[Dict[str, str]] = None,
                  local: Optional[Dict[str, str]] = None):
-        self.c = compiler
+        self.c = printer
         self.frame = frame or {}
         self.local = local if local is not None else {}
 
@@ -453,7 +458,7 @@ class _ExprCompiler:
             return str(expr.args[0].width & _mask(ctx))
         if name.startswith("$"):
             raise SynthesisError(f"{name} cannot be synthesized")
-        fn = self.c.design.functions[name]
+        fn = self.c.s.design.functions[name]
         args = []
         for arg, port in zip(expr.args, fn.ports):
             code = self._ctx(arg)
@@ -465,7 +470,7 @@ class _ExprCompiler:
     def _apply(self, fn: Function, args: List[str]) -> str:
         """A call of ``fn``: a table lookup, the body inlined, or a
         method call, cheapest first."""
-        info = self.c.function_info(fn.name)
+        info = self.c.s.fn_info[fn.name]
         if info.table is not None:
             return f"{info.table}[{args[0]}]"
         body = info.inline
@@ -481,7 +486,7 @@ class _ExprCompiler:
                 if body.ctx_width > fn.ret.width:
                     code = _fold(f"(({code}) & {_mask(fn.ret.width)})")
                 return code
-        return f"self.{self.c.function_name(fn.name)}(" \
+        return f"self.{self.c.s.fn_names[fn.name]}(" \
             + ", ".join(args) + ")"
 
 
@@ -494,10 +499,10 @@ class _StmtCompiler:
     a local named like its attribute, so nothing is written through,
     and a nonblocking array write goes to the array's pending copy."""
 
-    def __init__(self, compiler: "_DesignCompiler", emitter: _Emitter,
+    def __init__(self, printer: "_Printer", emitter: _Emitter,
                  exprs: _ExprCompiler, nba_allowed: bool = True,
                  kernel: bool = False):
-        self.c = compiler
+        self.c = printer
         self.e = emitter
         self.x = exprs
         self.nba_allowed = nba_allowed
@@ -577,7 +582,7 @@ class _StmtCompiler:
                     and name in _lvalue_names(node.lhs):
                 return False
             if isinstance(node, ast.Call) and not node.name.startswith("$"):
-                info = self.c.function_info(node.name)
+                info = self.c.s.fn_info[node.name]
                 if name in info.reads or not info.side_effect_free:
                     return False
         # The start, test and step are evaluated as the interpreter
@@ -664,7 +669,6 @@ class _StmtCompiler:
             return self.x.frame[name]
         if blocking:
             return self.x.local.get(name) or f"self.{_attr(name)}"
-        self.c.nba_targets.add(name)
         return f"{self.st}n_{_attr(name)}"
 
     def _written(self, name: str, blocking: bool, indent: int) -> None:
@@ -711,15 +715,13 @@ class _StmtCompiler:
             self.e.emit(indent + 1, f"{self.st}g_{_attr(name)} += 1")
             self.e.emit(indent + 1, f"{self.st}_dirty = True")
         elif self.kernel:
-            self.c.nba_array_targets.add(name)
             self.c.emit_pending_word(self.e, indent, name, off, masked)
             self.e.emit(indent, "_nba = True")
         else:
             # Each pending word carries its array and whether a change
             # to it wakes combinational logic, so update() does no
             # lookups.
-            self.c.nba_array_targets.add(name)
-            wakes = name in self.c.comb_wake
+            wakes = name in self.c.s.comb_wake
             self.e.emit(indent, f"self._nba_words.append(({arr}, {off}, "
                         f"{masked}, {wakes}))")
             self.e.emit(indent, "self._nba = True")
@@ -863,105 +865,29 @@ class _FnInfo:
         self.table: Optional[str] = None
 
 
-class _DesignCompiler:
-    """Drives compilation of one design: into a model class, or into
-    the open-loop kernel that runs the same model with its state in
-    locals.  Both print one schedule, sorted here."""
+def _calls(node: ast.Node) -> Iterator[str]:
+    """The Verilog functions a subtree calls, by name."""
+    return (n.name for n in walk(node)
+            if isinstance(n, ast.Call) and not n.name.startswith("$"))
 
-    def __init__(self, design: Design, class_name: str = "CompiledModel"):
+
+class Schedule:
+    """One design analysed from its syntax tree: the blocks, edge
+    signals and activation structure, the continuous assigns in
+    dependency order with their cones, every called function's
+    analysis and table, and the nonblocking targets.  The model's
+    methods and each open-loop kernel print from it; printing adds
+    nothing to it."""
+
+    def __init__(self, design: Design):
         self.design = design
-        self.class_name = class_name
-        self.nba_targets: Set[str] = set()
-        self.nba_array_targets: Set[str] = set()
-        # Named by declaration order, so the model and a kernel built
-        # later from the same design agree on every method name.
-        self._fn_names = {name: "f_" + re.sub(r"\W", "_", name) + f"_{i}"
-                          for i, name in enumerate(design.functions)}
-        self._fn_info: Dict[str, _FnInfo] = {}
-        self._tables: List[str] = []
-        self._fresh = 0
-        #: Snapshot attributes of the gated combinational cones.
-        self.cones: List[str] = []
-        self._schedule()
-
-    def function_name(self, name: str) -> str:
-        return self._fn_names[name]
-
-    def fresh(self, prefix: str) -> str:
-        self._fresh += 1
-        return f"{prefix}{self._fresh}"
-
-    def function_info(self, name: str) -> _FnInfo:
-        info = self._fn_info.get(name)
-        if info is None:
-            info = self._fn_info[name] = _FnInfo()
-            # Registered before the walk: a recursive call sees this
-            # (conservatively impure) entry.
-            info.side_effect_free = False
-            self._analyse_function(self.design.functions[name], info)
-        return info
-
-    def _analyse_function(self, fn: Function, info: _FnInfo) -> None:
-        short = fn.name.split(".")[-1]
-        ports = {p.name for p in fn.ports}
-        frame = ports | {v.name for v in fn.locals_} | {short, fn.name}
-        info.reads = read_set_of(fn.body) - frame
-        free, simple = True, True
-        for node in walk(fn.body):
-            if isinstance(node, (ast.BlockingAssign,
-                                 ast.NonblockingAssign)):
-                free = free and set(_lvalue_names(node.lhs)) <= frame
-            elif isinstance(node, ast.SysTask):
-                free = False
-            elif isinstance(node, (ast.For, ast.While, ast.RepeatStmt,
-                                   ast.Forever)):
-                simple = False
-            elif isinstance(node, ast.Call) and \
-                    not node.name.startswith("$"):
-                simple = False
-                callee = self.function_info(node.name)
-                info.reads |= callee.reads
-                free = free and callee.side_effect_free
-        info.side_effect_free = free
-        if not free or info.reads:
-            return
-        if simple and len(fn.ports) == 1 \
-                and fn.ports[0].width <= _TABLE_MAX_BITS:
-            info.table = self._tabulate(fn)
-            return
-        body = fn.body
-        if isinstance(body, ast.Block) and len(body.stmts) == 1:
-            body = body.stmts[0]
-        if isinstance(body, ast.BlockingAssign) \
-                and isinstance(body.lhs, ast.Ident) \
-                and body.lhs.name in (short, fn.name):
-            idents = [n.name for n in walk(body.rhs)
-                      if isinstance(n, ast.Ident)]
-            if set(idents) <= ports:
-                info.inline = body.rhs
-                info.uses = {p: idents.count(p) for p in ports}
-
-    def _tabulate(self, fn: Function) -> str:
-        """Evaluate a pure one-port function on every argument value at
-        codegen time; the generated model indexes the table instead."""
-        e = _Emitter()
-        e.emit(0, "class _Fn:")
-        self._compile_function(e, fn)
-        namespace: Dict[str, object] = {"pyrt": pyrt}
-        exec(compile(e.source(), f"<table:{fn.name}>", "exec"), namespace)
-        method = getattr(namespace["_Fn"], self.function_name(fn.name))
-        name = "_T" + self.function_name(fn.name)[1:]
-        values = tuple(method(None, v) for v in range(1 << fn.ports[0].width))
-        self._tables.append(f"{name} = {values!r}")
-        return name
-
-    # ------------------------------------------------------------------
-    def _schedule(self) -> None:
-        """Sort the design into the schedule both printers share: the
-        continuous assigns in dependency order (and whether one pass
-        settles them), the comb and sequential blocks, the edge
-        signals, and the activation structure."""
-        design = self.design
+        vars_ = design.vars
+        # Named by declaration order, so the model and a kernel printed
+        # later agree on every method name.
+        self.fn_names = {name: "f_" + re.sub(r"\W", "_", name) + f"_{i}"
+                         for i, name in enumerate(design.functions)}
+        self.fn_info: Dict[str, _FnInfo] = {}
+        self.tables: List[str] = []
         self.comb_blocks: List[ast.AlwaysBlock] = []
         self.seq_blocks: List[ast.AlwaysBlock] = []
         for block in design.always:
@@ -1005,55 +931,260 @@ class _DesignCompiler:
                 self.edge_wake.setdefault(item.expr.name, set()).add(
                     item.edge)
 
-        self.assigns, self.levelized = self._topo_sort_assigns(
-            list(design.assigns))
-        self.levelized = self.levelized and not self.comb_blocks
+        # One walk over the always blocks finds the calls (the tables
+        # follow their order) and the stores.
+        logic_calls = dict.fromkeys(name for a in design.assigns
+                                    for name in _calls(a))
+        seq = set(self.seq_blocks)
+        seq_calls: Set[str] = set()
+        seq_stores: Set[str] = set()
+        blocking = {name for a in design.assigns
+                    for name in _lvalue_names(a.lhs)}
+        self.nba_targets: Set[str] = set()
+        self.nba_array_targets: Set[str] = set()
+        for block in design.always:
+            for node in walk(block.body):
+                if isinstance(node, ast.Call) \
+                        and not node.name.startswith("$"):
+                    logic_calls[node.name] = None
+                    if block in seq:
+                        seq_calls.add(node.name)
+                elif isinstance(node, ast.BlockingAssign):
+                    blocking.update(_lvalue_names(node.lhs))
+                    if block in seq:
+                        seq_stores.update(_lvalue_names(node.lhs))
+                elif isinstance(node, ast.NonblockingAssign):
+                    for name in _lvalue_names(node.lhs):
+                        (self.nba_array_targets if vars_[name].is_array
+                         else self.nba_targets).add(name)
+        for name in logic_calls:
+            self._function_info(name)
+        for fn in design.functions.values():
+            if fn.name not in self.fn_info:  # uncalled, but printed
+                for name in _calls(fn.body):
+                    self._function_info(name)
+        # Arrays logic also writes blocking: a kernel keeps their pending
+        # nonblocking writes as words, not a copy, so a blocking write
+        # after the copy is taken is not lost.
+        self.word_pending = {name for name in blocking
+                             if name in vars_ and vars_[name].is_array}
+        # Whether a sequential block may write an edge signal blocking,
+        # directly or through a function.
+        self.writes_edges = bool(seq_stores & set(self.edge_signals)) or any(
+            not self.fn_info[name].side_effect_free for name in seq_calls)
+        self.calls_stateful = any(
+            self.fn_info[name].reads
+            or not self.fn_info[name].side_effect_free
+            for name in logic_calls)
 
-    def compile(self) -> CompiledDesign:
+        self.assigns = list(design.assigns)
+        self.reads = [self._assign_reads(a) for a in self.assigns]
+        self.writes = [set(_lvalue_names(a.lhs)) for a in self.assigns]
+        self.levelized = self._sort_assigns() and not self.comb_blocks
+        #: Groups of assign indices, each with the snapshot attribute
+        #: that gates it, or None for a cone cheap enough to recompute.
+        self.cones: List[Tuple[List[int], Optional[str]]] = []
+        if self.levelized:
+            gated = 0
+            for cone in self._cones():
+                key = None
+                if sum(_cost(self.assigns[i].rhs) for i in cone) \
+                        >= _CONE_COST:
+                    key, gated = f"_cone{gated}", gated + 1
+                self.cones.append((cone, key))
+
+    def _function_info(self, name: str) -> _FnInfo:
+        info = self.fn_info.get(name)
+        if info is None:
+            info = self.fn_info[name] = _FnInfo()
+            # Registered before the walk: a recursive call sees this
+            # (conservatively impure) entry.
+            info.side_effect_free = False
+            self._analyse_function(self.design.functions[name], info)
+        return info
+
+    def _analyse_function(self, fn: Function, info: _FnInfo) -> None:
+        short = fn.name.split(".")[-1]
+        ports = {p.name for p in fn.ports}
+        frame = ports | {v.name for v in fn.locals_} | {short, fn.name}
+        info.reads = read_set_of(fn.body) - frame
+        free, simple = True, True
+        for node in walk(fn.body):
+            if isinstance(node, (ast.BlockingAssign,
+                                 ast.NonblockingAssign)):
+                free = free and set(_lvalue_names(node.lhs)) <= frame
+            elif isinstance(node, ast.SysTask):
+                free = False
+            elif isinstance(node, (ast.For, ast.While, ast.RepeatStmt,
+                                   ast.Forever)):
+                simple = False
+            elif isinstance(node, ast.Call) and \
+                    not node.name.startswith("$"):
+                simple = False
+                callee = self._function_info(node.name)
+                info.reads |= callee.reads
+                free = free and callee.side_effect_free
+        info.side_effect_free = free
+        if not free or info.reads:
+            return
+        if simple and len(fn.ports) == 1 \
+                and fn.ports[0].width <= _TABLE_MAX_BITS:
+            info.table = self._tabulate(fn)
+            return
+        body = fn.body
+        if isinstance(body, ast.Block) and len(body.stmts) == 1:
+            body = body.stmts[0]
+        if isinstance(body, ast.BlockingAssign) \
+                and isinstance(body.lhs, ast.Ident) \
+                and body.lhs.name in (short, fn.name):
+            idents = [n.name for n in walk(body.rhs)
+                      if isinstance(n, ast.Ident)]
+            if set(idents) <= ports:
+                info.inline = body.rhs
+                info.uses = {p: idents.count(p) for p in ports}
+
+    def _tabulate(self, fn: Function) -> str:
+        """Evaluate a pure one-port function on every argument value at
+        codegen time; the generated model indexes the table instead."""
         e = _Emitter()
-        e.emit(0, f"class {self.class_name}:")
+        e.emit(0, "class _Fn:")
+        _Printer(self).function(e, fn)
+        namespace: Dict[str, object] = {"pyrt": pyrt}
+        exec(compile(e.source(), f"<table:{fn.name}>", "exec"), namespace)
+        method = getattr(namespace["_Fn"], self.fn_names[fn.name])
+        name = "_T" + self.fn_names[fn.name][1:]
+        values = tuple(method(None, v) for v in range(1 << fn.ports[0].width))
+        self.tables.append(f"{name} = {values!r}")
+        return name
+
+    def _assign_reads(self, a: ast.ContinuousAssign) -> Set[str]:
+        """What an assign reads, through the functions it calls too."""
+        reads = read_set_of(a.rhs) | read_set_of_lvalue_indices(a.lhs)
+        for name in _calls(a.rhs):
+            reads |= self.fn_info[name].reads
+        return reads
+
+    def _sort_assigns(self) -> bool:
+        """Order the continuous assigns so drivers precede readers, and
+        say whether the network is *levelizable*: one pass in that order
+        settles it.  That holds when no assign depends on its own target
+        (directly or through other assigns), each fully driven variable
+        has one driver, and every function the assigns call is free of
+        side effects; the variables such a function reads count as
+        dependencies.  Otherwise the assigns keep their order, and a
+        fixpoint settles the network."""
+        assigns = self.assigns
+        writers: Dict[str, List[int]] = {}
+        full: Dict[str, int] = {}
+        for i, a in enumerate(assigns):
+            for name in self.writes[i]:
+                writers.setdefault(name, []).append(i)
+            if isinstance(a.lhs, ast.Ident):
+                full[a.lhs.name] = full.get(a.lhs.name, 0) + 1
+        levelized = all(len(writers[name]) == 1 for name in full) and all(
+            self.fn_info[name].side_effect_free
+            for a in assigns for name in _calls(a.rhs))
+        order: List[int] = []
+        state = [0] * len(assigns)  # 0 new, 1 visiting, 2 done
+
+        def visit(i: int) -> None:
+            nonlocal levelized
+            if state[i] == 2:
+                return
+            if state[i] == 1:
+                levelized = False
+                return
+            state[i] = 1
+            for name in sorted(self.reads[i]):
+                for j in writers.get(name, ()):
+                    visit(j)
+            state[i] = 2
+            order.append(i)
+
+        for i in range(len(assigns)):
+            visit(i)
+        if levelized:
+            self.assigns, self.reads, self.writes = (
+                [xs[i] for i in order]
+                for xs in (self.assigns, self.reads, self.writes))
+        return levelized
+
+    def _cones(self) -> List[List[int]]:
+        """Group assigns (kept in order) that are connected through a
+        variable one writes and another reads or writes."""
+        n = len(self.assigns)
+        parent = list(range(n))
+
+        def find(i: int) -> int:
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        users: Dict[str, int] = {}
+        for i in range(n):
+            for name in self.writes[i]:
+                users.setdefault(name, i)
+        for i in range(n):
+            for name in self.reads[i] | self.writes[i]:
+                j = users.get(name)
+                if j is not None:
+                    parent[find(i)] = find(j)
+        cones: Dict[int, List[int]] = {}
+        for i in range(n):
+            cones.setdefault(find(i), []).append(i)
+        return list(cones.values())
+
+
+class _Printer:
+    """Prints the model class or an open-loop kernel from a schedule,
+    numbering the fresh names of that one print."""
+
+    def __init__(self, schedule: Schedule):
+        self.s = schedule
+        self._fresh = 0
+
+    def fresh(self, prefix: str) -> str:
+        self._fresh += 1
+        return f"{prefix}{self._fresh}"
+
+    def model(self, class_name: str) -> str:
+        """Source of the model class ``class_name``."""
+        s = self.s
+        e = _Emitter()
+        e.emit(0, f"class {class_name}:")
         # When _gate_wakes is True (the software fast path), update()
         # raises the dirty flag only for changes the interpreter would
         # also have activated on, so ABI-level call counts — and hence
         # virtual-time charges — match the interpreter bit for bit.
         e.emit(1, "_gate_wakes = False")
-        e.emit(1, f"_comb_wake = frozenset({tuple(sorted(self.comb_wake))!r})")
+        e.emit(1, f"_comb_wake = frozenset({tuple(sorted(s.comb_wake))!r})")
         e.emit(1, "_edge_wake = {" + ", ".join(
             f"{name!r}: frozenset({tuple(sorted(edges))!r})"
-            for name, edges in sorted(self.edge_wake.items())) + "}")
-        e.emit(1, f"_edge_signals = {tuple(sorted(self.edge_signals))!r}")
-        for i in range(len(self.comb_blocks)):
+            for name, edges in sorted(s.edge_wake.items())) + "}")
+        e.emit(1, f"_edge_signals = {tuple(sorted(s.edge_signals))!r}")
+        for i in range(len(s.comb_blocks)):
             # Comb-block snapshots start unset so every block runs once.
             e.emit(1, f"_comb_snap{i} = None")
-
-        # The bodies come first: they find the NBA shadows and cone
-        # snapshots that __init__ declares.
-        body = _Emitter()
-        self._compile_functions(body)
-        body.emit(1, "def _eval_comb(self):")
-        self._emit_comb(body, 2, {}, kernel=False)
-        body.blank()
-        self._compile_seq(body)
-        self._emit_framework(body)
         self._emit_init(e)
-        e.lines.extend(body.lines)
-
-        source = self._module(e)
-        namespace: Dict[str, object] = {}
-        exec(compile(source, f"<compiled:{self.design.name}>", "exec"),
-             namespace)
-        return CompiledDesign(self.design, source,
-                              namespace[self.class_name])
+        for fn in s.design.functions.values():
+            self.function(e, fn)
+        e.emit(1, "def _eval_comb(self):")
+        self._emit_comb(e, 2, {}, kernel=False)
+        e.blank()
+        self._compile_seq(e)
+        self._emit_framework(e)
+        return self._module(e)
 
     def _module(self, e: _Emitter) -> str:
         """Generated code with the imports and lookup tables it uses."""
         return "\n".join(["from repro.backend import pyrt", ""]
-                         + self._tables + [""]) + e.source()
+                         + self.s.tables + [""]) + e.source()
 
     # ------------------------------------------------------------------
     def _emit_init(self, e: _Emitter) -> None:
         e.emit(1, "def __init__(self):")
-        for var in self.design.vars.values():
+        for var in self.s.design.vars.values():
             attr = _attr(var.name)
             # A signed initializer reads negative; the model holds the
             # unsigned value of the variable's width.
@@ -1064,14 +1195,15 @@ class _DesignCompiler:
                 e.emit(2, f"self.g_{attr} = 0")
             else:
                 e.emit(2, f"self.{attr} = {init}")
-        for name in sorted(self.nba_targets):
+        for name in sorted(self.s.nba_targets):
             attr = _attr(name)
             e.emit(2, f"self.n_{attr} = self.{attr}")
         e.emit(2, "self._nba_words = []")
-        for key in self.cones:
-            e.emit(2, f"self.{key} = None")
+        for _, key in self.s.cones:
+            if key:
+                e.emit(2, f"self.{key} = None")
         # Previous samples for edge detection.
-        for sig in self.edge_signals:
+        for sig in self.s.edge_signals:
             e.emit(2, f"self.p_{_attr(sig)} = self.{_attr(sig)}")
         e.emit(2, "self._tasks = []")
         e.emit(2, "self._nba = False")
@@ -1080,11 +1212,7 @@ class _DesignCompiler:
         e.emit(2, "self._time = 0")
         e.blank()
 
-    def _compile_functions(self, e: _Emitter) -> None:
-        for fn in self.design.functions.values():
-            self._compile_function(e, fn)
-
-    def _compile_function(self, e: _Emitter, fn: Function) -> None:
+    def function(self, e: _Emitter, fn: Function) -> None:
         short = fn.name.split(".")[-1]
         frame: Dict[str, str] = {}
         args = []
@@ -1097,7 +1225,7 @@ class _DesignCompiler:
         ret_py = "r_" + re.sub(r"\W", "_", short)
         frame[short] = ret_py
         frame[fn.name] = ret_py
-        e.emit(1, f"def {self.function_name(fn.name)}(self, "
+        e.emit(1, f"def {self.s.fn_names[fn.name]}(self, "
                + ", ".join(args) + "):")
         for var in fn.locals_:
             e.emit(2, f"{frame[var.name]} = 0")
@@ -1108,79 +1236,21 @@ class _DesignCompiler:
         e.emit(2, f"return {ret_py}")
         e.blank()
 
-    def _topo_sort_assigns(self, assigns: List[ast.ContinuousAssign]
-                           ) -> Tuple[List[ast.ContinuousAssign], bool]:
-        """Order continuous assigns so drivers precede readers.
-
-        Returns the order and whether the network is *levelizable*: one
-        pass in that order settles it.  That holds when no assign
-        depends on its own target (directly or through other assigns),
-        each fully driven variable has one driver, and every function
-        the assigns call is free of side effects; the variables such a
-        function reads count as dependencies.  Otherwise the order is
-        the input order, and the caller settles the network through a
-        fixpoint."""
-        writers: Dict[str, List[int]] = {}
-        full: Dict[str, int] = {}
-        for i, a in enumerate(assigns):
-            for name in _lvalue_names(a.lhs):
-                writers.setdefault(name, []).append(i)
-            if isinstance(a.lhs, ast.Ident):
-                full[a.lhs.name] = full.get(a.lhs.name, 0) + 1
-        levelized = all(len(writers[name]) == 1 for name in full)
-        deps: List[Set[str]] = []
-        for a in assigns:
-            deps.append(self._assign_reads(a))
-            levelized = levelized and all(
-                self.function_info(node.name).side_effect_free
-                for node in walk(a.rhs) if isinstance(node, ast.Call)
-                and not node.name.startswith("$"))
-        order: List[int] = []
-        state = [0] * len(assigns)  # 0 new, 1 visiting, 2 done
-
-        def visit(i: int) -> None:
-            nonlocal levelized
-            if state[i] == 2:
-                return
-            if state[i] == 1:
-                levelized = False
-                return
-            state[i] = 1
-            for name in sorted(deps[i]):
-                for j in writers.get(name, ()):
-                    visit(j)
-            state[i] = 2
-            order.append(i)
-
-        for i in range(len(assigns)):
-            visit(i)
-        if not levelized:
-            return assigns, False
-        return [assigns[i] for i in order], True
-
-    def _assign_reads(self, a: ast.ContinuousAssign) -> Set[str]:
-        """What an assign reads, through the functions it calls too."""
-        reads = read_set_of(a.rhs) | read_set_of_lvalue_indices(a.lhs)
-        for node in walk(a.rhs):
-            if isinstance(node, ast.Call) and not node.name.startswith("$"):
-                reads |= self.function_info(node.name).reads
-        return reads
-
     def _emit_comb(self, e: _Emitter, indent: int, local: Dict[str, str],
                    kernel: bool) -> None:
         """One settle of the combinational network: the levelized pass,
         or passes until nothing changes, with each comb block re-run
         when a snapshot of what it reads changes."""
-        if self.levelized:
+        if self.s.levelized:
             self._emit_levelized(e, indent, local, kernel)
             return
         st = "" if kernel else "self."
-        vars_ = self.design.vars
+        vars_ = self.s.design.vars
         exprs = _ExprCompiler(self, local=local)
         inner = indent + 1
         e.emit(indent, "for _pass in range(128):")
         e.emit(inner, f"{st}_dirty = False")
-        for assign in self.assigns:
+        for assign in self.s.assigns:
             code, ctx, _ = exprs.rvalue(assign.rhs)
             stmts = _StmtCompiler(self, e, exprs, kernel=kernel)
             tmp = stmts.tmp()
@@ -1198,7 +1268,7 @@ class _DesignCompiler:
                 e.emit(inner + 1, f"{st}_dirty = True")
             else:
                 stmts._store(lhs, tmp, ctx, inner, blocking=True)
-        for i, block in enumerate(self.comb_blocks):
+        for i, block in enumerate(self.s.comb_blocks):
             snap = [f"{st}g_{_attr(name)}" if vars_[name].is_array
                     else exprs._read(name)
                     for name in sorted(read_set_of(block.body))
@@ -1224,15 +1294,12 @@ class _DesignCompiler:
         loaded into locals up front, and each fully driven variable is
         computed into a local that later assigns read; its attribute is
         stored unconditionally, which leaves the state a fixpoint would.
-        The kernel already holds every variable in a local.  Assigns
-        that share no variable form independent *cones*; a large cone
-        is skipped while a snapshot of everything it reads and writes is
-        unchanged, since recomputing it would change nothing."""
-        vars_ = self.design.vars
-        assigns = self.assigns
+        The kernel already holds every variable in a local.  A gated
+        cone is skipped while a snapshot of everything it reads and
+        writes is unchanged, since recomputing it would change nothing."""
+        s, vars_ = self.s, self.s.design.vars
+        assigns, reads, writes = s.assigns, s.reads, s.writes
         st = "" if kernel else "self."
-        reads = [self._assign_reads(a) for a in assigns]
-        writes = [set(_lvalue_names(a.lhs)) for a in assigns]
         written = set().union(*writes)
         if not kernel:
             local = {}
@@ -1241,11 +1308,9 @@ class _DesignCompiler:
                     local[name] = _local(name)
                     e.emit(indent, f"{local[name]} = self.{_attr(name)}")
         exprs = _ExprCompiler(self, local=local)
-        self.cones = []
-        for cone in self._cones(assigns, reads, writes):
+        for cone, key in s.cones:
             inner = indent
-            gated = sum(_cost(assigns[i].rhs) for i in cone) >= _CONE_COST
-            if gated:
+            if key:
                 snap = [f"{st}g_{_attr(n)}" if vars_[n].is_array
                         else exprs._read(n)
                         for n in sorted(set().union(*(reads[i] for i in cone))
@@ -1253,8 +1318,6 @@ class _DesignCompiler:
                 snap += [exprs._read(n) for n in
                          sorted(set().union(*(writes[i] for i in cone)))]
                 snap_code = "(" + ", ".join(snap) + ",)"
-                key = f"_cone{len(self.cones)}"
-                self.cones.append(key)
                 e.emit(indent, f"if {snap_code} != {st}{key}:")
                 inner = indent + 1
             for i in cone:
@@ -1277,57 +1340,36 @@ class _DesignCompiler:
                     tmp = stmts.tmp()
                     e.emit(inner, f"{tmp} = {code}")
                     stmts._store(lhs, tmp, ctx, inner, blocking=True)
-            if gated:
+            if key:
                 e.emit(inner, f"{st}{key} = {snap_code}")
         e.emit(indent, f"{st}_dirty = False")
-
-    @staticmethod
-    def _cones(assigns: List[ast.ContinuousAssign], reads: List[Set[str]],
-               writes: List[Set[str]]) -> List[List[int]]:
-        """Group assigns (kept in the given order) that are connected
-        through a variable one writes and another reads or writes."""
-        parent = list(range(len(assigns)))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        users: Dict[str, int] = {}
-        for i in range(len(assigns)):
-            for name in writes[i]:
-                users.setdefault(name, i)
-        for i in range(len(assigns)):
-            for name in reads[i] | writes[i]:
-                j = users.get(name)
-                if j is not None:
-                    parent[find(i)] = find(j)
-        cones: Dict[int, List[int]] = {}
-        for i in range(len(assigns)):
-            cones.setdefault(find(i), []).append(i)
-        return list(cones.values())
 
     def _emit_seq(self, e: _Emitter, indent: int, exprs: _ExprCompiler,
                   kernel: bool) -> None:
         """Run each sequential block whose edge fired, in order (a block
         sees earlier blocks' blocking writes), into ``fired``; then
-        sample every edge signal."""
+        sample every edge signal.  Every block tests the edge signals as
+        the pass began: an edge a block makes fires in the next round."""
         st = "" if kernel else "self."
         e.emit(indent, "fired = False")
-        # While no block can write an edge signal, blocks in a row with
-        # the same test run under one.
-        grouped, last = not self._seq_writes_edges(), None
-        for i, block in enumerate(self.seq_blocks):
+        cur = {sig: exprs._read(sig) for sig in self.s.edge_signals}
+        if self.s.writes_edges:
+            for sig in self.s.edge_signals:
+                e.emit(indent, f"e_{_attr(sig)} = {cur[sig]}")
+                cur[sig] = f"e_{_attr(sig)}"
+        # Blocks in a row with the same test run under one: no block
+        # changes what the tests read.
+        last = None
+        for i, block in enumerate(self.s.seq_blocks):
             tests = []
             for item in block.ctrl.items:
-                cur = exprs._read(item.expr.name)
+                now = cur[item.expr.name]
                 prev = f"{st}p_{_attr(item.expr.name)}"
-                tests.append(f"not {prev} & 1 and {cur} & 1"
+                tests.append(f"not {prev} & 1 and {now} & 1"
                              if item.edge == "posedge"
-                             else f"{prev} & 1 and not {cur} & 1")
+                             else f"{prev} & 1 and not {now} & 1")
             test = " or ".join(tests)
-            if test != last or not grouped:
+            if test != last:
                 e.emit(indent, f"if {test}:")
                 e.emit(indent + 1, "fired = True")
             last = test
@@ -1336,30 +1378,15 @@ class _DesignCompiler:
                     block.body, indent + 1)
             else:
                 e.emit(indent + 1, f"self._seq_blk{i}()")
-        for sig in self.edge_signals:
-            e.emit(indent, f"{st}p_{_attr(sig)} = {exprs._read(sig)}")
-
-    def _seq_writes_edges(self) -> bool:
-        """Whether a sequential block may write an edge signal blocking
-        (directly or through a function), changing a later block's
-        edge test."""
-        for block in self.seq_blocks:
-            for node in walk(block.body):
-                if isinstance(node, ast.BlockingAssign) and set(
-                        _lvalue_names(node.lhs)) & set(self.edge_signals):
-                    return True
-                if isinstance(node, ast.Call) and \
-                        not node.name.startswith("$") and \
-                        not self.function_info(node.name).side_effect_free:
-                    return True
-        return False
+        for sig in self.s.edge_signals:
+            e.emit(indent, f"{st}p_{_attr(sig)} = {cur[sig]}")
 
     def _compile_seq(self, e: _Emitter) -> None:
         e.emit(1, "def _seq(self):")
         self._emit_seq(e, 2, _ExprCompiler(self), kernel=False)
         e.emit(2, "return fired")
         e.blank()
-        for i, block in enumerate(self.seq_blocks):
+        for i, block in enumerate(self.s.seq_blocks):
             e.emit(1, f"def _seq_blk{i}(self):")
             exprs = _ExprCompiler(self, local=self._block_locals(e, block))
             stmts = _StmtCompiler(self, e, exprs)
@@ -1378,11 +1405,11 @@ class _DesignCompiler:
                 counts[node.name] = counts.get(node.name, 0) + 1
             elif isinstance(node, ast.Call) and \
                     not node.name.startswith("$") and \
-                    not self.function_info(node.name).side_effect_free:
+                    not self.s.fn_info[node.name].side_effect_free:
                 return {}
         local: Dict[str, str] = {}
         for name in sorted(counts):
-            if counts[name] > 1 and name in self.design.vars:
+            if counts[name] > 1 and name in self.s.design.vars:
                 local[name] = _local(name)
                 e.emit(2, f"{local[name]} = self.{_attr(name)}")
         return local
@@ -1399,12 +1426,12 @@ class _DesignCompiler:
         e.emit(1, "def update(self):")
         e.emit(2, "changed = False")
         e.emit(2, "wake = False")
-        for name in sorted(self.nba_targets):
+        for name in sorted(self.s.nba_targets):
             attr = _attr(name)
             e.emit(2, f"if self.{attr} != self.n_{attr}:")
             match = self._edge_only_match(name, f"self.{attr}",
                                           f"self.n_{attr}")
-            if name in self.comb_wake:
+            if name in self.s.comb_wake:
                 e.emit(3, "wake = True")
             elif match:
                 # Edge-only signal: activation requires the LSB
@@ -1425,7 +1452,7 @@ class _DesignCompiler:
         e.emit(5, "changed = True")
         e.emit(5, "if _wakes:")
         e.emit(6, "wake = True")
-        for name in sorted(self.nba_array_targets):
+        for name in sorted(self.s.nba_array_targets):
             e.emit(3, f"self.g_{_attr(name)} += 1")
         e.emit(3, "self._nba_words = []")
         e.emit(2, "self._nba = False")
@@ -1448,8 +1475,8 @@ class _DesignCompiler:
                          ) -> Optional[str]:
         """For a signal only edge controls read, a test that its change
         ``old`` -> ``new`` matches a registered edge; else None."""
-        edges = self.edge_wake.get(name)
-        if not edges or name in self.comb_wake:
+        edges = self.s.edge_wake.get(name)
+        if not edges or name in self.s.comb_wake:
             return None
         if len(edges) == 2:
             return f"({old} ^ {new}) & 1"
@@ -1460,9 +1487,9 @@ class _DesignCompiler:
     # ------------------------------------------------------------------
     # The open-loop kernel (Figure 10's _oloop)
     # ------------------------------------------------------------------
-    def kernel_source(self, clock: str) -> str:
-        """Source of ``open_loop(self, steps)``, which toggles the
-        variable ``clock`` and settles the model ``steps`` half ticks
+    def kernel(self, clock: str) -> str:
+        """Source of ``open_loop(self, steps)``, which toggles the model
+        attribute ``clock`` and settles the model ``steps`` half ticks
         exactly as the model's own ``evaluate``/``update`` would, and
         returns how many ran: it stops after a half tick that queued a
         task.  The state lives in locals for the whole batch and is
@@ -1471,11 +1498,11 @@ class _DesignCompiler:
         such a function sees the attributes."""
         e = _Emitter()
         e.emit(0, "def open_loop(self, steps):")
-        if self._calls_stateful_function():
+        if self.s.calls_stateful:
             e.emit(1, "evaluate, update = self.evaluate, self.update")
             e.emit(1, "done = 0")
             e.emit(1, "while done < steps:")
-            e.emit(2, f"self.{_attr(clock)} ^= 1")
+            e.emit(2, f"self.{clock} ^= 1")
             e.emit(2, "self._dirty = True")
             e.emit(2, "evaluate()")
             e.emit(2, "while self._nba:")
@@ -1487,17 +1514,6 @@ class _DesignCompiler:
             self._emit_local_kernel(e, clock)
         return self._module(e)
 
-    def _calls_stateful_function(self) -> bool:
-        bodies = [a.lhs for a in self.assigns] \
-            + [a.rhs for a in self.assigns] \
-            + [b.body for b in self.design.always]
-        return any(isinstance(node, ast.Call)
-                   and not node.name.startswith("$")
-                   and (self.function_info(node.name).reads
-                        or not self.function_info(node.name)
-                        .side_effect_free)
-                   for body in bodies for node in walk(body))
-
     def _emit_kernel_tail(self, e: _Emitter, st: str) -> None:
         e.emit(2, "done += 1")
         e.emit(2, "if not done & 1:")
@@ -1506,49 +1522,16 @@ class _DesignCompiler:
         e.emit(3, "break")
 
     def _emit_local_kernel(self, e: _Emitter, clock: str) -> None:
-        vars_ = self.design.vars
-        # Arrays some code also writes blocking: pending nonblocking
-        # writes to them are words, not a copy, so a blocking write
-        # after the copy is taken is not lost.
-        written = {name for a in self.assigns
-                   for name in _lvalue_names(a.lhs)}
-        for body in [b.body for b in self.design.always] \
-                + [fn.body for fn in self.design.functions.values()]:
-            for node in walk(body):
-                if isinstance(node, ast.BlockingAssign):
-                    written.update(_lvalue_names(node.lhs))
-        self.word_pending = {name for name in written
-                             if name in vars_ and vars_[name].is_array}
-        local = {name: _attr(name) for name in vars_}
-        exprs = _ExprCompiler(self, local=local)
-        # One half tick: evaluate rounds until no edge fires, then
-        # update and evaluate again while nonblocking writes are
-        # pending.  The body comes first: it finds the NBA targets and
-        # cones the state lists below name.
-        body = _Emitter()
-        body.emit(2, f"{local[clock]} ^= 1")
-        body.emit(2, "while True:")
-        body.emit(3, "for _round in range(64):")
-        self._emit_comb(body, 4, local, kernel=True)
-        self._emit_seq(body, 4, exprs, kernel=True)
-        body.emit(4, "if not fired:")
-        body.emit(5, "break")
-        body.emit(3, "else:")
-        body.emit(4, "raise RuntimeError('evaluation did not converge')")
-        body.emit(3, "if not _nba:")
-        body.emit(4, "break")
-        body.emit(3, "_nba = False")
-        self._emit_kernel_update(body, 3)
-
+        s, vars_ = self.s, self.s.design.vars
         state = [_attr(name) for name in vars_]
-        state += [f"n_{_attr(name)}" for name in sorted(self.nba_targets)]
-        state += [f"p_{_attr(sig)}" for sig in self.edge_signals]
+        state += [f"n_{_attr(name)}" for name in sorted(s.nba_targets)]
+        state += [f"p_{_attr(sig)}" for sig in s.edge_signals]
         state += [f"g_{_attr(name)}" for name, var in vars_.items()
                   if var.is_array]
-        state += self.cones
-        state += [f"_comb_snap{i}" for i in range(len(self.comb_blocks))]
+        state += [key for _, key in s.cones if key]
+        state += [f"_comb_snap{i}" for i in range(len(s.comb_blocks))]
         state += ["_nba", "_dirty", "_time"]
-        arrays = sorted(self.nba_array_targets)
+        arrays = sorted(s.nba_array_targets)
         e.emit(1, "if steps <= 0:")
         e.emit(2, "return 0")
         for name in state:
@@ -1565,9 +1548,25 @@ class _DesignCompiler:
                 e.emit(3, f"{'el' if i else ''}if _arr is {_attr(name)}:")
                 self.emit_pending_word(e, 4, name, "_off", "_val")
             e.emit(2, "self._nba_words = []")
+        # One half tick: evaluate rounds until no edge fires, then
+        # update and evaluate again while nonblocking writes are
+        # pending.
+        local = {name: _attr(name) for name in vars_}
         e.emit(1, "done = 0")
         e.emit(1, "while done < steps:")
-        e.lines.extend(body.lines)
+        e.emit(2, f"{clock} ^= 1")
+        e.emit(2, "while True:")
+        e.emit(3, "for _round in range(64):")
+        self._emit_comb(e, 4, local, kernel=True)
+        self._emit_seq(e, 4, _ExprCompiler(self, local=local), kernel=True)
+        e.emit(4, "if not fired:")
+        e.emit(5, "break")
+        e.emit(3, "else:")
+        e.emit(4, "raise RuntimeError('evaluation did not converge')")
+        e.emit(3, "if not _nba:")
+        e.emit(4, "break")
+        e.emit(3, "_nba = False")
+        self._emit_kernel_update(e, 3)
         self._emit_kernel_tail(e, "")
         for name in state:
             e.emit(1, f"self.{name} = {name}")
@@ -1581,7 +1580,7 @@ class _DesignCompiler:
         array blocking."""
         pending, arr = f"nw_{_attr(name)}", _attr(name)
         e.emit(indent, f"if {pending} is None:")
-        e.emit(indent + 1, f"{pending} = {{}}" if name in self.word_pending
+        e.emit(indent + 1, f"{pending} = {{}}" if name in self.s.word_pending
                else f"{pending} = {arr}[:]")
         e.emit(indent, f"{pending}[{off}] = {value}")
 
@@ -1589,9 +1588,9 @@ class _DesignCompiler:
         """The kernel's ``update``: what the model's own leaves, less
         what the evaluate that always follows overwrites (the change
         and wake bookkeeping, and the edge samples)."""
-        for name in sorted(self.nba_targets):
+        for name in sorted(self.s.nba_targets):
             e.emit(indent, f"{_attr(name)} = n_{_attr(name)}")
-        arrays = sorted(self.nba_array_targets)
+        arrays = sorted(self.s.nba_array_targets)
         if not arrays:
             return
         e.emit(indent, "if " + " or ".join(
@@ -1601,7 +1600,7 @@ class _DesignCompiler:
             if len(arrays) > 1:
                 e.emit(inner, f"if nw_{attr} is not None:")
                 inner += 1
-            if name in self.word_pending:
+            if name in self.s.word_pending:
                 e.emit(inner, f"for _off, _val in nw_{attr}.items():")
                 e.emit(inner + 1, f"{attr}[_off] = _val")
             else:
@@ -1614,4 +1613,8 @@ class _DesignCompiler:
 def compile_design(design: Design,
                    class_name: str = "CompiledModel") -> CompiledDesign:
     """Compile a synthesizable design into a fast Python model."""
-    return _DesignCompiler(design, class_name).compile()
+    schedule = Schedule(design)
+    source = _Printer(schedule).model(class_name)
+    namespace: Dict[str, object] = {}
+    exec(compile(source, f"<compiled:{design.name}>", "exec"), namespace)
+    return CompiledDesign(design, source, namespace[class_name], schedule)

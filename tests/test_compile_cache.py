@@ -16,6 +16,7 @@ from repro.core.runtime import Runtime
 from repro.ir.build import Subprogram
 from repro.verilog.elaborate import elaborate_leaf
 from repro.verilog.parser import parse_module
+from tests.test_pycompile import count_schedules
 
 COUNTER = """
 module counter(input wire clk, input wire rst, output wire [7:0] out);
@@ -240,6 +241,27 @@ class TestBitstreamCache:
             model.update()
             model.evaluate()
         assert model.v_q == 1
+
+    def test_disk_hit_builds_its_schedule_on_the_first_kernel(
+            self, tmp_path, monkeypatch):
+        """Rehydrating runs no analysis; the first open-loop kernel
+        request runs it once, and the kernel is the one a fresh compile
+        prints and leaves the state a fresh compile's does."""
+        cold = CompileService(cache=BitstreamCache(disk_dir=str(tmp_path)))
+        fresh = cold.submit(sub_of(COUNTER), 0.0).compiled
+        built = count_schedules(monkeypatch)
+        warm = CompileService(cache=BitstreamCache(disk_dir=str(tmp_path)))
+        cached = warm.submit(sub_of(COUNTER), 0.0).compiled
+        assert warm.cache.metrics.value("cache.disk_hits") == 1
+        assert built == [] and cached.schedule is None
+        kernel = cached.open_loop_kernel("v_clk")
+        cached.open_loop_kernel("v_clk")
+        assert built == [cached.schedule]
+        assert kernel.source == fresh.open_loop_kernel("v_clk").source
+        a, b = cached.instantiate(), fresh.instantiate()
+        a.v_rst = b.v_rst = 0
+        assert kernel(a, 37) == fresh.open_loop_kernel("v_clk")(b, 37) == 37
+        assert vars(a) == vars(b) and a.v_q == 19
 
     def test_disk_hit_runs_sw_fast_like_the_interpreter(self, tmp_path):
         """A model rehydrated from disk carries its wake sets, so the

@@ -104,15 +104,15 @@ class TestOnePassDesign:
             leaf = elaborate_leaf(sub.module_ast)
             assert _summary(handed) == _summary(leaf), sub.name
 
-    # The keys fold in CODEGEN_VERSION (5 here).
+    # The keys fold in CODEGEN_VERSION (6 here).
     @pytest.mark.parametrize("name, inlined, digests", [
-        ("pow", True, {"main": "3233941b84c60934"}),
-        ("pow", False, {"main": "ffe6f90059d6cd4f",
-                        "miner": "fe613e5ace37f22e",
-                        "miner.core": "5e511d4bd33154bf"}),
-        ("nw", True, {"main": "b62df5cbe43ed612"}),
-        ("nw", False, {"main": "81322050d9a40b79",
-                       "nw": "3dbd6f8529cb0f61"}),
+        ("pow", True, {"main": "f5173234bc03830a"}),
+        ("pow", False, {"main": "64b1f7a043aec272",
+                        "miner": "992a1fc37a04d8c4",
+                        "miner.core": "db1fe15535f1355b"}),
+        ("nw", True, {"main": "20a4c52617f8c98b"}),
+        ("nw", False, {"main": "7bf5cf8462da17fc",
+                       "nw": "9124772358fc7f37"}),
     ])
     def test_cache_keys_are_pinned(self, name, inlined, digests):
         rt = _built(PROGRAMS[name], inlined)

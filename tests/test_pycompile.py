@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from repro.backend import pycompile
 from repro.backend.pycompile import compile_design
 from repro.backend.synth import synthesize
 from repro.common.bits import Bits
@@ -407,6 +408,50 @@ endmodule""")
     assert "for _pass" in comb
 
 
+#: A sequential pass in which a block writes an edge signal another
+#: block waits on.  SAME_EDGE: one rise of ``s`` runs both blocks, the
+#: first of which lowers ``s`` again.  DERIVED_CLOCK: a block raises
+#: ``d`` for a block that comes before it.
+SAME_EDGE = """
+module e(input wire clk, input wire go, output reg [7:0] q = 0,
+         output reg [7:0] r = 0);
+  reg s = 0;
+  always @(posedge clk) s <= go;
+  always @(posedge s) begin q = q + 1; s = 0; end
+  always @(posedge s) r = r + 1;
+endmodule"""
+
+DERIVED_CLOCK = """
+module d(input wire clk, input wire go, output reg [7:0] r = 0);
+  reg d = 0;
+  always @(posedge d) r = r + 1;
+  always @(posedge clk) d = ~d;
+endmodule"""
+
+
+@pytest.mark.parametrize("text, outputs, want", [
+    (SAME_EDGE, ["q", "r"], [(n, n) for n in range(1, 9)]),
+    (DERIVED_CLOCK, ["r"], [(n // 2,) for n in range(2, 10)]),
+], ids=["same-edge", "derived-clock"])
+def test_blocks_test_the_edges_their_pass_began_with(text, outputs, want):
+    trace_i, trace_c = run_both(text, lambda cycle, rng: {"go": 1}, outputs,
+                                cycles=8)
+    assert trace_i == want
+    assert trace_c == want
+
+
+def count_schedules(monkeypatch):
+    """The schedules built from here on, in a list that grows."""
+    built = []
+    init = pycompile.Schedule.__init__
+
+    def counting(self, design):
+        init(self, design)
+        built.append(self)
+    monkeypatch.setattr(pycompile.Schedule, "__init__", counting)
+    return built
+
+
 def _stepped(model, clock_attr, steps):
     """Open loop on the model's own methods: what the kernel must do."""
     done = 0
@@ -580,6 +625,49 @@ module g(input wire clk, output reg [7:0] q = 0);
   end
 endmodule""", [7, 20])
         assert "evaluate()" in kernel.source
+
+    @pytest.mark.parametrize("text, r", [(SAME_EDGE, 29),
+                                         (DERIVED_CLOCK, 15)],
+                             ids=["same-edge", "derived-clock"])
+    def test_block_writing_an_edge_signal(self, text, r):
+        def prepare(model):
+            model.v_go = 1
+        _, model, _ = self.run(text, [9, 16, 33], prepare=prepare)
+        assert model.v_r == r  # after 29 rises of clk
+
+    def test_one_schedule_for_the_model_and_every_kernel(self,
+                                                          monkeypatch):
+        built = count_schedules(monkeypatch)
+        compiled = compile_design(elaborate_leaf(parse_module("""
+module two(input wire clk, input wire clk2, input wire [3:0] a,
+           output wire [7:0] y);
+  reg [7:0] q = 0;
+  reg [7:0] r = 0;
+  reg [7:0] m [0:3];
+  function [7:0] sq;
+    input [3:0] x;
+    sq = x * x;
+  endfunction
+  assign y = sq(a) + (q ^ r) * (q + r) - (q | r) * (r - q) + m[a[1:0]];
+  always @(posedge clk) begin
+    q <= q + 1;
+    m[q[1:0]] <= q;
+  end
+  always @(posedge clk2) r <= r + m[0];
+endmodule""")))
+        schedule = compiled.schedule
+        assert built == [schedule]
+        assert schedule.nba_targets and schedule.nba_array_targets
+        assert schedule.tables and any(key for _, key in schedule.cones)
+        fields = repr(vars(schedule))
+        compiled.open_loop_kernel("v_clk")
+        compiled.open_loop_kernel("v_clk2")
+        assert built == [schedule]
+        # Printing the model or a kernel reads the schedule only, so it
+        # prints the same text again.
+        again = pycompile._Printer(schedule).model("CompiledModel")
+        assert again == compiled.source
+        assert repr(vars(schedule)) == fields
 
     def test_built_on_request_and_kept(self):
         compiled = compile_design(elaborate_leaf(parse_module("""

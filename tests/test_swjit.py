@@ -148,6 +148,43 @@ always @(negedge clk.val) $display("led %0d", led.val);
         assert a.time_model.now_ns == b.time_model.now_ns
 
 
+class TestEdgeSignalWrittenInThePass:
+    """A block that writes an edge signal another block waits on: every
+    block of a sequential pass tests the edges the pass began with, on
+    sw-fast as on the interpreter (the hardware tier cannot take these
+    programs: the derived clock is a second clock domain)."""
+
+    SRC = {"same-edge": ("""
+reg s = 0;
+reg [7:0] q = 0;
+reg [7:0] r = 0;
+always @(posedge clk.val) s <= 1;
+always @(posedge s) begin q = q + 1; s = 0; end
+always @(posedge s) r = r + 1;
+always @(negedge clk.val) $display("%0d %0d", q, r);
+""", "20 20"), "derived-clock": ("""
+reg d = 0;
+reg [7:0] r = 0;
+always @(posedge d) r = r + 1;
+always @(posedge clk.val) d = ~d;
+always @(negedge clk.val) $display("%0d", r);
+""", "10")}
+
+    def _run(self, rt, name):
+        rt.eval_source(self.SRC[name][0])
+        rt.run(iterations=40)
+        return rt
+
+    @pytest.mark.parametrize("name", sorted(SRC))
+    def test_fast_path_matches_interpreter(self, name):
+        a = self._run(_interp_runtime(), name)
+        b = self._run(_fast_runtime(), name)
+        assert b.engine_tiers()["main"] == "sw-fast"
+        assert a.output_lines[-1] == self.SRC[name][1]
+        assert _observe(a) == _observe(b)
+        assert a.time_model.now_ns == b.time_model.now_ns
+
+
 class TestSignedArrayWordTransfer:
     """An interpreter array word keeps the sign of the value stored into
     it; the handover must still give the compiled model the unsigned
