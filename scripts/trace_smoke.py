@@ -63,6 +63,8 @@ PRINTED_COUNTS = (
      r"fast-path compile failures: (\d+)",
      ("runtime.sw_migrations", "runtime.hw_migrations",
       "runtime.fastpath_failures")),
+    (r"sw-fast batches: (\d+) \((\d+) iterations\)",
+     ("runtime.sw_batches", "runtime.sw_batch_iterations")),
     (r"reliability: (\d+) corrupt disk entries",
      ("cache.disk_corrupt",)),
 )

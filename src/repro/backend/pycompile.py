@@ -18,9 +18,12 @@ with a generation counter ``g_*``), a shadow per nonblocking target
 (``_nba``), previous edge samples (``p_*``) and the task queue
 (``_tasks``).  Figure 10's open loop (``_oloop``) is a separate
 function (:meth:`CompiledDesign.open_loop_kernel`) that toggles the
-clock itself and keeps all of that state in locals for a whole batch.
-Both print from one :class:`Schedule` of the design, and in both every
-block of a sequential pass tests the edge signals as the pass began.
+clock itself and keeps all of that state in locals for a whole batch;
+the software fast path's closed-loop batch
+(:meth:`CompiledDesign.batch_kernel`) is another.  :mod:`.kernels`
+prints both.  The model and the kernels print from one
+:class:`Schedule` of the design, and in each every block of a
+sequential pass tests the edge signals as the pass began.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ __all__ = ["CODEGEN_VERSION", "CompiledDesign", "compile_design"]
 
 #: Bumped whenever the generated model changes shape, so on-disk cache
 #: entries written by an older code generator miss instead of loading.
-CODEGEN_VERSION = 6
+CODEGEN_VERSION = 7
 
 #: Pure single-port functions at most this wide become lookup tables.
 _TABLE_MAX_BITS = 8
@@ -110,7 +113,7 @@ class CompiledDesign:
         self.edge_signals: List[str] = list(model_class._edge_signals)
         self.comb_wake: FrozenSet[str] = model_class._comb_wake
         self.edge_wake: Dict[str, FrozenSet[str]] = model_class._edge_wake
-        self._kernels: Dict[str, Callable[[object, int], int]] = {}
+        self._kernels: Dict[Tuple[str, str], Callable] = {}
 
     def instantiate(self):
         return self.model_class()
@@ -121,17 +124,29 @@ class CompiledDesign:
         ``clock_attr``: ``kernel(model, steps)`` runs up to ``steps``
         half ticks and returns how many ran.  Printed on first request
         (only engines that reach open loop ask) and kept."""
-        kernel = self._kernels.get(clock_attr)
+        return self._kernel("open_loop", clock_attr)
+
+    def batch_kernel(self, clock_attr: str) -> Callable:
+        """The closed-loop batch kernel for the clock held in model
+        attribute ``clock_attr`` (``KernelPrinter.batch``).  Printed on
+        the software fast path's first batch and kept."""
+        return self._kernel("batch", clock_attr)
+
+    def _kernel(self, kind: str, clock_attr: str) -> Callable:
+        kernel = self._kernels.get((kind, clock_attr))
         if kernel is None:
+            from .kernels import KernelPrinter
             if self.schedule is None:
                 self.schedule = Schedule(self.design)
-            source = _Printer(self.schedule).kernel(clock_attr)
+            printer = KernelPrinter(self.schedule)
+            source = (printer.kernel if kind == "open_loop"
+                      else printer.batch)(clock_attr)
             namespace: Dict[str, object] = {}
-            exec(compile(source, f"<open-loop:{self.design.name}>", "exec"),
+            exec(compile(source, f"<{kind}:{self.design.name}>", "exec"),
                  namespace)
-            kernel = namespace["open_loop"]
+            kernel = namespace[kind]
             kernel.source = source  # type: ignore[attr-defined]
-            self._kernels[clock_attr] = kernel
+            self._kernels[kind, clock_attr] = kernel
         return kernel
 
     def wakes_on(self, name: str, old: int, new: int) -> bool:
@@ -688,6 +703,8 @@ class _StmtCompiler:
         name, w = ident.name, ident.width
         code = _fold(f"(({value}) & {_mask(w)})") if value_w > w else value
         self.e.emit(indent, f"{self._target(name, blocking)} = {code}")
+        if not blocking and name in self.c.s.both_ways:
+            self.e.emit(indent, f"{self.st}m_{_attr(name)} = {_mask(w)}")
         if name not in self.x.frame:
             self._written(name, blocking, indent)
 
@@ -742,14 +759,21 @@ class _StmtCompiler:
         elif not -width < k < w:
             self.e.emit(indent, "pass")
             return
+        masked = not blocking and name in self.c.s.both_ways
+        mask = f"{self.st}m_{_attr(name)}"
         if k is not None and 0 <= k <= w - width:
             self.e.emit(
                 indent,
                 f"{target} = ({target} & ~({_mask(width)} << {k})) | "
                 f"((({value}) & {_mask(width)}) << {k})")
+            if masked:
+                self.e.emit(indent, f"{mask} |= {_mask(width) << k}")
         else:
             self.e.emit(indent, f"{target} = pyrt.insert({target}, {low}, "
                         f"{value}, {_mask(width)}, {_mask(w)})")
+            if masked:
+                self.e.emit(indent, f"{mask} = pyrt.insert({mask}, {low}, "
+                            f"{_mask(width)}, {_mask(width)}, {_mask(w)})")
         if name not in self.x.frame:
             self._written(name, blocking, indent)
 
@@ -848,17 +872,18 @@ def _local(name: str) -> str:
 class _FnInfo:
     """What codegen knows about one Verilog function.
 
-    ``reads`` are the design variables it reads, through its callees
-    too; it is ``side_effect_free`` when neither it nor a callee writes
-    a design variable or runs a system task.  A pure function (side
-    effect free, reading only its arguments) compiles to a lookup
-    ``table`` when it has one narrow port and no loops or calls, and
-    otherwise may be ``inline``d: ``inline`` is the right-hand side when
-    the body is one assignment of the result, and ``uses`` counts each
-    port's references in it."""
+    ``reads`` and ``writes`` are the design variables it reads and
+    writes, through its callees too; it is ``side_effect_free`` when it
+    writes none and neither it nor a callee runs a system task.  A pure
+    function (side effect free, reading only its arguments) compiles to
+    a lookup ``table`` when it has one narrow port and no loops or
+    calls, and otherwise may be ``inline``d: ``inline`` is the
+    right-hand side when the body is one assignment of the result, and
+    ``uses`` counts each port's references in it."""
 
     def __init__(self):
         self.reads: Set[str] = set()
+        self.writes: Set[str] = set()
         self.side_effect_free = True
         self.inline: Optional[ast.Expr] = None
         self.uses: Dict[str, int] = {}
@@ -963,6 +988,12 @@ class Schedule:
             if fn.name not in self.fn_info:  # uncalled, but printed
                 for name in _calls(fn.body):
                     self._function_info(name)
+        for name in logic_calls:
+            blocking |= self.fn_info[name].writes
+        #: Variables written nonblocking and also blocking: their shadow
+        #: can go stale, so an update copies it only under a mask of the
+        #: bits a nonblocking write set this step (``m_*``).
+        self.both_ways = sorted(self.nba_targets & blocking)
         # Arrays logic also writes blocking: a kernel keeps their pending
         # nonblocking writes as words, not a copy, so a blocking write
         # after the copy is taken is not lost.
@@ -1012,7 +1043,7 @@ class Schedule:
         for node in walk(fn.body):
             if isinstance(node, (ast.BlockingAssign,
                                  ast.NonblockingAssign)):
-                free = free and set(_lvalue_names(node.lhs)) <= frame
+                info.writes.update(set(_lvalue_names(node.lhs)) - frame)
             elif isinstance(node, ast.SysTask):
                 free = False
             elif isinstance(node, (ast.For, ast.While, ast.RepeatStmt,
@@ -1023,8 +1054,9 @@ class Schedule:
                 simple = False
                 callee = self._function_info(node.name)
                 info.reads |= callee.reads
+                info.writes |= callee.writes
                 free = free and callee.side_effect_free
-        info.side_effect_free = free
+        info.side_effect_free = free = free and not info.writes
         if not free or info.reads:
             return
         if simple and len(fn.ports) == 1 \
@@ -1137,8 +1169,9 @@ class Schedule:
 
 
 class _Printer:
-    """Prints the model class or an open-loop kernel from a schedule,
-    numbering the fresh names of that one print."""
+    """Prints the model class from a schedule, numbering the fresh names
+    of that one print; :mod:`repro.backend.kernels` extends it to print
+    the cycle kernels."""
 
     def __init__(self, schedule: Schedule):
         self.s = schedule
@@ -1198,6 +1231,8 @@ class _Printer:
         for name in sorted(self.s.nba_targets):
             attr = _attr(name)
             e.emit(2, f"self.n_{attr} = self.{attr}")
+        for name in self.s.both_ways:
+            e.emit(2, f"self.m_{_attr(name)} = 0")
         e.emit(2, "self._nba_words = []")
         for _, key in self.s.cones:
             if key:
@@ -1428,23 +1463,24 @@ class _Printer:
         e.emit(2, "wake = False")
         for name in sorted(self.s.nba_targets):
             attr = _attr(name)
-            e.emit(2, f"if self.{attr} != self.n_{attr}:")
+            indent = self._emit_merge(e, 2, name, "self.")
+            e.emit(indent, f"if self.{attr} != self.n_{attr}:")
             match = self._edge_only_match(name, f"self.{attr}",
                                           f"self.n_{attr}")
             if name in self.s.comb_wake:
-                e.emit(3, "wake = True")
+                e.emit(indent + 1, "wake = True")
             elif match:
                 # Edge-only signal: activation requires the LSB
                 # transition to match a registered edge.  When it does
                 # not, keep the previous-sample variable in sync so a
                 # later matching edge is still detected (_seq will not
                 # run for this change).
-                e.emit(3, f"if {match}:")
-                e.emit(4, "wake = True")
-                e.emit(3, "else:")
-                e.emit(4, f"self.p_{attr} = self.n_{attr}")
-            e.emit(3, f"self.{attr} = self.n_{attr}")
-            e.emit(3, "changed = True")
+                e.emit(indent + 1, f"if {match}:")
+                e.emit(indent + 2, "wake = True")
+                e.emit(indent + 1, "else:")
+                e.emit(indent + 2, f"self.p_{attr} = self.n_{attr}")
+            e.emit(indent + 1, f"self.{attr} = self.n_{attr}")
+            e.emit(indent + 1, "changed = True")
         e.emit(2, "if self._nba_words:")
         e.emit(3, "for _arr, _off, _val, _wakes in self._nba_words:")
         e.emit(4, "if _arr[_off] != _val:")
@@ -1471,6 +1507,21 @@ class _Printer:
         e.emit(2, "self._finished = code")
         e.blank()
 
+    def _emit_merge(self, e: _Emitter, indent: int, name: str,
+                    st: str) -> int:
+        """For a variable written both ways, open a block that runs only
+        when a nonblocking write set bits of it this step, and that
+        first merges those bits into the shadow; returns the indent the
+        update of ``name`` continues at."""
+        if name not in self.s.both_ways:
+            return indent
+        attr = _attr(name)
+        e.emit(indent, f"if {st}m_{attr}:")
+        e.emit(indent + 1, f"{st}n_{attr} = ({st}{attr} & ~{st}m_{attr}) "
+               f"| ({st}n_{attr} & {st}m_{attr})")
+        e.emit(indent + 1, f"{st}m_{attr} = 0")
+        return indent + 1
+
     def _edge_only_match(self, name: str, old: str, new: str
                          ) -> Optional[str]:
         """For a signal only edge controls read, a test that its change
@@ -1483,131 +1534,6 @@ class _Printer:
         if "posedge" in edges:
             return f"{new} & ~{old} & 1"
         return f"{old} & ~{new} & 1"
-
-    # ------------------------------------------------------------------
-    # The open-loop kernel (Figure 10's _oloop)
-    # ------------------------------------------------------------------
-    def kernel(self, clock: str) -> str:
-        """Source of ``open_loop(self, steps)``, which toggles the model
-        attribute ``clock`` and settles the model ``steps`` half ticks
-        exactly as the model's own ``evaluate``/``update`` would, and
-        returns how many ran: it stops after a half tick that queued a
-        task.  The state lives in locals for the whole batch and is
-        stored back on exit.  A design that calls a function reading or
-        writing design variables steps its own methods instead, since
-        such a function sees the attributes."""
-        e = _Emitter()
-        e.emit(0, "def open_loop(self, steps):")
-        if self.s.calls_stateful:
-            e.emit(1, "evaluate, update = self.evaluate, self.update")
-            e.emit(1, "done = 0")
-            e.emit(1, "while done < steps:")
-            e.emit(2, f"self.{clock} ^= 1")
-            e.emit(2, "self._dirty = True")
-            e.emit(2, "evaluate()")
-            e.emit(2, "while self._nba:")
-            e.emit(3, "update()")
-            e.emit(3, "evaluate()")
-            self._emit_kernel_tail(e, "self.")
-            e.emit(1, "return done")
-        else:
-            self._emit_local_kernel(e, clock)
-        return self._module(e)
-
-    def _emit_kernel_tail(self, e: _Emitter, st: str) -> None:
-        e.emit(2, "done += 1")
-        e.emit(2, "if not done & 1:")
-        e.emit(3, f"{st}_time += 1")
-        e.emit(2, f"if {st}_tasks:")
-        e.emit(3, "break")
-
-    def _emit_local_kernel(self, e: _Emitter, clock: str) -> None:
-        s, vars_ = self.s, self.s.design.vars
-        state = [_attr(name) for name in vars_]
-        state += [f"n_{_attr(name)}" for name in sorted(s.nba_targets)]
-        state += [f"p_{_attr(sig)}" for sig in s.edge_signals]
-        state += [f"g_{_attr(name)}" for name, var in vars_.items()
-                  if var.is_array]
-        state += [key for _, key in s.cones if key]
-        state += [f"_comb_snap{i}" for i in range(len(s.comb_blocks))]
-        state += ["_nba", "_dirty", "_time"]
-        arrays = sorted(s.nba_array_targets)
-        e.emit(1, "if steps <= 0:")
-        e.emit(2, "return 0")
-        for name in state:
-            e.emit(1, f"{name} = self.{name}")
-        e.emit(1, "_tasks = self._tasks")
-        for name in arrays:
-            e.emit(1, f"nw_{_attr(name)} = None")
-        if arrays:
-            # Words the model's own methods left pending join the
-            # pending copies.
-            e.emit(1, "if self._nba_words:")
-            e.emit(2, "for _arr, _off, _val, _wakes in self._nba_words:")
-            for i, name in enumerate(arrays):
-                e.emit(3, f"{'el' if i else ''}if _arr is {_attr(name)}:")
-                self.emit_pending_word(e, 4, name, "_off", "_val")
-            e.emit(2, "self._nba_words = []")
-        # One half tick: evaluate rounds until no edge fires, then
-        # update and evaluate again while nonblocking writes are
-        # pending.
-        local = {name: _attr(name) for name in vars_}
-        e.emit(1, "done = 0")
-        e.emit(1, "while done < steps:")
-        e.emit(2, f"{clock} ^= 1")
-        e.emit(2, "while True:")
-        e.emit(3, "for _round in range(64):")
-        self._emit_comb(e, 4, local, kernel=True)
-        self._emit_seq(e, 4, _ExprCompiler(self, local=local), kernel=True)
-        e.emit(4, "if not fired:")
-        e.emit(5, "break")
-        e.emit(3, "else:")
-        e.emit(4, "raise RuntimeError('evaluation did not converge')")
-        e.emit(3, "if not _nba:")
-        e.emit(4, "break")
-        e.emit(3, "_nba = False")
-        self._emit_kernel_update(e, 3)
-        self._emit_kernel_tail(e, "")
-        for name in state:
-            e.emit(1, f"self.{name} = {name}")
-        e.emit(1, "return done")
-
-    def emit_pending_word(self, e: _Emitter, indent: int, name: str,
-                          off: str, value: str) -> None:
-        """A nonblocking write of word ``off`` of array ``name`` in the
-        kernel: into a copy of the array taken at the half tick's first
-        such write, or into a dict of words when code also writes the
-        array blocking."""
-        pending, arr = f"nw_{_attr(name)}", _attr(name)
-        e.emit(indent, f"if {pending} is None:")
-        e.emit(indent + 1, f"{pending} = {{}}" if name in self.s.word_pending
-               else f"{pending} = {arr}[:]")
-        e.emit(indent, f"{pending}[{off}] = {value}")
-
-    def _emit_kernel_update(self, e: _Emitter, indent: int) -> None:
-        """The kernel's ``update``: what the model's own leaves, less
-        what the evaluate that always follows overwrites (the change
-        and wake bookkeeping, and the edge samples)."""
-        for name in sorted(self.s.nba_targets):
-            e.emit(indent, f"{_attr(name)} = n_{_attr(name)}")
-        arrays = sorted(self.s.nba_array_targets)
-        if not arrays:
-            return
-        e.emit(indent, "if " + " or ".join(
-            f"nw_{_attr(name)} is not None" for name in arrays) + ":")
-        for name in arrays:
-            attr, inner = _attr(name), indent + 1
-            if len(arrays) > 1:
-                e.emit(inner, f"if nw_{attr} is not None:")
-                inner += 1
-            if name in self.s.word_pending:
-                e.emit(inner, f"for _off, _val in nw_{attr}.items():")
-                e.emit(inner + 1, f"{attr}[_off] = _val")
-            else:
-                e.emit(inner, f"{attr} = nw_{attr}")
-            e.emit(inner, f"nw_{attr} = None")
-        for name in arrays:
-            e.emit(indent + 1, f"g_{_attr(name)} += 1")
 
 
 def compile_design(design: Design,

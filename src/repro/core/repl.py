@@ -197,6 +197,9 @@ class Repl:
                 f"fast-path compile failures: "
                 f"{m['runtime.fastpath_failures']}")
             lines.append(
+                f"sw-fast batches: {m['runtime.sw_batches']} "
+                f"({m['runtime.sw_batch_iterations']} iterations)")
+            lines.append(
                 f"reliability: {m['cache.disk_corrupt']} corrupt disk "
                 f"entries")
             tr = tracer()

@@ -20,6 +20,7 @@ which eval'ing new code cannot produce undefined behaviour (§3.4).
 from __future__ import annotations
 
 import time as _time
+from collections import namedtuple
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
@@ -36,7 +37,8 @@ from ..perf.timemodel import TimeModel
 from ..stdlib.board import VirtualBoard
 from ..stdlib.components import (IMPLICIT_INSTANCES, STDLIB_MODULE_NAMES,
                                  stdlib_modules)
-from ..stdlib.engines import ClockEngine, StdlibEngine, make_stdlib_engine
+from ..stdlib.engines import (ClockEngine, GpioEngine, LedEngine, PadEngine,
+                              ResetEngine, StdlibEngine, make_stdlib_engine)
 from ..verilog import ast
 from ..verilog.elaborate import ModuleLibrary
 from ..verilog.parser import parse_source, parse_statement_text
@@ -52,6 +54,18 @@ __all__ = ["Runtime", "View"]
 #: and task-free batches double up to ``_OLOOP_MAX``.
 _OLOOP_MIN = 256
 _OLOOP_MAX = 1 << 14
+#: The most closed-loop iterations one sw-fast batch kernel call runs.
+_SWBATCH_MAX = 1 << 12
+#: Standard-library engines a sw-fast batch can leave alone: they raise
+#: no events, and their end_step reads only board state, which no
+#: engine changes (the host changes it only between calls of ``run``).
+_BOARD_ENGINES = (ResetEngine, PadEngine, LedEngine, GpioEngine)
+
+
+#: What a sw-fast batch needs, found once per engine set: the fast
+#: engine and its scheduling index, the clock engine, the net the clock
+#: drives, and the model attribute of the engine's clock port.
+_SwBatch = namedtuple("_SwBatch", "fast index clock net attr")
 
 
 class View:
@@ -141,6 +155,9 @@ class Runtime:
             "runtime.sw_migrations")
         self._c_fastpath_failures = self.metrics.counter(
             "runtime.fastpath_failures")
+        self._c_sw_batches = self.metrics.counter("runtime.sw_batches")
+        self._c_sw_batch_iterations = self.metrics.counter(
+            "runtime.sw_batch_iterations")
         #: Trace thread id for this runtime's events; the server's
         #: sessions relabel it so per-tenant lanes separate in the
         #: Chrome trace view.
@@ -152,6 +169,8 @@ class Runtime:
         #: (there_are_updates), charged over MMIO?, tallied as sw-fast?).
         self._evaluators: List[tuple] = []
         self._updaters: List[tuple] = []
+        #: How the active engines can run closed-loop batches, or None.
+        self._sw_batch: Optional[_SwBatch] = None
         #: Engines whose end_step queued a task; drained with the next
         #: engines that run.
         self._stepped: Set[Engine] = set()
@@ -167,6 +186,7 @@ class Runtime:
         """The engine set changed (rebuild, migration, forwarding or
         absorption): drop everything derived from it."""
         self._engines_cache = None
+        self._sw_batch = None
         self._engine_time = None
         self._open_loop_stale = True
 
@@ -392,7 +412,39 @@ class Runtime:
             self._updaters = [(i, e, e.there_are_updates, hw, fast)
                               for i, e, hw, fast in schedule
                               if e.raises_updates]
+            self._sw_batch = self._plan_sw_batch(cache)
         return cache
+
+    def _plan_sw_batch(self, active: List[Tuple[str, Engine]]
+                       ) -> Optional[_SwBatch]:
+        """A batch plan when the active engines are one sw-fast engine,
+        one clock read by that engine alone through one port, and
+        board-reading standard-library engines (DESIGN.md §4.4)."""
+        fast = clock = None
+        for i, (name, engine) in enumerate(active):
+            if isinstance(engine, FastSoftwareEngine) and fast is None \
+                    and not engine.inner:
+                fast, index = engine, i
+            elif isinstance(engine, ClockEngine) and clock is None:
+                clock = engine
+            elif not isinstance(engine, _BOARD_ENGINES):
+                return None
+        if fast is None or clock is None:
+            return None
+        net = clock.subprogram.bindings["val"][0]
+        ports = [port for port, (n, direction)
+                 in fast.subprogram.bindings.items()
+                 if n == net and direction == "in"]
+        name = fast.subprogram.name
+        nets = self.program.nets
+        # The model's outputs may change inside a batch, so nothing the
+        # model reads may come from them.
+        if nets[net].readers != [name] or len(ports) != 1 or any(
+                name in nets[n].readers
+                for n, direction in fast.subprogram.bindings.values()
+                if direction == "out"):
+            return None
+        return _SwBatch(fast, index, clock, net, fast._ports[ports[0]][0])
 
     def _drain_tasks(self) -> None:
         for name, engine in self._active_engines():
@@ -481,11 +533,7 @@ class Runtime:
         self.time_model.charge_runtime()
         # The phase loop just brought the engine list up to date.
         active = self._engines_cache
-        logical_time = self.iterations // 2
-        if logical_time != self._engine_time:
-            self._engine_time = logical_time
-            for _, engine in active:
-                engine.set_time(logical_time)
+        self._set_time(self.iterations // 2)
         pending = self.plane.pending
         for index, (_, engine) in enumerate(active):
             if engine.end_step():
@@ -730,6 +778,65 @@ class Runtime:
             # (and especially failures) must still be drained/surfaced.
             self._poll_jit()
 
+    def _can_batch(self, batch: _SwBatch) -> bool:
+        """Whether the next iteration may start a sw-fast batch: nothing
+        the stepped window would act on is pending, the model has no
+        events, and its clock input holds the clock's level."""
+        model = batch.fast.model
+        return not (self.interrupts or self._needs_rebuild
+                    or self._had_transients or self._models_ready
+                    or self._open_loop_stale or self._stepped
+                    or model._dirty or model._nba) \
+            and getattr(model, batch.attr) == batch.clock.values["val"]
+
+    def _run_sw_batch(self, batch: _SwBatch, limit: int, start_s: float,
+                      budget_s: Optional[float]) -> None:
+        """Run up to ``limit`` Figure 6 iterations through the fast
+        engine's batch kernel and tally what the stepped loop would have
+        charged and counted (DESIGN.md §4.4).  Where the kernel yields,
+        an output changed or a task was queued: the plane drains the
+        engine and its tasks are queued, as after that call's round."""
+        fast, clock, tm = batch.fast, batch.clock, self.time_model
+        start_iter = self.iterations
+        kernel = fast.compiled.batch_kernel(batch.attr)(
+            fast.model, limit, start_iter, tm.now_ns, tm.batch_costs,
+            self._next_due_s, start_s,
+            float("inf") if budget_s is None else budget_s,
+            tuple(fast._out_last[name] for name, _ in fast._outputs))
+        try:
+            it, tm.now_ns = next(kernel)
+            while True:
+                self._set_time(it // 2)
+                fast._collect_tasks()
+                self.plane.pending.add(batch.index)
+                self.plane.propagate()
+                if fast.has_tasks:
+                    self._queue_tasks(fast)
+                it, tm.now_ns = kernel.send(tm.now_ns)
+        except StopIteration as stop:
+            it, tm.now_ns, calls = stop.value
+        done = it - start_iter
+        tm.tier_events["sw-fast"] += calls
+        tm.tier_events["hardware"] += done
+        # Each clock toggle is one message from the clock, one to the
+        # model, and leaves the clock's level on its net.
+        self.plane.messages_sent += 2 * done
+        clock.poke_int("val", getattr(fast.model, batch.attr))
+        self.plane.values[batch.net] = clock.read("val")
+        self.iterations = it
+        self._c_sw_batches.inc()
+        self._c_sw_batch_iterations.inc(done)
+        self._set_time(it // 2)
+        self._service_interrupts()
+        if self.enable_jit:
+            self._poll_jit()
+
+    def _set_time(self, logical_time: int) -> None:
+        if logical_time != self._engine_time:
+            self._engine_time = logical_time
+            for _, engine in self._engines_cache:
+                engine.set_time(logical_time)
+
     # ------------------------------------------------------------------
     # Drivers
     # ------------------------------------------------------------------
@@ -742,13 +849,17 @@ class Runtime:
         ``virtual_seconds`` bounds *additional* virtual time from now;
         ``iterations`` bounds additional scheduler iterations (an
         open-loop batch in flight finishes first, so a run may end past
-        it); ``until_finish`` stops at $finish.
+        it; a sw-fast batch does not); ``until_finish`` stops at
+        $finish.
         """
         if self._needs_rebuild:
             self._rebuild()
         start_s = self.time_model.now_seconds
         start_iter = self.iterations
         _t_host = _time.perf_counter()
+        # The host may have changed the board since the last window, so
+        # the first iteration is stepped: its window reads the board.
+        board_read = False
         while self.finished is None:
             if iterations is not None and \
                     self.iterations - start_iter >= iterations:
@@ -757,7 +868,14 @@ class Runtime:
                     self.time_model.now_seconds - start_s \
                     >= virtual_seconds:
                 break
-            self._iteration()
+            batch = self._sw_batch
+            if batch is not None and board_read and self._can_batch(batch):
+                limit = _SWBATCH_MAX if iterations is None else min(
+                    _SWBATCH_MAX, iterations - (self.iterations - start_iter))
+                self._run_sw_batch(batch, limit, start_s, virtual_seconds)
+            else:
+                self._iteration()
+            board_read = True
             if until_finish and self.finished is not None:
                 break
         tr = tracer()

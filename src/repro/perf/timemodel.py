@@ -76,6 +76,15 @@ class TimeModel:
     def charge_ns(self, ns: float) -> None:
         self.now_ns += ns
 
+    @property
+    def batch_costs(self):
+        """What a closed-loop batch kernel adds to ``now_ns``, one
+        charge at a time in the stepped loop's order, and the unit of
+        ``now_seconds``: (software event, MMIO, fabric tick, runtime
+        overhead, ns per second)."""
+        return (SW_EVENT_NS, MMIO_NS, self.fabric_tick_ns,
+                RUNTIME_OVERHEAD_NS, NS_PER_SEC)
+
     # -- reading -----------------------------------------------------------
     @property
     def now_seconds(self) -> float:

@@ -104,15 +104,15 @@ class TestOnePassDesign:
             leaf = elaborate_leaf(sub.module_ast)
             assert _summary(handed) == _summary(leaf), sub.name
 
-    # The keys fold in CODEGEN_VERSION (6 here).
+    # The keys fold in CODEGEN_VERSION (7 here).
     @pytest.mark.parametrize("name, inlined, digests", [
-        ("pow", True, {"main": "f5173234bc03830a"}),
-        ("pow", False, {"main": "64b1f7a043aec272",
-                        "miner": "992a1fc37a04d8c4",
-                        "miner.core": "db1fe15535f1355b"}),
-        ("nw", True, {"main": "20a4c52617f8c98b"}),
-        ("nw", False, {"main": "7bf5cf8462da17fc",
-                       "nw": "9124772358fc7f37"}),
+        ("pow", True, {"main": "95fb925ece49eb4f"}),
+        ("pow", False, {"main": "5e924575968b6efa",
+                        "miner": "f3ff8445375f620d",
+                        "miner.core": "bd655a79d24e9a2d"}),
+        ("nw", True, {"main": "064a777210999f5b"}),
+        ("nw", False, {"main": "4481a3c309a6ec4c",
+                       "nw": "a701220dbff4acf8"}),
     ])
     def test_cache_keys_are_pinned(self, name, inlined, digests):
         rt = _built(PROGRAMS[name], inlined)

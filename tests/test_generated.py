@@ -14,7 +14,8 @@ runs interpreter-only, on the software fast path and on the hardware
 engine (which lands at a drawn iteration), closed loop and open loop;
 the ``$display`` streams, tick counts and final registers must agree,
 and the fast path's virtual time must equal the interpreter's bit for
-bit.
+bit.  The fast path's run is split at drawn iteration counts, so its
+closed-loop batches end mid-run.
 """
 
 from unittest import mock
@@ -246,16 +247,21 @@ def programs(draw):
     lines.append("  end")
     lines.append("end")
     lines.append(f"assign led.val = {draw(_expr(leaves, 1))};")
-    return "\n".join(lines), draw(st.integers(0, 4000)) * 1e-6
+    cuts = sorted(set(draw(st.lists(st.integers(1, _ITERATIONS - 1),
+                                    max_size=3))))
+    return "\n".join(lines), draw(st.integers(0, 4000)) * 1e-6, cuts
 
 
 def _inline_service(**kwargs):
     return CompileService(queue=CompileQueue(max_workers=0), **kwargs)
 
 
-def _run(rt, src):
+def _run(rt, src, cuts=()):
+    """Run ``_ITERATIONS`` iterations in calls that end at ``cuts``."""
     rt.eval_source(src)
-    rt.run(iterations=_ITERATIONS)
+    done = 0
+    for cut in list(cuts) + [_ITERATIONS]:
+        done += rt.run(iterations=cut - done)
     return _snapshot(rt)
 
 
@@ -272,14 +278,15 @@ def _snapshot(rt):
                                  HealthCheck.data_too_large])
 @given(programs())
 def test_tiers_agree_on_generated_programs(program):
-    src, hw_latency_s = program
+    src, hw_latency_s, cuts = program
     interp = Runtime(enable_jit=False)
     ref = _run(interp, src)
     assert ref["lines"], "the clocked block never ran"
 
     fast = Runtime(compile_service=_inline_service(latency_scale=1e9))
-    got = _run(fast, src)
+    got = _run(fast, src, cuts)
     assert fast.engine_tiers()["main"] == "sw-fast"
+    assert fast.metrics.value("runtime.sw_batches") > 0
     assert got == ref
     assert fast.time_model.now_ns == interp.time_model.now_ns
 

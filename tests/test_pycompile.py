@@ -440,6 +440,35 @@ def test_blocks_test_the_edges_their_pass_began_with(text, outputs, want):
     assert trace_c == want
 
 
+BOTH_WAYS = """
+module b(input wire clk, output reg [7:0] x = 0);
+  reg [7:0] c = 0;
+  always @(posedge clk) begin c <= c + 1; if (c == 0) x <= 5; end
+  always @(negedge clk) x = x + 1;
+endmodule"""
+
+BOTH_WAYS_PART = """
+module p(input wire clk, output reg [7:0] x = 0);
+  reg [7:0] c = 0;
+  always @(posedge clk) begin c <= c + 1; if (c[0]) x[3:0] <= c[3:0]; end
+  always @(negedge clk) x = x + 8'h10;
+endmodule"""
+
+
+@pytest.mark.parametrize("text, want", [
+    (BOTH_WAYS, [(6,), (7,), (8,), (9,), (10,)]),
+    (BOTH_WAYS_PART, [(0x10,), (0x21,), (0x31,), (0x43,), (0x53,)]),
+], ids=["full", "part"])
+def test_update_copies_only_what_a_nonblocking_write_set(text, want):
+    # x is written nonblocking on the posedge and blocking on the
+    # negedge: an update must not copy the stale shadow back over the
+    # blocking writes, nor the bits a part-select write left alone.
+    trace_i, trace_c = run_both(text, lambda cycle, rng: {}, ["x"],
+                                cycles=5)
+    assert trace_i == want
+    assert trace_c == want
+
+
 def count_schedules(monkeypatch):
     """The schedules built from here on, in a list that grows."""
     built = []
@@ -634,6 +663,11 @@ endmodule""", [7, 20])
             model.v_go = 1
         _, model, _ = self.run(text, [9, 16, 33], prepare=prepare)
         assert model.v_r == r  # after 29 rises of clk
+
+    @pytest.mark.parametrize("text", [BOTH_WAYS, BOTH_WAYS_PART],
+                             ids=["full", "part"])
+    def test_register_written_both_ways(self, text):
+        self.run(text, [9, 16, 33])
 
     def test_one_schedule_for_the_model_and_every_kernel(self,
                                                           monkeypatch):
