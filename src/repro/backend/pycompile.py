@@ -14,16 +14,17 @@ scales to the paper's clock domains.
 The structure of the generated class mirrors the Figure 10 hardware
 transformation: one attribute per variable (``v_*``, arrays as lists
 with a generation counter ``g_*``), a shadow per nonblocking target
-(``n_*``) plus pending array words (``_nba_words``), the update flag
+(``n_*``) plus pending array writes (``nw_*``), the update flag
 (``_nba``), previous edge samples (``p_*``) and the task queue
-(``_tasks``).  Figure 10's open loop (``_oloop``) is a separate
-function (:meth:`CompiledDesign.open_loop_kernel`) that toggles the
-clock itself and keeps all of that state in locals for a whole batch;
-the software fast path's closed-loop batch
-(:meth:`CompiledDesign.batch_kernel`) is another.  :mod:`.kernels`
-prints both.  The model and the kernels print from one
-:class:`Schedule` of the design, and in each every block of a
-sequential pass tests the edge signals as the pass began.
+(``_tasks``).  This module analyses a design once into a
+:class:`Schedule` and holds the expression and statement printers;
+:class:`repro.backend.kernels.KernelPrinter` prints from them the
+model's methods, Figure 10's open loop (``_oloop``,
+:meth:`CompiledDesign.open_loop_kernel`), which toggles the clock
+itself, and the software fast path's closed-loop batch
+(:meth:`CompiledDesign.batch_kernel`).  Each of these entry points holds
+the state in locals for the length of a call, and in each every block
+of a sequential pass tests the edge signals as the pass began.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ __all__ = ["CODEGEN_VERSION", "CompiledDesign", "compile_design"]
 
 #: Bumped whenever the generated model changes shape, so on-disk cache
 #: entries written by an older code generator miss instead of loading.
-CODEGEN_VERSION = 7
+CODEGEN_VERSION = 8
 
 #: Pure single-port functions at most this wide become lookup tables.
 _TABLE_MAX_BITS = 8
@@ -135,7 +136,7 @@ class CompiledDesign:
     def _kernel(self, kind: str, clock_attr: str) -> Callable:
         kernel = self._kernels.get((kind, clock_attr))
         if kernel is None:
-            from .kernels import KernelPrinter
+            from .kernels import KernelPrinter  # imports this module
             if self.schedule is None:
                 self.schedule = Schedule(self.design)
             printer = KernelPrinter(self.schedule)
@@ -194,18 +195,16 @@ class _ExprCompiler:
     node is computed at the context width and sign that sizing
     annotated, exactly as the interpreter's evaluator reads them, so
     results agree bit-for-bit on two-state inputs.  ``frame`` maps
-    function ports and locals to code; ``local`` maps design variables
-    the enclosing method has loaded into Python locals.  Constant
-    sub-expressions fold at codegen time, and with them index, select
-    and shift guards.
+    function ports and locals to code; a design variable is read from
+    the Python local named like its model attribute, which every entry
+    point and every function method holds.  Constant sub-expressions
+    fold at codegen time, and with them index, select and shift guards.
     """
 
-    def __init__(self, printer: "_Printer",
-                 frame: Optional[Dict[str, str]] = None,
-                 local: Optional[Dict[str, str]] = None):
+    def __init__(self, printer: "KernelPrinter",
+                 frame: Optional[Dict[str, str]] = None):
         self.c = printer
         self.frame = frame or {}
-        self.local = local if local is not None else {}
 
     # -- public ----------------------------------------------------------
     def rvalue(self, expr: ast.Expr) -> Tuple[str, int, bool]:
@@ -228,9 +227,7 @@ class _ExprCompiler:
 
     # -- helpers -----------------------------------------------------------
     def _read(self, name: str) -> str:
-        if name in self.frame:
-            return self.frame[name]
-        return self.local.get(name) or f"self.{_attr(name)}"
+        return self.frame.get(name) or _attr(name)
 
     def low(self, sel: Select, index: ast.Expr, width: int = 1) -> str:
         """Code for the low position of a select ``width`` positions
@@ -484,7 +481,10 @@ class _ExprCompiler:
 
     def _apply(self, fn: Function, args: List[str]) -> str:
         """A call of ``fn``: a table lookup, the body inlined, or a
-        method call, cheapest first."""
+        method call, cheapest first.  A method also takes the design
+        variables the function reads or writes; when it writes any, the
+        call stores what it returns into the caller's locals within the
+        expression, so a loop condition sees them on every pass."""
         info = self.c.s.fn_info[fn.name]
         if info.table is not None:
             return f"{info.table}[{args[0]}]"
@@ -501,28 +501,34 @@ class _ExprCompiler:
                 if body.ctx_width > fn.ret.width:
                     code = _fold(f"(({code}) & {_mask(fn.ret.width)})")
                 return code
-        return f"self.{self.c.s.fn_names[fn.name]}(" \
-            + ", ".join(args) + ")"
+        self.c.called.add(fn.name)
+        call = f"self.{self.c.s.fn_names[fn.name]}(" \
+            + ", ".join(args + info.params) + ")"
+        if not info.returns:
+            return call
+        c = self.c.fresh("_c")
+        stores = [f"({name} := {c}[{k}])"
+                  for k, name in enumerate(info.returns, 2)]
+        return f"(({c} := {call}), {', '.join(stores)}, " \
+            f"(_dirty := {c}[1] or _dirty))[0][0]"
 
 
 class _StmtCompiler:
     """Compiles statements inside always blocks (and functions).
 
-    In the model's methods state is spelled as attributes of ``self``,
-    and a blocking store to a variable loaded into a local also writes
-    the attribute.  In the open-loop ``kernel`` every piece of state is
-    a local named like its attribute, so nothing is written through,
-    and a nonblocking array write goes to the array's pending copy."""
+    Every design variable is a Python local named like its model
+    attribute (a function method takes the ones it reads or writes as
+    arguments), so a store is a plain assignment.  A nonblocking write
+    goes to the variable's shadow ``n_*``, or for an array word to the
+    printer's pending words (:meth:`KernelPrinter.emit_pending_word`);
+    a write of a target the printer flags also raises its change flag."""
 
-    def __init__(self, printer: "_Printer", emitter: _Emitter,
-                 exprs: _ExprCompiler, nba_allowed: bool = True,
-                 kernel: bool = False):
+    def __init__(self, printer: "KernelPrinter", emitter: _Emitter,
+                 exprs: _ExprCompiler, nba_allowed: bool = True):
         self.c = printer
         self.e = emitter
         self.x = exprs
         self.nba_allowed = nba_allowed
-        self.kernel = kernel
-        self.st = "" if kernel else "self."
         #: The variables of the loops being unrolled, by name.
         self.loop_values: Dict[str, Bits] = {}
         self._tmp = 0
@@ -682,31 +688,40 @@ class _StmtCompiler:
     def _target(self, name: str, blocking: bool) -> str:
         if name in self.x.frame:
             return self.x.frame[name]
-        if blocking:
-            return self.x.local.get(name) or f"self.{_attr(name)}"
-        return f"{self.st}n_{_attr(name)}"
+        return _attr(name) if blocking else f"n_{_attr(name)}"
 
-    def _written(self, name: str, blocking: bool, indent: int) -> None:
+    def _flag_old(self, name: str, blocking: bool, indent: int
+                  ) -> Optional[str]:
+        """Before a nonblocking write of a flagged scalar, a local
+        holding its pending value; else None."""
+        if blocking or name not in self.c.flags:
+            return None
+        old = self.c.fresh("_o")
+        self.e.emit(indent, f"{old} = {self.c.pending_value(name)}")
+        return old
+
+    def _written(self, name: str, blocking: bool, indent: int,
+                 old: Optional[str] = None) -> None:
         """Bookkeeping after a store to a design variable: a blocking
-        store through a method's local also writes the attribute back,
-        and raises the dirty flag so combinational logic resettles."""
-        if not blocking:
-            self.e.emit(indent, f"{self.st}_nba = True")
+        store raises the dirty flag so combinational logic resettles, a
+        nonblocking one the update flag and any change flag."""
+        if blocking:
+            self.e.emit(indent, "_dirty = True")
             return
-        local = self.x.local.get(name)
-        if local is not None and not self.kernel:
-            self.e.emit(indent, f"self.{_attr(name)} = {local}")
-        self.e.emit(indent, f"{self.st}_dirty = True")
+        if old is not None:
+            self.c.emit_write_flag(self.e, indent, name, old)
+        self.e.emit(indent, "_nba = True")
 
     def _store_ident(self, ident: ast.Ident, value: str, value_w: int,
                      indent: int, blocking: bool) -> None:
         name, w = ident.name, ident.width
         code = _fold(f"(({value}) & {_mask(w)})") if value_w > w else value
+        old = self._flag_old(name, blocking, indent)
         self.e.emit(indent, f"{self._target(name, blocking)} = {code}")
         if not blocking and name in self.c.s.both_ways:
-            self.e.emit(indent, f"{self.st}m_{_attr(name)} = {_mask(w)}")
+            self.e.emit(indent, f"m_{_attr(name)} = {_mask(w)}")
         if name not in self.x.frame:
-            self._written(name, blocking, indent)
+            self._written(name, blocking, indent, old)
 
     def _store_word(self, lhs: ast.IndexExpr, off: str, value: str,
                     value_w: int, indent: int, blocking: bool) -> None:
@@ -729,19 +744,11 @@ class _StmtCompiler:
             # or a self-sensitive comb block never settles.
             self.e.emit(indent, f"if {arr}[{off}] != {masked}:")
             self.e.emit(indent + 1, f"{arr}[{off}] = {masked}")
-            self.e.emit(indent + 1, f"{self.st}g_{_attr(name)} += 1")
-            self.e.emit(indent + 1, f"{self.st}_dirty = True")
-        elif self.kernel:
+            self.e.emit(indent + 1, f"g_{_attr(name)} += 1")
+            self.e.emit(indent + 1, "_dirty = True")
+        else:
             self.c.emit_pending_word(self.e, indent, name, off, masked)
             self.e.emit(indent, "_nba = True")
-        else:
-            # Each pending word carries its array and whether a change
-            # to it wakes combinational logic, so update() does no
-            # lookups.
-            wakes = name in self.c.s.comb_wake
-            self.e.emit(indent, f"self._nba_words.append(({arr}, {off}, "
-                        f"{masked}, {wakes}))")
-            self.e.emit(indent, "self._nba = True")
 
     def _store_bits(self, lhs: ast.Expr, low: str, value: str,
                     indent: int, blocking: bool) -> None:
@@ -759,8 +766,9 @@ class _StmtCompiler:
         elif not -width < k < w:
             self.e.emit(indent, "pass")
             return
+        old = self._flag_old(name, blocking, indent)
         masked = not blocking and name in self.c.s.both_ways
-        mask = f"{self.st}m_{_attr(name)}"
+        mask = f"m_{_attr(name)}"
         if k is not None and 0 <= k <= w - width:
             self.e.emit(
                 indent,
@@ -775,7 +783,7 @@ class _StmtCompiler:
                 self.e.emit(indent, f"{mask} = pyrt.insert({mask}, {low}, "
                             f"{_mask(width)}, {_mask(width)}, {_mask(w)})")
         if name not in self.x.frame:
-            self._written(name, blocking, indent)
+            self._written(name, blocking, indent, old)
 
     # -- case ------------------------------------------------------------------
     def _case(self, stmt: ast.Case, indent: int) -> None:
@@ -864,11 +872,6 @@ def _lvalue_names(lhs: ast.Expr) -> List[str]:
     return out
 
 
-def _local(name: str) -> str:
-    """The Python local a method loads a design variable into."""
-    return "_" + _attr(name)
-
-
 class _FnInfo:
     """What codegen knows about one Verilog function.
 
@@ -879,7 +882,13 @@ class _FnInfo:
     a lookup ``table`` when it has one narrow port and no loops or
     calls, and otherwise may be ``inline``d: ``inline`` is the
     right-hand side when the body is one assignment of the result, and
-    ``uses`` counts each port's references in it."""
+    ``uses`` counts each port's references in it.
+
+    Its method takes the design variables it reads or writes after its
+    ports (``params``, the callers' local names, with each written
+    array's generation counter too), and returns the result alone, or
+    when it writes any ``(result, dirty, *returns)`` with ``returns``
+    the written ones' new values."""
 
     def __init__(self):
         self.reads: Set[str] = set()
@@ -888,6 +897,33 @@ class _FnInfo:
         self.inline: Optional[ast.Expr] = None
         self.uses: Dict[str, int] = {}
         self.table: Optional[str] = None
+        self.params: List[str] = []
+        self.returns: List[str] = []
+
+
+_LOOPS = (ast.For, ast.While, ast.RepeatStmt, ast.Forever)
+
+
+def _nba_writes(stmt: Optional[ast.Stmt]) -> Dict[str, int]:
+    """How many nonblocking writes of each variable one run of ``stmt``
+    may make, on its longest path; a loop body counts twice."""
+    out: Dict[str, int] = {}
+    if isinstance(stmt, ast.NonblockingAssign):
+        for name in _lvalue_names(stmt.lhs):
+            out[name] = out.get(name, 0) + 1
+    elif isinstance(stmt, ast.Block):
+        for sub in stmt.stmts:
+            for name, n in _nba_writes(sub).items():
+                out[name] = out.get(name, 0) + n
+    elif isinstance(stmt, (ast.If, ast.Case)):
+        arms = [stmt.then, stmt.els] if isinstance(stmt, ast.If) \
+            else [item.body for item in stmt.items]
+        for arm in arms:
+            for name, n in _nba_writes(arm).items():
+                out[name] = max(out.get(name, 0), n)
+    elif isinstance(stmt, _LOOPS):
+        out = {name: 2 * n for name, n in _nba_writes(stmt.body).items()}
+    return out
 
 
 def _calls(node: ast.Node) -> Iterator[str]:
@@ -1003,10 +1039,26 @@ class Schedule:
         # directly or through a function.
         self.writes_edges = bool(seq_stores & set(self.edge_signals)) or any(
             not self.fn_info[name].side_effect_free for name in seq_calls)
-        self.calls_stateful = any(
-            self.fn_info[name].reads
-            or not self.fn_info[name].side_effect_free
-            for name in logic_calls)
+        #: Scalars whose change wakes logic and that one step may write
+        #: nonblocking more than once: a step may write one and then
+        #: write its old value back, and the interpreter wakes on each
+        #: write that changes it, so a wake-gated update reads a
+        #: per-write change flag ``wk_*``.  A comb block may run more
+        #: than once a step, and so may every sequential block when one
+        #: writes an edge signal.
+        writes: Dict[str, int] = {}
+        for block in design.always:
+            repeat = block not in seq or self.writes_edges
+            for name, n in _nba_writes(block.body).items():
+                writes[name] = writes.get(name, 0) + (2 * n if repeat else n)
+        self.flagged = {name for name, n in writes.items()
+                        if n > 1 and (name in self.comb_wake
+                                      or name in self.edge_wake)}
+        #: The targets whose writes raise ``wk_*`` in the model's
+        #: methods: the flagged scalars and every array whose pending
+        #: writes are a copy, since the model's update reports a change.
+        self.model_flags = self.flagged | (self.nba_array_targets
+                                           - self.word_pending)
 
         self.assigns = list(design.assigns)
         self.reads = [self._assign_reads(a) for a in self.assigns]
@@ -1046,8 +1098,7 @@ class Schedule:
                 info.writes.update(set(_lvalue_names(node.lhs)) - frame)
             elif isinstance(node, ast.SysTask):
                 free = False
-            elif isinstance(node, (ast.For, ast.While, ast.RepeatStmt,
-                                   ast.Forever)):
+            elif isinstance(node, _LOOPS):
                 simple = False
             elif isinstance(node, ast.Call) and \
                     not node.name.startswith("$"):
@@ -1057,6 +1108,13 @@ class Schedule:
                 info.writes |= callee.writes
                 free = free and callee.side_effect_free
         info.side_effect_free = free = free and not info.writes
+        vars_ = self.design.vars
+        for name in sorted((info.reads | info.writes) & vars_.keys()):
+            info.params.append(_attr(name))
+            if name in info.writes:
+                info.returns.append(f"g_{_attr(name)}" if vars_[name].is_array
+                                    else _attr(name))
+        info.params += [r for r in info.returns if r.startswith("g_")]
         if not free or info.reads:
             return
         if simple and len(fn.ports) == 1 \
@@ -1078,9 +1136,10 @@ class Schedule:
     def _tabulate(self, fn: Function) -> str:
         """Evaluate a pure one-port function on every argument value at
         codegen time; the generated model indexes the table instead."""
+        from .kernels import KernelPrinter  # imports this module
         e = _Emitter()
         e.emit(0, "class _Fn:")
-        _Printer(self).function(e, fn)
+        KernelPrinter(self).function(e, fn)
         namespace: Dict[str, object] = {"pyrt": pyrt}
         exec(compile(e.source(), f"<table:{fn.name}>", "exec"), namespace)
         method = getattr(namespace["_Fn"], self.fn_names[fn.name])
@@ -1168,379 +1227,12 @@ class Schedule:
         return list(cones.values())
 
 
-class _Printer:
-    """Prints the model class from a schedule, numbering the fresh names
-    of that one print; :mod:`repro.backend.kernels` extends it to print
-    the cycle kernels."""
-
-    def __init__(self, schedule: Schedule):
-        self.s = schedule
-        self._fresh = 0
-
-    def fresh(self, prefix: str) -> str:
-        self._fresh += 1
-        return f"{prefix}{self._fresh}"
-
-    def model(self, class_name: str) -> str:
-        """Source of the model class ``class_name``."""
-        s = self.s
-        e = _Emitter()
-        e.emit(0, f"class {class_name}:")
-        # When _gate_wakes is True (the software fast path), update()
-        # raises the dirty flag only for changes the interpreter would
-        # also have activated on, so ABI-level call counts — and hence
-        # virtual-time charges — match the interpreter bit for bit.
-        e.emit(1, "_gate_wakes = False")
-        e.emit(1, f"_comb_wake = frozenset({tuple(sorted(s.comb_wake))!r})")
-        e.emit(1, "_edge_wake = {" + ", ".join(
-            f"{name!r}: frozenset({tuple(sorted(edges))!r})"
-            for name, edges in sorted(s.edge_wake.items())) + "}")
-        e.emit(1, f"_edge_signals = {tuple(sorted(s.edge_signals))!r}")
-        for i in range(len(s.comb_blocks)):
-            # Comb-block snapshots start unset so every block runs once.
-            e.emit(1, f"_comb_snap{i} = None")
-        self._emit_init(e)
-        for fn in s.design.functions.values():
-            self.function(e, fn)
-        e.emit(1, "def _eval_comb(self):")
-        self._emit_comb(e, 2, {}, kernel=False)
-        e.blank()
-        self._compile_seq(e)
-        self._emit_framework(e)
-        return self._module(e)
-
-    def _module(self, e: _Emitter) -> str:
-        """Generated code with the imports and lookup tables it uses."""
-        return "\n".join(["from repro.backend import pyrt", ""]
-                         + self.s.tables + [""]) + e.source()
-
-    # ------------------------------------------------------------------
-    def _emit_init(self, e: _Emitter) -> None:
-        e.emit(1, "def __init__(self):")
-        for var in self.s.design.vars.values():
-            attr = _attr(var.name)
-            # A signed initializer reads negative; the model holds the
-            # unsigned value of the variable's width.
-            init = var.init.to_int_xz(0) & _mask(var.width) \
-                if var.init is not None else 0
-            if var.is_array:
-                e.emit(2, f"self.{attr} = [{init}] * {var.array[0]}")
-                e.emit(2, f"self.g_{attr} = 0")
-            else:
-                e.emit(2, f"self.{attr} = {init}")
-        for name in sorted(self.s.nba_targets):
-            attr = _attr(name)
-            e.emit(2, f"self.n_{attr} = self.{attr}")
-        for name in self.s.both_ways:
-            e.emit(2, f"self.m_{_attr(name)} = 0")
-        e.emit(2, "self._nba_words = []")
-        for _, key in self.s.cones:
-            if key:
-                e.emit(2, f"self.{key} = None")
-        # Previous samples for edge detection.
-        for sig in self.s.edge_signals:
-            e.emit(2, f"self.p_{_attr(sig)} = self.{_attr(sig)}")
-        e.emit(2, "self._tasks = []")
-        e.emit(2, "self._nba = False")
-        e.emit(2, "self._dirty = True")
-        e.emit(2, "self._finished = None")
-        e.emit(2, "self._time = 0")
-        e.blank()
-
-    def function(self, e: _Emitter, fn: Function) -> None:
-        short = fn.name.split(".")[-1]
-        frame: Dict[str, str] = {}
-        args = []
-        for port in fn.ports:
-            py = "a_" + re.sub(r"\W", "_", port.name)
-            frame[port.name] = py
-            args.append(py)
-        for var in fn.locals_:
-            frame[var.name] = "l_" + re.sub(r"\W", "_", var.name)
-        ret_py = "r_" + re.sub(r"\W", "_", short)
-        frame[short] = ret_py
-        frame[fn.name] = ret_py
-        e.emit(1, f"def {self.s.fn_names[fn.name]}(self, "
-               + ", ".join(args) + "):")
-        for var in fn.locals_:
-            e.emit(2, f"{frame[var.name]} = 0")
-        e.emit(2, f"{ret_py} = 0")
-        exprs = _ExprCompiler(self, frame)
-        stmts = _StmtCompiler(self, e, exprs, nba_allowed=False)
-        stmts.compile(fn.body, 2)
-        e.emit(2, f"return {ret_py}")
-        e.blank()
-
-    def _emit_comb(self, e: _Emitter, indent: int, local: Dict[str, str],
-                   kernel: bool) -> None:
-        """One settle of the combinational network: the levelized pass,
-        or passes until nothing changes, with each comb block re-run
-        when a snapshot of what it reads changes."""
-        if self.s.levelized:
-            self._emit_levelized(e, indent, local, kernel)
-            return
-        st = "" if kernel else "self."
-        vars_ = self.s.design.vars
-        exprs = _ExprCompiler(self, local=local)
-        inner = indent + 1
-        e.emit(indent, "for _pass in range(128):")
-        e.emit(inner, f"{st}_dirty = False")
-        for assign in self.s.assigns:
-            code, ctx, _ = exprs.rvalue(assign.rhs)
-            stmts = _StmtCompiler(self, e, exprs, kernel=kernel)
-            tmp = stmts.tmp()
-            e.emit(inner, f"{tmp} = {code}")
-            lhs = assign.lhs
-            if isinstance(lhs, ast.Ident) and lhs.name in vars_:
-                # Change detection on full-variable targets (the common
-                # case) for fast convergence.
-                width = vars_[lhs.name].width
-                target = exprs._read(lhs.name)
-                value = f"(({tmp}) & {_mask(width)})" if ctx > width \
-                    else tmp
-                e.emit(inner, f"if {target} != ({value}):")
-                e.emit(inner + 1, f"{target} = {value}")
-                e.emit(inner + 1, f"{st}_dirty = True")
-            else:
-                stmts._store(lhs, tmp, ctx, inner, blocking=True)
-        for i, block in enumerate(self.s.comb_blocks):
-            snap = [f"{st}g_{_attr(name)}" if vars_[name].is_array
-                    else exprs._read(name)
-                    for name in sorted(read_set_of(block.body))
-                    if name in vars_]
-            e.emit(inner, f"_snap{i} = ({', '.join(snap)},)"
-                   if snap else f"_snap{i} = ()")
-            e.emit(inner, f"if _snap{i} != {st}_comb_snap{i}:")
-            e.emit(inner + 1, f"{st}_comb_snap{i} = _snap{i}")
-            _StmtCompiler(self, e, exprs, kernel=kernel).compile(
-                block.body, inner + 1)
-            e.emit(inner + 1, f"{st}_dirty = True")
-        e.emit(inner, f"if not {st}_dirty:")
-        e.emit(inner + 1, "break")
-        e.emit(indent, "else:")
-        e.emit(inner,
-               "raise RuntimeError('combinational loop did not settle')")
-
-    def _emit_levelized(self, e: _Emitter, indent: int,
-                        local: Dict[str, str], kernel: bool) -> None:
-        """The whole network in one pass, in dependency order.
-
-        In the model's method the variables the network only reads are
-        loaded into locals up front, and each fully driven variable is
-        computed into a local that later assigns read; its attribute is
-        stored unconditionally, which leaves the state a fixpoint would.
-        The kernel already holds every variable in a local.  A gated
-        cone is skipped while a snapshot of everything it reads and
-        writes is unchanged, since recomputing it would change nothing."""
-        s, vars_ = self.s, self.s.design.vars
-        assigns, reads, writes = s.assigns, s.reads, s.writes
-        st = "" if kernel else "self."
-        written = set().union(*writes)
-        if not kernel:
-            local = {}
-            for name in sorted(set().union(*reads) - written):
-                if name in vars_:
-                    local[name] = _local(name)
-                    e.emit(indent, f"{local[name]} = self.{_attr(name)}")
-        exprs = _ExprCompiler(self, local=local)
-        for cone, key in s.cones:
-            inner = indent
-            if key:
-                snap = [f"{st}g_{_attr(n)}" if vars_[n].is_array
-                        else exprs._read(n)
-                        for n in sorted(set().union(*(reads[i] for i in cone))
-                                        - written) if n in vars_]
-                snap += [exprs._read(n) for n in
-                         sorted(set().union(*(writes[i] for i in cone)))]
-                snap_code = "(" + ", ".join(snap) + ",)"
-                e.emit(indent, f"if {snap_code} != {st}{key}:")
-                inner = indent + 1
-            for i in cone:
-                a = assigns[i]
-                code, ctx, _ = exprs.rvalue(a.rhs)
-                lhs = a.lhs
-                if isinstance(lhs, ast.Ident) and lhs.name in vars_:
-                    width = vars_[lhs.name].width
-                    if ctx > width:
-                        code = _fold(f"(({code}) & {_mask(width)})")
-                    if kernel:
-                        e.emit(inner, f"{local[lhs.name]} = {code}")
-                        continue
-                    e.emit(inner, f"{_local(lhs.name)} = {code}")
-                    e.emit(inner,
-                           f"self.{_attr(lhs.name)} = {_local(lhs.name)}")
-                    local[lhs.name] = _local(lhs.name)
-                else:
-                    stmts = _StmtCompiler(self, e, exprs, kernel=kernel)
-                    tmp = stmts.tmp()
-                    e.emit(inner, f"{tmp} = {code}")
-                    stmts._store(lhs, tmp, ctx, inner, blocking=True)
-            if key:
-                e.emit(inner, f"{st}{key} = {snap_code}")
-        e.emit(indent, f"{st}_dirty = False")
-
-    def _emit_seq(self, e: _Emitter, indent: int, exprs: _ExprCompiler,
-                  kernel: bool) -> None:
-        """Run each sequential block whose edge fired, in order (a block
-        sees earlier blocks' blocking writes), into ``fired``; then
-        sample every edge signal.  Every block tests the edge signals as
-        the pass began: an edge a block makes fires in the next round."""
-        st = "" if kernel else "self."
-        e.emit(indent, "fired = False")
-        cur = {sig: exprs._read(sig) for sig in self.s.edge_signals}
-        if self.s.writes_edges:
-            for sig in self.s.edge_signals:
-                e.emit(indent, f"e_{_attr(sig)} = {cur[sig]}")
-                cur[sig] = f"e_{_attr(sig)}"
-        # Blocks in a row with the same test run under one: no block
-        # changes what the tests read.
-        last = None
-        for i, block in enumerate(self.s.seq_blocks):
-            tests = []
-            for item in block.ctrl.items:
-                now = cur[item.expr.name]
-                prev = f"{st}p_{_attr(item.expr.name)}"
-                tests.append(f"not {prev} & 1 and {now} & 1"
-                             if item.edge == "posedge"
-                             else f"{prev} & 1 and not {now} & 1")
-            test = " or ".join(tests)
-            if test != last:
-                e.emit(indent, f"if {test}:")
-                e.emit(indent + 1, "fired = True")
-            last = test
-            if kernel:
-                _StmtCompiler(self, e, exprs, kernel=True).compile(
-                    block.body, indent + 1)
-            else:
-                e.emit(indent + 1, f"self._seq_blk{i}()")
-        for sig in self.s.edge_signals:
-            e.emit(indent, f"{st}p_{_attr(sig)} = {cur[sig]}")
-
-    def _compile_seq(self, e: _Emitter) -> None:
-        e.emit(1, "def _seq(self):")
-        self._emit_seq(e, 2, _ExprCompiler(self), kernel=False)
-        e.emit(2, "return fired")
-        e.blank()
-        for i, block in enumerate(self.s.seq_blocks):
-            e.emit(1, f"def _seq_blk{i}(self):")
-            exprs = _ExprCompiler(self, local=self._block_locals(e, block))
-            stmts = _StmtCompiler(self, e, exprs)
-            stmts.compile(block.body, 2)
-            e.blank()
-
-    def _block_locals(self, e: _Emitter,
-                      block: ast.AlwaysBlock) -> Dict[str, str]:
-        """Load the variables a sequential block reads more than once
-        into locals (blocking stores write both back).  A block calling
-        a function that writes design variables keeps every read on the
-        attributes."""
-        counts: Dict[str, int] = {}
-        for node in walk(block.body):
-            if isinstance(node, ast.Ident):
-                counts[node.name] = counts.get(node.name, 0) + 1
-            elif isinstance(node, ast.Call) and \
-                    not node.name.startswith("$") and \
-                    not self.s.fn_info[node.name].side_effect_free:
-                return {}
-        local: Dict[str, str] = {}
-        for name in sorted(counts):
-            if counts[name] > 1 and name in self.s.design.vars:
-                local[name] = _local(name)
-                e.emit(2, f"{local[name]} = self.{_attr(name)}")
-        return local
-
-    def _emit_framework(self, e: _Emitter) -> None:
-        e.emit(1, "def evaluate(self):")
-        e.emit(2, "_eval_comb, _seq = self._eval_comb, self._seq")
-        e.emit(2, "for _round in range(64):")
-        e.emit(3, "_eval_comb()")
-        e.emit(3, "if not _seq():")
-        e.emit(4, "return")
-        e.emit(2, "raise RuntimeError('evaluation did not converge')")
-        e.blank()
-        e.emit(1, "def update(self):")
-        e.emit(2, "changed = False")
-        e.emit(2, "wake = False")
-        for name in sorted(self.s.nba_targets):
-            attr = _attr(name)
-            indent = self._emit_merge(e, 2, name, "self.")
-            e.emit(indent, f"if self.{attr} != self.n_{attr}:")
-            match = self._edge_only_match(name, f"self.{attr}",
-                                          f"self.n_{attr}")
-            if name in self.s.comb_wake:
-                e.emit(indent + 1, "wake = True")
-            elif match:
-                # Edge-only signal: activation requires the LSB
-                # transition to match a registered edge.  When it does
-                # not, keep the previous-sample variable in sync so a
-                # later matching edge is still detected (_seq will not
-                # run for this change).
-                e.emit(indent + 1, f"if {match}:")
-                e.emit(indent + 2, "wake = True")
-                e.emit(indent + 1, "else:")
-                e.emit(indent + 2, f"self.p_{attr} = self.n_{attr}")
-            e.emit(indent + 1, f"self.{attr} = self.n_{attr}")
-            e.emit(indent + 1, "changed = True")
-        e.emit(2, "if self._nba_words:")
-        e.emit(3, "for _arr, _off, _val, _wakes in self._nba_words:")
-        e.emit(4, "if _arr[_off] != _val:")
-        e.emit(5, "_arr[_off] = _val")
-        e.emit(5, "changed = True")
-        e.emit(5, "if _wakes:")
-        e.emit(6, "wake = True")
-        for name in sorted(self.s.nba_array_targets):
-            e.emit(3, f"self.g_{_attr(name)} += 1")
-        e.emit(3, "self._nba_words = []")
-        e.emit(2, "self._nba = False")
-        e.emit(2, "if changed and (wake or not self._gate_wakes):")
-        e.emit(3, "self._dirty = True")
-        e.emit(2, "return changed")
-        e.blank()
-        e.emit(1, "def there_are_updates(self):")
-        e.emit(2, "return self._nba")
-        e.blank()
-        e.emit(1, "def _task_display(self, parts, newline):")
-        e.emit(2, "self._tasks.append(('display', parts, newline))")
-        e.blank()
-        e.emit(1, "def _task_finish(self, code):")
-        e.emit(2, "self._tasks.append(('finish', code, True))")
-        e.emit(2, "self._finished = code")
-        e.blank()
-
-    def _emit_merge(self, e: _Emitter, indent: int, name: str,
-                    st: str) -> int:
-        """For a variable written both ways, open a block that runs only
-        when a nonblocking write set bits of it this step, and that
-        first merges those bits into the shadow; returns the indent the
-        update of ``name`` continues at."""
-        if name not in self.s.both_ways:
-            return indent
-        attr = _attr(name)
-        e.emit(indent, f"if {st}m_{attr}:")
-        e.emit(indent + 1, f"{st}n_{attr} = ({st}{attr} & ~{st}m_{attr}) "
-               f"| ({st}n_{attr} & {st}m_{attr})")
-        e.emit(indent + 1, f"{st}m_{attr} = 0")
-        return indent + 1
-
-    def _edge_only_match(self, name: str, old: str, new: str
-                         ) -> Optional[str]:
-        """For a signal only edge controls read, a test that its change
-        ``old`` -> ``new`` matches a registered edge; else None."""
-        edges = self.s.edge_wake.get(name)
-        if not edges or name in self.s.comb_wake:
-            return None
-        if len(edges) == 2:
-            return f"({old} ^ {new}) & 1"
-        if "posedge" in edges:
-            return f"{new} & ~{old} & 1"
-        return f"{old} & ~{new} & 1"
-
-
 def compile_design(design: Design,
                    class_name: str = "CompiledModel") -> CompiledDesign:
     """Compile a synthesizable design into a fast Python model."""
+    from .kernels import KernelPrinter  # imports this module
     schedule = Schedule(design)
-    source = _Printer(schedule).model(class_name)
+    source = KernelPrinter(schedule).model(class_name)
     namespace: Dict[str, object] = {}
     exec(compile(source, f"<compiled:{design.name}>", "exec"), namespace)
     return CompiledDesign(design, source, namespace[class_name], schedule)

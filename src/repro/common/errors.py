@@ -76,11 +76,3 @@ class RoutingError(SynthesisError):
 
 class TimingError(SynthesisError):
     """The routed design fails timing closure at the fabric clock."""
-
-
-class RuntimeAbort(CascadeError):
-    """Raised internally when a $finish is executed."""
-
-    def __init__(self, exit_code: int = 0):
-        super().__init__(f"$finish({exit_code})")
-        self.exit_code = exit_code

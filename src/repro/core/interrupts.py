@@ -1,15 +1,15 @@
 """The runtime's ordered interrupt queue (§3.4).
 
-User input (REPL evals), system-task side effects and runtime events are
-stored in arrival order and serviced between time steps, when the event
-queue is empty and the system is in an observable state — the only
-window in which changing the program cannot produce undefined behaviour.
+System-task side effects (``$display`` text and ``$finish``) are stored
+in arrival order and serviced between time steps, when the event queue
+is empty and the system is in an observable state — the only window in
+which changing the program cannot produce undefined behaviour.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional
+from typing import Deque, Optional
 
 __all__ = ["Interrupt", "InterruptQueue"]
 
@@ -21,7 +21,6 @@ class Interrupt:
 
     DISPLAY = "display"
     FINISH = "finish"
-    ACTION = "action"   # arbitrary runtime callback (engine swap, etc.)
 
     def __init__(self, kind: str, payload=None):
         self.kind = kind
@@ -42,9 +41,6 @@ class InterruptQueue:
 
     def push_finish(self, code: int = 0) -> None:
         self._queue.append(Interrupt(Interrupt.FINISH, code))
-
-    def push_action(self, action: Callable[[], None]) -> None:
-        self._queue.append(Interrupt(Interrupt.ACTION, action))
 
     def pop(self) -> Optional[Interrupt]:
         return self._queue.popleft() if self._queue else None

@@ -522,8 +522,6 @@ class Runtime:
             elif interrupt.kind == Interrupt.FINISH:
                 if self.finished is None:
                     self.finished = interrupt.payload
-            elif interrupt.kind == Interrupt.ACTION:
-                interrupt.payload()
 
     def _window(self) -> None:
         """Between time steps: service interrupts, apply evals, poll the

@@ -22,6 +22,7 @@ from repro.backend.estimate import estimate_resources
 from repro.common.errors import CascadeError
 from repro.core.runtime import Runtime
 from repro.interp.sim import Simulator
+from repro.stdlib.engines import ClockEngine
 from repro.study.corpus import generate_corpus
 from repro.verilog import ast
 from repro.verilog.elaborate import elaborate_leaf
@@ -104,15 +105,15 @@ class TestOnePassDesign:
             leaf = elaborate_leaf(sub.module_ast)
             assert _summary(handed) == _summary(leaf), sub.name
 
-    # The keys fold in CODEGEN_VERSION (7 here).
+    # The keys fold in CODEGEN_VERSION (8 here).
     @pytest.mark.parametrize("name, inlined, digests", [
-        ("pow", True, {"main": "95fb925ece49eb4f"}),
-        ("pow", False, {"main": "5e924575968b6efa",
-                        "miner": "f3ff8445375f620d",
-                        "miner.core": "bd655a79d24e9a2d"}),
-        ("nw", True, {"main": "064a777210999f5b"}),
-        ("nw", False, {"main": "4481a3c309a6ec4c",
-                       "nw": "a701220dbff4acf8"}),
+        ("pow", True, {"main": "dfb2bc25ae48ff04"}),
+        ("pow", False, {"main": "77c43a81664e3a18",
+                        "miner": "c2e4582d97c71582",
+                        "miner.core": "f44a877c31558e5e"}),
+        ("nw", True, {"main": "dd9963827edaefd0"}),
+        ("nw", False, {"main": "e08ded7a261bd5c4",
+                       "nw": "989effbbbc637b28"}),
     ])
     def test_cache_keys_are_pinned(self, name, inlined, digests):
         rt = _built(PROGRAMS[name], inlined)
@@ -124,45 +125,52 @@ class TestOnePassDesign:
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
     def test_generated_code_is_pinned(self, name):
         """The sha256 (first 12 hex digits) of the compiled model's
-        source and then of the open-loop kernel for each edge signal,
-        as the code generator printed them before the model and the
-        kernel came to be printed from one schedule."""
+        source and then of the open-loop kernel and the batch kernel for
+        the model's input bound to a clock's ``val`` (``clk.val``, or
+        ``c.val`` in the study corpus harness): the code that runs."""
         rt = _built(PROGRAMS[name], True)
         compiled = compile_design(rt.engines["main"].design)
-        sources = [compiled.source] + [
-            compiled.open_loop_kernel(_attr(sig)).source
-            for sig in compiled.edge_signals]
+        subs = rt.program.subprograms
+        clocks = {subs[clock].bindings["val"][0]
+                  for clock, engine in rt.engines.items()
+                  if isinstance(engine, ClockEngine)}
+        port, = [port for port, (net, direction)
+                 in subs["main"].bindings.items()
+                 if net in clocks and direction == "in"]
+        sources = [compiled.source,
+                   compiled.open_loop_kernel(_attr(port)).source,
+                   compiled.batch_kernel(_attr(port)).source]
         assert " ".join(hashlib.sha256(s.encode()).hexdigest()[:12]
                         for s in sources) == _CODEGEN_DIGESTS[name]
 
 
 _CODEGEN_DIGESTS = {
-    "nw": "2ab87c30134a 3cfa7b7dfde0 4a2c129f006f",
-    "pow": "993a5e2cfae1 7af134fd846b d00adbef9e44",
-    "regex": "63e2aad0792e 3efaa678be7c 47001e0851b2",
-    "student0": "617ae6efe9f2 25f0705f01b9 a35d48b38ad3",
-    "student10": "e10e5877262c 9439b1cb0d55 b071437fd6f0",
-    "student11": "03d661372cae 004d0e26e9bb e7f014826897",
-    "student13": "d60d4ae1c060 3b28fc74651e dffbaf54d21c",
-    "student14": "a2e00fc9e2a2 73e46f92e26b f077804dac2d",
-    "student15": "5fbfb66150ff 2724b6d6960e 27388ceb9b41",
-    "student16": "764d6d88771e 1449194d4902 c8a7bd11322e",
-    "student17": "d7a7b911ce7c c2d6f47e5d58 406c10ccf8f2",
-    "student18": "357edfe16808 e3a68ecb6734 dda3525b06fa",
-    "student19": "b7093aaf2509 088f407d812d 33bcddb9d81a",
-    "student2": "6625442deab1 486b7a03c602 20be6e1c17fb",
-    "student22": "6e9b139974c8 acb921986fb7 c259dba4b6c2",
-    "student23": "f3a776a0256e c76946b9f724 c6cbbabc9a59",
-    "student24": "5ab767e814e3 b156171ec371 6bd9d5d9c086",
-    "student26": "70c1fd6bea3c ffa33520dc65 c2e86f0b7201",
-    "student28": "9b1d8521dedc 20ccfd4b42fc ae92e134fd3a",
-    "student29": "00e17e36ebcb 6f9fa662e0eb 3b3394f7414e",
-    "student3": "65455e1e0e7b 97c277e1d308 0b0558dbec92",
-    "student5": "a44979b74c8a 108cfd6e25fc 0e9f036af77c",
-    "student6": "49838a0f3882 07e5b415e378 b61a042316cf",
-    "student7": "35d10c2e406a 52abc9230e2d c1284c3b37a3",
-    "student8": "06c696fe2141 d97f31f52a18 b093e2c9e495",
-    "student9": "fc8aff702cb0 b0e4db27feb1 6fc95fb2d47e",
+    "nw": "04e2ba7ed544 ce1990478d42 9f28f4eb25e4",
+    "pow": "6ddd4291cf69 2f032cde122a be6c36146088",
+    "regex": "6e4c8cbb6851 49a904d205af 227ae03fe6ac",
+    "student0": "0006395d44a2 efbae84fd8c6 64d170ec149a",
+    "student10": "44835e8d73fa b6a4b8cc9000 a7fc82bdbd00",
+    "student11": "202588c13e5f 22aa4aedf562 7323a797212e",
+    "student13": "c51f76055690 cde0cb340cc1 b12eb41fe04e",
+    "student14": "bc8ed495232b 0f03402efd0e 35f0896adce7",
+    "student15": "d73fc0d6d371 f75ea24c521a ef9e1e7c25f5",
+    "student16": "c02812b9324e c089c5d8f8a1 135433f7ae36",
+    "student17": "dcc019bcf4d7 0abd8181cf4d f74ef3280f27",
+    "student18": "08a7a6f9da64 df819b9e37a7 245b5c7c0dc5",
+    "student19": "5866f3a473c7 63f5407e0b57 e6538cb118ec",
+    "student2": "d4c5144994e8 07a8368fe1e6 401d626ea8e9",
+    "student22": "2c562e05f3de 5c354e46e01e 41ddaebfd147",
+    "student23": "507eb9683d85 2f45026742ac 02b64e432678",
+    "student24": "1b527a0971af c2df671ed6c0 9bbf8087ef4a",
+    "student26": "39613b4d3da8 553a56ab792f 00688085d291",
+    "student28": "bfbc6c18f00b 734d8bf1ef17 6457b845a965",
+    "student29": "688ebe9f0030 d01ff9d63767 f6a8d4192e39",
+    "student3": "0e626780e9b3 03f08bac07c7 6786ba4fe72a",
+    "student5": "aea53f3987c1 004007cf7adf eb0d28010afd",
+    "student6": "3d4423e98b56 7a7c17db4c5c 949f10b75173",
+    "student7": "5944f1a9d099 d74ed8a54f74 e2f09396e18c",
+    "student8": "eb1e7a83e18a 23a7b5c3a986 ce04213a9229",
+    "student9": "e523be6ef0b7 1ba25f3ca1b5 e15626e75620",
 }
 
 

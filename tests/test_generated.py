@@ -4,7 +4,8 @@ A hypothesis strategy builds small synthesizable programs that exercise
 what the levelized compiled model relies on: acyclic chains of
 continuous assigns declared in shuffled order, widths 1-70 with mixed
 signedness, an inlinable function, a constant ``case`` function (a
-lookup table), an array read by combinational logic, an optional
+lookup table), a function that reads a register and one that writes
+one, an array read by combinational logic, an optional
 ``always @*`` block (which keeps the fixpoint), registers declared with
 non-zero, negative or ascending ranges that are read and written through
 dynamic bit, ``+:`` and ``-:`` selects with signed and unsigned indices,
@@ -146,6 +147,23 @@ def programs(draw):
     lines.append(f"    default: pick = 8'd{draw(st.integers(0, 255))};")
     lines.append("  endcase")
     lines.append("endfunction")
+    # A function reading a register and one writing another (blocking),
+    # both called from the clocked block: their methods take the
+    # caller's locals.
+    lines.append(f"reg [7:0] st = {draw(st.integers(0, 255))};")
+    lines.append(f"reg [7:0] fa = {draw(st.integers(0, 255))};")
+    lines.append("reg [7:0] fb = 0;")
+    lines.append("function [7:0] peek;")
+    lines.append("  input [7:0] x;")
+    lines.append(f"  peek = x {draw(st.sampled_from(['+', '^', '-']))} st;")
+    lines.append("endfunction")
+    lines.append("function [7:0] bump;")
+    lines.append("  input [7:0] x;")
+    lines.append("  begin")
+    lines.append(f"    st = st {draw(st.sampled_from(['+', '^']))} x;")
+    lines.append("    bump = st + 8'd1;")
+    lines.append("  end")
+    lines.append("endfunction")
 
     # An acyclic chain of wires, each reading registers and earlier wires.
     leaves = list(regs)
@@ -231,12 +249,15 @@ def programs(draw):
     for target, source in writes:
         lines.append(f"    {target} <= {source} ^ "
                      f"{draw(_expr(leaves, 1))};")
+    calls = [f"fa <= peek({draw(_expr(leaves, 1))});",
+             f"fb <= bump({draw(_expr(leaves, 1))});"]
+    lines.extend("    " + call for call in draw(st.permutations(calls)))
     lines.append("    acc = 0;")
     lines.append("    for (k = 0; k < 4; k = k + 1)")
     lines.append("      acc = acc + table_mem[k];")
     leaves.append(("acc", 16, False))
     shown = [name for name, _, _ in leaves] + \
-        [name for name, _, _ in ranged]
+        [name for name, _, _ in ranged] + ["st", "fa", "fb"]
     # Every cycle, every k-th cycle or once: a sparse display lets an
     # open-loop batch run many half ticks between tasks.
     when = draw(st.sampled_from([

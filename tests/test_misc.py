@@ -30,13 +30,6 @@ class TestInterruptQueue:
         assert kinds == [Interrupt.DISPLAY, Interrupt.FINISH,
                          Interrupt.DISPLAY]
 
-    def test_action_payload(self):
-        q = InterruptQueue()
-        hits = []
-        q.push_action(lambda: hits.append(1))
-        q.pop().payload()
-        assert hits == [1]
-
     def test_empty_pop(self):
         assert InterruptQueue().pop() is None
 

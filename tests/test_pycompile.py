@@ -13,6 +13,7 @@ import random
 import pytest
 
 from repro.backend import pycompile
+from repro.backend.kernels import KernelPrinter
 from repro.backend.pycompile import compile_design
 from repro.backend.synth import synthesize
 from repro.common.bits import Bits
@@ -591,8 +592,9 @@ module w(input wire clk, output wire [7:0] head);
   end
   assign head = w[0];
 endmodule""", [10, 31, 64])
-        # Pending words go to a copy of the array, not to tuples.
-        assert "_nba_words.append" not in kernel.source
+        # Pending words go to a copy of the array, not to a list.
+        assert "nw_v_w = v_w[:]" in kernel.source
+        assert "nw_v_w.append" not in kernel.source
         assert model.g_v_w == 53  # one per posedge
 
     def test_array_written_both_ways(self):
@@ -614,7 +616,7 @@ endmodule""", [12, 25])
         def prepare(model):
             model.v_clk = 1
             model.evaluate()
-            assert model._nba and model._nba_words
+            assert model._nba and model.nw_v_m is not None
         self.run("""
 module p(input wire clk, output reg [7:0] q = 0);
   reg [7:0] m [0:1];
@@ -638,7 +640,7 @@ endmodule""", [100, 4])
         assert history[0] == (11, ["finish"])
         assert model._finished == 0
 
-    def test_function_reading_design_state_steps_the_methods(self):
+    def test_function_reading_design_state_runs_on_locals(self):
         kernel, _, _ = self.run("""
 module g(input wire clk, output reg [7:0] q = 0);
   reg [7:0] base = 5;
@@ -653,7 +655,10 @@ module g(input wire clk, output reg [7:0] q = 0);
     base <= base + 1;
   end
 endmodule""", [7, 20])
-        assert "evaluate()" in kernel.source
+        # The function takes the variable it reads as an argument, so
+        # the kernel keeps its state in locals.
+        assert "evaluate()" not in kernel.source
+        assert "v_base)" in kernel.source
 
     @pytest.mark.parametrize("text, r", [(SAME_EDGE, 29),
                                          (DERIVED_CLOCK, 15)],
@@ -699,7 +704,7 @@ endmodule""")))
         assert built == [schedule]
         # Printing the model or a kernel reads the schedule only, so it
         # prints the same text again.
-        again = pycompile._Printer(schedule).model("CompiledModel")
+        again = KernelPrinter(schedule).model("CompiledModel")
         assert again == compiled.source
         assert repr(vars(schedule)) == fields
 

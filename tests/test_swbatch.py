@@ -154,8 +154,8 @@ end
 assign led.val = m[0];
 """
 
-#: A function that reads design state, so the kernel steps the model's
-#: own methods; and a negedge block.
+#: A function that reads design state, which its method takes as an
+#: argument; and a negedge block.
 STATEFUL = """
 reg [7:0] base = 5;
 reg [7:0] q = 0;
@@ -170,6 +170,49 @@ always @(posedge clk.val) begin
 end
 always @(negedge clk.val) d <= q ^ d;
 assign led.val = d;
+"""
+
+#: A register written twice in one step, back to its old value: the
+#: first write changed it, so the model wakes the logic that reads it,
+#: as the interpreter does on each write that changes a value.
+GLITCH = """
+reg x = 0;
+wire [7:0] y = x + 1;
+always @(posedge clk.val) begin
+  x <= 1;
+  x <= 0;
+end
+assign led.val = y;
+"""
+
+#: A loop whose condition calls a function reading a register that a
+#: function called in its body writes (blocking); ``k`` bounds it, so a
+#: stale read ends it with wrong values rather than never.
+LOOP_CALLS = """
+reg [7:0] budget = 0;
+reg [7:0] spent = 0;
+reg [7:0] q = 0;
+integer k;
+function [7:0] spend;
+  input [7:0] c;
+  begin
+    budget = budget + c;
+    spend = budget;
+  end
+endfunction
+function room;
+  input [7:0] lim;
+  room = budget < lim;
+endfunction
+always @(posedge clk.val) begin
+  budget = 0;
+  for (k = 0; k < 8 && room(8'd20 + q[3:0]); k = k + 1)
+    spent <= spend(8'd3 + k[1:0]);
+  q <= q + 1;
+  if (q[2:0] == 3'd5)
+    $display("q %0d spent %0d budget %0d k %0d", q, spent, budget, k);
+end
+assign led.val = spent;
 """
 
 #: Sparse output: a derived clock, a register the led shows rarely.
@@ -189,11 +232,12 @@ assign led.val = r;
 class TestBatchedMatchesStepped:
     @pytest.mark.parametrize("src", [COUNTER, FINISH, BOTH_WAYS,
                                      BOTH_WAYS_PART, ARRAYS, SHIFT, TWICE,
-                                     STATEFUL, SPARSE],
+                                     STATEFUL, SPARSE, GLITCH, LOOP_CALLS],
                              ids=["output-every-tick", "finish", "both-ways",
                                   "both-ways-part", "arrays", "array-shift",
                                   "word-written-twice", "stateful",
-                                  "sparse"])
+                                  "sparse", "scalar-written-twice",
+                                  "loop-calls"])
     def test_programs(self, src):
         rt = batched_matches_stepped(lambda: fast_runtime(src),
                                      [3, 40, 1, 77, 200])
@@ -281,6 +325,57 @@ class TestBothWaysOnEveryTier:
         fast.run(iterations=12)
         assert fast.output_lines == want
         assert fast.time_model.now_ns == interp.time_model.now_ns
+
+
+def interpreted(src, iterations):
+    rt = Runtime(enable_jit=False)
+    rt.eval_source(src)
+    rt.run(iterations=iterations)
+    return rt
+
+
+def test_scalar_written_back_wakes_as_on_the_interpreter():
+    # Each posedge writes x to 1 and back to 0; the interpreter wakes
+    # y's assign on both writes, and so must the sw-fast model, stepped
+    # or batched.
+    interp = interpreted(GLITCH, 20)
+    assert interp.time_model.now_ns == 3874200.0
+    assert sum(interp.time_model.tier_events.values()) == 31 + 20
+    for chunks in ([20], [1] * 20):
+        fast = fast_runtime(GLITCH)
+        for n in chunks:
+            fast.run(iterations=n)
+        assert fast.engine_tiers()["main"] == "sw-fast"
+        assert fast.time_model.now_ns == interp.time_model.now_ns
+        assert sum(fast.time_model.tier_events.values()) == \
+            sum(interp.time_model.tier_events.values())
+
+
+def test_loop_condition_calls_a_stateful_function():
+    """The interpreter, the model's stepped methods, the batch kernel
+    and the open-loop kernel agree on a loop whose condition calls a
+    function that reads design state another call writes."""
+    interp = interpreted(LOOP_CALLS, 60)
+    want = observe(interp)
+    assert want["lines"] and "k 0" not in want["lines"][0]
+    # Stepped methods against the batch kernel, after every call.
+    fast = batched_matches_stepped(lambda: fast_runtime(LOOP_CALLS),
+                                   [3, 57])
+    got = observe(fast)
+    for key in ("now_ns", "lines", "leds", "state"):
+        assert got[key] == want[key], key
+    # Hardware in its first window, then open loop; a batch may end past
+    # the bound, so the interpreter runs on to the same iteration.
+    ol = Runtime(compile_service=CompileService(
+        latency_scale=0.0, queue=CompileQueue(max_workers=0)),
+        enable_sw_fastpath=False)
+    ol.eval_source(LOOP_CALLS)
+    ol.run(iterations=60)
+    assert ol._open_loop_active
+    interp.run(iterations=ol.iterations - interp.iterations)
+    got, want = observe(ol), observe(interp)
+    for key in ("lines", "state"):
+        assert got[key] == want[key], key
 
 
 def test_stats_prints_the_batch_counters():
