@@ -674,6 +674,67 @@ endmodule""", [7, 20])
     def test_register_written_both_ways(self, text):
         self.run(text, [9, 16, 33])
 
+    def test_absorbed_memory_steps_as_in_closed_loop(self):
+        """An absorbed clocked ``Memory``: after every open-loop batch,
+        the model's complete state and the memory's words equal those
+        of closed-loop hardware run the same number of half ticks."""
+        from unittest import mock
+
+        from repro.backend.compiler import CompileService
+        from repro.backend.hardware import HardwareEngine
+        from repro.core.runtime import Runtime
+
+        text = """
+Memory#(4, 8) ram();
+reg [3:0] phase = 0;
+reg [7:0] acc = 1;
+assign ram.clk = clk.val;
+assign ram.wen = phase[0];
+assign ram.waddr = phase;
+assign ram.wdata = acc + 8'd7;
+assign ram.raddr = phase + 4'd3;
+always @(posedge clk.val) begin
+  phase <= phase + 1;
+  acc <= (acc << 1) ^ ram.rdata;
+  if (phase == 4'd9) $display("acc %0d", acc);
+end
+assign led.val = acc;
+"""
+
+        def runtime(**kwargs):
+            rt = Runtime(compile_service=CompileService(latency_scale=0.0),
+                         **kwargs)
+            rt.eval_source(text)
+            return rt
+
+        def state(rt):
+            model = rt.engines["main"].model
+            return ({k: v[:] if isinstance(v, list) else v
+                     for k, v in vars(model).items()},
+                    rt.engines["ram"].words[:])
+
+        batches = []
+        real = HardwareEngine.open_loop
+
+        def record(engine, steps):
+            start = rt.iterations
+            done = real(engine, steps)
+            batches.append((start, done, state(rt)))
+            return done
+
+        rt = runtime()
+        with mock.patch.object(HardwareEngine, "open_loop", record):
+            rt.run(iterations=1000)
+        assert "ram" in rt.absorbed and len(batches) > 20
+        assert max(done for _, done, _ in batches) == 32
+        closed = runtime(enable_open_loop=False)
+        for start, done, snapshot in batches:
+            closed.run(iterations=start - closed.iterations)
+            closed.run(iterations=done)
+            assert state(closed) == snapshot
+        assert closed.engines["ram"].words != [0] * 16
+        assert rt.output_lines == closed.output_lines
+
     def test_one_schedule_for_the_model_and_every_kernel(self,
                                                           monkeypatch):
         built = count_schedules(monkeypatch)

@@ -1,5 +1,6 @@
 """The runtime: JIT lifecycle, state transfer, eval window, scheduler."""
 
+import random
 import time
 from unittest import mock
 
@@ -317,6 +318,43 @@ class TestChargeInvariance:
         self.check(rt, 1574940.0,
                    {"interpreted": 4, "sw-fast": 0, "hardware": 177},
                    307, memory_log_lines(30))
+
+    def test_open_loop_with_an_absorbed_memory(self):
+        rt = instant_runtime()
+        rt.eval_source(MEMORY_LOG)
+        rt.run(iterations=60)
+        assert rt._open_loop_active and "ram" in rt.absorbed
+        self.check(rt, 734820.0,
+                   {"interpreted": 4, "sw-fast": 0, "hardware": 61},
+                   22, memory_log_lines(31))
+        assert rt.board.leds.value == 0
+
+    def test_open_loop_regex_stream(self):
+        from repro.apps import regex
+        pattern = "(ab|ba)+c"
+        rng = random.Random(3)
+        data = bytes(rng.choice(b"abc") for _ in range(300))
+        rt = instant_runtime()
+        text, _ = regex.regex_program(pattern, report_every=4)
+        rt.eval_source(text)
+        rt.run(iterations=40)
+        fifo = rt.board.fifo("input_fifo")
+        fifo.attach_source(data, bytes_per_sec=555_000.0)
+        fifo._last_refill_s = rt.time_model.now_seconds
+        for _ in range(100):
+            rt.run(iterations=2000)
+            if fifo.source_exhausted and fifo.empty:
+                break
+        rt.run(iterations=2000)
+        assert rt._open_loop_active and "input_fifo" in rt.absorbed
+        self.check(rt, 1279340.0,
+                   {"interpreted": 3, "sw-fast": 0, "hardware": 39437},
+                   11, ["matches=4 consumed=77", "matches=8 consumed=168",
+                        "matches=12 consumed=225"])
+        assert fifo.popped == 300
+        matches = rt.engines["main"].read("m_matches").to_int()
+        assert matches == regex.reference_match_count(pattern, data) == 15
+        assert rt.board.leds.value == 15
 
     def test_interpreted_subprograms_meet_on_the_plane(self):
         rt = instant_runtime(enable_jit=False, inline_user_logic=False)
