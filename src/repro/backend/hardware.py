@@ -16,7 +16,7 @@ supports the two optimisations that matter for performance:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from ..common.bits import Bits
 from ..core.abi import HARDWARE, SOFTWARE, CollectedTasks, Engine, \
@@ -24,12 +24,22 @@ from ..core.abi import HARDWARE, SOFTWARE, CollectedTasks, Engine, \
 from ..interp.fmt import format_display
 from ..ir.build import Subprogram
 from ..verilog.elaborate import Design
+from ..stdlib.engines import ClockedEngine
 from .pycompile import CompiledDesign, _attr
+
+if TYPE_CHECKING:
+    from .kernels import Hook
 
 __all__ = ["HardwareEngine", "FastSoftwareEngine"]
 
 #: What drain_output_changes returns when no output changed.
 _UNCHANGED: Set[str] = frozenset()  # type: ignore[assignment]
+
+
+def _narrowing(width: int, to_width: int) -> int:
+    """The mask a copy from ``width`` bits into ``to_width`` applies, or
+    0 when it applies none."""
+    return (1 << to_width) - 1 if width > to_width else 0
 
 
 class HardwareEngine(CollectedTasks, Engine):
@@ -56,9 +66,10 @@ class HardwareEngine(CollectedTasks, Engine):
             name: getattr(self.model, attr) for name, attr in self._outputs}
         # Forwarding state.
         self.inner: List[Engine] = []
-        #: Whether an absorbed engine has a ``clk`` port, which open
-        #: loop must then step every half tick.
-        self._clocked_inner = False
+        #: The absorbed clocked engines, which the open-loop kernel
+        #: steps, and what it sees of each (``kernels.Hook``).
+        self._clocked: List[ClockedEngine] = []
+        self._hooks: Tuple[Hook, ...] = ()
         self._to_inner: List[Tuple[str, Engine, str]] = []
         self._from_inner: List[Tuple[Engine, str, str, int]] = []
         self.clock_engine: Optional[Engine] = None
@@ -220,18 +231,25 @@ class HardwareEngine(CollectedTasks, Engine):
         sub: Subprogram = inner.subprogram  # type: ignore[attr-defined]
         my_nets = {net: port
                    for port, (net, _) in self.subprogram.bindings.items()}
+        pokes, reads = [], []
         for port, (net, direction) in sub.bindings.items():
             my_port = my_nets.get(net)
             if my_port is None:
                 continue
             attr = _attr(my_port)
+            width = self.design.vars[my_port].width
+            inner_width = sub.port_widths[port]
             if direction == "in":
                 self._to_inner.append((attr, inner, port))
+                pokes.append((port, attr, _narrowing(width, inner_width)))
             else:
-                width = self.design.vars[my_port].width
                 self._from_inner.append((inner, port, attr, width))
+                reads.append((port, attr, _narrowing(inner_width, width)))
         self.inner.append(inner)
-        self._clocked_inner |= "clk" in sub.port_widths
+        if isinstance(inner, ClockedEngine):
+            self._clocked.append(inner)
+            self._hooks += ((tuple(pokes), inner.step_inputs,
+                             inner.step_outputs, tuple(reads)),)
         self._exchange()
 
     def _exchange(self) -> None:
@@ -270,40 +288,18 @@ class HardwareEngine(CollectedTasks, Engine):
     # Open-loop scheduling (§4.4)
     # ------------------------------------------------------------------
     def open_loop(self, steps: int) -> int:
+        """Run the design's open-loop kernel: it steps the absorbed
+        clocked engines (Memory, Fifo) on its own locals at the points
+        where the model's methods would exchange with them.  Sources
+        (Pad, Reset, GPIO) hold still during a batch and sinks (Led,
+        GPIO) see its final values: they exchange once, on exit."""
         model = self.model
         attr = self.clock_attr
-        done = 0
-        if not self._clocked_inner:
-            # Fast path: no absorbed component is clocked, so sources
-            # (Pad/Reset) stay constant during the batch and sinks
-            # (Led/GPIO) only need the final values — run the design's
-            # open-loop kernel and exchange once on exit.
-            done = self.compiled.open_loop_kernel(attr)(model, steps)
-            if self.inner:
-                self._exchange()
-            self._collect_tasks()
-        else:
-            while done < steps:
-                setattr(model, attr, getattr(model, attr) ^ 1)
-                model._dirty = True
-                self._exchange()
-                model.evaluate()
-                while model._nba or any(i.there_are_updates()
-                                        for i in self.inner):
-                    model.update()
-                    for inner in self.inner:
-                        if inner.there_are_updates():
-                            inner.update()
-                    self._exchange()
-                    model.evaluate()
-                done += 1
-                if not (done & 1):
-                    model._time += 1
-                for inner in self.inner:
-                    inner.set_time(model._time)
-                self._collect_tasks()
-                if self.has_tasks:
-                    break
+        done = self.compiled.open_loop_kernel(attr, self._hooks)(
+            model, steps, *self._clocked)
+        if self.inner:
+            self._exchange()
+        self._collect_tasks()
         # Propagate the final clock value back to the clock engine so
         # the runtime's view stays coherent.
         if self.clock_engine is not None:

@@ -25,7 +25,7 @@ it wrote (see :meth:`KernelPrinter.function`).
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Set
+from typing import List, Optional, Set, Tuple
 
 from ..verilog import ast
 from ..verilog.elaborate import Function
@@ -33,7 +33,12 @@ from ..verilog.visitor import read_set_of
 from .pycompile import _SIMPLE, Schedule, _Emitter, _ExprCompiler, \
     _StmtCompiler, _attr, _fold, _lit, _mask
 
-__all__ = ["KernelPrinter"]
+__all__ = ["KernelPrinter", "Hook"]
+
+#: An absorbed clocked engine as an open-loop kernel sees it (see
+#: :meth:`KernelPrinter.kernel`): ``(pokes, inputs, outputs, reads)``.
+Hook = Tuple[Tuple[Tuple[str, str, int], ...], Tuple[str, ...],
+             Tuple[str, ...], Tuple[Tuple[str, str, int], ...]]
 
 #: Blanks out everything but identifier characters.
 _WORDS = str.maketrans({chr(i): " " for i in range(128)
@@ -532,20 +537,39 @@ class KernelPrinter:
     # ------------------------------------------------------------------
     # The open-loop kernel (Figure 10's _oloop)
     # ------------------------------------------------------------------
-    def kernel(self, clock: str) -> str:
-        """Source of ``open_loop(self, steps)``, which toggles the model
-        attribute ``clock`` and settles the model ``steps`` half ticks
-        exactly as the model's own ``evaluate``/``update`` would, and
-        returns how many ran: it stops after a half tick that queued a
-        task.  Every half tick ends with nothing pending, so on exit the
-        kernel clears the change flags the model's ``evaluate`` may have
-        left, which its update does not read."""
+    def kernel(self, clock: str, hooks: Tuple[Hook, ...] = ()) -> str:
+        """Source of ``open_loop(self, steps, h0, ...)``, which toggles
+        the model attribute ``clock`` and settles the model ``steps``
+        half ticks exactly as the model's own ``evaluate``/``update``
+        would, and returns how many ran: it stops after a half tick that
+        queued a task.  Every half tick ends with nothing pending, so on
+        exit the kernel clears the change flags the model's ``evaluate``
+        may have left, which its update does not read.
+
+        Each hook ``(pokes, inputs, outputs, reads)`` is one absorbed
+        clocked engine ``h<i>`` (``stdlib.engines.ClockedEngine``), held
+        in locals ``h<i>_<port>`` from its ``values``: ``pokes`` are its
+        input ports linked to model attributes and ``reads`` its output
+        ports linked to them, each as ``(port, attribute, mask)`` in the
+        hardware engine's exchange order (a mask of 0 applies none), and
+        ``inputs``/``outputs`` are what its ``posedge`` takes and
+        returns.  Where the model's methods would exchange with the
+        engines, before each evaluate, the kernel does so on locals (see
+        :meth:`_emit_exchange`); on exit it stores the linked inputs
+        back and hands the engine the time."""
         e, body = _Emitter(), _Emitter()
         self.flags = set()
-        e.emit(0, "def open_loop(self, steps):")
+        e.emit(0, "def open_loop(" + ", ".join(
+            ["self", "steps"] + [f"h{i}" for i in range(len(hooks))]) + "):")
         e.emit(1, "if steps <= 0:")
         e.emit(2, "return 0")
         e.emit(1, "_tasks = self._tasks")
+        for i, (pokes, inputs, outputs, _) in enumerate(hooks):
+            e.emit(1, f"h{i}s = h{i}.posedge")
+            e.emit(1, f"h{i}v = h{i}.values")
+            for port in dict.fromkeys([p for p, _, _ in pokes]
+                                      + list(inputs) + list(outputs)):
+                e.emit(1, f"h{i}_{port} = h{i}v[{port!r}]")
         # One half tick: evaluate rounds until no edge fires, then
         # update and evaluate again while nonblocking writes are
         # pending.
@@ -553,7 +577,10 @@ class KernelPrinter:
         body.emit(1, "while done < steps:")
         body.emit(2, f"{clock} ^= 1")
         body.emit(2, "while True:")
-        self._emit_evaluate(body, 3)
+        if hooks:
+            self._emit_exchange(body, 3, hooks)
+        else:
+            self._emit_evaluate(body, 3)
         body.emit(3, "if not _nba:")
         body.emit(4, "break")
         body.emit(3, "_nba = False")
@@ -566,8 +593,50 @@ class KernelPrinter:
         self._on_locals(e, 1, body)
         for name in sorted(self.s.model_flags):
             e.emit(1, f"self.wk_{_attr(name)} = False")
+        for i, (pokes, _, _, _) in enumerate(hooks):
+            for port, _, _ in pokes:
+                e.emit(1, f"h{i}v[{port!r}] = h{i}_{port}")
+            e.emit(1, f"h{i}.set_time(_time)")
         e.emit(1, "return done")
         return self._module(e)
+
+    def _emit_exchange(self, e: _Emitter, indent: int,
+                       hooks: Tuple[Hook, ...]) -> None:
+        """The hardware engine's ``_exchange`` and the ``evaluate`` that
+        follows it, on locals: rounds that copy each linked model value
+        into the engine's input, stepping the engine when ``clk`` rises,
+        then each linked output into the model, and evaluate; up to 8
+        rounds, until one moves nothing.  A round that moves nothing
+        after the first skips its evaluate, which would change
+        nothing."""
+        inner = indent + 1
+        e.emit(indent, "for _x in range(8):")
+        e.emit(inner, "_stable = True")
+        for i, (pokes, inputs, outputs, _) in enumerate(hooks):
+            for port, attr, mask in pokes:
+                local, value = f"h{i}_{port}", \
+                    f"({attr} & {mask})" if mask else attr
+                e.emit(inner, f"if {local} != {value}:")
+                e.emit(inner + 1, f"{local} = {value}")
+                e.emit(inner + 1, "_stable = False")
+                if port == "clk":
+                    e.emit(inner + 1, f"if {local}:")
+                    e.emit(inner + 2, "".join(
+                        f"h{i}_{p}, " for p in outputs) + f"= h{i}s(" +
+                        ", ".join(["_time"] + [f"h{i}_{p}" for p in inputs])
+                        + ")")
+        for i, (_, _, _, reads) in enumerate(hooks):
+            for port, attr, mask in reads:
+                local = f"h{i}_{port}"
+                value = f"({local} & {mask})" if mask else local
+                e.emit(inner, f"if {attr} != {value}:")
+                e.emit(inner + 1, f"{attr} = {value}")
+                e.emit(inner + 1, "_stable = False")
+        e.emit(inner, "if _stable and _x:")
+        e.emit(inner + 1, "break")
+        self._emit_evaluate(e, inner)
+        e.emit(inner, "if _stable:")
+        e.emit(inner + 1, "break")
 
     # ------------------------------------------------------------------
     # Closed-loop batches on the software fast path (DESIGN.md §4.4)

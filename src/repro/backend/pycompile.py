@@ -114,18 +114,20 @@ class CompiledDesign:
         self.edge_signals: List[str] = list(model_class._edge_signals)
         self.comb_wake: FrozenSet[str] = model_class._comb_wake
         self.edge_wake: Dict[str, FrozenSet[str]] = model_class._edge_wake
-        self._kernels: Dict[Tuple[str, str], Callable] = {}
+        self._kernels: Dict[Tuple[str, str, tuple], Callable] = {}
 
     def instantiate(self):
         return self.model_class()
 
-    def open_loop_kernel(self, clock_attr: str) -> Callable[[object, int],
-                                                            int]:
+    def open_loop_kernel(self, clock_attr: str, hooks: tuple = ()
+                         ) -> Callable[..., int]:
         """The open-loop kernel for the clock held in model attribute
-        ``clock_attr``: ``kernel(model, steps)`` runs up to ``steps``
-        half ticks and returns how many ran.  Printed on first request
-        (only engines that reach open loop ask) and kept."""
-        return self._kernel("open_loop", clock_attr)
+        ``clock_attr`` and the absorbed clocked engines ``hooks``
+        describes (``KernelPrinter.kernel``): ``kernel(model, steps,
+        *engines)`` runs up to ``steps`` half ticks and returns how many
+        ran.  Printed on first request (only engines that reach open
+        loop ask) and kept."""
+        return self._kernel("open_loop", clock_attr, hooks)
 
     def batch_kernel(self, clock_attr: str) -> Callable:
         """The closed-loop batch kernel for the clock held in model
@@ -133,21 +135,22 @@ class CompiledDesign:
         the software fast path's first batch and kept."""
         return self._kernel("batch", clock_attr)
 
-    def _kernel(self, kind: str, clock_attr: str) -> Callable:
-        kernel = self._kernels.get((kind, clock_attr))
+    def _kernel(self, kind: str, clock_attr: str,
+                hooks: tuple = ()) -> Callable:
+        kernel = self._kernels.get((kind, clock_attr, hooks))
         if kernel is None:
             from .kernels import KernelPrinter  # imports this module
             if self.schedule is None:
                 self.schedule = Schedule(self.design)
             printer = KernelPrinter(self.schedule)
-            source = (printer.kernel if kind == "open_loop"
-                      else printer.batch)(clock_attr)
+            source = printer.kernel(clock_attr, hooks) \
+                if kind == "open_loop" else printer.batch(clock_attr)
             namespace: Dict[str, object] = {}
             exec(compile(source, f"<{kind}:{self.design.name}>", "exec"),
                  namespace)
             kernel = namespace[kind]
             kernel.source = source  # type: ignore[attr-defined]
-            self._kernels[kind, clock_attr] = kernel
+            self._kernels[kind, clock_attr, hooks] = kernel
         return kernel
 
     def wakes_on(self, name: str, old: int, new: int) -> bool:

@@ -10,7 +10,7 @@ performance model charges them fabric-side costs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List, Set, Tuple
 
 from ..common.bits import Bits
 from ..ir.build import Subprogram
@@ -19,7 +19,7 @@ from ..core.abi import HARDWARE, CollectedTasks, Engine
 
 __all__ = ["make_stdlib_engine", "ClockEngine", "PadEngine", "LedEngine",
            "ResetEngine", "GpioEngine", "MemoryEngine", "FifoEngine",
-           "StdlibEngine"]
+           "ClockedEngine", "StdlibEngine"]
 
 
 class StdlibEngine(CollectedTasks, Engine):
@@ -181,25 +181,48 @@ class GpioEngine(StdlibEngine):
         return self._set("rval", self.board.gpio.in_value)
 
 
-class MemoryEngine(StdlibEngine):
+class ClockedEngine(StdlibEngine):
+    """An engine that steps on each rising edge of its one-bit ``clk``.
+
+    :meth:`posedge` is that step, on plain values: an engine absorbed
+    into a hardware engine is stepped by the open-loop kernel on the
+    kernel's own locals (§4.4), and by a write of ``clk`` otherwise."""
+
+    #: What :meth:`posedge` takes after the virtual tick time, and what
+    #: it returns, in order.
+    step_inputs: Tuple[str, ...] = ()
+    step_outputs: Tuple[str, ...] = ()
+
+    def on_input(self, port: str, value: int) -> None:
+        # ``clk`` is one bit wide: a change to 1 is a posedge.
+        if port == "clk" and value:
+            values = self.values
+            self.posedge(self.time, *[values[p] for p in self.step_inputs])
+
+    def posedge(self, time: int, *inputs: int) -> Tuple[int, ...]:
+        """One rising edge at virtual tick ``time``, given the values of
+        ``step_inputs``: drive the outputs and return ``step_outputs``."""
+        raise NotImplementedError
+
+
+class MemoryEngine(ClockedEngine):
     """A synchronous one-read one-write port RAM."""
+
+    step_inputs = ("wen", "waddr", "wdata", "raddr")
+    step_outputs = ("rdata",)
 
     def __init__(self, subprogram: Subprogram, board: VirtualBoard):
         super().__init__(subprogram, board)
         self.words: List[int] = [0] * (1 << self._param("ADDR", 8))
         self._mask = (1 << self._param("WIDTH", 32)) - 1
 
-    def on_input(self, port: str, value: int) -> None:
-        # ``clk`` is one bit wide: a change to 1 is a posedge.
-        if port == "clk" and value:
-            self._on_posedge()
-
-    def _on_posedge(self) -> None:
-        values = self.values
-        if values["wen"]:
-            self.words[values["waddr"] % len(self.words)] = \
-                values["wdata"] & self._mask
-        self._set("rdata", self.words[values["raddr"] % len(self.words)])
+    def posedge(self, time: int, wen: int, waddr: int,
+                wdata: int, raddr: int) -> Tuple[int]:
+        words = self.words
+        if wen:
+            words[waddr % len(words)] = wdata & self._mask
+        self._set("rdata", words[raddr % len(words)])
+        return self.values["rdata"],
 
     def get_state(self) -> Dict[str, object]:
         return {"words": list(self.words)}
@@ -211,13 +234,24 @@ class MemoryEngine(StdlibEngine):
                 self.words[i] = words[i]
 
 
-class FifoEngine(StdlibEngine):
+def _seconds(ticks: int) -> float:
+    """Virtual seconds at virtual clock tick ``ticks``.  Each scheduler
+    iteration (half a virtual clock cycle) costs one fabric tick, so the
+    virtual clock runs at fabric/2 = 25 MHz when fully in hardware; one
+    tick therefore spans 40 ns."""
+    return ticks / 25e6
+
+
+class FifoEngine(ClockedEngine):
     """The standard-library FIFO, fed by the host through the board.
 
     ``rreq`` pops one element per clock edge; ``empty``/``full`` provide
     the back pressure that lets software-resident user logic keep up
     with the peripheral (§7.1).
     """
+
+    step_inputs = ("rreq", "wreq", "wdata")
+    step_outputs = ("rdata", "empty", "full")
 
     def __init__(self, subprogram: Subprogram, board: VirtualBoard):
         super().__init__(subprogram, board)
@@ -229,30 +263,21 @@ class FifoEngine(StdlibEngine):
         full = self._set("full", 1 if self.fifo.full else 0)
         return empty or full
 
-    def on_input(self, port: str, value: int) -> None:
-        # ``clk`` is one bit wide: a change to 1 is a posedge.
-        if port == "clk" and value:
-            self._on_posedge()
-
-    def _now_seconds(self) -> float:
-        # self.time counts *virtual clock* ticks.  Each scheduler
-        # iteration (half a virtual clock cycle) costs one fabric tick,
-        # so the virtual clock runs at fabric/2 = 25 MHz when fully in
-        # hardware; one tick of self.time therefore spans 40 ns.
-        return self.time / 25e6
-
-    def _on_posedge(self) -> None:
-        self.fifo.refill(self._now_seconds())
-        values = self.values
-        if values["rreq"] and not self.fifo.empty:
-            self._set("rdata", self.fifo.device_pop())
-        if values["wreq"]:
-            self.fifo.from_device.append(values["wdata"])
+    def posedge(self, time: int, rreq: int, wreq: int,
+                wdata: int) -> Tuple[int, int, int]:
+        fifo = self.fifo
+        fifo.refill(_seconds(time))
+        if rreq and not fifo.empty:
+            self._set("rdata", fifo.device_pop())
+        if wreq:
+            fifo.from_device.append(wdata)
         self._refresh_status()
+        values = self.values
+        return values["rdata"], values["empty"], values["full"]
 
     def end_step(self) -> bool:
         # The host may have pushed new data between steps.
-        self.fifo.refill(self._now_seconds())
+        self.fifo.refill(_seconds(self.time))
         return self._refresh_status()
 
 
