@@ -39,14 +39,14 @@ from ..verilog import ast
 from ..verilog.elaborate import Design, Function
 from ..verilog.eval import fold
 from ..verilog.sizing import Select
-from ..verilog.visitor import read_set_of, read_set_of_lvalue_indices, walk
+from ..verilog.visitor import calls_of, lvalue_names, read_set_of, walk
 from . import pyrt
 
 __all__ = ["CODEGEN_VERSION", "CompiledDesign", "compile_design"]
 
 #: Bumped whenever the generated model changes shape, so on-disk cache
 #: entries written by an older code generator miss instead of loading.
-CODEGEN_VERSION = 8
+CODEGEN_VERSION = 9
 
 #: Pure single-port functions at most this wide become lookup tables.
 _TABLE_MAX_BITS = 8
@@ -603,7 +603,7 @@ class _StmtCompiler:
         name, width = init.lhs.name, init.lhs.width
         for node in walk(stmt.body):
             if isinstance(node, (ast.BlockingAssign, ast.NonblockingAssign)) \
-                    and name in _lvalue_names(node.lhs):
+                    and name in lvalue_names(node.lhs):
                 return False
             if isinstance(node, ast.Call) and not node.name.startswith("$"):
                 info = self.c.s.fn_info[node.name]
@@ -860,21 +860,6 @@ def _cost(expr: ast.Expr) -> int:
     return sum(8 if isinstance(n, ast.Call) else 1 for n in walk(expr))
 
 
-def _lvalue_names(lhs: ast.Expr) -> List[str]:
-    """The variables an l-value writes."""
-    out = []
-    stack = [lhs]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ast.Ident):
-            out.append(node.name)
-        elif isinstance(node, (ast.IndexExpr, ast.RangeExpr)):
-            stack.append(node.base)
-        elif isinstance(node, ast.Concat):
-            stack.extend(node.parts)
-    return out
-
-
 class _FnInfo:
     """What codegen knows about one Verilog function.
 
@@ -912,7 +897,7 @@ def _nba_writes(stmt: Optional[ast.Stmt]) -> Dict[str, int]:
     may make, on its longest path; a loop body counts twice."""
     out: Dict[str, int] = {}
     if isinstance(stmt, ast.NonblockingAssign):
-        for name in _lvalue_names(stmt.lhs):
+        for name in lvalue_names(stmt.lhs):
             out[name] = out.get(name, 0) + 1
     elif isinstance(stmt, ast.Block):
         for sub in stmt.stmts:
@@ -927,12 +912,6 @@ def _nba_writes(stmt: Optional[ast.Stmt]) -> Dict[str, int]:
     elif isinstance(stmt, _LOOPS):
         out = {name: 2 * n for name, n in _nba_writes(stmt.body).items()}
     return out
-
-
-def _calls(node: ast.Node) -> Iterator[str]:
-    """The Verilog functions a subtree calls, by name."""
-    return (n.name for n in walk(node)
-            if isinstance(n, ast.Call) and not n.name.startswith("$"))
 
 
 class Schedule:
@@ -981,8 +960,7 @@ class Schedule:
         # registration (_build_assign_deps / _register_wait) exactly.
         self.comb_wake: Set[str] = set()
         for assign in design.assigns:
-            self.comb_wake |= read_set_of(assign.rhs)
-            self.comb_wake |= read_set_of_lvalue_indices(assign.lhs)
+            self.comb_wake |= design.assign_reads(assign)
         for block in self.comb_blocks:
             if block.ctrl.star:
                 self.comb_wake |= read_set_of(block.body)
@@ -998,12 +976,12 @@ class Schedule:
         # One walk over the always blocks finds the calls (the tables
         # follow their order) and the stores.
         logic_calls = dict.fromkeys(name for a in design.assigns
-                                    for name in _calls(a))
+                                    for name in calls_of(a))
         seq = set(self.seq_blocks)
         seq_calls: Set[str] = set()
         seq_stores: Set[str] = set()
         blocking = {name for a in design.assigns
-                    for name in _lvalue_names(a.lhs)}
+                    for name in lvalue_names(a.lhs)}
         self.nba_targets: Set[str] = set()
         self.nba_array_targets: Set[str] = set()
         for block in design.always:
@@ -1014,18 +992,18 @@ class Schedule:
                     if block in seq:
                         seq_calls.add(node.name)
                 elif isinstance(node, ast.BlockingAssign):
-                    blocking.update(_lvalue_names(node.lhs))
+                    blocking.update(lvalue_names(node.lhs))
                     if block in seq:
-                        seq_stores.update(_lvalue_names(node.lhs))
+                        seq_stores.update(lvalue_names(node.lhs))
                 elif isinstance(node, ast.NonblockingAssign):
-                    for name in _lvalue_names(node.lhs):
+                    for name in lvalue_names(node.lhs):
                         (self.nba_array_targets if vars_[name].is_array
                          else self.nba_targets).add(name)
         for name in logic_calls:
             self._function_info(name)
         for fn in design.functions.values():
             if fn.name not in self.fn_info:  # uncalled, but printed
-                for name in _calls(fn.body):
+                for name in calls_of(fn.body):
                     self._function_info(name)
         for name in logic_calls:
             blocking |= self.fn_info[name].writes
@@ -1064,8 +1042,8 @@ class Schedule:
                                            - self.word_pending)
 
         self.assigns = list(design.assigns)
-        self.reads = [self._assign_reads(a) for a in self.assigns]
-        self.writes = [set(_lvalue_names(a.lhs)) for a in self.assigns]
+        self.reads = [design.assign_reads(a) for a in self.assigns]
+        self.writes = [set(lvalue_names(a.lhs)) for a in self.assigns]
         self.levelized = self._sort_assigns() and not self.comb_blocks
         #: Groups of assign indices, each with the snapshot attribute
         #: that gates it, or None for a cone cheap enough to recompute.
@@ -1090,27 +1068,19 @@ class Schedule:
         return info
 
     def _analyse_function(self, fn: Function, info: _FnInfo) -> None:
+        effects = self.design.effects(fn.name)
+        info.reads, info.writes = effects.reads, effects.writes
+        info.side_effect_free = free = effects.side_effect_free
         short = fn.name.split(".")[-1]
         ports = {p.name for p in fn.ports}
-        frame = ports | {v.name for v in fn.locals_} | {short, fn.name}
-        info.reads = read_set_of(fn.body) - frame
-        free, simple = True, True
+        simple = True
         for node in walk(fn.body):
-            if isinstance(node, (ast.BlockingAssign,
-                                 ast.NonblockingAssign)):
-                info.writes.update(set(_lvalue_names(node.lhs)) - frame)
-            elif isinstance(node, ast.SysTask):
-                free = False
-            elif isinstance(node, _LOOPS):
+            if isinstance(node, _LOOPS):
                 simple = False
             elif isinstance(node, ast.Call) and \
                     not node.name.startswith("$"):
                 simple = False
-                callee = self._function_info(node.name)
-                info.reads |= callee.reads
-                info.writes |= callee.writes
-                free = free and callee.side_effect_free
-        info.side_effect_free = free = free and not info.writes
+                self._function_info(node.name)
         vars_ = self.design.vars
         for name in sorted((info.reads | info.writes) & vars_.keys()):
             info.params.append(_attr(name))
@@ -1151,13 +1121,6 @@ class Schedule:
         self.tables.append(f"{name} = {values!r}")
         return name
 
-    def _assign_reads(self, a: ast.ContinuousAssign) -> Set[str]:
-        """What an assign reads, through the functions it calls too."""
-        reads = read_set_of(a.rhs) | read_set_of_lvalue_indices(a.lhs)
-        for name in _calls(a.rhs):
-            reads |= self.fn_info[name].reads
-        return reads
-
     def _sort_assigns(self) -> bool:
         """Order the continuous assigns so drivers precede readers, and
         say whether the network is *levelizable*: one pass in that order
@@ -1177,7 +1140,7 @@ class Schedule:
                 full[a.lhs.name] = full.get(a.lhs.name, 0) + 1
         levelized = all(len(writers[name]) == 1 for name in full) and all(
             self.fn_info[name].side_effect_free
-            for a in assigns for name in _calls(a.rhs))
+            for a in assigns for name in calls_of(a.rhs))
         order: List[int] = []
         state = [0] * len(assigns)  # 0 new, 1 visiting, 2 done
 

@@ -48,8 +48,7 @@ from ..verilog import ast
 from ..verilog.elaborate import Design
 from ..verilog.eval import Lowering, Scope, closure, coerce
 from ..verilog.sizing import size_expr
-from ..verilog.visitor import (find_all, read_set_of,
-                               read_set_of_lvalue_indices, walk)
+from ..verilog.visitor import find_all, read_set_of, walk
 from .fmt import format_display
 
 __all__ = ["SoftwareEngine", "EngineServices"]
@@ -710,9 +709,7 @@ class SoftwareEngine:
     def _build_assign_deps(self) -> None:
         self._assign_deps: Dict[str, Set[int]] = {}
         for idx, assign in enumerate(self.design.assigns):
-            reads = read_set_of(assign.rhs) | read_set_of_lvalue_indices(
-                assign.lhs)
-            for name in reads:
+            for name in self.design.assign_reads(assign):
                 self._assign_deps.setdefault(name, set()).add(idx)
             # Every assign is evaluated once at time zero.
             self._mark_assign(idx)

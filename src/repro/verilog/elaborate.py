@@ -31,14 +31,16 @@ takes over a module the IR already flattened and copied.
 
 from __future__ import annotations
 
-from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Collection, Dict, List, Optional, Sequence, \
+    Set, Tuple
 
 from ..common.bits import Bits
 from ..common.errors import ElaborationError
 from . import ast
 from .eval import const_eval
 from .sizing import size_design
-from .visitor import rebuild
+from .visitor import calls_of, lvalue_names, read_set_of, \
+    read_set_of_lvalue_indices, rebuild, walk
 
 __all__ = ["Var", "Function", "Design", "ModuleLibrary", "Instance",
            "build_tree", "bind_params", "declare_net", "declare_vars",
@@ -98,6 +100,21 @@ class Function:
         self.loc = loc
 
 
+class Effects:
+    """What one call of a function may do to design state, through its
+    callees too: the names outside its frame it ``reads`` and
+    ``writes``, and whether it is ``side_effect_free`` (it writes none,
+    and neither it nor a callee runs a system task)."""
+
+    __slots__ = ("reads", "writes", "side_effect_free")
+
+    def __init__(self):
+        self.reads: Set[str] = set()
+        self.writes: Set[str] = set()
+        # Until analysed: a recursive call sees this entry as impure.
+        self.side_effect_free = False
+
+
 class Design:
     """A flat, elaborated design: the unit engines execute."""
 
@@ -108,12 +125,49 @@ class Design:
         self.assigns: List[ast.ContinuousAssign] = []
         self.always: List[ast.AlwaysBlock] = []
         self.initials: List[ast.InitialBlock] = []
+        self._effects: Dict[str, Effects] = {}
 
     def add_var(self, var: Var) -> None:
         if var.name in self.vars:
             raise ElaborationError(f"duplicate declaration of {var.name!r}",
                                    var.loc)
         self.vars[var.name] = var
+
+    def effects(self, name: str) -> Effects:
+        """The effects of function ``name``, analysed on first request;
+        every tier and the code generator read this one analysis."""
+        effects = self._effects.get(name)
+        if effects is not None:
+            return effects
+        effects = self._effects[name] = Effects()
+        fn = self.functions[name]
+        frame = {p.name for p in fn.ports} | {v.name for v in fn.locals_} \
+            | {fn.name.split(".")[-1], fn.name}
+        effects.reads = read_set_of(fn.body) - frame
+        free = True
+        for node in walk(fn.body):
+            if isinstance(node, (ast.BlockingAssign, ast.NonblockingAssign)):
+                effects.writes.update(set(lvalue_names(node.lhs)) - frame)
+            elif isinstance(node, ast.SysTask):
+                free = False
+            elif isinstance(node, ast.Call) and not node.name.startswith("$"):
+                callee = self.effects(node.name)
+                effects.reads |= callee.reads
+                effects.writes |= callee.writes
+                free = free and callee.side_effect_free
+        effects.side_effect_free = free and not effects.writes
+        return effects
+
+    def assign_reads(self, assign: ast.ContinuousAssign) -> Set[str]:
+        """What a continuous assign reads: its right-hand side, its
+        target's indices, and the design state the functions it calls
+        read.  Every tier recomputes the assign when one of them
+        changes (DESIGN.md §4.4)."""
+        reads = read_set_of(assign.rhs) | read_set_of_lvalue_indices(
+            assign.lhs)
+        for name in calls_of(assign.rhs):
+            reads |= self.effects(name).reads
+        return reads
 
     def stats(self) -> Dict[str, int]:
         """Aggregate statistics (used by the class-study analysis)."""

@@ -23,6 +23,27 @@ def find_all(node: ast.Node, *types) -> List[ast.Node]:
     return [n for n in walk(node) if isinstance(n, types)]
 
 
+def calls_of(node: ast.Node) -> Iterator[str]:
+    """The Verilog functions a subtree calls, by name."""
+    return (n.name for n in walk(node)
+            if isinstance(n, ast.Call) and not n.name.startswith("$"))
+
+
+def lvalue_names(lhs: ast.Expr) -> List[str]:
+    """The variables an l-value writes."""
+    out = []
+    stack = [lhs]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Ident):
+            out.append(node.name)
+        elif isinstance(node, (ast.IndexExpr, ast.RangeExpr)):
+            stack.append(node.base)
+        elif isinstance(node, ast.Concat):
+            stack.extend(node.parts)
+    return out
+
+
 #: Expression slots that sizing fills in; a copy starts without them.
 _SIZING_SLOTS = {"width", "signed", "ctx_width", "ctx_signed", "select",
                  "times"}

@@ -105,15 +105,15 @@ class TestOnePassDesign:
             leaf = elaborate_leaf(sub.module_ast)
             assert _summary(handed) == _summary(leaf), sub.name
 
-    # The keys fold in CODEGEN_VERSION (8 here).
+    # The keys fold in CODEGEN_VERSION (9 here).
     @pytest.mark.parametrize("name, inlined, digests", [
-        ("pow", True, {"main": "dfb2bc25ae48ff04"}),
-        ("pow", False, {"main": "77c43a81664e3a18",
-                        "miner": "c2e4582d97c71582",
-                        "miner.core": "f44a877c31558e5e"}),
-        ("nw", True, {"main": "dd9963827edaefd0"}),
-        ("nw", False, {"main": "e08ded7a261bd5c4",
-                       "nw": "989effbbbc637b28"}),
+        ("pow", True, {"main": "93e218f4a04fd462"}),
+        ("pow", False, {"main": "55ac126292bd504c",
+                        "miner": "43621a2a59ea8dc0",
+                        "miner.core": "ad3315844bfc7476"}),
+        ("nw", True, {"main": "482ffe3a98de3c1e"}),
+        ("nw", False, {"main": "bdf40e1bceb1c9f1",
+                       "nw": "97a16acd3fb213d4"}),
     ])
     def test_cache_keys_are_pinned(self, name, inlined, digests):
         rt = _built(PROGRAMS[name], inlined)

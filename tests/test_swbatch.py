@@ -378,6 +378,45 @@ def test_loop_condition_calls_a_stateful_function():
         assert got[key] == want[key], key
 
 
+ASSIGN_CALLS = """
+reg [7:0] a = 1;
+reg [7:0] st = 0;
+reg [7:0] n = 0;
+function [7:0] peek;
+  input [7:0] x;
+  peek = x + st;
+endfunction
+wire [7:0] y = peek(a);
+always @(posedge clk.val) begin
+  st <= st + 1;
+  n <= n + 1;
+  if (n < 5) $display("y %0d", y);
+end
+"""
+
+
+def test_assign_wakes_on_what_its_function_reads():
+    """A continuous assign is recomputed when design state that a
+    function it calls reads changes, on every tier (DESIGN.md §4.4)."""
+    want = ["y 1", "y 2", "y 3", "y 4", "y 5"]
+    interp = interpreted(ASSIGN_CALLS, 24)
+    assert interp.output_lines == want
+    fast = batched_matches_stepped(lambda: fast_runtime(ASSIGN_CALLS),
+                                   [3, 21])
+    got = observe(fast)
+    assert got["lines"] == want
+    assert got["now_ns"] == interp.time_model.now_ns
+    for open_loop in (False, True):
+        hw = Runtime(compile_service=CompileService(
+            latency_scale=0.0, queue=CompileQueue(max_workers=0)),
+            enable_sw_fastpath=False, enable_open_loop=open_loop)
+        hw.eval_source(ASSIGN_CALLS)
+        hw.run(iterations=24)
+        assert hw.engine_tiers()["main"] == "hardware"
+        assert hw._open_loop_active == open_loop
+        assert hw.output_lines == want
+
+
 def test_stats_prints_the_batch_counters():
     repl = Repl(fast_runtime(COUNTER))
     repl.command(":run 40")
