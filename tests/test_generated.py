@@ -12,8 +12,9 @@ dynamic bit, ``+:`` and ``-:`` selects with signed and unsigned indices,
 and a clocked register set (with if/else, case and a blocking loop)
 that ``$display``s every cycle, every k-th cycle or once.  Each program
 runs interpreter-only, on the software fast path and on the hardware
-engine (which lands at a drawn iteration), closed loop and open loop;
-the ``$display`` streams, tick counts and final registers must agree,
+engine (which lands at a drawn iteration), closed loop and open loop,
+the open-loop run with an absorbed clocked ``Memory`` added; the
+``$display`` streams, tick counts, final registers and words must agree,
 and the fast path's virtual time must equal the interpreter's bit for
 bit.  The fast path's run is split at drawn iteration counts, so its
 closed-loop batches end mid-run.
@@ -268,9 +269,20 @@ def programs(draw):
     lines.append("  end")
     lines.append("end")
     lines.append(f"assign led.val = {draw(_expr(leaves, 1))};")
+    # A clocked Memory for the open-loop arm, whose kernel steps it once
+    # absorbed: its ports read registers, and its word shows when the
+    # clocked block displays.
+    memory = [f"Memory#({draw(st.integers(1, 4))}, "
+              f"{draw(st.integers(1, 70))}) ram();",
+              "assign ram.clk = clk.val;"]
+    memory += [f"assign ram.{port} = {draw(st.sampled_from(regs))[0]};"
+               for port in ("wen", "waddr", "wdata", "raddr")]
+    memory.append(f"always @(posedge clk.val) if ({when}) "
+                  f"$display(\"ram %h\", ram.rdata);")
     cuts = sorted(set(draw(st.lists(st.integers(1, _ITERATIONS - 1),
                                     max_size=3))))
-    return "\n".join(lines), draw(st.integers(0, 4000)) * 1e-6, cuts
+    return ("\n".join(lines), draw(st.integers(0, 4000)) * 1e-6, cuts,
+            "\n".join(memory))
 
 
 def _inline_service(**kwargs):
@@ -290,8 +302,10 @@ def _snapshot(rt):
     state = {name: (v.aval, v.bval) if not isinstance(v, list)
              else [(w.aval, w.bval) for w in v]
              for name, v in rt.engines["main"].get_state().items()}
+    ram = rt.engines.get("ram")
     return {"lines": rt.output_lines[:], "ticks": rt.virtual_clock_ticks,
-            "led": rt.board.leds.value, "state": state}
+            "led": rt.board.leds.value, "state": state,
+            "ram": ram.words[:] if ram is not None else None}
 
 
 @settings(max_examples=25, deadline=None,
@@ -299,7 +313,7 @@ def _snapshot(rt):
                                  HealthCheck.data_too_large])
 @given(programs())
 def test_tiers_agree_on_generated_programs(program):
-    src, hw_latency_s, cuts = program
+    src, hw_latency_s, cuts, memory = program
     interp = Runtime(enable_jit=False)
     ref = _run(interp, src)
     assert ref["lines"], "the clocked block never ran"
@@ -319,13 +333,17 @@ def test_tiers_agree_on_generated_programs(program):
     assert hw.engine_tiers()["main"] == "hardware"
     assert got == ref
 
-    # An open-loop batch may end past the iteration bound, so the
+    # Open loop runs the program with the Memory, absorbed and stepped
+    # by the kernel.  A batch may end past the iteration bound, so the
     # interpreter is run on to the same iteration count.
+    src += "\n" + memory
+    interp = Runtime(enable_jit=False)
+    _run(interp, src)
     ol = Runtime(compile_service=_inline_service(),
                  enable_sw_fastpath=False)
     with mock.patch.multiple(CompilerModel, base_s=hw_latency_s,
                              per_lut=0.0):
         got = _run(ol, src)
-    assert ol._open_loop_active
+    assert ol._open_loop_active and "ram" in ol.absorbed
     interp.run(iterations=ol.iterations - interp.iterations)
     assert got == _snapshot(interp)
