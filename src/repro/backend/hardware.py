@@ -12,6 +12,15 @@ supports the two optimisations that matter for performance:
   iterations internally, toggling its copy of the global clock, and
   returns control only when the iteration limit is reached or a system
   task requires runtime intervention.
+
+Open loop has one path, the design's cycle kernel
+(:meth:`CompiledDesign.open_loop_kernel`).  An absorbed clocked engine
+(``Memory``, ``Fifo``) is a hook of the kernel: the kernel steps it on
+its own locals where the model's methods would exchange with it.  An
+unclocked one (``Led``, ``Pad``, ``GPIO``, ``Reset``) holds still during
+a batch and exchanges once, on exit, so a sink sees a batch's final
+values.  :meth:`HardwareEngine._exchange` serves closed-loop
+``evaluate``/``update`` and that exit.
 """
 
 from __future__ import annotations

@@ -606,12 +606,14 @@ class KernelPrinter:
         follows it, on locals: rounds that copy each linked model value
         into the engine's input, stepping the engine when ``clk`` rises,
         then each linked output into the model, and evaluate; up to 8
-        rounds, until one moves nothing.  A round that moves nothing
-        after the first skips its evaluate, which would change
-        nothing."""
+        rounds, until one moves nothing.  After the first round, one
+        that moves nothing into the model ends the exchange: the model
+        is as its last evaluate left it, so evaluating again, or another
+        round, would change nothing."""
         inner = indent + 1
         e.emit(indent, "for _x in range(8):")
         e.emit(inner, "_stable = True")
+        e.emit(inner, "_moved = False")
         for i, (pokes, inputs, outputs, _) in enumerate(hooks):
             for port, attr, mask in pokes:
                 local, value = f"h{i}_{port}", \
@@ -631,11 +633,11 @@ class KernelPrinter:
                 value = f"({local} & {mask})" if mask else local
                 e.emit(inner, f"if {attr} != {value}:")
                 e.emit(inner + 1, f"{attr} = {value}")
-                e.emit(inner + 1, "_stable = False")
-        e.emit(inner, "if _stable and _x:")
+                e.emit(inner + 1, "_moved = True")
+        e.emit(inner, "if _x and not _moved:")
         e.emit(inner + 1, "break")
         self._emit_evaluate(e, inner)
-        e.emit(inner, "if _stable:")
+        e.emit(inner, "if _stable and not _moved:")
         e.emit(inner + 1, "break")
 
     # ------------------------------------------------------------------
