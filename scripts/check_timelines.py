@@ -2,8 +2,9 @@
 """Virtual-time regression gate for the Figure 11 and Figure 12 timelines.
 
 Computes ``measure_pow_timeline()`` and ``measure_regex_timeline()`` once
-(about a minute) and checks that every ``as_dict()`` field equals the
-pinned value below.  Virtual time is a function of the program and the
+(about ten seconds) and checks that every ``as_dict()`` field equals the
+pinned value below; each figure's verdict line gives the host seconds
+its measurement took.  Virtual time is a function of the program and the
 performance model alone, so a scheduler or data-plane change that moves
 any of these numbers has changed what the runtime charges.
 
@@ -15,6 +16,7 @@ Usage::
 """
 
 import sys
+import time
 
 from repro.perf.figures import measure_pow_timeline, measure_regex_timeline
 
@@ -49,11 +51,13 @@ PINNED = {
 
 
 def main() -> int:
-    measured = {"fig11": measure_pow_timeline().as_dict(),
-                "fig12": measure_regex_timeline().as_dict()}
+    measure = {"fig11": measure_pow_timeline, "fig12": measure_regex_timeline}
     failures = []
     for figure, pinned in PINNED.items():
-        fields = measured[figure]
+        start = time.perf_counter()
+        fields = measure[figure]().as_dict()
+        host_s = time.perf_counter() - start
+        before = len(failures)
         if set(fields) != set(pinned):
             failures.append(f"{figure}: fields {sorted(fields)} != "
                             f"{sorted(pinned)}")
@@ -63,6 +67,8 @@ def main() -> int:
             print(f"{figure}.{name}: {got!r} (pinned {want!r}) {status}")
             if got != want:
                 failures.append(f"{figure}.{name}: {got!r} != {want!r}")
+        verdict = "ok" if len(failures) == before else "MISMATCH"
+        print(f"{figure}: {verdict} in {host_s:.1f} s of host time")
     for line in failures:
         print("FAIL", line, file=sys.stderr)
     return 1 if failures else 0
