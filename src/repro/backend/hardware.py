@@ -45,12 +45,6 @@ __all__ = ["HardwareEngine", "FastSoftwareEngine"]
 _UNCHANGED: Set[str] = frozenset()  # type: ignore[assignment]
 
 
-def _narrowing(width: int, to_width: int) -> int:
-    """The mask a copy from ``width`` bits into ``to_width`` applies, or
-    0 when it applies none."""
-    return (1 << to_width) - 1 if width > to_width else 0
-
-
 class HardwareEngine(CollectedTasks, Engine):
     """One subprogram executing on the (simulated) fabric."""
 
@@ -246,14 +240,13 @@ class HardwareEngine(CollectedTasks, Engine):
             if my_port is None:
                 continue
             attr = _attr(my_port)
-            width = self.design.vars[my_port].width
-            inner_width = sub.port_widths[port]
             if direction == "in":
                 self._to_inner.append((attr, inner, port))
-                pokes.append((port, attr, _narrowing(width, inner_width)))
+                pokes.append((port, attr))
             else:
+                width = self.design.vars[my_port].width
                 self._from_inner.append((inner, port, attr, width))
-                reads.append((port, attr, _narrowing(inner_width, width)))
+                reads.append((port, attr))
         self.inner.append(inner)
         if isinstance(inner, ClockedEngine):
             self._clocked.append(inner)

@@ -37,8 +37,8 @@ __all__ = ["KernelPrinter", "Hook"]
 
 #: An absorbed clocked engine as an open-loop kernel sees it (see
 #: :meth:`KernelPrinter.kernel`): ``(pokes, inputs, outputs, reads)``.
-Hook = Tuple[Tuple[Tuple[str, str, int], ...], Tuple[str, ...],
-             Tuple[str, ...], Tuple[Tuple[str, str, int], ...]]
+Hook = Tuple[Tuple[Tuple[str, str], ...], Tuple[str, ...],
+             Tuple[str, ...], Tuple[Tuple[str, str], ...]]
 
 #: Blanks out everything but identifier characters.
 _WORDS = str.maketrans({chr(i): " " for i in range(128)
@@ -550,10 +550,11 @@ class KernelPrinter:
         clocked engine ``h<i>`` (``stdlib.engines.ClockedEngine``), held
         in locals ``h<i>_<port>`` from its ``values``: ``pokes`` are its
         input ports linked to model attributes and ``reads`` its output
-        ports linked to them, each as ``(port, attribute, mask)`` in the
-        hardware engine's exchange order (a mask of 0 applies none), and
-        ``inputs``/``outputs`` are what its ``posedge`` takes and
-        returns.  Where the model's methods would exchange with the
+        ports linked to them, each as ``(port, attribute)`` in the
+        hardware engine's exchange order, and ``inputs``/``outputs`` are
+        what its ``posedge`` takes and returns.  A port and its model
+        variable are declared from the one net, so a copy needs no
+        mask.  Where the model's methods would exchange with the
         engines, before each evaluate, the kernel does so on locals (see
         :meth:`_emit_exchange`); on exit it stores the linked inputs
         back and hands the engine the time."""
@@ -567,7 +568,7 @@ class KernelPrinter:
         for i, (pokes, inputs, outputs, _) in enumerate(hooks):
             e.emit(1, f"h{i}s = h{i}.posedge")
             e.emit(1, f"h{i}v = h{i}.values")
-            for port in dict.fromkeys([p for p, _, _ in pokes]
+            for port in dict.fromkeys([p for p, _ in pokes]
                                       + list(inputs) + list(outputs)):
                 e.emit(1, f"h{i}_{port} = h{i}v[{port!r}]")
         # One half tick: evaluate rounds until no edge fires, then
@@ -594,7 +595,7 @@ class KernelPrinter:
         for name in sorted(self.s.model_flags):
             e.emit(1, f"self.wk_{_attr(name)} = False")
         for i, (pokes, _, _, _) in enumerate(hooks):
-            for port, _, _ in pokes:
+            for port, _ in pokes:
                 e.emit(1, f"h{i}v[{port!r}] = h{i}_{port}")
             e.emit(1, f"h{i}.set_time(_time)")
         e.emit(1, "return done")
@@ -615,11 +616,10 @@ class KernelPrinter:
         e.emit(inner, "_stable = True")
         e.emit(inner, "_moved = False")
         for i, (pokes, inputs, outputs, _) in enumerate(hooks):
-            for port, attr, mask in pokes:
-                local, value = f"h{i}_{port}", \
-                    f"({attr} & {mask})" if mask else attr
-                e.emit(inner, f"if {local} != {value}:")
-                e.emit(inner + 1, f"{local} = {value}")
+            for port, attr in pokes:
+                local = f"h{i}_{port}"
+                e.emit(inner, f"if {local} != {attr}:")
+                e.emit(inner + 1, f"{local} = {attr}")
                 e.emit(inner + 1, "_stable = False")
                 if port == "clk":
                     e.emit(inner + 1, f"if {local}:")
@@ -628,11 +628,9 @@ class KernelPrinter:
                         ", ".join(["_time"] + [f"h{i}_{p}" for p in inputs])
                         + ")")
         for i, (_, _, _, reads) in enumerate(hooks):
-            for port, attr, mask in reads:
-                local = f"h{i}_{port}"
-                value = f"({local} & {mask})" if mask else local
-                e.emit(inner, f"if {attr} != {value}:")
-                e.emit(inner + 1, f"{attr} = {value}")
+            for port, attr in reads:
+                e.emit(inner, f"if {attr} != h{i}_{port}:")
+                e.emit(inner + 1, f"{attr} = h{i}_{port}")
                 e.emit(inner + 1, "_moved = True")
         e.emit(inner, "if _x and not _moved:")
         e.emit(inner + 1, "break")
