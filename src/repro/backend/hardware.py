@@ -33,7 +33,7 @@ from ..core.abi import HARDWARE, SOFTWARE, CollectedTasks, Engine, \
 from ..interp.fmt import format_display
 from ..ir.build import Subprogram
 from ..verilog.elaborate import Design
-from ..stdlib.engines import ClockedEngine
+from ..stdlib.engines import ClockedEngine, StdlibEngine
 from .pycompile import CompiledDesign, _attr
 
 if TYPE_CHECKING:
@@ -68,13 +68,13 @@ class HardwareEngine(CollectedTasks, Engine):
         self._out_last: Dict[str, int] = {
             name: getattr(self.model, attr) for name, attr in self._outputs}
         # Forwarding state.
-        self.inner: List[Engine] = []
+        self.inner: List[StdlibEngine] = []
         #: The absorbed clocked engines, which the open-loop kernel
         #: steps, and what it sees of each (``kernels.Hook``).
         self._clocked: List[ClockedEngine] = []
         self._hooks: Tuple[Hook, ...] = ()
-        self._to_inner: List[Tuple[str, Engine, str]] = []
-        self._from_inner: List[Tuple[Engine, str, str, int]] = []
+        self._to_inner: List[Tuple[str, StdlibEngine, str]] = []
+        self._from_inner: List[Tuple[StdlibEngine, str, str]] = []
         self.clock_engine: Optional[Engine] = None
         self.clock_attr: Optional[str] = None
 
@@ -164,9 +164,11 @@ class HardwareEngine(CollectedTasks, Engine):
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
+    # An absorbed engine is a standard-library one, which raises no
+    # events of its own: it works on a write (``_exchange``) or at
+    # ``end_step``.
     def there_are_evals(self) -> bool:
-        return self.model._dirty or bool(self.inner) and any(
-            inner.there_are_evals() for inner in self.inner)
+        return self.model._dirty
 
     def evaluate(self) -> None:
         self.model.evaluate()
@@ -175,15 +177,11 @@ class HardwareEngine(CollectedTasks, Engine):
         self._collect_tasks()
 
     def there_are_updates(self) -> bool:
-        return self.model._nba or bool(self.inner) and any(
-            inner.there_are_updates() for inner in self.inner)
+        return self.model._nba
 
     def update(self) -> None:
         self.model.update()
         if self.inner:
-            for inner in self.inner:
-                if inner.there_are_updates():
-                    inner.update()
             self._exchange()
         self._collect_tasks()
 
@@ -228,10 +226,10 @@ class HardwareEngine(CollectedTasks, Engine):
     # ------------------------------------------------------------------
     # ABI forwarding (§4.3)
     # ------------------------------------------------------------------
-    def forward(self, inner: Engine) -> None:
+    def forward(self, inner: StdlibEngine) -> None:  # type: ignore[override]
         """Absorb a standard-library engine: link its ports to our local
         variables over shared nets and take over its scheduling."""
-        sub: Subprogram = inner.subprogram  # type: ignore[attr-defined]
+        sub = inner.subprogram
         my_nets = {net: port
                    for port, (net, _) in self.subprogram.bindings.items()}
         pokes, reads = [], []
@@ -244,8 +242,7 @@ class HardwareEngine(CollectedTasks, Engine):
                 self._to_inner.append((attr, inner, port))
                 pokes.append((port, attr))
             else:
-                width = self.design.vars[my_port].width
-                self._from_inner.append((inner, port, attr, width))
+                self._from_inner.append((inner, port, attr))
                 reads.append((port, attr))
         self.inner.append(inner)
         if isinstance(inner, ClockedEngine):
@@ -264,13 +261,8 @@ class HardwareEngine(CollectedTasks, Engine):
                 if inner.peek_int(port) != value:
                     inner.poke_int(port, value)
                     stable = False
-            for inner in self.inner:
-                if inner.there_are_evals():
-                    inner.evaluate()
-                if inner.there_are_updates():
-                    inner.update()
-            for inner, port, attr, width in self._from_inner:
-                value = inner.peek_int(port) & ((1 << width) - 1)
+            for inner, port, attr in self._from_inner:
+                value = inner.peek_int(port)
                 if getattr(model, attr) != value:
                     setattr(model, attr, value)
                     model._dirty = True
