@@ -4,8 +4,9 @@ A hypothesis strategy builds small synthesizable programs that exercise
 what the levelized compiled model relies on: acyclic chains of
 continuous assigns declared in shuffled order, widths 1-70 with mixed
 signedness, an inlinable function, a constant ``case`` function (a
-lookup table), a function that reads a register and one that writes
-one, an array read by combinational logic, an optional
+lookup table), a function that reads a register (called from the
+clocked block and from continuous assigns) and one that writes one, an
+array read by combinational logic, an optional
 ``always @*`` block (which keeps the fixpoint), registers declared with
 non-zero, negative or ascending ranges that are read and written through
 dynamic bit, ``+:`` and ``-:`` selects with signed and unsigned indices,
@@ -172,9 +173,12 @@ def programs(draw):
     for i in range(draw(st.integers(2, 6))):
         width, signed = draw(st.integers(1, 70)), draw(st.booleans())
         rhs = draw(_expr(leaves))
-        extra = draw(st.sampled_from(["", "mix", "pick", "mem"]))
+        extra = draw(st.sampled_from(["", "mix", "pick", "mem", "peek"]))
         name, src_w, _ = draw(st.sampled_from(leaves))
-        if extra == "mix":
+        if extra == "peek":
+            # ``peek`` reads ``st``, which the clocked block writes.
+            rhs = f"({rhs} | peek({name}))"
+        elif extra == "mix":
             rhs = f"({rhs} ^ mix({name}, {draw(_expr(leaves, 1))}))"
         elif extra == "pick":
             rhs = f"({rhs} + pick({name}[{min(2, src_w - 1)}:0]))"
