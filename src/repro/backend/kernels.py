@@ -613,14 +613,14 @@ class KernelPrinter:
         round, would change nothing."""
         inner = indent + 1
         e.emit(indent, "for _x in range(8):")
-        e.emit(inner, "_stable = True")
+        e.emit(inner, "_poked = False")
         e.emit(inner, "_moved = False")
         for i, (pokes, inputs, outputs, _) in enumerate(hooks):
             for port, attr in pokes:
                 local = f"h{i}_{port}"
                 e.emit(inner, f"if {local} != {attr}:")
                 e.emit(inner + 1, f"{local} = {attr}")
-                e.emit(inner + 1, "_stable = False")
+                e.emit(inner + 1, "_poked = True")
                 if port == "clk":
                     e.emit(inner + 1, f"if {local}:")
                     e.emit(inner + 2, "".join(
@@ -635,7 +635,7 @@ class KernelPrinter:
         e.emit(inner, "if _x and not _moved:")
         e.emit(inner + 1, "break")
         self._emit_evaluate(e, inner)
-        e.emit(inner, "if _stable and not _moved:")
+        e.emit(inner, "if not (_poked or _moved):")
         e.emit(inner + 1, "break")
 
     # ------------------------------------------------------------------
