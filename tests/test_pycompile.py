@@ -9,14 +9,18 @@ every width and sign.
 """
 
 import random
+from unittest import mock
 
 import pytest
 
 from repro.backend import pycompile
+from repro.backend.compiler import CompileService
+from repro.backend.hardware import HardwareEngine
 from repro.backend.kernels import KernelPrinter
 from repro.backend.pycompile import compile_design
 from repro.backend.synth import synthesize
 from repro.common.bits import Bits
+from repro.core.runtime import Runtime
 from repro.interp.engine import SoftwareEngine
 from repro.interp.sim import CollectingServices
 from repro.verilog.elaborate import elaborate_leaf
@@ -678,12 +682,6 @@ endmodule""", [7, 20])
         """An absorbed clocked ``Memory``: after every open-loop batch,
         the model's complete state and the memory's words equal those
         of closed-loop hardware run the same number of half ticks."""
-        from unittest import mock
-
-        from repro.backend.compiler import CompileService
-        from repro.backend.hardware import HardwareEngine
-        from repro.core.runtime import Runtime
-
         text = """
 Memory#(4, 8) ram();
 reg [3:0] phase = 0;
