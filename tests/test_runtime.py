@@ -356,6 +356,47 @@ class TestChargeInvariance:
         assert matches == regex.reference_match_count(pattern, data) == 15
         assert rt.board.leds.value == 15
 
+    def test_open_loop_with_two_clocked_engines(self):
+        """A Memory and a Fifo absorbed together, each written from the
+        other's output: one kernel steps both."""
+        rt = instant_runtime()
+        rt.eval_source("""
+Memory#(3, 8) ram();
+Fifo#(8, 4) q();
+reg [2:0] p = 0;
+reg [7:0] acc = 0;
+assign ram.clk = clk.val;
+assign q.clk = clk.val;
+assign q.rreq = !q.empty && p[0];
+assign ram.wen = !q.empty;
+assign ram.waddr = p;
+assign ram.wdata = q.rdata ^ acc;
+assign ram.raddr = p + 3'd5;
+always @(posedge clk.val) begin
+  p <= p + 1;
+  acc <= acc + ram.rdata;
+  if (p == 3'd7 && acc[1:0] == 2'd1) $display("acc %0d rd %0d", acc, q.rdata);
+end
+assign led.val = acc;
+""")
+        fifo = rt.board.fifo("q")
+        rng = random.Random(3)
+        fifo.attach_source(bytes(rng.randrange(256) for _ in range(200)),
+                           bytes_per_sec=2e6)
+        rt.run(iterations=4000)
+        assert rt._open_loop_active and {"q", "ram"} <= rt.absorbed
+        lines = rt.output_lines
+        self.check(rt, 1033060.0,
+                   {"interpreted": 4, "sw-fast": 0, "hardware": 4063},
+                   27, lines)
+        assert len(lines) == 58
+        assert lines[:2] + lines[-1:] == [
+            "acc 189 rd 189", "acc 17 rd 240", "acc 153 rd 43"]
+        assert fifo.popped == 162
+        assert rt.engines["ram"].words == [245, 95, 237, 143, 246, 227, 94,
+                                           29]
+        assert rt.board.leds.value == 40
+
     def test_interpreted_subprograms_meet_on_the_plane(self):
         rt = instant_runtime(enable_jit=False, inline_user_logic=False)
         rt.eval_source(RUNNING + '\nalways @(posedge clk.val) '
